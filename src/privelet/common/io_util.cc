@@ -48,6 +48,23 @@ int CloseFd(int fd) {
 #endif
 }
 
+Result<std::size_t> ReadSome(int fd, void* buf, std::size_t len,
+                             const char* what) {
+#if defined(_WIN32)
+  (void)fd;
+  (void)buf;
+  (void)len;
+  return Status::IOError(std::string(what) + ": unsupported platform");
+#else
+  ssize_t n;
+  do {
+    n = ::read(fd, buf, len);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) return Status::IOError(std::string(what) + ": " + ErrnoMessage());
+  return static_cast<std::size_t>(n);
+#endif
+}
+
 Status ReadFull(int fd, void* buf, std::size_t len, const char* what) {
 #if defined(_WIN32)
   (void)fd;

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <string>
 
+#include "privelet/common/result.h"
 #include "privelet/common/status.h"
 
 namespace privelet::common {
@@ -29,6 +30,12 @@ int OpenRetry(const char* path, int flags);
 /// EINTR; retrying close risks double-closing a recycled descriptor, so
 /// the fd is always considered released). Returns 0 or -1 as close does.
 int CloseFd(int fd);
+
+/// One read(2) of at most `len` bytes, retried on EINTR. Returns the
+/// byte count, 0 only at end of file; hard errors are an IOError naming
+/// `what`.
+Result<std::size_t> ReadSome(int fd, void* buf, std::size_t len,
+                             const char* what);
 
 /// Reads exactly `len` bytes, retrying EINTR and short reads. An EOF
 /// before `len` bytes is an IOError naming `what`.

@@ -15,6 +15,7 @@ Status WriteCsv(const std::string& path, const Table& table);
 
 /// Reads a table previously written by WriteCsv. The caller supplies the
 /// schema; the file's header must match the schema's attribute names.
+/// `path` may be a pipe or FIFO (/dev/stdin): it is streamed, not mapped.
 Result<Table> ReadCsv(const std::string& path, const Schema& schema);
 
 }  // namespace privelet::data

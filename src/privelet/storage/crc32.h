@@ -28,6 +28,25 @@ constexpr std::array<std::uint32_t, 256> MakeCrc32Table() {
 inline constexpr std::array<std::uint32_t, 256> kCrc32Table =
     MakeCrc32Table();
 
+// Slicing-by-16 tables (Kounavis & Berry, ISCC'05): kCrc32Slices[k][b] is
+// the CRC state of byte b followed by k zero bytes, so one step folds 16
+// input bytes with 16 independent lookups instead of a 16-long chain.
+using Crc32Slices = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr Crc32Slices MakeCrc32Slices() {
+  Crc32Slices slices{};
+  slices[0] = kCrc32Table;
+  for (std::size_t k = 1; k < slices.size(); ++k) {
+    for (std::size_t n = 0; n < 256; ++n) {
+      const std::uint32_t prev = slices[k - 1][n];
+      slices[k][n] = kCrc32Table[prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return slices;
+}
+
+inline constexpr Crc32Slices kCrc32Slices = MakeCrc32Slices();
+
 }  // namespace internal
 
 /// Initial CRC state (before the conventional final inversion).
@@ -38,9 +57,20 @@ inline constexpr std::uint32_t kCrc32Init = 0xFFFFFFFFu;
 /// any number of Crc32Update calls (streaming).
 inline std::uint32_t Crc32Update(std::uint32_t state, const void* data,
                                  std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    state = internal::kCrc32Table[(state ^ bytes[i]) & 0xFFu] ^ (state >> 8);
+  const auto& t = internal::kCrc32Slices;
+  const auto* p = static_cast<const unsigned char*>(data);
+  // Byte-indexed, so the result does not depend on host endianness.
+  for (; len >= 16; p += 16, len -= 16) {
+    state = t[15][p[0] ^ (state & 0xFFu)] ^
+            t[14][p[1] ^ ((state >> 8) & 0xFFu)] ^
+            t[13][p[2] ^ ((state >> 16) & 0xFFu)] ^
+            t[12][p[3] ^ (state >> 24)] ^
+            t[11][p[4]] ^ t[10][p[5]] ^ t[9][p[6]] ^ t[8][p[7]] ^
+            t[7][p[8]] ^ t[6][p[9]] ^ t[5][p[10]] ^ t[4][p[11]] ^
+            t[3][p[12]] ^ t[2][p[13]] ^ t[1][p[14]] ^ t[0][p[15]];
+  }
+  for (; len > 0; ++p, --len) {
+    state = t[0][(state ^ *p) & 0xFFu] ^ (state >> 8);
   }
   return state;
 }

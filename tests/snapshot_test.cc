@@ -263,6 +263,56 @@ TEST(SnapshotTest, MissingFileIsAnIOError) {
 }
 
 // ---------------------------------------------------------------------------
+// CRC-32: the sliced kernel must agree bit for bit with the textbook
+// bit-at-a-time definition at every length, alignment and stream split,
+// or every stored snapshot stops verifying.
+
+std::uint32_t BitwiseCrc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (; n > 0; --n, ++p) {
+    c ^= *p;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+std::vector<unsigned char> RandomBytes(std::size_t n, std::uint64_t seed) {
+  rng::Xoshiro256pp gen(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(gen.Next() >> 56);
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(storage::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(storage::Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, EveryLengthAtEveryOffsetMatchesBitwiseOracle) {
+  const auto bytes = RandomBytes(16 + 64, 5);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(storage::Crc32(bytes.data() + offset, len),
+                BitwiseCrc32(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, StreamedUpdateSplitAtEveryPointEqualsOneShot) {
+  const auto bytes = RandomBytes(4096, 6);
+  const std::uint32_t whole = storage::Crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(whole, BitwiseCrc32(bytes.data(), bytes.size()));
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    std::uint32_t state =
+        storage::Crc32Update(storage::kCrc32Init, bytes.data(), split);
+    state = storage::Crc32Update(state, bytes.data() + split,
+                                 bytes.size() - split);
+    ASSERT_EQ(storage::Crc32Finish(state), whole) << "split at " << split;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Handcrafted files: lock the byte format and exercise the defensive
 // checks that a writer can never produce (overflowing dims, payloads
 // larger than the file).
