@@ -2,7 +2,7 @@
 
 namespace privelet::matrix {
 
-template class PrefixSumTable<long double>;
+template class PrefixSumTable<double>;
 template class PrefixSumTable<std::int64_t>;
 
 }  // namespace privelet::matrix

@@ -6,17 +6,17 @@
 //
 // Storage comes in three modes sharing one query path:
 //   owned   — the build and parts constructors materialize the entries in
-//     a private vector (the classic mode);
+//     a private heap array (the classic mode);
 //   scratch — BuildScratch materializes them in an unlinked mmap scratch
 //     file instead, releasing residency as the build streams so the
 //     out-of-core publish path can build a table many times larger than
 //     the memory budget (same arithmetic, hence bit-identical entries);
-//   view    — the span constructor serves lookups straight out of caller-
-//     managed memory (the raw accumulator section of a memory-mapped PVLS
+//   view    — the View factory serves lookups straight out of caller-
+//     managed memory (the raw binary64 section of a memory-mapped PVLS
 //     v2 snapshot), so adopting a multi-GB table costs no copy at all.
-// The caller of the view constructor guarantees the backing storage
-// outlives the table and every copy of it (storage::MappedSnapshot is
-// kept alive by the owning PublishingSession).
+// The caller of View guarantees the backing storage outlives the table
+// and every copy of it (storage::MappedSnapshot is kept alive by the
+// owning PublishingSession).
 #ifndef PRIVELET_MATRIX_PREFIX_SUM_H_
 #define PRIVELET_MATRIX_PREFIX_SUM_H_
 
@@ -24,8 +24,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -42,21 +42,28 @@
 
 namespace privelet::matrix {
 
-/// Prefix-sum table with accumulator type T. Use Accum = long double for
-/// noisy (real-valued) matrices to control cancellation error, and
-/// Accum = std::int64_t for exact integer count matrices.
+/// Prefix-sum table with accumulator type Accum: double for noisy
+/// (real-valued) matrices, std::int64_t for exact integer count matrices.
+/// Binary64 is enough for the noisy table: recursive summation's rounding
+/// error grows like (adds per entry) x 2^-53 x sum|x|, orders of magnitude
+/// below the Laplace noise every answer already carries
+/// (tests/query_variance_test.cc pins the margin on a 1e9-total cube).
 template <typename Accum>
 class PrefixSumTable {
+  static_assert(std::is_same_v<Accum, double> ||
+                    std::is_same_v<Accum, std::int64_t>,
+                "PrefixSumTable accumulates in double or int64");
+
  public:
   /// Builds the table in O(m) per axis. A non-null `pool` fans each axis
-  /// pass's independent running-sum lines across its workers; each line
-  /// is a serial accumulation over disjoint elements, so the table is
-  /// bit-identical for every pool size, engine, and tile size. The pool
-  /// is only used during construction.
+  /// pass's independent lines across its workers; each line is a serial
+  /// accumulation over disjoint elements, so the table is bit-identical
+  /// for every pool size, engine, tile size and ISA level. The pool is
+  /// only used during construction.
   ///
-  /// `options` selects the line engine: the tiled engine (default) walks
-  /// non-last axes a panel of adjacent lines at a time so the inner
-  /// accumulation loop runs unit-stride over the panel (in place — the
+  /// `options` selects the line engine for the non-last axes: the tiled
+  /// engine (default) walks a panel of adjacent lines at a time so the
+  /// inner accumulation runs unit-stride over the panel (in place — the
   /// running sum needs no transpose); the naive engine is the per-line
   /// reference path.
   explicit PrefixSumTable(const FrequencyMatrix& source,
@@ -75,9 +82,11 @@ class PrefixSumTable {
     InitStrides();
     PRIVELET_CHECK(!dims_.empty() && NumCells() == source.size(),
                    "source values do not match the dims");
-    sums_.resize(source.size());
-    data_ = sums_;
-    BuildFrom(sums_.data(), source, pool, options, /*residency_source=*/nullptr);
+    // Left uninitialized: the fused first pass writes every entry.
+    owned_ = std::make_unique_for_overwrite<Accum[]>(source.size());
+    data_ = {owned_.get(), source.size()};
+    BuildFrom(owned_.get(), source, pool, options,
+              /*residency_source=*/nullptr);
   }
 
   /// Out-of-core build: the entries live in an unlinked mmap scratch file
@@ -112,65 +121,64 @@ class PrefixSumTable {
   }
 
   /// Reassembles a table from its serialized parts: `sums` must hold the
-  /// flat (row-major) entries of a previously built table over a matrix
-  /// with the given dims, in the layout raw_sums() exposes. The product of
-  /// `dims` must equal sums.size() (the caller has already validated the
-  /// product against overflow). Used by storage/snapshot.cc so a serving
-  /// process can skip the O(m) rebuild; the entries themselves are trusted
-  /// — integrity is the snapshot CRC's job.
-  PrefixSumTable(std::vector<std::size_t> dims, std::vector<Accum> sums)
-      : dims_(std::move(dims)), sums_(std::move(sums)) {
+  /// product(dims) flat (row-major) entries of a previously built table
+  /// over a matrix with the given dims, in the layout raw_sums() exposes
+  /// (the caller has already validated the product against overflow).
+  /// Used by storage/snapshot.cc so a serving process can skip the O(m)
+  /// rebuild; the entries themselves are trusted — integrity is the
+  /// snapshot CRC's job.
+  PrefixSumTable(std::vector<std::size_t> dims, std::unique_ptr<Accum[]> sums)
+      : dims_(std::move(dims)), owned_(std::move(sums)) {
     InitStrides();
-    PRIVELET_CHECK(!dims_.empty() && NumCells() == sums_.size(),
+    PRIVELET_CHECK(!dims_.empty() && owned_ != nullptr,
                    "prefix-sum parts do not form a table");
-    data_ = sums_;
+    data_ = {owned_.get(), NumCells()};
   }
 
-  /// Non-owning view over externally stored entries (the raw accumulator
+  /// Non-owning view over externally stored entries (the raw binary64
   /// section of a mapped PVLS v2 snapshot): lookups read `view` directly,
   /// so adoption is O(1) with no copy. Entries are trusted like the parts
   /// constructor's; the backing storage must outlive this table and every
   /// table copied from it.
-  PrefixSumTable(std::vector<std::size_t> dims, std::span<const Accum> view)
-      : dims_(std::move(dims)), data_(view) {
-    InitStrides();
-    PRIVELET_CHECK(!dims_.empty() && NumCells() == data_.size(),
+  static PrefixSumTable View(std::vector<std::size_t> dims,
+                             std::span<const Accum> view) {
+    PrefixSumTable table;
+    table.dims_ = std::move(dims);
+    table.InitStrides();
+    PRIVELET_CHECK(!table.dims_.empty() && table.NumCells() == view.size(),
                    "prefix-sum view does not form a table");
+    table.data_ = view;
+    return table;
   }
 
-  // `data_` must track the backing across copies and moves: a copied
-  // owned/scratch table views its own copy of the entries, while a copied
-  // view table keeps aliasing the external storage. Copies always land in
-  // an owned vector (scratch-ness is not copied).
+  // A copied owned/scratch table owns a heap copy of the entries, while a
+  // copied view table keeps aliasing the external storage (scratch-ness is
+  // not copied). Moves hand the backing over unchanged — neither a heap
+  // array nor a mapping moves in memory — so `data_` carries over as is.
   PrefixSumTable(const PrefixSumTable& other)
-      : dims_(other.dims_), strides_(other.strides_) {
-    AdoptCopiedEntries(other);
+      : dims_(other.dims_), strides_(other.strides_), data_(other.data_) {
+    if (other.is_view()) return;
+    owned_ = std::make_unique_for_overwrite<Accum[]>(data_.size());
+    std::copy(data_.begin(), data_.end(), owned_.get());
+    data_ = {owned_.get(), data_.size()};
   }
   PrefixSumTable(PrefixSumTable&& other) noexcept
       : dims_(std::move(other.dims_)),
         strides_(std::move(other.strides_)),
-        sums_(std::move(other.sums_)),
-        scratch_(std::move(other.scratch_)) {
-    data_ = OwnBackedSpan(other.data_);
-    other.data_ = {};
-  }
+        owned_(std::move(other.owned_)),
+        scratch_(std::move(other.scratch_)),
+        data_(std::exchange(other.data_, {})) {}
   PrefixSumTable& operator=(const PrefixSumTable& other) {
-    if (this != &other) {
-      dims_ = other.dims_;
-      strides_ = other.strides_;
-      scratch_ = common::MappedFile();
-      AdoptCopiedEntries(other);
-    }
+    if (this != &other) *this = PrefixSumTable(other);
     return *this;
   }
   PrefixSumTable& operator=(PrefixSumTable&& other) noexcept {
     if (this != &other) {
       dims_ = std::move(other.dims_);
       strides_ = std::move(other.strides_);
-      sums_ = std::move(other.sums_);
+      owned_ = std::move(other.owned_);
       scratch_ = std::move(other.scratch_);
-      data_ = OwnBackedSpan(other.data_);
-      other.data_ = {};
+      data_ = std::exchange(other.data_, {});
     }
     return *this;
   }
@@ -212,10 +220,10 @@ class PrefixSumTable {
 
   const std::vector<std::size_t>& dims() const { return dims_; }
 
-  /// True when the entries live in caller-managed storage (the span
-  /// constructor) rather than in this table.
+  /// True when the entries live in caller-managed storage (View) rather
+  /// than in this table.
   bool is_view() const {
-    return sums_.empty() && scratch_.size() == 0 && !data_.empty();
+    return owned_ == nullptr && scratch_.size() == 0 && !data_.empty();
   }
 
   /// True when the entries live in an mmap scratch file (BuildScratch).
@@ -254,30 +262,12 @@ class PrefixSumTable {
     return a * b;
   }
 
-  // data_ spans that point into the moved-from object's own backing
-  // (owned vector or scratch mapping) must be re-derived after the
-  // backing transfers; external view spans carry over unchanged.
-  std::span<const Accum> OwnBackedSpan(std::span<const Accum> view) {
-    if (!sums_.empty()) return sums_;
-    if (scratch_.size() > 0) {
-      return {reinterpret_cast<const Accum*>(scratch_.bytes().data()),
-              scratch_.size() / sizeof(Accum)};
-    }
-    return view;
-  }
-
-  void AdoptCopiedEntries(const PrefixSumTable& other) {
-    if (other.is_view()) {
-      sums_.clear();
-      data_ = other.data_;
-    } else {
-      sums_.assign(other.data_.begin(), other.data_.end());
-      data_ = sums_;
-    }
-  }
-
-  /// The shared build: copy `source` into `slots`, then one running-sum
-  /// pass per axis. Identical arithmetic for every storage mode.
+  /// The shared build, identical arithmetic for every storage mode. The
+  /// first pass fuses the copy with the last (contiguous) axis: each line
+  /// is read from `source` and running-summed straight into `slots`, so
+  /// every entry is written before it is read and the table needs no
+  /// zero-fill or separate copy pass. Each remaining axis is then a pass
+  /// of element-wise `curr += prev` adds between adjacent hyperplanes.
   void BuildFrom(Accum* slots, std::span<const double> source,
                  common::ThreadPool* pool, const EngineOptions& options,
                  const FrequencyMatrix* residency_source) {
@@ -286,74 +276,73 @@ class PrefixSumTable {
           ReleaseResidency();
           if (residency_source != nullptr) residency_source->ReleaseResidency();
         });
+    const std::size_t line_len = dims_.back();
     common::ParallelFor(
-        pool, source.size(), /*grain=*/0,
+        pool, source.size() / line_len, /*grain=*/0,
         [&](std::size_t begin, std::size_t end) {
-          // Charge in fixed sub-chunks: ParallelFor's auto chunks scale
-          // with the domain, and a single end-of-chunk charge would let
-          // the copy dirty a whole chunk's worth of table pages before
-          // release-behind could fire.
+          // Charge in fixed sub-chunks: a single end-of-line charge would
+          // let a long line (1-D tables are one line) dirty its whole
+          // extent of table pages before release-behind could fire.
           constexpr std::size_t kPaceCells = std::size_t{1} << 16;
-          for (std::size_t i = begin; i < end; i += kPaceCells) {
-            const std::size_t stop = std::min(end, i + kPaceCells);
-            for (std::size_t j = i; j < stop; ++j) {
-              slots[j] = static_cast<Accum>(source[j]);
+          for (std::size_t line = begin; line < end; ++line) {
+            const double* in = source.data() + line * line_len;
+            Accum* out = slots + line * line_len;
+            Accum run = 0;
+            for (std::size_t i = 0; i < line_len; i += kPaceCells) {
+              const std::size_t count = std::min(line_len - i, kPaceCells);
+              run = ScanInto(in + i, out + i, count, run);
+              governor.OnBytesProcessed(count *
+                                        (sizeof(Accum) + sizeof(double)));
             }
-            governor.OnBytesProcessed((stop - i) *
-                                      (sizeof(Accum) + sizeof(double)));
           }
         });
-    // One running-sum pass per axis turns the copy into an inclusive
-    // d-dimensional prefix table. Integer accumulators dispatch their
-    // contiguous inner loops through the selected kernel table (int64
-    // addition is associative, so any lane split is bit-identical); long
-    // double accumulators have no vector form (x87) and stay scalar at
-    // every level.
+    // The remaining passes add whole runs of independent lines at once
+    // (vertical adds), so the dispatched vector kernels are bit-identical
+    // to scalar at every level for double as well as int64.
     const simd::KernelTable& kernels =
         simd::Kernels(simd::ResolveIsa(options.isa));
-    for (std::size_t axis = 0; axis < dims_.size(); ++axis) {
+    for (std::size_t axis = 0; axis + 1 < dims_.size(); ++axis) {
       const std::size_t stride_a = strides_[axis];
       const std::size_t axis_dim = dims_[axis];
       const std::size_t lines = source.size() / axis_dim;
-      if (options.engine == LineEngine::kTiled && stride_a > 1) {
+      if (options.engine == LineEngine::kTiled) {
         BuildAxisTiled(slots, axis_dim, stride_a, lines,
                        std::max<std::size_t>(1, options.tile_lines), pool,
                        kernels, governor);
         continue;
       }
-      // Per-line path; for the last axis (stride 1) each line is already
-      // a contiguous sweep, so this is the layout-optimal walk there. A
-      // strided line faults the whole page under every entry — axis_dim
-      // pages before the line ends — so the strided walk charges the
-      // governor per step, not per line (see common::PageTouchedBytes).
+      // Per-line reference path. A strided line faults the whole page
+      // under every entry — axis_dim pages before the line ends — so the
+      // walk charges the governor per step, not per line (see
+      // common::PageTouchedBytes).
       const std::size_t step_touched =
-          stride_a > 1
-              ? common::PageTouchedBytes(1, stride_a, 1, sizeof(Accum))
-              : 0;
+          common::PageTouchedBytes(1, stride_a, 1, sizeof(Accum));
       common::ParallelFor(
           pool, lines, /*grain=*/0, [&](std::size_t begin, std::size_t end) {
             for (std::size_t line = begin; line < end; ++line) {
-              std::size_t base = (line / stride_a) * (stride_a * axis_dim) +
-                                 (line % stride_a);
-              if (stride_a > 1) {
-                for (std::size_t k = 1; k < axis_dim; ++k) {
-                  slots[base + k * stride_a] +=
-                      slots[base + (k - 1) * stride_a];
-                  governor.OnBytesProcessed(step_touched);
-                }
-              } else {
-                if constexpr (std::is_same_v<Accum, std::int64_t>) {
-                  kernels.prefix_scan_i64(slots + base, axis_dim);
-                } else {
-                  for (std::size_t k = 1; k < axis_dim; ++k) {
-                    slots[base + k] += slots[base + k - 1];
-                  }
-                }
-                governor.OnBytesProcessed(axis_dim * sizeof(Accum));
+              const std::size_t base =
+                  (line / stride_a) * (stride_a * axis_dim) +
+                  (line % stride_a);
+              for (std::size_t k = 1; k < axis_dim; ++k) {
+                slots[base + k * stride_a] += slots[base + (k - 1) * stride_a];
+                governor.OnBytesProcessed(step_touched);
               }
             }
           });
     }
+  }
+
+  /// Running sum of in[0, n) continued from `run`, written to out[0, n);
+  /// returns the last sum. A separate function so the sum stays in a
+  /// register: inlined into the pool lambda, GCC -O3 spills it to the
+  /// stack on every element, doubling the pass.
+  static Accum ScanInto(const double* in, Accum* out, std::size_t n,
+                        Accum run) {
+    for (std::size_t j = 0; j < n; ++j) {
+      run += static_cast<Accum>(in[j]);
+      out[j] = run;
+    }
+    return run;
   }
 
   /// Tiled running-sum pass along one axis: panels of up to `tile`
@@ -387,7 +376,7 @@ class PrefixSumTable {
                     if constexpr (std::is_same_v<Accum, std::int64_t>) {
                       kernels.prefix_rows_add_i64(curr, prev, run);
                     } else {
-                      for (std::size_t b = 0; b < run; ++b) curr[b] += prev[b];
+                      kernels.row_add(curr, prev, run);
                     }
                     governor.OnBytesProcessed(step_touched);
                   }
@@ -398,12 +387,12 @@ class PrefixSumTable {
 
   std::vector<std::size_t> dims_;
   std::vector<std::size_t> strides_;
-  std::vector<Accum> sums_;  ///< owned entries; empty in scratch/view mode
-  common::MappedFile scratch_;  ///< scratch entries; empty otherwise
+  std::unique_ptr<Accum[]> owned_;  ///< owned entries; null in scratch/view
+  common::MappedFile scratch_;      ///< scratch entries; empty otherwise
   std::span<const Accum> data_;  ///< what RangeSum reads: backing or the view
 };
 
-extern template class PrefixSumTable<long double>;
+extern template class PrefixSumTable<double>;
 extern template class PrefixSumTable<std::int64_t>;
 
 }  // namespace privelet::matrix

@@ -1,9 +1,6 @@
 #include "privelet/query/compiled_workload.h"
 
-#include <algorithm>
-
 #include "privelet/common/check.h"
-#include "privelet/simd/kernels.h"
 
 namespace privelet::query {
 
@@ -65,62 +62,29 @@ CompiledWorkload CompiledWorkload::Compile(
   return compiled;
 }
 
-void CompiledWorkload::AnswerInto(
-    const matrix::PrefixSumTable<long double>& table, std::size_t begin,
-    std::size_t end, simd::IsaLevel level, double* out) const {
+void CompiledWorkload::AnswerInto(const matrix::PrefixSumTable<double>& table,
+                                  std::size_t begin, std::size_t end,
+                                  double* out) const {
   PRIVELET_CHECK(table.dims() == dims_,
                  "table dims do not match the compiled workload");
   PRIVELET_CHECK(begin <= end && end <= num_queries_,
                  "query range out of bounds");
-  if (begin == end) return;
-
-  const long double* slots = table.raw_sums().data();
-  const auto& kernels = simd::Kernels(level);
-
-  // Corners stream through an L1-resident staging buffer: one gather
-  // call covers a run spanning many queries, then the scalar fold walks
-  // the staged slots closing queries as their corner ranges end. A
-  // query's fold state survives a chunk boundary in `partial`.
-  constexpr std::size_t kStageSlots = 1024;  // 16 KiB
-  alignas(64) long double staged[kStageSlots];
-
-  std::size_t q = begin;
-  std::size_t c = begins_[begin];
-  const std::size_t c_end = begins_[end];
-  long double partial = 0.0L;
-  while (c < c_end) {
-    const std::size_t chunk = std::min<std::size_t>(kStageSlots, c_end - c);
-    kernels.gather_slots_16b(slots, offsets_.data() + c, chunk, staged);
-    const std::size_t chunk_end = c + chunk;
-    std::size_t k = c;
-    while (k < chunk_end) {
-      const std::size_t close = std::min<std::size_t>(begins_[q + 1],
-                                                      chunk_end);
-      for (; k < close; ++k) {
-        const long double v = staged[k - c];
-        // Conditional negation exactly as RangeSum's signed accumulate.
-        partial += signs_[k] > 0 ? v : -v;
-      }
-      if (close == begins_[q + 1]) {
-        out[q - begin] = static_cast<double>(partial);
-        partial = 0.0L;
-        ++q;
-      }
+  const double* slots = table.raw_sums().data();
+  for (std::size_t q = begin; q < end; ++q) {
+    double total = 0.0;
+    for (std::uint64_t k = begins_[q]; k < begins_[q + 1]; ++k) {
+      const double v = slots[offsets_[k]];
+      // Conditional negation exactly as RangeSum's signed accumulate.
+      total += signs_[k] > 0 ? v : -v;
     }
-    c = chunk_end;
-  }
-  // Trailing queries whose corners all vanished (empty at every corner).
-  for (; q < end; ++q) {
-    out[q - begin] = static_cast<double>(partial);
-    partial = 0.0L;
+    out[q - begin] = total;
   }
 }
 
 std::vector<double> CompiledWorkload::AnswerAll(
-    const matrix::PrefixSumTable<long double>& table,
-    simd::IsaLevel level) const {
+    const matrix::PrefixSumTable<double>& table) const {
   std::vector<double> answers(num_queries_);
-  AnswerInto(table, 0, num_queries_, level, answers.data());
+  AnswerInto(table, 0, num_queries_, answers.data());
   return answers;
 }
 

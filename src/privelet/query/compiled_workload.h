@@ -4,19 +4,14 @@
 // bounds, then 2^d inclusion-exclusion corners, each a d-term
 // stride-multiply plus an empty-side branch. Compiling does that work
 // once — every query flattens into a run of (table offset, sign) corner
-// pairs — so evaluation is just a signed fold of gathered table slots:
-// the offsets stream through the dispatched 16-byte gather kernel
-// (simd/kernels.h, scalar/AVX2/AVX-512) into an L1-resident staging
-// buffer, and a shared scalar x87 fold accumulates each query's corners
-// in compile order.
+// pairs — so evaluation is just a signed double fold of table entries,
+// read straight from the table in compile order.
 //
 // Bit-identity (docs/DETERMINISM.md): the corner order and the
-// conditional negation are exactly PrefixSumTable::RangeSum's, corners
-// skipped there (a low side at the domain edge) are dropped at compile
-// time, and the gather moves bytes without arithmetic — so AnswerAll is
-// bit-identical to the per-query scalar path at every ISA level by
-// construction. The long double accumulation itself never vectorizes
-// (x87 has no vector form); the lanes carry only independent offsets.
+// conditional negation are exactly PrefixSumTable::RangeSum's, and
+// corners skipped there (a low side at the domain edge) are dropped at
+// compile time — so AnswerAll adds the same doubles in the same order as
+// the per-query path and is bit-identical to it by construction.
 #ifndef PRIVELET_QUERY_COMPILED_WORKLOAD_H_
 #define PRIVELET_QUERY_COMPILED_WORKLOAD_H_
 
@@ -27,7 +22,6 @@
 
 #include "privelet/matrix/prefix_sum.h"
 #include "privelet/query/range_query.h"
-#include "privelet/simd/dispatch.h"
 
 namespace privelet::query {
 
@@ -46,18 +40,16 @@ class CompiledWorkload {
   std::size_t num_corners() const { return offsets_.size(); }
   const std::vector<std::size_t>& dims() const { return dims_; }
 
-  /// Answers queries [begin, end) into out[0 .. end-begin), evaluating
-  /// through the kernel table of `level`. `table` must have the dims this
-  /// workload was compiled against (PRIVELET_CHECKed). Thread-safe and
-  /// re-entrant: disjoint ranges may be answered concurrently.
-  void AnswerInto(const matrix::PrefixSumTable<long double>& table,
-                  std::size_t begin, std::size_t end, simd::IsaLevel level,
-                  double* out) const;
+  /// Answers queries [begin, end) into out[0 .. end-begin). `table` must
+  /// have the dims this workload was compiled against (PRIVELET_CHECKed).
+  /// Thread-safe and re-entrant: disjoint ranges may be answered
+  /// concurrently.
+  void AnswerInto(const matrix::PrefixSumTable<double>& table,
+                  std::size_t begin, std::size_t end, double* out) const;
 
   /// All answers, in query order.
   std::vector<double> AnswerAll(
-      const matrix::PrefixSumTable<long double>& table,
-      simd::IsaLevel level) const;
+      const matrix::PrefixSumTable<double>& table) const;
 
  private:
   std::vector<std::size_t> dims_;

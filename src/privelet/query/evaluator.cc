@@ -14,7 +14,7 @@ QueryEvaluator::QueryEvaluator(const data::Schema& schema,
 }
 
 QueryEvaluator::QueryEvaluator(const data::Schema& schema,
-                               matrix::PrefixSumTable<long double> table)
+                               matrix::PrefixSumTable<double> table)
     : table_(std::move(table)) {
   PRIVELET_CHECK(table_.dims() == schema.DomainSizes(),
                  "prefix-sum table dims do not match the schema");
@@ -45,7 +45,7 @@ double QueryEvaluator::Answer(const RangeQuery& query,
                               std::vector<std::size_t>* lo,
                               std::vector<std::size_t>* hi) const {
   query.ResolveBounds(table_.dims(), lo, hi);
-  return static_cast<double>(table_.RangeSum(*lo, *hi));
+  return table_.RangeSum(*lo, *hi);
 }
 
 ExactEvaluator::ExactEvaluator(const data::Schema& schema,

@@ -1,6 +1,6 @@
 // Query evaluation over frequency matrices. Exact counts come from an
 // int64 prefix-sum table over the true matrix; noisy answers come from a
-// long-double table over a mechanism's output. A brute-force evaluator is
+// double table over a mechanism's output. A brute-force evaluator is
 // provided as the test oracle.
 #ifndef PRIVELET_QUERY_EVALUATOR_H_
 #define PRIVELET_QUERY_EVALUATOR_H_
@@ -43,10 +43,10 @@ class QueryEvaluator {
   /// tables the caller keeps the backing storage alive (see
   /// matrix::PrefixSumTable).
   QueryEvaluator(const data::Schema& schema,
-                 matrix::PrefixSumTable<long double> table);
+                 matrix::PrefixSumTable<double> table);
 
   /// The underlying prefix-sum table; what storage/ serializes.
-  const matrix::PrefixSumTable<long double>& table() const { return table_; }
+  const matrix::PrefixSumTable<double>& table() const { return table_; }
 
   /// Noisy estimate of one range-count query. Thread-safe.
   double Answer(const RangeQuery& query) const;
@@ -58,7 +58,7 @@ class QueryEvaluator {
                 std::vector<std::size_t>* hi) const;
 
  private:
-  matrix::PrefixSumTable<long double> table_;
+  matrix::PrefixSumTable<double> table_;
 };
 
 /// Answers range-count queries over an exact count matrix with integer

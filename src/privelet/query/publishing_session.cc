@@ -20,7 +20,7 @@ PublishingSession::PublishingSession(
 
 PublishingSession PublishingSession::BuildOwned(
     data::Schema schema, matrix::FrequencyMatrix published,
-    std::optional<matrix::PrefixSumTable<long double>> table,
+    std::optional<matrix::PrefixSumTable<double>> table,
     ReleaseMetadata metadata, common::ThreadPool* pool,
     const matrix::EngineOptions& options) {
   auto schema_ptr = std::make_shared<const data::Schema>(std::move(schema));
@@ -63,7 +63,7 @@ Result<PublishingSession> PublishingSession::FromMatrix(
 
 Result<PublishingSession> PublishingSession::FromParts(
     const data::Schema& schema, matrix::FrequencyMatrix published,
-    matrix::PrefixSumTable<long double> table, ReleaseMetadata metadata,
+    matrix::PrefixSumTable<double> table, ReleaseMetadata metadata,
     common::ThreadPool* pool, const matrix::EngineOptions& options) {
   if (published.dims() != schema.DomainSizes()) {
     return Status::InvalidArgument(
@@ -107,12 +107,11 @@ CompiledWorkload PublishingSession::Compile(
 
 std::vector<double> PublishingSession::AnswerCompiled(
     const CompiledWorkload& workload) const {
-  const simd::IsaLevel level = simd::ResolveIsa(options_.isa);
   std::vector<double> answers(workload.num_queries());
   common::ParallelFor(pool_, workload.num_queries(), /*grain=*/0,
                       [&](std::size_t begin, std::size_t end) {
                         workload.AnswerInto(evaluator_->table(), begin, end,
-                                            level, answers.data() + begin);
+                                            answers.data() + begin);
                       });
   return answers;
 }

@@ -100,7 +100,7 @@ class PublishingSession {
   /// are trusted to be the prefix sums of `published`.
   static Result<PublishingSession> FromParts(
       const data::Schema& schema, matrix::FrequencyMatrix published,
-      matrix::PrefixSumTable<long double> table, ReleaseMetadata metadata,
+      matrix::PrefixSumTable<double> table, ReleaseMetadata metadata,
       common::ThreadPool* pool = nullptr,
       const matrix::EngineOptions& options = {});
 
@@ -156,7 +156,7 @@ class PublishingSession {
 
   /// The serving prefix-sum table (what snapshots persist). For mapped
   /// sessions this is a non-owning view into the snapshot file.
-  const matrix::PrefixSumTable<long double>& prefix_table() const {
+  const matrix::PrefixSumTable<double>& prefix_table() const {
     return evaluator_->table();
   }
 
@@ -173,9 +173,8 @@ class PublishingSession {
   CompiledWorkload Compile(std::span<const RangeQuery> queries) const;
 
   /// Answers a compiled batch, in input order, fanned across the session
-  /// pool and evaluated through the dispatched gather kernels at this
-  /// session's resolved ISA level. Bit-identical to AnswerAll on the
-  /// same queries (query::CompiledWorkload header). Thread-safe.
+  /// pool. Bit-identical to AnswerAll on the same queries
+  /// (query::CompiledWorkload header). Thread-safe.
   std::vector<double> AnswerCompiled(const CompiledWorkload& workload) const;
 
  private:
@@ -193,7 +192,7 @@ class PublishingSession {
   /// load paths that own one (FromSnapshot) move instead of copying.
   static PublishingSession BuildOwned(
       data::Schema schema, matrix::FrequencyMatrix published,
-      std::optional<matrix::PrefixSumTable<long double>> table,
+      std::optional<matrix::PrefixSumTable<double>> table,
       ReleaseMetadata metadata, common::ThreadPool* pool,
       const matrix::EngineOptions& options);
 

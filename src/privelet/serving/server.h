@@ -14,14 +14,14 @@
 // acceptor and hands accepted fds to the other loops round-robin over a
 // per-loop eventfd. A request's AnswerAll still fans its batch across
 // the store's worker pool; batches past `compile_batch_threshold` are
-// pre-resolved into a query::CompiledWorkload and evaluated through the
-// dispatched SIMD gather kernels (bit-identical to the per-query scalar
-// walk — docs/DETERMINISM.md). Each loop also keeps small per-release
-// LRU answer caches (canonical predicate bytes -> answer), invalidated
-// by the store's Rebind generation, so hot repeated queries skip the
-// table walk. Pipelining is free: clients may send many requests back to
-// back; a loop answers them in order, up to `max_pipeline` per
-// connection per cycle before its other connections get a turn.
+// pre-resolved into a query::CompiledWorkload and folded straight from
+// the table (bit-identical to the per-query walk — docs/DETERMINISM.md).
+// Each loop also keeps small per-release LRU answer caches (canonical
+// predicate bytes -> answer), invalidated by the store's Rebind
+// generation, so hot repeated queries skip the table walk. Pipelining
+// is free: clients may send many requests back to back; a loop answers
+// them in order, up to `max_pipeline` per connection per cycle before
+// its other connections get a turn.
 //
 // Observability: per-loop counters are plain relaxed atomics and latency
 // histograms are lock-free ConcurrentHistograms; stats() and the STATS
@@ -94,9 +94,8 @@ struct ServerOptions {
   /// 0 disables caching.
   std::size_t answer_cache_entries = 1024;
   /// Batches with at least this many uncached queries are evaluated
-  /// through the compiled-workload SIMD path; smaller ones (and 0,
-  /// disabling it) take the per-query scalar walk. Answers are
-  /// bit-identical either way.
+  /// through a compiled workload; smaller ones (and 0, disabling it)
+  /// take the per-query walk. Answers are bit-identical either way.
   std::size_t compile_batch_threshold = 8;
 };
 

@@ -9,8 +9,8 @@
 // level, or consecutive stream draws — so vectorizing across them never
 // reorders any per-item operation sequence. Operations that cannot keep
 // that promise are not in the table and stay scalar at every level:
-// libm's log (no bit-compatible vector version exists) and the long-double
-// prefix accumulators (x87 has no vector form).
+// libm's log (no bit-compatible vector version exists) and running sums
+// along a line (the prefix table's last-axis scan, a serial dependency).
 #ifndef PRIVELET_SIMD_KERNELS_H_
 #define PRIVELET_SIMD_KERNELS_H_
 
@@ -58,7 +58,7 @@ struct KernelTable {
   void (*haar_inverse_level_expand)(const double* avg, const double* detail,
                                     double* dst, std::size_t half);
 
-  // ---- Element-wise row combines (nominal transform panels) -------------
+  // ---- Element-wise row combines (nominal panels, prefix-table passes) --
   void (*row_add)(double* acc, const double* row, std::size_t count);
   void (*row_sub)(double* row, const double* sub, std::size_t count);
   void (*row_div)(double* row, double divisor, std::size_t count);
@@ -87,23 +87,10 @@ struct KernelTable {
   void (*laplace_tail)(const std::uint64_t* raw, double* tail,
                        double* neg_sign, std::size_t n);
 
-  // ---- int64 prefix-sum kernels -----------------------------------------
+  // ---- int64 prefix-sum kernel ------------------------------------------
   // Integer addition is associative, so any lane split is bit-identical.
   void (*prefix_rows_add_i64)(std::int64_t* curr, const std::int64_t* prev,
                               std::size_t run);  // curr[b] += prev[b]
-  void (*prefix_scan_i64)(std::int64_t* line,
-                          std::size_t n);  // in-place inclusive scan
-
-  // ---- 16-byte slot gather (compiled-workload query evaluation) ---------
-  //   staged[i] = slots[offsets[i]]   for i in [0, n)
-  // over 16-byte slots — the serving prefix table's long double entries
-  // (x86-64 Linux long double occupies a 16-byte slot). Pure byte
-  // movement, no arithmetic: the vector levels gather both 8-byte halves
-  // of each slot and re-interleave, so every level stages identical bytes
-  // and the signed x87 fold over the staged slots (which stays scalar at
-  // every level, per the header preamble) sees identical values.
-  void (*gather_slots_16b)(const void* slots, const std::uint64_t* offsets,
-                           std::size_t n, void* staged);
 };
 
 /// The kernel table for an already-resolved level (see ResolveIsa). Always

@@ -13,7 +13,6 @@
 //    their sum are exactly representable, so the conversion is exact.
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "privelet/simd/kernels.h"
 
@@ -282,69 +281,12 @@ void PrefixRowsAddI64(std::int64_t* curr, const std::int64_t* prev,
   for (; b < run; ++b) curr[b] += prev[b];
 }
 
-void PrefixScanI64(std::int64_t* line, std::size_t n) {
-  // Log-step in-register scan per 4-lane block plus a broadcast running
-  // carry. Integer addition is associative, so the split is bit-identical
-  // to the serial fold.
-  __m256i carry = _mm256_setzero_si256();
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t k = 0;
-  for (; k + kW <= n; k += kW) {
-    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(line + k));
-    // Shift up one lane (zero fill) and add: [x0, x0+x1, x1+x2, x2+x3].
-    __m256i s = _mm256_permute4x64_epi64(x, _MM_SHUFFLE(2, 1, 0, 0));
-    s = _mm256_blend_epi32(s, zero, 0x03);
-    x = _mm256_add_epi64(x, s);
-    // Shift up two lanes and add: inclusive scan of the block.
-    x = _mm256_add_epi64(x, _mm256_permute2x128_si256(x, x, 0x08));
-    x = _mm256_add_epi64(x, carry);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(line + k), x);
-    carry = _mm256_permute4x64_epi64(x, _MM_SHUFFLE(3, 3, 3, 3));
-  }
-  std::int64_t run = _mm256_extract_epi64(carry, 0);
-  for (; k < n; ++k) {
-    run += line[k];
-    line[k] = run;
-  }
-}
-
-void GatherSlots16B(const void* slots, const std::uint64_t* offsets,
-                    std::size_t n, void* staged) {
-  // Two 4-lane 64-bit gathers per block of 4 slots — the low and high
-  // 8-byte halves at qword indices 2*off and 2*off+1 — re-interleaved
-  // into slot order. Byte movement only, so the staged bytes are
-  // identical to the scalar copy loop.
-  const long long* base = static_cast<const long long*>(slots);
-  unsigned char* out = static_cast<unsigned char*>(staged);
-  const __m256i one = _mm256_set1_epi64x(1);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m256i off = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(offsets + i));
-    const __m256i q = _mm256_add_epi64(off, off);
-    const __m256i lo = _mm256_i64gather_epi64(base, q, 8);
-    const __m256i hi =
-        _mm256_i64gather_epi64(base, _mm256_add_epi64(q, one), 8);
-    const __m256i t0 = _mm256_unpacklo_epi64(lo, hi);  // s0 s2 halves
-    const __m256i t1 = _mm256_unpackhi_epi64(lo, hi);  // s1 s3 halves
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 16 * i),
-                        _mm256_permute2x128_si256(t0, t1, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 16 * (i + 2)),
-                        _mm256_permute2x128_si256(t0, t1, 0x31));
-  }
-  const unsigned char* bytes = static_cast<const unsigned char*>(slots);
-  for (; i < n; ++i) {
-    std::memcpy(out + 16 * i, bytes + 16 * offsets[i], 16);
-  }
-}
-
 constexpr KernelTable kTable = {
     IsaLevel::kAvx2,       HaarForwardStep,        HaarInverseStep,
     HaarForwardLevel,      HaarInverseLevel,       HaarForwardLevelSplit,
     HaarInverseLevelExpand, RowAdd,                RowSub,
     RowDiv,                RowAddDiv,              RowSubDiv,
     RowAddScaled,          LaplaceTail,            PrefixRowsAddI64,
-    PrefixScanI64,         GatherSlots16B,
 };
 
 }  // namespace

@@ -5,7 +5,6 @@
 // as the AVX2 table (see kernels_avx2.cc and kernels.h).
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "privelet/simd/kernels.h"
 
@@ -252,67 +251,12 @@ void PrefixRowsAddI64(std::int64_t* curr, const std::int64_t* prev,
   for (; b < run; ++b) curr[b] += prev[b];
 }
 
-void PrefixScanI64(std::int64_t* line, std::size_t n) {
-  // Log-step scan per 8-lane block: shift-up by 1/2/4 lanes via valignq
-  // against a zero vector, then a broadcast running carry from lane 7.
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i lane7 = _mm512_set1_epi64(7);
-  __m512i carry = zero;
-  std::size_t k = 0;
-  for (; k + kW <= n; k += kW) {
-    __m512i x = _mm512_loadu_si512(reinterpret_cast<const void*>(line + k));
-    x = _mm512_add_epi64(x, _mm512_alignr_epi64(x, zero, 7));
-    x = _mm512_add_epi64(x, _mm512_alignr_epi64(x, zero, 6));
-    x = _mm512_add_epi64(x, _mm512_alignr_epi64(x, zero, 4));
-    x = _mm512_add_epi64(x, carry);
-    _mm512_storeu_si512(reinterpret_cast<void*>(line + k), x);
-    carry = _mm512_permutexvar_epi64(lane7, x);
-  }
-  std::int64_t run = _mm_cvtsi128_si64(_mm512_castsi512_si128(carry));
-  for (; k < n; ++k) {
-    run += line[k];
-    line[k] = run;
-  }
-}
-
-void GatherSlots16B(const void* slots, const std::uint64_t* offsets,
-                    std::size_t n, void* staged) {
-  // Two 8-lane gathers per block of 8 slots (low/high 8-byte halves at
-  // qword indices 2*off and 2*off+1), re-interleaved into slot order via
-  // permutex2var. Byte movement only — staged bytes identical to scalar.
-  const long long* base = static_cast<const long long*>(slots);
-  unsigned char* out = static_cast<unsigned char*>(staged);
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i idx_front =
-      _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
-  const __m512i idx_back =
-      _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m512i off =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(offsets + i));
-    const __m512i q = _mm512_add_epi64(off, off);
-    const __m512i lo = _mm512_i64gather_epi64(q, base, 8);
-    const __m512i hi =
-        _mm512_i64gather_epi64(_mm512_add_epi64(q, one), base, 8);
-    _mm512_storeu_si512(reinterpret_cast<void*>(out + 16 * i),
-                        _mm512_permutex2var_epi64(lo, idx_front, hi));
-    _mm512_storeu_si512(reinterpret_cast<void*>(out + 16 * (i + 4)),
-                        _mm512_permutex2var_epi64(lo, idx_back, hi));
-  }
-  const unsigned char* bytes = static_cast<const unsigned char*>(slots);
-  for (; i < n; ++i) {
-    std::memcpy(out + 16 * i, bytes + 16 * offsets[i], 16);
-  }
-}
-
 constexpr KernelTable kTable = {
     IsaLevel::kAvx512,      HaarForwardStep,        HaarInverseStep,
     HaarForwardLevel,       HaarInverseLevel,       HaarForwardLevelSplit,
     HaarInverseLevelExpand, RowAdd,                 RowSub,
     RowDiv,                 RowAddDiv,              RowSubDiv,
     RowAddScaled,           LaplaceTail,            PrefixRowsAddI64,
-    PrefixScanI64,         GatherSlots16B,
 };
 
 }  // namespace

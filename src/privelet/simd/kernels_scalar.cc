@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "privelet/simd/kernels.h"
 
@@ -119,26 +118,12 @@ void PrefixRowsAddI64(std::int64_t* curr, const std::int64_t* prev,
   for (std::size_t b = 0; b < run; ++b) curr[b] += prev[b];
 }
 
-void PrefixScanI64(std::int64_t* line, std::size_t n) {
-  for (std::size_t k = 1; k < n; ++k) line[k] += line[k - 1];
-}
-
-void GatherSlots16B(const void* slots, const std::uint64_t* offsets,
-                    std::size_t n, void* staged) {
-  const unsigned char* base = static_cast<const unsigned char*>(slots);
-  unsigned char* out = static_cast<unsigned char*>(staged);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(out + 16 * i, base + 16 * offsets[i], 16);
-  }
-}
-
 constexpr KernelTable kTable = {
     IsaLevel::kScalar,     HaarForwardStep,        HaarInverseStep,
     HaarForwardLevel,      HaarInverseLevel,       HaarForwardLevelSplit,
     HaarInverseLevelExpand, RowAdd,                RowSub,
     RowDiv,                RowAddDiv,              RowSubDiv,
     RowAddScaled,          LaplaceTail,            PrefixRowsAddI64,
-    PrefixScanI64,         GatherSlots16B,
 };
 
 }  // namespace

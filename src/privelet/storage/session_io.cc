@@ -61,16 +61,16 @@ Result<PublishingSession> PublishingSession::FromMapped(
   // The schema lives inside the mapped snapshot; the aliasing constructor
   // shares its lifetime without a copy.
   std::shared_ptr<const data::Schema> schema(mapped, &mapped->schema());
-  // Zero-copy adoption when the stored accumulator matches this platform;
-  // otherwise a deterministic rebuild straight from the mapped matrix
-  // values (still no matrix materialization).
-  matrix::PrefixSumTable<long double> table =
+  // Zero-copy adoption of a binary64 table; a legacy accumulator (x87
+  // extended) takes a deterministic rebuild straight from the mapped
+  // matrix values instead (still no matrix materialization).
+  matrix::PrefixSumTable<double> table =
       mapped->has_prefix_table()
-          ? matrix::PrefixSumTable<long double>(mapped->dims(),
-                                                mapped->prefix_table())
-          : matrix::PrefixSumTable<long double>(mapped->dims(),
-                                                mapped->matrix_values(), pool,
-                                                mapped->engine_options());
+          ? matrix::PrefixSumTable<double>::View(mapped->dims(),
+                                                 mapped->prefix_table())
+          : matrix::PrefixSumTable<double>(mapped->dims(),
+                                           mapped->matrix_values(), pool,
+                                           mapped->engine_options());
   auto evaluator =
       std::make_shared<const QueryEvaluator>(*schema, std::move(table));
   const matrix::EngineOptions options = mapped->engine_options();
@@ -117,11 +117,11 @@ Result<query::PublishingSession> PublishToFile(
 
   // Serving table: scratch-backed when out of core, passing the noisy
   // matrix along so the build's release-behind covers both mappings.
-  std::optional<matrix::PrefixSumTable<long double>> table;
+  std::optional<matrix::PrefixSumTable<double>> table;
   if (options.out_of_core()) {
     PRIVELET_ASSIGN_OR_RETURN(
         auto scratch_table,
-        matrix::PrefixSumTable<long double>::BuildScratch(
+        matrix::PrefixSumTable<double>::BuildScratch(
             published.dims(), published.values(), pool, options, &published));
     table.emplace(std::move(scratch_table));
   } else {
@@ -153,7 +153,7 @@ Result<query::PublishingSession> PublishToFile(
     }
   }
   PRIVELET_RETURN_IF_ERROR(writer.BeginPrefixTable());
-  const std::span<const long double> sums = table->raw_sums();
+  const std::span<const double> sums = table->raw_sums();
   {
     common::ResidencyGovernor governor(options.max_memory_bytes,
                                        [&] { table->ReleaseResidency(); });
@@ -161,7 +161,7 @@ Result<query::PublishingSession> PublishToFile(
       const std::size_t count = std::min(kStreamChunkCells, sums.size() - i);
       PRIVELET_RETURN_IF_ERROR(
           writer.AppendTableEntries(sums.subspan(i, count)));
-      governor.OnBytesProcessed(count * sizeof(long double));
+      governor.OnBytesProcessed(count * sizeof(double));
     }
   }
   PRIVELET_RETURN_IF_ERROR(writer.Finish());

@@ -1,6 +1,5 @@
 #include "privelet/storage/snapshot.h"
 
-#include <cfloat>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -49,14 +48,10 @@ constexpr std::size_t kMaxDims = 64;
 
 constexpr std::size_t kChunkElements = 1 << 14;  // 128 KiB of doubles
 
-// Object bytes of `long double` that carry value information. The x87
-// 80-bit extended type (LDBL_MANT_DIG == 64) occupies 10 bytes, whatever
-// the object size pads it to (16 on x86-64, 12 on i386); the trailing
-// padding bytes are indeterminate in memory, so the writer copies only
-// the value bytes into zeroed slots — identical releases must produce
-// byte-identical snapshot files (docs/DETERMINISM.md).
-constexpr std::size_t kAccumValueBytes =
-    LDBL_MANT_DIG == 64 ? 10 : sizeof(long double);
+// The table-section header of the only accumulator written and adopted:
+// IEEE-754 binary64, (mant_dig, accum_bytes) = (53, 8).
+constexpr std::uint16_t kTableMantDig = std::numeric_limits<double>::digits;
+constexpr std::uint16_t kTableAccumBytes = sizeof(double);
 
 bool CheckedMul(std::size_t a, std::size_t b, std::size_t* out) {
   if (a != 0 && b > std::numeric_limits<std::size_t>::max() / a) return false;
@@ -125,8 +120,8 @@ void SyncParentDirectory(const std::string& path) {
 
 // ---------------------------------------------------------------------------
 // Streaming writer: every byte goes through the running CRC; Finish()
-// appends the checksum. No whole-file staging buffer exists anywhere —
-// the largest transient is one kChunkElements scratch chunk.
+// appends the checksum. No staging buffer exists anywhere — both payload
+// sections are written straight from the caller's memory.
 //
 // The stream targets a unique temp file next to `path` and Finish()
 // renames it into place: serving processes keep snapshots memory-mapped
@@ -622,56 +617,17 @@ Status ParseHeaderFields(Reader& r, HeaderFields* out) {
   return Status::OK();
 }
 
-// v1 table entries: double-double pairs (hi = entry rounded to double,
-// lo = exact residual), lossless for accumulators whose significand fits
-// in 106 bits. Kept for reading legacy snapshots.
-Status ReadTableEntriesV1(SnapshotReader& r, std::size_t cells,
-                          std::vector<long double>* sums) {
-  sums->resize(cells);
-  std::vector<double> chunk(2 * std::min(cells, kChunkElements));
-  std::size_t i = 0;
-  while (i < cells) {
-    const std::size_t count = std::min(cells - i, kChunkElements);
-    PRIVELET_RETURN_IF_ERROR(r.ReadRaw(
-        chunk.data(), 2 * count * sizeof(double), "prefix-table entries"));
-    for (std::size_t k = 0; k < count; ++k) {
-      (*sums)[i + k] = static_cast<long double>(chunk[2 * k]) +
-                       static_cast<long double>(chunk[2 * k + 1]);
-    }
-    i += count;
-  }
-  return Status::OK();
-}
-
-// v2 table entries: the accumulator's raw object bytes in fixed
-// sizeof(long double) slots, value bytes first, padding bytes zeroed.
-void WriteRawTableEntries(SnapshotWriter& w,
-                          std::span<const long double> sums) {
-  constexpr std::size_t kSlot = sizeof(long double);
-  std::vector<unsigned char> chunk(std::min(sums.size(), kChunkElements) *
-                                   kSlot);
-  std::size_t i = 0;
-  while (i < sums.size()) {
-    const std::size_t count = std::min(sums.size() - i, kChunkElements);
-    std::memset(chunk.data(), 0, count * kSlot);
-    for (std::size_t k = 0; k < count; ++k) {
-      std::memcpy(chunk.data() + k * kSlot, &sums[i + k], kAccumValueBytes);
-    }
-    w.WriteRaw(chunk.data(), count * kSlot);
-    i += count;
-  }
-}
-
-// v2 table-section header: whether this platform's accumulator matches
-// the stored layout bit-for-bit (adoption is a raw copy / view; anything
-// else falls back to the deterministic rebuild).
+// v2 table-section header: binary64 entries are adopted verbatim (a raw
+// copy or view); any other accumulator — the x87 (64, 16) tables written
+// before the table became double — falls back to the deterministic
+// rebuild from the matrix.
 struct TableSectionV2 {
   std::uint16_t mant_dig = 0;
   std::uint16_t accum_bytes = 0;
   std::size_t payload = 0;
 
   bool adoptable() const {
-    return mant_dig == LDBL_MANT_DIG && accum_bytes == sizeof(long double);
+    return mant_dig == kTableMantDig && accum_bytes == kTableAccumBytes;
   }
 };
 
@@ -721,39 +677,32 @@ Status ParseSnapshot(const std::string& path, ReleaseSnapshot* snapshot,
   std::uint8_t has_table = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&has_table, "table flag"));
   if (has_table > 1) return r.Corrupt("bad table flag");
-  std::optional<matrix::PrefixSumTable<long double>> prefix;
+  std::optional<matrix::PrefixSumTable<double>> prefix;
+  TableSectionV2 section;
   if (has_table == 1 && h.version == kVersionLegacy) {
-    std::uint16_t mant_dig = 0;
+    // v1 double-double entries are never adopted: the table is rebuilt
+    // from the matrix, so the section is only validated and skipped.
     std::uint8_t exact = 0;
-    PRIVELET_RETURN_IF_ERROR(r.ReadPod(&mant_dig, "table accumulator"));
+    PRIVELET_RETURN_IF_ERROR(
+        r.ReadPod(&section.mant_dig, "table accumulator"));
     PRIVELET_RETURN_IF_ERROR(r.ReadPod(&exact, "table exactness"));
-    std::size_t payload = 0;
-    if (!CheckedMul(cells, 2 * sizeof(double), &payload) ||
-        payload > r.remaining()) {
+    section.accum_bytes = 2 * sizeof(double);
+    if (!CheckedMul(cells, section.accum_bytes, &section.payload) ||
+        section.payload > r.remaining()) {
       return r.Corrupt("prefix-table payload exceeds the file size");
     }
     table_offset = r.offset();
-    table_bytes = payload;
-    const bool adoptable =
-        snapshot != nullptr && exact == 1 && mant_dig == LDBL_MANT_DIG;
-    if (adoptable) {
-      std::vector<long double> sums;
-      PRIVELET_RETURN_IF_ERROR(ReadTableEntriesV1(r, cells, &sums));
-      prefix.emplace(h.dims, std::move(sums));
-    } else {
-      PRIVELET_RETURN_IF_ERROR(r.Skip(payload, "prefix-table entries"));
-    }
+    table_bytes = section.payload;
+    PRIVELET_RETURN_IF_ERROR(r.Skip(section.payload, "prefix-table entries"));
   } else if (has_table == 1) {
-    TableSectionV2 section;
     PRIVELET_RETURN_IF_ERROR(ReadTableSectionHeaderV2(r, cells, &section));
     table_offset = r.offset();
     table_bytes = section.payload;
     if (snapshot != nullptr && section.adoptable()) {
-      // The entries are this platform's accumulator verbatim — one read,
-      // no decode.
-      std::vector<long double> sums(cells);
+      // The entries are binary64 verbatim — one read, no decode.
+      auto sums = std::make_unique_for_overwrite<double[]>(cells);
       PRIVELET_RETURN_IF_ERROR(
-          r.ReadRaw(sums.data(), section.payload, "prefix-table entries"));
+          r.ReadRaw(sums.get(), section.payload, "prefix-table entries"));
       prefix.emplace(h.dims, std::move(sums));
     } else {
       PRIVELET_RETURN_IF_ERROR(r.Skip(section.payload,
@@ -782,6 +731,9 @@ Status ParseSnapshot(const std::string& path, ReleaseSnapshot* snapshot,
     info->dims = std::move(h.dims);
     info->num_cells = cells;
     info->has_prefix_table = has_table == 1;
+    info->table_mant_dig = section.mant_dig;
+    info->table_accum_bytes = section.accum_bytes;
+    info->table_adoptable = section.adoptable();
     info->file_bytes = r.file_bytes();
     info->values_offset = values_offset;
     info->values_bytes = cells * sizeof(double);
@@ -914,8 +866,8 @@ Status SnapshotStreamWriter::BeginPrefixTable() {
   }
   SnapshotWriter& w = impl_->writer;
   w.WritePod(static_cast<std::uint8_t>(1));
-  w.WritePod(static_cast<std::uint16_t>(LDBL_MANT_DIG));
-  w.WritePod(static_cast<std::uint16_t>(sizeof(long double)));
+  w.WritePod(kTableMantDig);
+  w.WritePod(kTableAccumBytes);
   w.PadToSectionAlignment();
   impl_->state = Impl::State::kTable;
   impl_->appended = 0;
@@ -926,7 +878,7 @@ Status SnapshotStreamWriter::BeginPrefixTable() {
 }
 
 Status SnapshotStreamWriter::AppendTableEntries(
-    std::span<const long double> entries) {
+    std::span<const double> entries) {
   if (impl_ == nullptr || impl_->state != Impl::State::kTable) {
     return Status::FailedPrecondition(
         "AppendTableEntries outside the table section");
@@ -935,7 +887,7 @@ Status SnapshotStreamWriter::AppendTableEntries(
     return Status::InvalidArgument(
         "more table entries than the schema's cell count");
   }
-  WriteRawTableEntries(impl_->writer, entries);
+  impl_->writer.WriteRaw(entries.data(), entries.size() * sizeof(double));
   impl_->appended += entries.size();
   if (!impl_->writer.ok()) {
     return Status::IOError("write to '" + impl_->writer.tmp_path() +
@@ -1075,10 +1027,8 @@ Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
     const std::byte* table_ptr = r.cursor();
     PRIVELET_RETURN_IF_ERROR(r.Skip(section.payload, "prefix-table entries"));
     if (section.adoptable() &&
-        reinterpret_cast<std::uintptr_t>(table_ptr) %
-                alignof(long double) == 0) {
-      mapped.table_ = {reinterpret_cast<const long double*>(table_ptr),
-                       h.cells};
+        reinterpret_cast<std::uintptr_t>(table_ptr) % alignof(double) == 0) {
+      mapped.table_ = {reinterpret_cast<const double*>(table_ptr), h.cells};
     }
     // Not adoptable: the section stays unused and the caller rebuilds the
     // table from matrix_values() — deterministically identical.

@@ -22,26 +22,26 @@
 //   zero padding to the next 64-byte file offset
 //   f64 values[product(dims)]
 //   u8 has_table, if 1:
-//     u16 mant_dig | u16 accum_bytes
+//     u16 mant_dig | u16 accum_bytes    (53, 8): binary64 entries
 //     zero padding to the next 64-byte file offset
-//     raw accumulator entries, product(dims) * accum_bytes bytes
+//     f64 table[product(dims)]          product(dims) * accum_bytes bytes
 //   u32 crc32 of every preceding byte (padding included)
 //
 // Both payload sections start on a 64-byte file offset so a page-aligned
-// memory mapping of the file yields naturally aligned f64 / accumulator
-// arrays: MappedSnapshot serves queries straight out of those sections
-// with zero copies. The table entries are the accumulator's raw object
-// bytes (little-endian `long double`); on x86-64 that is the 80-bit
-// extended type in 16-byte slots, whose 6 trailing padding bytes the
-// writer zeroes so identical releases still produce byte-identical files.
-// A reader whose accumulator does not match (mant_dig, accum_bytes)
-// skips the section and rebuilds the table from the matrix, which the
-// determinism contract (docs/DETERMINISM.md) guarantees is bit-identical.
+// memory mapping of the file yields naturally aligned f64 arrays:
+// MappedSnapshot serves queries straight out of those sections with zero
+// copies. The table entries are little-endian IEEE-754 binary64, which
+// every IEEE platform adopts as is. Any other (mant_dig, accum_bytes) —
+// the (64, 16) x87 extended-precision tables written before the table
+// became double — is not adoptable: readers skip the section and rebuild
+// the table from the matrix, which the determinism contract
+// (docs/DETERMINISM.md) guarantees equals a fresh build bit for bit.
 //
 // PVLS v1 differs in the table section only — no alignment padding and
 // double-double encoded entries (u16 mant_dig | u8 exact | (f64 hi,
-// f64 lo) per cell). v1 files remain fully readable through the legacy
-// copy path (ReadSnapshot / LoadSession); MappedSnapshot requires v2+.
+// f64 lo) per cell), which are not adoptable either. v1 files remain
+// readable through the legacy copy path (ReadSnapshot / LoadSession),
+// which rebuilds their table; MappedSnapshot requires v2+.
 //
 // PVLS v3 = v2 plus a plan section directly after the seed, present
 // exactly when the release was published under a workload-adaptive plan
@@ -96,7 +96,7 @@ struct ReleaseSnapshot {
                            ///< this pins the release bytes exactly
   matrix::EngineOptions engine_options;
   matrix::FrequencyMatrix published;
-  std::optional<matrix::PrefixSumTable<long double>> prefix;
+  std::optional<matrix::PrefixSumTable<double>> prefix;
   /// Planner provenance (PVLS v3 files only; nullopt for v1/v2).
   std::optional<query::PlanRecord> plan;
 };
@@ -113,7 +113,7 @@ struct ReleaseSnapshotView {
   std::uint64_t seed = 0;
   matrix::EngineOptions engine_options;
   const matrix::FrequencyMatrix* published = nullptr;
-  const matrix::PrefixSumTable<long double>* prefix = nullptr;
+  const matrix::PrefixSumTable<double>* prefix = nullptr;
   /// Non-null selects the PVLS v3 format and writes the plan section.
   const query::PlanRecord* plan = nullptr;
 };
@@ -175,7 +175,7 @@ class SnapshotStreamWriter {
   Status BeginPrefixTable();
 
   /// Appends the next chunk of prefix-table entries (flat-index order).
-  Status AppendTableEntries(std::span<const long double> entries);
+  Status AppendTableEntries(std::span<const double> entries);
 
   /// Validates completeness, appends the CRC, fsyncs, and renames the
   /// temp file over `path`. The writer is spent afterwards.
@@ -221,6 +221,13 @@ struct SnapshotInfo {
   std::vector<std::size_t> dims;
   std::size_t num_cells = 0;
   bool has_prefix_table = false;
+  /// The table section's accumulator header (v1: its mant_dig, and 16
+  /// bytes per double-double entry); 0 when the file carries no table.
+  std::uint16_t table_mant_dig = 0;
+  std::uint16_t table_accum_bytes = 0;
+  /// Whether loaders adopt the stored table (binary64 in v2/v3) instead
+  /// of rebuilding it from the matrix in O(m).
+  bool table_adoptable = false;
   std::uint64_t file_bytes = 0;
   /// Payload section layout: file offset and byte length of the matrix
   /// values and (when has_prefix_table) the raw table entries. In v2
@@ -247,9 +254,10 @@ Result<SnapshotInfo> InspectSnapshot(const std::string& path);
 /// with it; PublishingSession::FromMapped keeps the object alive (via
 /// shared_ptr) for as long as an evaluator serves from it.
 ///
-/// v1 files (and unknown future versions) are rejected with FailedPrecondition so
-/// callers can fall back to the ReadSnapshot copy path; corrupt files
-/// fail with InvalidArgument exactly like the streamed reader.
+/// v1 files (whose sections are not aligned) and unknown versions are
+/// rejected with FailedPrecondition so callers can fall back to the
+/// ReadSnapshot copy path; corrupt files fail with InvalidArgument
+/// exactly like the streamed reader.
 class MappedSnapshot {
  public:
   static Result<MappedSnapshot> Open(const std::string& path);
@@ -268,13 +276,13 @@ class MappedSnapshot {
   /// The noisy matrix values, row-major, straight from the mapping.
   std::span<const double> matrix_values() const { return values_; }
 
-  /// Whether the file carries a prefix table this platform can adopt
-  /// in place (accumulator layout matches `long double` here).
+  /// Whether the file carries a binary64 prefix table to adopt in place
+  /// (false for legacy accumulators, which callers rebuild).
   bool has_prefix_table() const { return !table_.empty(); }
 
   /// The raw prefix-table entries (empty when !has_prefix_table()).
-  /// Feed to matrix::PrefixSumTable's view constructor for O(1) adoption.
-  std::span<const long double> prefix_table() const { return table_; }
+  /// Feed to matrix::PrefixSumTable::View for O(1) adoption.
+  std::span<const double> prefix_table() const { return table_; }
 
  private:
   MappedSnapshot() = default;
@@ -288,7 +296,7 @@ class MappedSnapshot {
   matrix::EngineOptions options_;
   std::vector<std::size_t> dims_;
   std::span<const double> values_;
-  std::span<const long double> table_;
+  std::span<const double> table_;
 };
 
 }  // namespace privelet::storage

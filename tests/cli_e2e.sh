@@ -33,6 +33,7 @@ grep -q "^plan:         none" "$TMP/inspect.txt"
 # record the mode: streamed and in-core snapshots are byte-identical).
 grep -q "^values:       offset " "$TMP/inspect.txt"
 grep -q "^table:        offset " "$TMP/inspect.txt"
+grep -q "^table accum:  f64 (mapped in place)" "$TMP/inspect.txt"
 grep -q "publish mode: not recorded" "$TMP/inspect.txt"
 
 echo "== query (random workload, dumped, then replayed from file)"

@@ -1,10 +1,9 @@
-// CompiledWorkload's contract is bit-identity: for any workload and any
-// ISA level, AnswerAll must return exactly the doubles the per-query
-// scalar path (QueryEvaluator::Answer) produces — compiling and SIMD
-// gathering are pure layout/performance moves. These tests sweep random
-// workloads over 1-3 dimensional tables, every compiled-in ISA level, the
-// empty-corner edge cases (predicates touching the domain edge drop
-// corners), and split AnswerInto ranges.
+// CompiledWorkload's contract is bit-identity: for any workload, AnswerAll
+// must return exactly the doubles the per-query path
+// (QueryEvaluator::Answer) produces — compiling is a pure layout and
+// performance move. These tests sweep random workloads over 1-3
+// dimensional tables, the empty-corner edge cases (predicates touching
+// the domain edge drop corners), and split AnswerInto ranges.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,7 +16,6 @@
 #include "privelet/query/evaluator.h"
 #include "privelet/query/range_query.h"
 #include "privelet/rng/xoshiro256pp.h"
-#include "privelet/simd/dispatch.h"
 
 namespace privelet::query {
 namespace {
@@ -37,7 +35,7 @@ matrix::FrequencyMatrix NoisyMatrix(const data::Schema& schema,
   rng::Xoshiro256pp gen(seed);
   for (std::size_t i = 0; i < m.size(); ++i) {
     // Irregular magnitudes so a wrong corner order or dropped sign would
-    // actually change the x87 rounding, not vanish in symmetry.
+    // actually change the rounding, not vanish in symmetry.
     m[i] = gen.NextDouble() * 1000.0 - 500.0 + 1.0 / (1.0 + i);
   }
   return m;
@@ -72,18 +70,7 @@ std::vector<RangeQuery> RandomQueries(const data::Schema& schema,
   return queries;
 }
 
-std::vector<simd::IsaLevel> AllLevels() {
-  std::vector<simd::IsaLevel> levels = {simd::IsaLevel::kScalar};
-  if (simd::DetectBestIsa() >= simd::IsaLevel::kAvx2) {
-    levels.push_back(simd::IsaLevel::kAvx2);
-  }
-  if (simd::DetectBestIsa() >= simd::IsaLevel::kAvx512) {
-    levels.push_back(simd::IsaLevel::kAvx512);
-  }
-  return levels;
-}
-
-TEST(CompiledWorkloadTest, BitIdenticalToPerQueryAnswersAcrossIsaLevels) {
+TEST(CompiledWorkloadTest, BitIdenticalToPerQueryAnswers) {
   const std::vector<std::vector<std::size_t>> shapes = {
       {257}, {64, 33}, {16, 9, 11}};
   for (const auto& shape : shapes) {
@@ -101,15 +88,11 @@ TEST(CompiledWorkloadTest, BitIdenticalToPerQueryAnswersAcrossIsaLevels) {
     const CompiledWorkload workload =
         CompiledWorkload::Compile(queries, evaluator.table().dims());
     EXPECT_EQ(workload.num_queries(), queries.size());
-    for (const simd::IsaLevel level : AllLevels()) {
-      const std::vector<double> compiled =
-          workload.AnswerAll(evaluator.table(), level);
-      ASSERT_EQ(compiled.size(), direct.size());
-      for (std::size_t i = 0; i < direct.size(); ++i) {
-        EXPECT_EQ(compiled[i], direct[i])
-            << "dims=" << shape.size() << " query " << i << " level "
-            << simd::IsaLevelName(level);
-      }
+    const std::vector<double> compiled = workload.AnswerAll(evaluator.table());
+    ASSERT_EQ(compiled.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+      EXPECT_EQ(compiled[i], direct[i])
+          << "dims=" << shape.size() << " query " << i;
     }
   }
 }
@@ -134,8 +117,7 @@ TEST(CompiledWorkloadTest, EdgePredicatesDropCorners) {
       CompiledWorkload::Compile(queries, evaluator.table().dims());
   EXPECT_EQ(workload.num_corners(), 1u + 1u + 4u);
 
-  const std::vector<double> answers =
-      workload.AnswerAll(evaluator.table(), simd::IsaLevel::kScalar);
+  const std::vector<double> answers = workload.AnswerAll(evaluator.table());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(answers[i], evaluator.Answer(queries[i])) << "query " << i;
   }
@@ -149,11 +131,10 @@ TEST(CompiledWorkloadTest, EmptyWorkloadAndZeroCornerTail) {
   const CompiledWorkload empty =
       CompiledWorkload::Compile({}, evaluator.table().dims());
   EXPECT_EQ(empty.num_queries(), 0u);
-  EXPECT_TRUE(empty.AnswerAll(evaluator.table(), simd::IsaLevel::kScalar)
-                  .empty());
+  EXPECT_TRUE(empty.AnswerAll(evaluator.table()).empty());
 
-  // A workload ending in single-corner queries exercises the post-gather
-  // tail (queries whose corners all fit the final chunk's remainder).
+  // A workload ending in single-corner queries: the last queries' corner
+  // runs are one entry long.
   std::vector<RangeQuery> queries;
   RangeQuery interior(2);
   ASSERT_TRUE(interior.SetRange(schema, 0, 3, 9).ok());
@@ -162,8 +143,7 @@ TEST(CompiledWorkloadTest, EmptyWorkloadAndZeroCornerTail) {
   queries.push_back(RangeQuery(2));
   const CompiledWorkload workload =
       CompiledWorkload::Compile(queries, evaluator.table().dims());
-  const std::vector<double> answers =
-      workload.AnswerAll(evaluator.table(), simd::IsaLevel::kScalar);
+  const std::vector<double> answers = workload.AnswerAll(evaluator.table());
   ASSERT_EQ(answers.size(), 3u);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(answers[i], evaluator.Answer(queries[i]));
@@ -180,22 +160,18 @@ TEST(CompiledWorkloadTest, SplitAnswerIntoRangesMatchFullEvaluation) {
   const CompiledWorkload workload =
       CompiledWorkload::Compile(queries, evaluator.table().dims());
 
-  for (const simd::IsaLevel level : AllLevels()) {
-    const std::vector<double> whole =
-        workload.AnswerAll(evaluator.table(), level);
-    std::vector<double> pieces(queries.size());
-    for (std::size_t begin = 0; begin < queries.size(); begin += 10) {
-      const std::size_t end = std::min(begin + 10, queries.size());
-      workload.AnswerInto(evaluator.table(), begin, end, level,
-                          pieces.data() + begin);
-    }
-    EXPECT_EQ(pieces, whole) << simd::IsaLevelName(level);
+  const std::vector<double> whole = workload.AnswerAll(evaluator.table());
+  std::vector<double> pieces(queries.size());
+  for (std::size_t begin = 0; begin < queries.size(); begin += 10) {
+    const std::size_t end = std::min(begin + 10, queries.size());
+    workload.AnswerInto(evaluator.table(), begin, end, pieces.data() + begin);
   }
+  EXPECT_EQ(pieces, whole);
 }
 
-TEST(CompiledWorkloadTest, LargeWorkloadCrossesStagingChunks) {
-  // >1024 corners forces multiple gather chunks; a query whose corners
-  // straddle a chunk boundary must still fold exactly.
+TEST(CompiledWorkloadTest, LargeThreeDimensionalWorkloadFoldsExactly) {
+  // Thousands of corners over a 3-d table, with every corner-dropping
+  // edge case mixed in.
   const data::Schema schema = MakeSchema({40, 40, 5});
   const matrix::FrequencyMatrix m = NoisyMatrix(schema, 21);
   const QueryEvaluator evaluator(schema, m);
@@ -204,13 +180,9 @@ TEST(CompiledWorkloadTest, LargeWorkloadCrossesStagingChunks) {
       CompiledWorkload::Compile(queries, evaluator.table().dims());
   ASSERT_GT(workload.num_corners(), 2048u);
 
-  for (const simd::IsaLevel level : AllLevels()) {
-    const std::vector<double> compiled =
-        workload.AnswerAll(evaluator.table(), level);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(compiled[i], evaluator.Answer(queries[i]))
-          << "query " << i << " level " << simd::IsaLevelName(level);
-    }
+  const std::vector<double> compiled = workload.AnswerAll(evaluator.table());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(compiled[i], evaluator.Answer(queries[i])) << "query " << i;
   }
 }
 

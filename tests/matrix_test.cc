@@ -168,7 +168,7 @@ TEST_P(PrefixSumPropertyTest, MatchesBruteForce) {
     m[i] = static_cast<double>(gen.NextUint64InRange(0, 9));
   }
   PrefixSumTable<std::int64_t> exact(m);
-  PrefixSumTable<long double> real(m);
+  PrefixSumTable<double> real(m);
 
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<std::size_t> lo(d), hi(d);

@@ -5,6 +5,8 @@
 // Theorem 3 worst-case bound it must never exceed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "privelet/analysis/query_variance.h"
@@ -244,6 +246,65 @@ TEST_P(ExactVarianceMeasurementTest, MatchesMeasuredVariance) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactVarianceMeasurementTest,
                          ::testing::Range<std::uint64_t>(0, 6));
+
+// The noisy prefix table accumulates in binary64. Its rounding error
+// grows like (adds per entry) x 2^-53 x sum|x| (Higham 1993), which must
+// stay far below the Laplace noise each answer already carries: on a cube
+// of total > 1e9, every table answer matches a long-double direct box sum
+// over the noisy matrix within 1e-4 of the answer's predicted noise
+// standard deviation.
+TEST(ExactVarianceTest, DoubleTableErrorIsNegligibleAgainstNoise) {
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("X", 64));
+  attrs.push_back(data::Attribute::Ordinal("Y", 48));
+  attrs.push_back(data::Attribute::Ordinal("Z", 40));
+  const data::Schema schema(std::move(attrs));
+  rng::Xoshiro256pp gen(29);
+  matrix::FrequencyMatrix m(schema.DomainSizes());
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m[i] = static_cast<double>(gen.NextUint64InRange(0, 20000));
+  }
+  ASSERT_GE(m.Total(), 1e9);
+
+  const double epsilon = 1.0;
+  auto noisy = mechanism::PriveletMechanism().Publish(schema, m, epsilon, 3);
+  ASSERT_TRUE(noisy.ok()) << noisy.status().ToString();
+  auto transform = wavelet::HnTransform::Create(schema);
+  ASSERT_TRUE(transform.ok());
+  const double lambda = 2.0 * transform->GeneralizedSensitivity() / epsilon;
+  const query::QueryEvaluator evaluator(schema, *noisy);
+
+  query::WorkloadOptions wopts;
+  wopts.num_queries = 200;
+  wopts.seed = 31;
+  auto workload = query::GenerateWorkload(schema, wopts);
+  ASSERT_TRUE(workload.ok());
+  double worst = 0.0;
+  std::vector<std::size_t> lo, hi;
+  for (const query::RangeQuery& q : *workload) {
+    q.ResolveBounds(schema, &lo, &hi);
+    long double direct = 0.0L;
+    std::vector<std::size_t> coords = lo;
+    for (bool done = false; !done;) {
+      direct += noisy->At(coords);
+      done = true;
+      for (std::size_t axis = coords.size(); axis-- > 0;) {
+        if (coords[axis] < hi[axis]) {
+          ++coords[axis];
+          done = false;
+          break;
+        }
+        coords[axis] = lo[axis];
+      }
+    }
+    auto variance = ExactQueryNoiseVariance(*transform, schema, lambda, q);
+    ASSERT_TRUE(variance.ok());
+    const double error = static_cast<double>(
+        std::fabs(static_cast<long double>(evaluator.Answer(q)) - direct));
+    worst = std::max(worst, error / std::sqrt(*variance));
+  }
+  EXPECT_LE(worst, 1e-4) << "worst |table - direct| / sigma";
+}
 
 TEST(ExactVarianceTest, WrapperUsesMechanismCalibration) {
   const data::Schema schema = OrdinalSchema(64);

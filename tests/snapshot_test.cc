@@ -6,11 +6,12 @@
 // allocations.
 #include <gtest/gtest.h>
 
-#include <cfloat>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -416,25 +417,18 @@ TEST(SnapshotTest, MatrixPayloadBeyondFileSizeIsRejected) {
 }
 
 // The current write format: the same minimal release, version 2 —
-// payload sections aligned to 64-byte offsets, raw-accumulator table
-// encoding. Locks the v2 byte layout independently of the writer.
+// payload sections aligned to 64-byte offsets, binary64 table entries
+// under the (mant_dig, accum_bytes) = (53, 8) header. Locks the v2 byte
+// layout independently of the writer.
 TEST(SnapshotTest, HandcraftedV2SnapshotParsesAndMaps) {
   ByteBuilder b = MinimalPrefix(4, /*version=*/2);
   b.Pod(std::uint32_t{1}).Pod(std::uint64_t{4});  // dims
   b.PadTo64();
   for (const double v : {1.0, 2.0, 3.0, 4.0}) b.Pod(v);
   b.Pod(std::uint8_t{1});  // table follows
-  b.Pod(static_cast<std::uint16_t>(LDBL_MANT_DIG));
-  b.Pod(static_cast<std::uint16_t>(sizeof(long double)));
+  b.Pod(std::uint16_t{53}).Pod(std::uint16_t{8});
   b.PadTo64();
-  for (const long double v : {1.0L, 3.0L, 6.0L, 10.0L}) {
-    char slot[sizeof(long double)] = {};
-    // Value bytes first, trailing slot bytes zero — what the writer
-    // produces for x87's padded 80-bit extended type (IEEE-quad and
-    // double-sized long doubles have no padding to zero).
-    std::memcpy(slot, &v, LDBL_MANT_DIG == 64 ? 10 : sizeof(v));
-    b.Raw(slot, sizeof(slot));
-  }
+  for (const double v : {1.0, 3.0, 6.0, 10.0}) b.Pod(v);
   b.Crc();
   const std::string path = TempPath("minimal_v2.pvls");
   WriteFileBytes(path, b.bytes());
@@ -445,16 +439,149 @@ TEST(SnapshotTest, HandcraftedV2SnapshotParsesAndMaps) {
   EXPECT_TRUE(matrix::ValuesEqual(std::vector<double>{1.0, 2.0, 3.0, 4.0},
                                   snapshot->published.values()));
   ASSERT_TRUE(snapshot->prefix.has_value());
-  EXPECT_EQ((std::vector<long double>{1.0L, 3.0L, 6.0L, 10.0L}),
-            std::vector<long double>(snapshot->prefix->raw_sums().begin(),
-                                     snapshot->prefix->raw_sums().end()));
+  EXPECT_TRUE(matrix::ValuesEqual(std::vector<double>{1.0, 3.0, 6.0, 10.0},
+                                  snapshot->prefix->raw_sums()));
+
+  auto info = storage::InspectSnapshot(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(53u, info->table_mant_dig);
+  EXPECT_EQ(8u, info->table_accum_bytes);
+  EXPECT_TRUE(info->table_adoptable);
 
   auto mapped = storage::MappedSnapshot::Open(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_EQ((std::vector<std::size_t>{4}), mapped->dims());
   ASSERT_TRUE(mapped->has_prefix_table());
-  EXPECT_EQ(10.0L, mapped->prefix_table()[3]);
+  EXPECT_EQ(10.0, mapped->prefix_table()[3]);
   EXPECT_EQ(3.0, mapped->matrix_values()[2]);
+
+  // The serving chain adopts the stored entries in place: a view into the
+  // mapping, no rebuild.
+  auto session = storage::MapSession(path);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_TRUE(session->prefix_table().is_view());
+  query::RangeQuery q(1);
+  ASSERT_TRUE(q.SetRange(session->schema(), 0, 1, 2).ok());
+  EXPECT_EQ(5.0, session->Answer(q));  // 6 - 1
+}
+
+// Legacy tables (x87 extended in v2, double-double in v1) are never
+// adopted: every loader rebuilds the table from the matrix section. The
+// matrix is irregular so that an adopted legacy entry would show up as a
+// rounding difference against a fresh binary64 build.
+constexpr double kLegacyValues[] = {0.1, 0.2, 0.3,    1e-3,
+                                    7.7, -2.5, 1e10, 0.123456789};
+constexpr std::size_t kLegacyCells = std::size(kLegacyValues);
+
+// Answers of every 1-d box over the legacy matrix, from `session`.
+std::vector<double> AllBoxAnswers(const query::PublishingSession& session) {
+  std::vector<double> answers;
+  for (std::size_t lo = 0; lo < kLegacyCells; ++lo) {
+    for (std::size_t hi = lo; hi < kLegacyCells; ++hi) {
+      query::RangeQuery q(1);
+      EXPECT_TRUE(q.SetRange(session.schema(), 0, lo, hi).ok());
+      answers.push_back(session.Answer(q));
+    }
+  }
+  return answers;
+}
+
+// The answers a fresh binary64 build over the legacy matrix gives.
+std::vector<double> FreshLegacyAnswers() {
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("A", kLegacyCells));
+  const data::Schema schema(std::move(attrs));
+  matrix::FrequencyMatrix m({kLegacyCells});
+  for (std::size_t i = 0; i < kLegacyCells; ++i) m[i] = kLegacyValues[i];
+  auto fresh = query::PublishingSession::FromMatrix(schema, std::move(m));
+  EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
+  return AllBoxAnswers(*fresh);
+}
+
+TEST(SnapshotTest, LegacyX87V2TableIsRebuiltOnEveryLoader) {
+  ByteBuilder b = MinimalPrefix(kLegacyCells, /*version=*/2);
+  b.Pod(std::uint32_t{1}).Pod(std::uint64_t{kLegacyCells});
+  b.PadTo64();
+  for (const double v : kLegacyValues) b.Pod(v);
+  b.Pod(std::uint8_t{1});  // table follows
+  b.Pod(std::uint16_t{64}).Pod(std::uint16_t{16});  // x87 extended
+  b.PadTo64();
+  // What the x87 writer produced: 80-bit running sums, value bytes first,
+  // the rest of each 16-byte slot zeroed.
+  long double run = 0.0L;
+  for (const double v : kLegacyValues) {
+    run += v;
+    char slot[16] = {};
+    std::memcpy(slot, &run, std::min<std::size_t>(10, sizeof(run)));
+    b.Raw(slot, sizeof(slot));
+  }
+  b.Crc();
+  const std::string path = TempPath("legacy_x87_v2.pvls");
+  WriteFileBytes(path, b.bytes());
+
+  auto info = storage::InspectSnapshot(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_TRUE(info->has_prefix_table);
+  EXPECT_EQ(64u, info->table_mant_dig);
+  EXPECT_EQ(16u, info->table_accum_bytes);
+  EXPECT_FALSE(info->table_adoptable);
+  auto snapshot = storage::ReadSnapshot(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_FALSE(snapshot->prefix.has_value());
+
+  const std::vector<double> expected = FreshLegacyAnswers();
+  auto loaded = storage::LoadSession(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(expected, AllBoxAnswers(*loaded));
+  auto mapped = storage::MapSession(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_FALSE(mapped->prefix_table().is_view());  // rebuilt, not adopted
+  EXPECT_FALSE(mapped->has_published());
+  EXPECT_EQ(expected, AllBoxAnswers(*mapped));
+}
+
+// A complete v1 file (dims + matrix + double-double table, no alignment
+// padding): the legacy format stays readable byte-for-byte, its table is
+// rebuilt from the matrix, and the serving entry point falls back from
+// the mmap path (v1 sections are unaligned) to the copy loader.
+TEST(SnapshotTest, LegacyV1SnapshotStillLoadsAndServes) {
+  ByteBuilder b = MinimalPrefix(kLegacyCells, /*version=*/1);
+  b.Pod(std::uint32_t{1}).Pod(std::uint64_t{kLegacyCells});  // no padding
+  for (const double v : kLegacyValues) b.Pod(v);
+  b.Pod(std::uint8_t{1});  // table follows
+  b.Pod(std::uint16_t{64});
+  b.Pod(std::uint8_t{1});  // exact
+  long double run = 0.0L;
+  for (const double v : kLegacyValues) {
+    run += v;
+    const double hi = static_cast<double>(run);
+    b.Pod(hi).Pod(static_cast<double>(run - hi));  // (hi, lo) pairs
+  }
+  b.Crc();
+  const std::string path = TempPath("legacy_v1.pvls");
+  WriteFileBytes(path, b.bytes());
+
+  auto info = storage::InspectSnapshot(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(1u, info->version);
+  EXPECT_TRUE(info->has_prefix_table);
+  EXPECT_FALSE(info->table_adoptable);
+  auto snapshot = storage::ReadSnapshot(path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_FALSE(snapshot->prefix.has_value());
+
+  const std::vector<double> expected = FreshLegacyAnswers();
+  auto loaded = storage::LoadSession(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(expected, AllBoxAnswers(*loaded));
+
+  auto mapped = storage::MapSession(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(StatusCode::kFailedPrecondition, mapped.status().code());
+  auto served = storage::OpenServingSession(path);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->has_published());  // copy path materializes
+  EXPECT_EQ(expected, AllBoxAnswers(*served));
 }
 
 TEST(SnapshotTest, V2NonzeroSectionPaddingIsRejected) {
@@ -497,51 +624,6 @@ TEST(SnapshotTest, HierarchyWithFanoutOneIsRejected) {
   const std::string path = TempPath("chain.pvls");
   WriteFileBytes(path, b.bytes());
   EXPECT_FALSE(storage::ReadSnapshot(path).ok());
-}
-
-// A complete v1 file (dims + matrix + double-double table, no alignment
-// padding): the legacy format must stay readable byte-for-byte, its
-// stored table must still be adopted by the copy loader, and the serving
-// entry point must transparently fall back from the mmap path.
-TEST(SnapshotTest, LegacyV1SnapshotStillLoadsAndServes) {
-  ByteBuilder b = MinimalPrefix(4, /*version=*/1);
-  b.Pod(std::uint32_t{1}).Pod(std::uint64_t{4});  // dims, no padding in v1
-  for (const double v : {1.0, 2.0, 3.0, 4.0}) b.Pod(v);
-  b.Pod(std::uint8_t{1});  // table follows
-  b.Pod(static_cast<std::uint16_t>(LDBL_MANT_DIG));
-  b.Pod(std::uint8_t{1});  // exact
-  for (const double hi : {1.0, 3.0, 6.0, 10.0}) {
-    b.Pod(hi).Pod(0.0);  // (hi, lo) double-double pairs
-  }
-  b.Crc();
-  const std::string path = TempPath("legacy_v1.pvls");
-  WriteFileBytes(path, b.bytes());
-
-  auto info = storage::InspectSnapshot(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(1u, info->version);
-  EXPECT_TRUE(info->has_prefix_table);
-
-  auto snapshot = storage::ReadSnapshot(path);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_TRUE(snapshot->prefix.has_value());
-  EXPECT_EQ(6.0L, snapshot->prefix->raw_sums()[2]);
-
-  // v1 sections are not mappable in place; the serving entry point falls
-  // back to the copy loader and answers identically.
-  auto mapped = storage::MapSession(path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(StatusCode::kFailedPrecondition, mapped.status().code());
-  auto served = storage::OpenServingSession(path);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  EXPECT_TRUE(served->has_published());  // copy path materializes
-
-  query::RangeQuery q(1);
-  ASSERT_TRUE(q.SetRange(snapshot->schema, 0, 1, 2).ok());
-  auto direct = storage::LoadSession(path);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(direct->Answer(q), served->Answer(q));
-  EXPECT_EQ(5.0, served->Answer(q));  // 2 + 3
 }
 
 // ---------------------------------------------------------------------------
@@ -606,7 +688,7 @@ TEST(SnapshotTest, MappedSnapshotSectionsAreAligned) {
   ASSERT_TRUE(mapped->has_prefix_table());
   // Sections sit on 64-byte file offsets and the mapping is page-aligned,
   // so the in-memory spans are 64-byte aligned — the precondition for
-  // reading `long double` (16-byte alignment) in place.
+  // reading the f64 sections in place.
   EXPECT_EQ(0u, reinterpret_cast<std::uintptr_t>(
                     mapped->matrix_values().data()) % 64);
   EXPECT_EQ(0u, reinterpret_cast<std::uintptr_t>(

@@ -642,6 +642,29 @@ int RunPublish(const Args& args) {
   return 0;
 }
 
+// The stored table's accumulator and what loading does with it: a
+// binary64 table is served in place, anything else costs an O(m) rebuild
+// from the matrix at every load (daemon start, RELOAD).
+std::string TableAccumulator(const storage::SnapshotInfo& info) {
+  std::string name;
+  if (info.version == 1) {
+    name = "double-double";
+  } else if (info.table_mant_dig == 53 && info.table_accum_bytes == 8) {
+    name = "f64";
+  } else if (info.table_mant_dig == 64) {
+    name = "x87-80";
+  } else {
+    name = "mant_dig ";
+    name += std::to_string(info.table_mant_dig);
+    name += " in ";
+    name += std::to_string(info.table_accum_bytes);
+    name += " bytes";
+  }
+  name += info.table_adoptable ? " (mapped in place)"
+                               : " (not adoptable; rebuilt on load)";
+  return name;
+}
+
 int RunInspect(const Args& args) {
   Status flags = RejectUnknownFlags(args, {});
   if (!flags.ok()) return Fail(flags);
@@ -674,6 +697,7 @@ int RunInspect(const Args& args) {
     std::printf("table:        offset %ju, %ju bytes\n",
                 static_cast<std::uintmax_t>(info->table_offset),
                 static_cast<std::uintmax_t>(info->table_bytes));
+    std::printf("table accum:  %s\n", TableAccumulator(*info).c_str());
   }
   // Streamed (out-of-core) and in-core publishes of the same release
   // produce byte-identical snapshots, so the file cannot (and need not)
