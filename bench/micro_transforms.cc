@@ -9,7 +9,6 @@
 #include "privelet/common/thread_pool.h"
 #include "privelet/data/attribute.h"
 #include "privelet/data/synthetic_generator.h"
-#include "privelet/matrix/engine.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/matrix/prefix_sum.h"
 #include "privelet/mechanism/basic.h"
@@ -196,66 +195,6 @@ void BM_PublishPriveletThreads(benchmark::State& state) {
 BENCHMARK(BM_PublishPriveletThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// Tile-size sweep of the tiled line engine on the ISSUE's headline case:
-// a 1024x1024 cube whose first axis is Haar-transformed through stride
-// 1024. Benchmark arg = lines per panel; 0 selects the naive per-line
-// reference.
-matrix::EngineOptions TileArgOptions(std::size_t tile) {
-  if (tile == 0) {
-    return matrix::MakeEngineOptions(matrix::LineEngine::kNaive);
-  }
-  return matrix::MakeEngineOptions(matrix::LineEngine::kTiled, tile);
-}
-
-struct Tile2DCase {
-  data::Schema schema;
-  wavelet::HnTransform transform;
-  matrix::FrequencyMatrix m;
-};
-
-Tile2DCase MakeTile2DCase(std::uint64_t seed) {
-  std::vector<data::Attribute> attrs;
-  attrs.push_back(data::Attribute::Ordinal("A", 1024));
-  attrs.push_back(data::Attribute::Ordinal("B", 1024));
-  data::Schema schema(std::move(attrs));
-  auto transform = wavelet::HnTransform::Create(schema);
-  matrix::FrequencyMatrix m(schema.DomainSizes());
-  rng::Xoshiro256pp gen(seed);
-  for (std::size_t i = 0; i < m.size(); ++i) m[i] = gen.NextDouble();
-  return {std::move(schema), std::move(*transform), std::move(m)};
-}
-
-void BM_HnForward2DTile(benchmark::State& state) {
-  const matrix::EngineOptions options =
-      TileArgOptions(static_cast<std::size_t>(state.range(0)));
-  Tile2DCase c = MakeTile2DCase(11);
-  for (auto _ : state) {
-    auto coeffs = c.transform.Forward(c.m, nullptr, options);
-    benchmark::DoNotOptimize(coeffs->coeffs.values().data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(c.m.size()));
-}
-BENCHMARK(BM_HnForward2DTile)
-    ->Arg(0)->Arg(1)->Arg(8)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_HnInverse2DTile(benchmark::State& state) {
-  const matrix::EngineOptions options =
-      TileArgOptions(static_cast<std::size_t>(state.range(0)));
-  Tile2DCase c = MakeTile2DCase(12);
-  auto coeffs = c.transform.Forward(c.m);
-  for (auto _ : state) {
-    auto back = c.transform.Inverse(*coeffs, nullptr, options);
-    benchmark::DoNotOptimize(back->values().data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(c.m.size()));
-}
-BENCHMARK(BM_HnInverse2DTile)
-    ->Arg(0)->Arg(1)->Arg(8)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_PrefixSumBuild(benchmark::State& state) {
   const auto total = static_cast<std::size_t>(state.range(0));

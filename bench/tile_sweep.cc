@@ -1,15 +1,17 @@
-// Tile-size × axis-shape sweep of the tiled line engine against the naive
-// per-line reference (matrix/engine.h): HN forward/inverse transforms and
-// end-to-end Privelet publishes on cubes whose long axis sits in
-// different stride positions. Prints one table per case and drops
-// BENCH_tile_sweep.json (tile 0 = the naive engine).
+// Axis-shape sweep of the line engine (matrix/engine.h) against the
+// per-line reference (tests/reference/per_line_engine.h): HN
+// forward/inverse transforms and end-to-end Privelet publishes on cubes
+// whose long axis sits in different stride positions, plus a dispatch
+// sweep over the kernel levels the host runs. Prints one table per case
+// and drops BENCH_tile_sweep.json: the `tile: 0` row is the reference,
+// the `tile: 64` rows the engine at its fixed panel width.
 //
-// Every engine/tile release is checked bitwise against the naive one, so
-// the sweep doubles as a correctness harness. With --smoke the harness
-// runs the headline 1024x1024 case only and exits non-zero if the default
-// tiled engine fails to beat the naive path (Release builds only — the
-// check is a layout-regression tripwire, not a micro-benchmark), so CI
-// fails loudly when the memory layout regresses.
+// Every release is checked bitwise against the reference one, so the
+// sweep doubles as a correctness harness. With --smoke the harness runs
+// the headline 1024x1024 case only and exits non-zero if the engine fails
+// to beat the per-line walk (Release builds only — the check is a
+// layout-regression tripwire, not a micro-benchmark), so CI fails loudly
+// when the memory layout regresses.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -27,6 +29,7 @@
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/simd/dispatch.h"
 #include "privelet/wavelet/hn_transform.h"
+#include "reference/per_line_engine.h"
 
 namespace privelet::bench {
 namespace {
@@ -67,62 +70,86 @@ struct Timing {
   double publish_s = 0.0;
 };
 
-// Best-of-`reps` wall time per stage; the released matrix of the first
-// rep is returned through `release` for cross-engine comparison.
+// One forward, inverse and publish, timed per stage: through the line
+// engine under `options`, or through the per-line reference when
+// `options` is null. The release lands in `release`.
+Timing RunOnce(const data::Schema& schema,
+               const wavelet::HnTransform& transform,
+               const matrix::FrequencyMatrix& m,
+               const matrix::EngineOptions* options,
+               matrix::FrequencyMatrix* release) {
+  Timing t;
+  Stopwatch watch;
+  if (options == nullptr) {
+    wavelet::HnCoefficients coeffs = reference::Forward(transform, m);
+    t.forward_s = watch.ElapsedSeconds();
+    watch.Restart();
+    reference::Inverse(transform, std::move(coeffs.coeffs));
+    t.inverse_s = watch.ElapsedSeconds();
+    watch.Restart();
+    *release = reference::PublishPrivelet(schema, {}, m, /*epsilon=*/1.0,
+                                          /*seed=*/1);
+    t.publish_s = watch.ElapsedSeconds();
+    return t;
+  }
+  auto coeffs = transform.Forward(m, nullptr, *options);
+  PRIVELET_CHECK(coeffs.ok(), "forward failed");
+  t.forward_s = watch.ElapsedSeconds();
+  watch.Restart();
+  auto back = transform.Inverse(*coeffs, nullptr, *options);
+  PRIVELET_CHECK(back.ok(), "inverse failed");
+  t.inverse_s = watch.ElapsedSeconds();
+  mechanism::PriveletMechanism mech;
+  mech.set_engine_options(*options);
+  watch.Restart();
+  auto published = mech.Publish(schema, m, /*epsilon=*/1.0, /*seed=*/1);
+  PRIVELET_CHECK(published.ok(), "publish failed");
+  t.publish_s = watch.ElapsedSeconds();
+  *release = std::move(*published);
+  return t;
+}
+
+// Best-of-`reps` wall time per stage; the release of the first rep is
+// returned through `release` for the bitwise comparison.
 Timing Measure(const data::Schema& schema, const matrix::FrequencyMatrix& m,
-               const matrix::EngineOptions& options, int reps,
+               const matrix::EngineOptions* options, int reps,
                matrix::FrequencyMatrix* release) {
   auto transform = wavelet::HnTransform::Create(schema);
   PRIVELET_CHECK(transform.ok(), "transform creation failed");
-  mechanism::PriveletMechanism mech;
-  mech.set_engine_options(options);
-
   Timing best;
   for (int rep = 0; rep < reps; ++rep) {
-    Stopwatch watch;
-    auto coeffs = transform->Forward(m, nullptr, options);
-    PRIVELET_CHECK(coeffs.ok(), "forward failed");
-    const double forward_s = watch.ElapsedSeconds();
-
-    watch.Restart();
-    auto back = transform->Inverse(*coeffs, nullptr, options);
-    PRIVELET_CHECK(back.ok(), "inverse failed");
-    const double inverse_s = watch.ElapsedSeconds();
-
-    watch.Restart();
-    auto published = mech.Publish(schema, m, /*epsilon=*/1.0, /*seed=*/1);
-    PRIVELET_CHECK(published.ok(), "publish failed");
-    const double publish_s = watch.ElapsedSeconds();
-
+    matrix::FrequencyMatrix rep_release;
+    const Timing t = RunOnce(schema, *transform, m, options, &rep_release);
     if (rep == 0) {
-      best = {forward_s, inverse_s, publish_s};
-      if (release != nullptr) *release = std::move(*published);
+      best = t;
+      *release = std::move(rep_release);
     } else {
-      best.forward_s = std::min(best.forward_s, forward_s);
-      best.inverse_s = std::min(best.inverse_s, inverse_s);
-      best.publish_s = std::min(best.publish_s, publish_s);
+      best.forward_s = std::min(best.forward_s, t.forward_s);
+      best.inverse_s = std::min(best.inverse_s, t.inverse_s);
+      best.publish_s = std::min(best.publish_s, t.publish_s);
     }
   }
   return best;
 }
 
-// The smoke tripwire fails only when the default tiled engine loses most
-// of its measured ~2.6x advantage: requiring >= 1/kSmokeMarginFactor
-// speedup separates a genuine layout regression (tiled ~= naive) from
-// shared-runner timing noise on the back-to-back relative measurement.
+// The smoke tripwire fails only when the engine loses most of its
+// measured advantage over the per-line walk: requiring >=
+// 1/kSmokeMarginFactor speedup separates a genuine layout regression
+// (engine ~= per-line) from shared-runner timing noise on the
+// back-to-back relative measurement.
 constexpr double kSmokeMarginFactor = 0.75;
 
 // Same philosophy for the dispatch sweep: the vector kernels measure >= 2x
-// over the forced-scalar tiled baseline on the headline forward+inverse,
-// so the tripwire fires when the best level retains less than ~1.5x —
-// a dispatch regression (kernels silently scalar), not timing noise.
+// over the forced-scalar baseline on the headline forward+inverse, so the
+// tripwire fires when the best level retains less than ~1.5x — a
+// dispatch regression (kernels silently scalar), not timing noise.
 constexpr double kSimdSmokeMarginFactor = 0.65;
 
 int Run(bool smoke) {
   const int reps = smoke ? 3 : 4;
-  const std::vector<std::size_t> tiles = {1, 8, 64, 256};
+  const double tile = static_cast<double>(matrix::kTileLines);
   BenchReport report("tile_sweep");
-  bool tiled_beats_naive = true;
+  bool engine_beats_per_line = true;
   bool simd_beats_scalar = true;
 
   std::vector<SweepCase> cases = MakeCases(smoke);
@@ -132,68 +159,65 @@ int Run(bool smoke) {
     rng::Xoshiro256pp gen(5);
     for (std::size_t i = 0; i < m.size(); ++i) m[i] = gen.NextDouble() * 50.0;
 
-    matrix::FrequencyMatrix naive_release;
-    const Timing naive =
-        Measure(c.schema, m,
-                matrix::MakeEngineOptions(matrix::LineEngine::kNaive), reps,
-                &naive_release);
-    const double naive_total = naive.forward_s + naive.inverse_s;
+    // speedup_vs_naive keeps the key the baseline gate reads; "naive"
+    // is the per-line reference.
+    matrix::FrequencyMatrix reference_release;
+    const Timing per_line =
+        Measure(c.schema, m, nullptr, reps, &reference_release);
+    const double per_line_total = per_line.forward_s + per_line.inverse_s;
     std::printf("%s (m = %zu)\n", c.name.c_str(), m.size());
     std::printf("  %-10s %10s %10s %10s %9s\n", "engine", "fwd ms", "inv ms",
                 "publish ms", "speedup");
-    std::printf("  %-10s %10.2f %10.2f %10.2f %9s\n", "naive",
-                naive.forward_s * 1e3, naive.inverse_s * 1e3,
-                naive.publish_s * 1e3, "1.00x");
+    std::printf("  %-10s %10.2f %10.2f %10.2f %9s\n", "per-line",
+                per_line.forward_s * 1e3, per_line.inverse_s * 1e3,
+                per_line.publish_s * 1e3, "1.00x");
     report.AddRow({{"case_id", static_cast<double>(case_id)},
                    {"tile", 0.0},
-                   {"forward_ms", naive.forward_s * 1e3},
-                   {"inverse_ms", naive.inverse_s * 1e3},
-                   {"publish_ms", naive.publish_s * 1e3},
+                   {"forward_ms", per_line.forward_s * 1e3},
+                   {"inverse_ms", per_line.inverse_s * 1e3},
+                   {"publish_ms", per_line.publish_s * 1e3},
                    {"speedup_vs_naive", 1.0}});
 
-    for (const std::size_t tile : tiles) {
+    {
+      const matrix::EngineOptions options;
       matrix::FrequencyMatrix release;
-      const Timing tiled = Measure(
-          c.schema, m, matrix::MakeEngineOptions(matrix::LineEngine::kTiled, tile),
-          reps, &release);
+      const Timing t = Measure(c.schema, m, &options, reps, &release);
       PRIVELET_CHECK(
-          matrix::ValuesEqual(release.values(), naive_release.values()),
-                     "tiled release differs from the naive reference");
-      const double total = tiled.forward_s + tiled.inverse_s;
-      const double speedup = total > 0.0 ? naive_total / total : 0.0;
-      std::printf("  tile %-5zu %10.2f %10.2f %10.2f %8.2fx\n", tile,
-                  tiled.forward_s * 1e3, tiled.inverse_s * 1e3,
-                  tiled.publish_s * 1e3, speedup);
+          matrix::ValuesEqual(release.values(), reference_release.values()),
+          "release differs from the per-line reference");
+      const double total = t.forward_s + t.inverse_s;
+      const double speedup = total > 0.0 ? per_line_total / total : 0.0;
+      std::printf("  tile %-5zu %10.2f %10.2f %10.2f %8.2fx\n",
+                  matrix::kTileLines, t.forward_s * 1e3, t.inverse_s * 1e3,
+                  t.publish_s * 1e3, speedup);
       report.AddRow({{"case_id", static_cast<double>(case_id)},
-                     {"tile", static_cast<double>(tile)},
-                     {"forward_ms", tiled.forward_s * 1e3},
-                     {"inverse_ms", tiled.inverse_s * 1e3},
-                     {"publish_ms", tiled.publish_s * 1e3},
+                     {"tile", tile},
+                     {"forward_ms", t.forward_s * 1e3},
+                     {"inverse_ms", t.inverse_s * 1e3},
+                     {"publish_ms", t.publish_s * 1e3},
                      {"speedup_vs_naive", speedup}});
-      if (tile == matrix::kDefaultTileLines && case_id == 0 &&
-          total >= kSmokeMarginFactor * naive_total) {
-        tiled_beats_naive = false;
+      if (case_id == 0 && total >= kSmokeMarginFactor * per_line_total) {
+        engine_beats_per_line = false;
       }
     }
 
-    // Dispatch sweep at the default tile: one row per kernel level the
-    // host runs, each forced through EngineOptions::isa. Level 0 is the
-    // honest scalar tiled baseline (the kernel table reproduces the
-    // pre-dispatch blocked loops verbatim); speedup_vs_scalar is the
-    // within-run ratio the compare_bench gate guards. Every level's
-    // publish is checked bitwise against the naive release — the sweep
-    // doubles as a cross-ISA determinism harness.
+    // Dispatch sweep: one row per kernel level the host runs, each forced
+    // through EngineOptions::isa. Level 0 is the honest scalar baseline
+    // (the kernel table reproduces the pre-dispatch blocked loops
+    // verbatim); speedup_vs_scalar is the within-run ratio the
+    // compare_bench gate guards. Every level's publish is checked bitwise
+    // against the reference release — the sweep doubles as a cross-ISA
+    // determinism harness.
     const simd::IsaLevel best_isa = simd::DetectBestIsa();
     double scalar_total = 0.0;
     for (int lvl = 0; lvl <= static_cast<int>(best_isa); ++lvl) {
-      matrix::EngineOptions iso = matrix::MakeEngineOptions(
-          matrix::LineEngine::kTiled, matrix::kDefaultTileLines);
+      matrix::EngineOptions iso;
       iso.isa = static_cast<simd::IsaChoice>(lvl);
       matrix::FrequencyMatrix release;
-      const Timing t = Measure(c.schema, m, iso, reps, &release);
+      const Timing t = Measure(c.schema, m, &iso, reps, &release);
       PRIVELET_CHECK(
-          matrix::ValuesEqual(release.values(), naive_release.values()),
-          "dispatched release differs from the naive reference");
+          matrix::ValuesEqual(release.values(), reference_release.values()),
+          "dispatched release differs from the per-line reference");
       const double total = t.forward_s + t.inverse_s;
       if (lvl == 0) scalar_total = total;
       const double speedup =
@@ -204,7 +228,7 @@ int Run(bool smoke) {
                   isa_name.c_str(), t.forward_s * 1e3, t.inverse_s * 1e3,
                   t.publish_s * 1e3, speedup);
       report.AddRow({{"case_id", static_cast<double>(case_id)},
-                     {"tile", static_cast<double>(matrix::kDefaultTileLines)},
+                     {"tile", tile},
                      {"isa", static_cast<double>(lvl)},
                      {"forward_ms", t.forward_s * 1e3},
                      {"inverse_ms", t.inverse_s * 1e3},
@@ -219,24 +243,24 @@ int Run(bool smoke) {
   }
 
 #ifdef NDEBUG
-  if (smoke && !tiled_beats_naive) {
+  if (smoke && !engine_beats_per_line) {
     std::fprintf(stderr,
-                 "FAIL: tiled engine (tile %zu) did not beat the naive "
-                 "per-line path on %s\n",
-                 matrix::kDefaultTileLines, cases[0].name.c_str());
+                 "FAIL: line engine did not beat the per-line reference on "
+                 "%s\n",
+                 cases[0].name.c_str());
     return 1;
   }
   if (smoke && !simd_beats_scalar) {
     std::fprintf(stderr,
                  "FAIL: best dispatch level (%s) did not beat the forced "
-                 "scalar tiled baseline on %s\n",
+                 "scalar baseline on %s\n",
                  std::string(simd::IsaLevelName(simd::DetectBestIsa()))
                      .c_str(),
                  cases[0].name.c_str());
     return 1;
   }
 #else
-  (void)tiled_beats_naive;
+  (void)engine_beats_per_line;
   (void)simd_beats_scalar;
 #endif
   return 0;

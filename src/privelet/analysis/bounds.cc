@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "privelet/common/math_util.h"
+#include "privelet/mechanism/mechanism.h"
 
 namespace privelet::analysis {
 
@@ -25,9 +26,7 @@ double HFactor(const data::Attribute& attribute) {
 Result<double> PriveletPlusVarianceBound(
     const data::Schema& schema, const std::vector<std::string>& sa_names,
     double epsilon) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(mechanism::CheckEpsilon(epsilon));
   std::vector<bool> in_sa(schema.num_attributes(), false);
   for (const std::string& name : sa_names) {
     PRIVELET_ASSIGN_OR_RETURN(std::size_t axis, schema.FindAttribute(name));

@@ -6,6 +6,7 @@
 
 #include "privelet/analysis/workload_planner.h"
 #include "privelet/common/math_util.h"
+#include "privelet/mechanism/mechanism.h"
 
 namespace privelet::analysis {
 
@@ -13,9 +14,7 @@ namespace {
 
 Status CheckPlanningArgs(const data::Schema& schema, double epsilon,
                          const query::RangeQuery& query) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(mechanism::CheckEpsilon(epsilon));
   if (query.num_attributes() != schema.num_attributes()) {
     return Status::InvalidArgument(
         "query arity does not match the schema");
@@ -197,9 +196,7 @@ query::PlanRecord MechanismPlan::ToRecord() const {
 Result<MechanismPlan> PlanMechanismForWorkload(
     const data::Schema& schema, const std::vector<query::RangeQuery>& workload,
     double epsilon) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(mechanism::CheckEpsilon(epsilon));
   if (workload.empty()) {
     return Status::InvalidArgument("planning workload must be non-empty");
   }

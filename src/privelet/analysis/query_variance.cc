@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "privelet/mechanism/mechanism.h"
+
 namespace privelet::analysis {
 
 Result<double> ExactQueryNoiseVariance(const wavelet::HnTransform& transform,
@@ -35,9 +37,7 @@ Result<double> ExactQueryNoiseVariance(const wavelet::HnTransform& transform,
 Result<double> PriveletPlusQueryVariance(
     const data::Schema& schema, const std::vector<std::string>& sa_names,
     double epsilon, const query::RangeQuery& query) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(mechanism::CheckEpsilon(epsilon));
   std::vector<std::size_t> sa_axes;
   for (const std::string& name : sa_names) {
     PRIVELET_ASSIGN_OR_RETURN(std::size_t axis, schema.FindAttribute(name));

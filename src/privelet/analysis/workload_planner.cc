@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "privelet/analysis/query_variance.h"
+#include "privelet/mechanism/mechanism.h"
 #include "privelet/wavelet/hn_transform.h"
 
 namespace privelet::analysis {
@@ -10,9 +11,7 @@ namespace privelet::analysis {
 Result<std::vector<SaPlan>> EvaluateAllSaSubsets(
     const data::Schema& schema, const std::vector<query::RangeQuery>& workload,
     double epsilon) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(mechanism::CheckEpsilon(epsilon));
   if (workload.empty()) {
     return Status::InvalidArgument("planning workload must be non-empty");
   }

@@ -1,20 +1,16 @@
 // Engine options for the layout-aware line traversal shared by the matrix,
 // wavelet, mechanism, and query layers. Every multi-dimensional pass in the
 // library (HN transform axes, prefix-sum axes) is a sweep of independent
-// 1-D lines; the *engine* decides how those lines are walked:
+// 1-D lines, walked in panels of kTileLines adjacent lines: non-contiguous
+// axes are block-transposed into contiguous scratch (matrix::TileBuffer),
+// transformed with the batched Transform1D kernels, and scattered back, so
+// strided per-element access becomes contiguous run copies and the passes
+// stream through memory instead of thrashing the cache.
 //
-//   kTiled — panels of `tile_lines` adjacent lines are block-transposed
-//     into contiguous scratch (matrix::TileBuffer), transformed with the
-//     batched Transform1D kernels, and scattered back. Strided per-element
-//     access becomes contiguous run copies, so non-last-axis passes stream
-//     through memory instead of thrashing the cache.
-//   kNaive — the per-line reference implementation (gather one line,
-//     transform, scatter). Kept alive so determinism tests can assert
-//     bit-identical output between the engines.
-//
-// Both engines perform identical floating-point arithmetic per line, so
-// for any fixed seed the published matrices are bit-identical across
-// engines, tile sizes, and thread counts.
+// Each line undergoes the same floating-point operations as a per-line
+// gather → transform → scatter walk (tests/reference/per_line_engine.h),
+// so for any fixed seed the published matrices are bit-identical across
+// thread counts, ISA levels, and memory budgets.
 #ifndef PRIVELET_MATRIX_ENGINE_H_
 #define PRIVELET_MATRIX_ENGINE_H_
 
@@ -25,21 +21,12 @@
 
 namespace privelet::matrix {
 
-enum class LineEngine {
-  kTiled,
-  kNaive,
-};
-
-/// Default panel width B: 64 lines keeps gather/scatter run copies at one
-/// or more full cache lines for every axis stride >= 64 while the panel of
-/// a 1024-wide axis still fits in L2.
-inline constexpr std::size_t kDefaultTileLines = 64;
+/// Panel width B: 64 lines keeps gather/scatter run copies at one or more
+/// full cache lines for every axis stride >= 64 while the panel of a
+/// 1024-wide axis still fits in L2.
+inline constexpr std::size_t kTileLines = 64;
 
 struct EngineOptions {
-  LineEngine engine = LineEngine::kTiled;
-  /// Lines per panel (B) for the tiled engine; values < 1 are treated as 1.
-  /// Purely a performance knob: results are bit-identical for every value.
-  std::size_t tile_lines = kDefaultTileLines;
   /// Out-of-core publish budget in bytes. 0 (the default) keeps every
   /// intermediate in owned vectors (the in-core engine). When > 0, publish
   /// intermediates (transform scratch, prefix-sum accumulators) live in
@@ -54,23 +41,12 @@ struct EngineOptions {
   std::string scratch_dir;
   /// Kernel instruction-set level for the hot loops (see simd/dispatch.h).
   /// kAuto defers to the PRIVELET_ISA environment variable, else the best
-  /// level the host supports; every level is bit-identical, so this —
-  /// like the engine and tile size — is purely a performance knob.
+  /// level the host supports; every level is bit-identical, so this is
+  /// purely a performance knob.
   simd::IsaChoice isa = simd::IsaChoice::kAuto;
 
   bool out_of_core() const { return max_memory_bytes > 0; }
 };
-
-/// Convenience factory for the common "engine + tile size" configuration
-/// (partial aggregate init would trip -Wmissing-field-initializers now
-/// that EngineOptions carries the out-of-core knobs too).
-inline EngineOptions MakeEngineOptions(
-    LineEngine engine, std::size_t tile_lines = kDefaultTileLines) {
-  EngineOptions options;
-  options.engine = engine;
-  options.tile_lines = tile_lines;
-  return options;
-}
 
 }  // namespace privelet::matrix
 

@@ -58,14 +58,10 @@ class PrefixSumTable {
   /// Builds the table in O(m) per axis. A non-null `pool` fans each axis
   /// pass's independent lines across its workers; each line is a serial
   /// accumulation over disjoint elements, so the table is bit-identical
-  /// for every pool size, engine, tile size and ISA level. The pool is
-  /// only used during construction.
-  ///
-  /// `options` selects the line engine for the non-last axes: the tiled
-  /// engine (default) walks a panel of adjacent lines at a time so the
-  /// inner accumulation runs unit-stride over the panel (in place — the
-  /// running sum needs no transpose); the naive engine is the per-line
-  /// reference path.
+  /// for every pool size and ISA level. The pool is only used during
+  /// construction. The non-last axes are walked a panel of adjacent lines
+  /// at a time so the inner accumulation runs unit-stride over the panel
+  /// (in place — the running sum needs no transpose).
   explicit PrefixSumTable(const FrequencyMatrix& source,
                           common::ThreadPool* pool = nullptr,
                           const EngineOptions& options = {})
@@ -302,33 +298,8 @@ class PrefixSumTable {
     const simd::KernelTable& kernels =
         simd::Kernels(simd::ResolveIsa(options.isa));
     for (std::size_t axis = 0; axis + 1 < dims_.size(); ++axis) {
-      const std::size_t stride_a = strides_[axis];
-      const std::size_t axis_dim = dims_[axis];
-      const std::size_t lines = source.size() / axis_dim;
-      if (options.engine == LineEngine::kTiled) {
-        BuildAxisTiled(slots, axis_dim, stride_a, lines,
-                       std::max<std::size_t>(1, options.tile_lines), pool,
-                       kernels, governor);
-        continue;
-      }
-      // Per-line reference path. A strided line faults the whole page
-      // under every entry — axis_dim pages before the line ends — so the
-      // walk charges the governor per step, not per line (see
-      // common::PageTouchedBytes).
-      const std::size_t step_touched =
-          common::PageTouchedBytes(1, stride_a, 1, sizeof(Accum));
-      common::ParallelFor(
-          pool, lines, /*grain=*/0, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t line = begin; line < end; ++line) {
-              const std::size_t base =
-                  (line / stride_a) * (stride_a * axis_dim) +
-                  (line % stride_a);
-              for (std::size_t k = 1; k < axis_dim; ++k) {
-                slots[base + k * stride_a] += slots[base + (k - 1) * stride_a];
-                governor.OnBytesProcessed(step_touched);
-              }
-            }
-          });
+      BuildAxis(slots, dims_[axis], strides_[axis],
+                source.size() / dims_[axis], pool, kernels, governor);
     }
   }
 
@@ -345,16 +316,16 @@ class PrefixSumTable {
     return run;
   }
 
-  /// Tiled running-sum pass along one axis: panels of up to `tile`
-  /// adjacent lines advance through the axis together, so each step
-  /// accumulates a contiguous run of elements into the contiguous run one
-  /// axis-stride later. Per line the additions match the per-line path
-  /// exactly (same operands, same order), hence bit-identical tables.
-  void BuildAxisTiled(Accum* slots, std::size_t axis_dim, std::size_t stride,
-                      std::size_t lines, std::size_t tile,
-                      common::ThreadPool* pool,
-                      const simd::KernelTable& kernels,
-                      common::ResidencyGovernor& governor) {
+  /// Running-sum pass along one axis: panels of up to kTileLines adjacent
+  /// lines advance through the axis together, so each step accumulates a
+  /// contiguous run of elements into the contiguous run one axis-stride
+  /// later. Per line the additions are those of a per-line walk (same
+  /// operands, same order), hence bit-identical tables.
+  void BuildAxis(Accum* slots, std::size_t axis_dim, std::size_t stride,
+                 std::size_t lines, common::ThreadPool* pool,
+                 const simd::KernelTable& kernels,
+                 common::ResidencyGovernor& governor) {
+    constexpr std::size_t tile = kTileLines;
     const std::size_t panels = (lines + tile - 1) / tile;
     common::ParallelFor(
         pool, panels, /*grain=*/0, [&](std::size_t pb, std::size_t pe) {

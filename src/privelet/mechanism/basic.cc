@@ -1,5 +1,6 @@
 #include "privelet/mechanism/basic.h"
 
+#include <cmath>
 #include <span>
 
 #include "privelet/mechanism/noise.h"
@@ -7,11 +8,16 @@
 
 namespace privelet::mechanism {
 
+Status CheckEpsilon(double epsilon) {
+  if (!(std::isfinite(epsilon) && epsilon > 0.0)) {
+    return Status::InvalidArgument("epsilon must be a finite value > 0");
+  }
+  return Status::OK();
+}
+
 Status CheckPublishArgs(const data::Schema& schema,
                         const matrix::FrequencyMatrix& m, double epsilon) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   if (m.dims() != schema.DomainSizes()) {
     return Status::InvalidArgument(
         "frequency matrix dims do not match the schema");
@@ -34,9 +40,7 @@ Result<matrix::FrequencyMatrix> BasicMechanism::Publish(
 
 Result<double> BasicMechanism::NoiseVarianceBound(const data::Schema& schema,
                                                   double epsilon) const {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   const double m = static_cast<double>(schema.TotalDomainSize());
   return 8.0 * m / (epsilon * epsilon);
 }

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "privelet/common/check.h"
+#include "privelet/mechanism/mechanism.h"
 #include "privelet/rng/distributions.h"
 #include "privelet/rng/splitmix64.h"
 #include "privelet/rng/xoshiro256pp.h"
@@ -58,9 +59,7 @@ FourierMarginalMechanism::FourierMarginalMechanism(
 Result<std::vector<Marginal>> FourierMarginalMechanism::Publish(
     const matrix::FrequencyMatrix& m, double epsilon,
     std::uint64_t seed) const {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   const std::size_t d = m.num_dims();
   for (std::size_t axis = 0; axis < d; ++axis) {
     if (m.dim(axis) != 2) {
@@ -154,9 +153,7 @@ Result<std::vector<Marginal>> FourierMarginalMechanism::Publish(
 
 Result<double> FourierMarginalMechanism::MarginalEntryVarianceBound(
     std::size_t num_dims, std::size_t marginal_arity, double epsilon) const {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   if (marginal_arity > num_dims) {
     return Status::InvalidArgument("marginal arity exceeds dimensionality");
   }

@@ -89,9 +89,7 @@ Result<matrix::FrequencyMatrix> HayHierarchicalMechanism::Publish(
 
 Result<double> HayHierarchicalMechanism::NoiseVarianceBound(
     const data::Schema& schema, double epsilon) const {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   PRIVELET_RETURN_IF_ERROR(CheckOneDimensionalOrdinal(schema));
   const std::size_t padded = NextPowerOfTwo(schema.TotalDomainSize());
   const double h = static_cast<double>(FloorLog2(padded) + 1);

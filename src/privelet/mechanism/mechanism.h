@@ -40,11 +40,10 @@ class Mechanism {
   void set_thread_pool(common::ThreadPool* pool) { thread_pool_ = pool; }
   common::ThreadPool* thread_pool() const { return thread_pool_; }
 
-  /// Line-engine selection for the transform/prefix passes inside Publish
+  /// Memory budget and kernel ISA level for the passes inside Publish
   /// (see matrix/engine.h). Like the thread pool, purely a performance
-  /// knob: for a given seed the published matrix is bit-identical across
-  /// engines and tile sizes. Mechanisms without multi-dimensional line
-  /// passes (Basic's flat noise sweep, Hay's 1-D tree) ignore it.
+  /// knob: for a given seed the published matrix is bit-identical for
+  /// every value. Basic and Hay read only the ISA level.
   void set_engine_options(const matrix::EngineOptions& options) {
     engine_options_ = options;
   }
@@ -54,7 +53,7 @@ class Mechanism {
 
   /// Publishes a noisy version of `m` (dims must equal the schema's domain
   /// sizes) satisfying `epsilon`-differential privacy. Deterministic in
-  /// `seed`. epsilon must be > 0.
+  /// `seed`. epsilon must pass CheckEpsilon.
   virtual Result<matrix::FrequencyMatrix> Publish(
       const data::Schema& schema, const matrix::FrequencyMatrix& m,
       double epsilon, std::uint64_t seed) const = 0;
@@ -69,6 +68,11 @@ class Mechanism {
   common::ThreadPool* thread_pool_ = nullptr;
   matrix::EngineOptions engine_options_;
 };
+
+/// InvalidArgument unless `epsilon` is finite and > 0: an infinite budget
+/// would publish the exact counts, and NaN a release of NaNs. Shared by
+/// every mechanism and planner entry point that takes a budget.
+Status CheckEpsilon(double epsilon);
 
 /// Validates the common Publish preconditions; shared by implementations.
 Status CheckPublishArgs(const data::Schema& schema,

@@ -1,8 +1,6 @@
 #include "privelet/mechanism/privelet_mechanism.h"
 
-#include "privelet/common/residency.h"
 #include "privelet/mechanism/noise.h"
-#include "privelet/rng/distributions.h"
 #include "privelet/rng/splitmix64.h"
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/simd/kernels.h"
@@ -36,9 +34,7 @@ Result<std::vector<std::size_t>> PriveletPlusMechanism::ResolveSa(
 
 Result<double> PriveletPlusMechanism::LaplaceMagnitude(
     const data::Schema& schema, double epsilon) const {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   PRIVELET_ASSIGN_OR_RETURN(std::vector<std::size_t> sa, ResolveSa(schema));
   PRIVELET_ASSIGN_OR_RETURN(wavelet::HnTransform transform,
                             wavelet::HnTransform::Create(schema, sa));
@@ -69,34 +65,12 @@ Result<matrix::FrequencyMatrix> PriveletPlusMechanism::Publish(
   // reconstruct the noisy frequency matrix. The draw at a coefficient
   // depends only on (seed, flat index) — fixed kNoiseShardSize-wide shards
   // on per-shard jump streams, see mechanism/noise.h — so the release is
-  // bit-identical whatever the pool, engine, or tile size.
-  const std::span<double> values = coefficients.coeffs.values();
-
-  if (options.engine == matrix::LineEngine::kNaive) {
-    // Reference path: a separate full-matrix noise sweep before Inverse.
-    // The sweep walks the (possibly scratch-backed) coefficient matrix
-    // once in flat order, so release-behind pacing applies here too.
-    common::ResidencyGovernor governor(
-        options.max_memory_bytes,
-        [&coefficients] { coefficients.coeffs.ReleaseResidency(); });
-    ForEachNoiseShard(
-        values.size(), noise_seed, pool,
-        [&](std::size_t begin, std::size_t end, rng::Xoshiro256pp& gen) {
-          coefficients.ForEachCoefficientInRange(
-              begin, end, [&](std::size_t flat, double weight) {
-                values[flat] += rng::SampleLaplace(gen, lambda / weight);
-              });
-          governor.OnBytesProcessed((end - begin) * sizeof(double));
-        });
-    return transform.Inverse(coefficients, pool, options);
-  }
-
-  // Tiled engine: fuse the injection into the first Inverse axis pass —
-  // each worker perturbs its coefficient panels while they are cache-hot,
-  // drawing through a cursor that reproduces the sharded stream scheme
-  // index-for-index.
-  const std::vector<rng::Xoshiro256pp> streams =
-      rng::MakeJumpStreams(noise_seed, NumNoiseShards(values.size()));
+  // bit-identical whatever the pool. The injection is fused into the
+  // first Inverse axis pass: each worker perturbs its coefficient panels
+  // while they are cache-hot, drawing through a cursor that reproduces
+  // the sharded stream scheme index-for-index.
+  const std::vector<rng::Xoshiro256pp> streams = rng::MakeJumpStreams(
+      noise_seed, NumNoiseShards(coefficients.coeffs.size()));
   const simd::KernelTable& kernels =
       simd::Kernels(simd::ResolveIsa(options.isa));
   const wavelet::PanelNoiseFactory noise_factory = [&]() {
@@ -122,9 +96,7 @@ Result<matrix::FrequencyMatrix> PriveletPlusMechanism::Publish(
 
 Result<double> PriveletPlusMechanism::NoiseVarianceBound(
     const data::Schema& schema, double epsilon) const {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVELET_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   PRIVELET_ASSIGN_OR_RETURN(std::vector<std::size_t> sa, ResolveSa(schema));
   PRIVELET_ASSIGN_OR_RETURN(wavelet::HnTransform transform,
                             wavelet::HnTransform::Create(schema, sa));

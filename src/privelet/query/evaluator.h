@@ -31,8 +31,9 @@ namespace privelet::query {
 class QueryEvaluator {
  public:
   /// `pool` (optional) parallelizes the prefix-sum build and `options`
-  /// selects its line engine (matrix/engine.h); neither is retained after
-  /// construction. The matrix dims must match the schema's domain sizes.
+  /// sets its memory budget and ISA level (matrix/engine.h); neither is
+  /// retained after construction. The matrix dims must match the schema's
+  /// domain sizes.
   QueryEvaluator(const data::Schema& schema, const matrix::FrequencyMatrix& m,
                  common::ThreadPool* pool = nullptr,
                  const matrix::EngineOptions& options = {});

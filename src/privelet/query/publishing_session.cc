@@ -8,14 +8,12 @@ PublishingSession::PublishingSession(
     std::shared_ptr<const data::Schema> schema,
     std::shared_ptr<const matrix::FrequencyMatrix> published,
     std::shared_ptr<const QueryEvaluator> evaluator, ReleaseMetadata metadata,
-    common::ThreadPool* pool, const matrix::EngineOptions& options,
-    std::shared_ptr<const void> mapping)
+    common::ThreadPool* pool, std::shared_ptr<const void> mapping)
     : schema_(std::move(schema)),
       published_(std::move(published)),
       mapping_(std::move(mapping)),
       evaluator_(std::move(evaluator)),
       metadata_(std::move(metadata)),
-      options_(options),
       pool_(pool) {}
 
 PublishingSession PublishingSession::BuildOwned(
@@ -32,8 +30,7 @@ PublishingSession PublishingSession::BuildOwned(
                        : std::make_shared<const QueryEvaluator>(
                              *schema_ptr, *matrix_ptr, pool, options);
   return PublishingSession(std::move(schema_ptr), std::move(matrix_ptr),
-                           std::move(evaluator), std::move(metadata), pool,
-                           options);
+                           std::move(evaluator), std::move(metadata), pool);
 }
 
 Result<PublishingSession> PublishingSession::Publish(

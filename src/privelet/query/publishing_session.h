@@ -77,9 +77,10 @@ class PublishingSession {
   /// `pool` is used for batched answering and the prefix-sum build (and is
   /// handed to nothing else — configure parallel publishing on the
   /// mechanism via set_thread_pool). Not owned; may be nullptr (serial
-  /// serving) and must outlive the session otherwise. `options` selects
-  /// the line engine of the prefix-sum build (matrix/engine.h); the
-  /// mechanism's own engine is configured via set_engine_options.
+  /// serving) and must outlive the session otherwise. `options` carries
+  /// the prefix-sum build's memory budget and ISA level
+  /// (matrix/engine.h); the mechanism's own are set via
+  /// set_engine_options.
   static Result<PublishingSession> Publish(
       const data::Schema& schema, const mechanism::Mechanism& mech,
       const matrix::FrequencyMatrix& m, double epsilon, std::uint64_t seed,
@@ -106,9 +107,9 @@ class PublishingSession {
 
   /// Rebuilds a serving session from a decoded release snapshot, reusing
   /// the snapshot's prefix table when present and rebuilding it (with
-  /// `pool`, under the snapshot's engine options) otherwise. Answers are
-  /// bit-identical either way. Implemented in storage/session_io.cc —
-  /// the storage layer sits above query in the dependency order.
+  /// `pool`) otherwise. Answers are bit-identical either way. Implemented
+  /// in storage/session_io.cc — the storage layer sits above query in the
+  /// dependency order.
   static Result<PublishingSession> FromSnapshot(
       storage::ReleaseSnapshot snapshot, common::ThreadPool* pool = nullptr);
 
@@ -150,10 +151,6 @@ class PublishingSession {
   /// the snapshot (PVLS v3) round-trips it.
   void set_plan(PlanRecord plan) { metadata_.plan = std::move(plan); }
 
-  /// Engine options this session was built with (serving-side prefix-sum
-  /// build and AnswerAll; persisted in snapshots).
-  const matrix::EngineOptions& engine_options() const { return options_; }
-
   /// The serving prefix-sum table (what snapshots persist). For mapped
   /// sessions this is a non-owning view into the snapshot file.
   const matrix::PrefixSumTable<double>& prefix_table() const {
@@ -182,7 +179,6 @@ class PublishingSession {
                     std::shared_ptr<const matrix::FrequencyMatrix> published,
                     std::shared_ptr<const QueryEvaluator> evaluator,
                     ReleaseMetadata metadata, common::ThreadPool* pool,
-                    const matrix::EngineOptions& options,
                     std::shared_ptr<const void> mapping = nullptr);
 
   /// Shared assembly behind every matrix-owning factory: heap-holds the
@@ -207,7 +203,6 @@ class PublishingSession {
   std::shared_ptr<const void> mapping_;
   std::shared_ptr<const QueryEvaluator> evaluator_;
   ReleaseMetadata metadata_;
-  matrix::EngineOptions options_;
   common::ThreadPool* pool_;
 };
 

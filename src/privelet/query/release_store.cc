@@ -28,18 +28,37 @@ Status ReleaseStore::Rebind(std::string id, std::string path) {
   if (id.empty()) {
     return Status::InvalidArgument("release id must be non-empty");
   }
+  {
+    // Let go of the resident session before the new file maps in, so the
+    // two releases are not resident at once (in-flight borrowers keep
+    // theirs).
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(id);
+    if (it != entries_.end() && it->second.session != nullptr) {
+      it->second.session.reset();
+      ++stats_.evictions;
+    }
+  }
+  // Open the new file before touching the binding: a path that does not
+  // load leaves the id's path and generation as they were, so the next
+  // Acquire reloads the release it was serving.
+  PRIVELET_ASSIGN_OR_RETURN(PublishingSession opened,
+                            storage::OpenServingSession(path, options_.pool));
+  auto session = std::make_shared<const PublishingSession>(std::move(opened));
   std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.loads;
   Entry& entry = entries_[std::move(id)];
   entry.path = std::move(path);
   ++entry.generation;
-  if (entry.session != nullptr) {
-    entry.session.reset();
-    ++stats_.evictions;
-  }
+  // An Acquire racing the load may have reinstalled the old release.
+  if (entry.session != nullptr) ++stats_.evictions;
+  entry.session = std::move(session);
+  entry.last_used = ++tick_;
   // Detach any in-flight load of the old path: its waiters still get the
   // old session, but the loader will see the generation change and not
-  // install it; the next Acquire starts a fresh load of the new path.
+  // install it over the new one.
   entry.inflight.reset();
+  EnforceBoundLocked(&entry);
   return Status::OK();
 }
 

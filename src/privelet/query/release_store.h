@@ -67,9 +67,12 @@ class ReleaseStore {
   /// Points `id` at `path`, registering it if unknown — the hot-swap
   /// behind the daemon's RELOAD verb. Any resident session for `id` is
   /// dropped (borrowed shared_ptrs stay valid; in-flight borrowers finish
-  /// on the old release) and the next Acquire loads the new file. A load
-  /// of the old path still in flight when Rebind runs is discarded on
-  /// completion instead of being installed.
+  /// on the old release) and the new file is loaded. If it fails to load,
+  /// the error is returned and the binding's path and generation are left
+  /// as they were, so the next Acquire reloads the current release. On
+  /// success the new session is resident, and a load of the old path
+  /// still in flight is discarded on completion instead of being
+  /// installed.
   Status Rebind(std::string id, std::string path);
 
   /// All registered ids, sorted.

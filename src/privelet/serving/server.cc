@@ -919,10 +919,10 @@ Result<std::vector<double>> Server::AnswerSpecQueries(
 
 Result<std::string> Server::DoReload(EventLoop& loop, const std::string& id,
                                      const std::string& path) {
+  // Rebind loads the new file before it swaps the binding, so a bad path
+  // is the RELOAD's error and the id keeps serving its current release;
+  // in-flight borrowers of the old session are untouched either way.
   PRIVELET_RETURN_IF_ERROR(store_->Rebind(id, path));
-  // Load eagerly so a bad path is the RELOAD's error, not the next
-  // query's; in-flight borrowers of the old session are untouched.
-  PRIVELET_RETURN_IF_ERROR(store_->Acquire(id).status());
   loop.counters.reloads.fetch_add(1, std::memory_order_relaxed);
   return "reloaded " + id;
 }

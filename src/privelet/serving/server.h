@@ -41,7 +41,8 @@
 // and returns. Hot swap: the RELOAD verb rebinds a release id through
 // ReleaseStore::Rebind — in-flight borrowers on any loop keep their
 // session, later requests see the new file (and every loop's answer
-// cache for the id dies on the generation bump).
+// cache for the id dies on the generation bump). A RELOAD whose file
+// does not load fails and leaves the id serving its current release.
 //
 // All public methods other than Shutdown() must be called from one thread
 // (Start, then Run; accessors after Start). stats() is thread-safe.

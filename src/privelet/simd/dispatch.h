@@ -7,7 +7,7 @@
 //
 // Determinism contract (docs/DETERMINISM.md, "ISA levels"): every level's
 // kernels reproduce the scalar fold bit-for-bit, so the level — like the
-// engine, tile size, and thread count — is purely a performance knob.
+// thread count and memory budget — is purely a performance knob.
 // Selection order:
 //   1. EngineOptions::isa when not kAuto (clamped to what the host runs);
 //   2. the PRIVELET_ISA environment variable ("scalar", "avx2",

@@ -20,7 +20,6 @@ storage::ReleaseSnapshot PublishingSession::ToSnapshot() const {
   snapshot.mechanism = metadata_.mechanism;
   snapshot.epsilon = metadata_.epsilon;
   snapshot.seed = metadata_.seed;
-  snapshot.engine_options = options_;
   snapshot.published = published();
   snapshot.prefix = prefix_table();
   snapshot.plan = metadata_.plan;
@@ -34,19 +33,18 @@ Result<PublishingSession> PublishingSession::FromSnapshot(
                            std::move(snapshot.plan)};
   if (snapshot.prefix.has_value()) {
     return FromParts(snapshot.schema, std::move(snapshot.published),
-                     std::move(*snapshot.prefix), std::move(metadata), pool,
-                     snapshot.engine_options);
+                     std::move(*snapshot.prefix), std::move(metadata), pool);
   }
   // No adoptable table in the snapshot: rebuild it from the matrix. The
-  // build is bit-deterministic across pools, engines, and tile sizes, so
-  // the session still answers exactly like the one that was saved.
+  // build is bit-deterministic across pools and ISA levels, so the
+  // session still answers exactly like the one that was saved.
   if (snapshot.published.dims() != snapshot.schema.DomainSizes()) {
     return Status::InvalidArgument(
         "published matrix dims do not match the schema");
   }
   return BuildOwned(std::move(snapshot.schema), std::move(snapshot.published),
                     std::nullopt, std::move(metadata), pool,
-                    snapshot.engine_options);
+                    matrix::EngineOptions{});
 }
 
 Result<PublishingSession> PublishingSession::FromMapped(
@@ -69,14 +67,12 @@ Result<PublishingSession> PublishingSession::FromMapped(
           ? matrix::PrefixSumTable<double>::View(mapped->dims(),
                                                  mapped->prefix_table())
           : matrix::PrefixSumTable<double>(mapped->dims(),
-                                           mapped->matrix_values(), pool,
-                                           mapped->engine_options());
+                                           mapped->matrix_values(), pool);
   auto evaluator =
       std::make_shared<const QueryEvaluator>(*schema, std::move(table));
-  const matrix::EngineOptions options = mapped->engine_options();
   return PublishingSession(std::move(schema), /*published=*/nullptr,
                            std::move(evaluator), std::move(metadata), pool,
-                           options, std::move(mapped));
+                           std::move(mapped));
 }
 
 }  // namespace privelet::query
@@ -95,7 +91,6 @@ Status SaveSession(const std::string& path,
   view.mechanism = session.metadata().mechanism;
   view.epsilon = session.metadata().epsilon;
   view.seed = session.metadata().seed;
-  view.engine_options = session.engine_options();
   view.published = &session.published();
   view.prefix = &session.prefix_table();
   const std::optional<query::PlanRecord>& plan = session.metadata().plan;
@@ -138,7 +133,6 @@ Result<query::PublishingSession> PublishToFile(
   header.mechanism = mech.name();
   header.epsilon = epsilon;
   header.seed = seed;
-  header.engine_options = options;
   header.plan = plan;
   PRIVELET_RETURN_IF_ERROR(writer.Begin(path, header));
   constexpr std::size_t kStreamChunkCells = std::size_t{1} << 16;

@@ -22,11 +22,11 @@
 
 namespace privelet::storage {
 
-/// Writes `session`'s release — schema, provenance metadata, engine
-/// options, noisy matrix, prefix-sum table — to `path` as a PVLS
-/// snapshot, streaming from the session's own storage. The session must
-/// materialize its matrix (has_published()); a mapped session *is* its
-/// snapshot file already and is rejected with InvalidArgument.
+/// Writes `session`'s release — schema, provenance metadata, noisy
+/// matrix, prefix-sum table — to `path` as a PVLS snapshot, streaming
+/// from the session's own storage. The session must materialize its
+/// matrix (has_published()); a mapped session *is* its snapshot file
+/// already and is rejected with InvalidArgument.
 Status SaveSession(const std::string& path,
                    const query::PublishingSession& session);
 
@@ -60,8 +60,8 @@ Result<query::PublishingSession> PublishToFile(
 /// Loads a snapshot (v1 or v2) by copy and wraps it as a serving session.
 /// When the file carries an adoptable prefix table this is an O(file
 /// size) read with no O(m) compute; otherwise the table is rebuilt on
-/// `pool` under the snapshot's engine options. Either way the loaded
-/// session answers bit-identically to the one that was saved.
+/// `pool`. Either way the loaded session answers bit-identically to the
+/// one that was saved.
 Result<query::PublishingSession> LoadSession(const std::string& path,
                                              common::ThreadPool* pool = nullptr);
 

@@ -487,27 +487,21 @@ Result<data::Schema> ReadSchema(Reader& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine options.
+// Reserved header fields (formerly the line engine and its panel width).
 
-void WriteEngineOptions(SnapshotWriter& w, const matrix::EngineOptions& o) {
-  w.WritePod(static_cast<std::uint8_t>(
-      o.engine == matrix::LineEngine::kNaive ? 1 : 0));
-  w.WritePod(static_cast<std::uint64_t>(o.tile_lines));
+void WriteReservedFields(SnapshotWriter& w) {
+  w.WritePod(std::uint8_t{0});
+  w.WritePod(std::uint64_t{64});
 }
 
 template <typename Reader>
-Result<matrix::EngineOptions> ReadEngineOptions(Reader& r) {
+Status SkipReservedFields(Reader& r) {
   std::uint8_t engine = 0;
-  std::uint64_t tile_lines = 0;
+  std::uint64_t panel_width = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&engine, "line engine"));
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&tile_lines, "tile lines"));
+  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&panel_width, "panel width"));
   if (engine > 1) return r.Corrupt("unknown line engine");
-  matrix::EngineOptions options;
-  options.engine =
-      engine == 1 ? matrix::LineEngine::kNaive : matrix::LineEngine::kTiled;
-  options.tile_lines =
-      std::max<std::size_t>(1, static_cast<std::size_t>(tile_lines));
-  return options;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -568,7 +562,6 @@ struct HeaderFields {
   double epsilon = 0.0;
   std::uint64_t seed = 0;
   std::optional<query::PlanRecord> plan;
-  matrix::EngineOptions options;
   data::Schema schema;
   std::vector<std::size_t> dims;
   std::size_t cells = 0;
@@ -608,7 +601,7 @@ Status ParseHeaderFields(Reader& r, HeaderFields* out) {
         r.ReadPod(&plan.workload_queries, "plan workload size"));
     out->plan = std::move(plan);
   }
-  PRIVELET_ASSIGN_OR_RETURN(out->options, ReadEngineOptions(r));
+  PRIVELET_RETURN_IF_ERROR(SkipReservedFields(r));
   PRIVELET_ASSIGN_OR_RETURN(out->schema, ReadSchema(r));
   PRIVELET_ASSIGN_OR_RETURN(out->dims, ReadDims(r, out->schema));
   // Overflow-checked by ReadDims (and bounded by the file size).
@@ -716,7 +709,6 @@ Status ParseSnapshot(const std::string& path, ReleaseSnapshot* snapshot,
     snapshot->mechanism = std::move(h.mechanism);
     snapshot->epsilon = h.epsilon;
     snapshot->seed = h.seed;
-    snapshot->engine_options = h.options;
     snapshot->published = std::move(published);
     snapshot->prefix = std::move(prefix);
     snapshot->plan = std::move(h.plan);
@@ -727,7 +719,6 @@ Status ParseSnapshot(const std::string& path, ReleaseSnapshot* snapshot,
     info->mechanism = std::move(h.mechanism);
     info->epsilon = h.epsilon;
     info->seed = h.seed;
-    info->engine_options = h.options;
     info->dims = std::move(h.dims);
     info->num_cells = cells;
     info->has_prefix_table = has_table == 1;
@@ -823,7 +814,7 @@ Status SnapshotStreamWriter::Begin(const std::string& path,
     w.WritePod(header.plan->runner_up_variance);
     w.WritePod(header.plan->workload_queries);
   }
-  WriteEngineOptions(w, header.engine_options);
+  WriteReservedFields(w);
   WriteSchema(w, *header.schema);
   w.WritePod(static_cast<std::uint32_t>(dims.size()));
   for (const std::size_t d : dims) {
@@ -938,7 +929,6 @@ Status WriteSnapshot(const std::string& path,
   header.mechanism = view.mechanism;
   header.epsilon = view.epsilon;
   header.seed = view.seed;
-  header.engine_options = view.engine_options;
   header.plan = view.plan;
   PRIVELET_RETURN_IF_ERROR(w.Begin(path, header));
   PRIVELET_RETURN_IF_ERROR(w.AppendValues(view.published->values()));
@@ -955,7 +945,6 @@ Status WriteSnapshot(const std::string& path, const ReleaseSnapshot& snapshot) {
   view.mechanism = snapshot.mechanism;
   view.epsilon = snapshot.epsilon;
   view.seed = snapshot.seed;
-  view.engine_options = snapshot.engine_options;
   view.published = &snapshot.published;
   view.prefix = snapshot.prefix.has_value() ? &*snapshot.prefix : nullptr;
   view.plan = snapshot.plan.has_value() ? &*snapshot.plan : nullptr;
@@ -1043,7 +1032,6 @@ Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
   mapped.epsilon_ = h.epsilon;
   mapped.seed_ = h.seed;
   mapped.plan_ = std::move(h.plan);
-  mapped.options_ = h.options;
   mapped.dims_ = std::move(h.dims);
   return mapped;
 }

@@ -3,9 +3,9 @@
 // *once* and answering unbounded range-count traffic from it; a snapshot
 // carries everything a serving process needs to do that without
 // re-publishing: the schema (attributes and nominal hierarchies), the
-// release provenance (mechanism id, epsilon, seed, engine options), the
-// noisy frequency matrix, and optionally the precomputed prefix-sum table
-// so serving starts without even the O(m) rebuild.
+// release provenance (mechanism id, epsilon, seed), the noisy frequency
+// matrix, and optionally the precomputed prefix-sum table so serving
+// starts without even the O(m) rebuild.
 //
 // PVLS format v2 (all integers little-endian, doubles IEEE-754 binary64;
 // the current write format):
@@ -13,7 +13,7 @@
 //   magic "PVLS" | u32 version = 2
 //   u16 mech_len | mech_len bytes     mechanism id ("" = unknown)
 //   f64 epsilon | u64 seed
-//   u8 engine (0 tiled, 1 naive) | u64 tile_lines
+//   u8 reserved | u64 reserved          written as 0 | 64; see below
 //   u32 num_attributes, then per attribute:
 //     u16 name_len | name bytes | u8 kind (0 ordinal, 1 nominal)
 //     ordinal: u64 domain_size
@@ -36,6 +36,12 @@
 // became double — is not adoptable: readers skip the section and rebuild
 // the table from the matrix, which the determinism contract
 // (docs/DETERMINISM.md) guarantees equals a fresh build bit for bit.
+//
+// The two reserved fields once recorded a line-engine choice (0 tiled,
+// 1 naive) and a panel width. Writers emit 0 | 64, the old default, so
+// files stay byte-identical to earlier default publishes; readers still
+// reject a first byte > 1 as corrupt and otherwise ignore both. v4 drops
+// them.
 //
 // PVLS v1 differs in the table section only — no alignment padding and
 // double-double encoded entries (u16 mant_dig | u8 exact | (f64 hi,
@@ -77,7 +83,6 @@
 #include "privelet/common/file_mapping.h"
 #include "privelet/common/result.h"
 #include "privelet/data/schema.h"
-#include "privelet/matrix/engine.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/matrix/prefix_sum.h"
 #include "privelet/query/plan_record.h"
@@ -94,7 +99,6 @@ struct ReleaseSnapshot {
   double epsilon = 0.0;   ///< privacy budget of the release; 0 unknown
   std::uint64_t seed = 0;  ///< publish seed; with mechanism+epsilon+schema
                            ///< this pins the release bytes exactly
-  matrix::EngineOptions engine_options;
   matrix::FrequencyMatrix published;
   std::optional<matrix::PrefixSumTable<double>> prefix;
   /// Planner provenance (PVLS v3 files only; nullopt for v1/v2).
@@ -111,7 +115,6 @@ struct ReleaseSnapshotView {
   std::string_view mechanism;
   double epsilon = 0.0;
   std::uint64_t seed = 0;
-  matrix::EngineOptions engine_options;
   const matrix::FrequencyMatrix* published = nullptr;
   const matrix::PrefixSumTable<double>* prefix = nullptr;
   /// Non-null selects the PVLS v3 format and writes the plan section.
@@ -150,7 +153,6 @@ class SnapshotStreamWriter {
     std::string_view mechanism;
     double epsilon = 0.0;
     std::uint64_t seed = 0;
-    matrix::EngineOptions engine_options;
     /// Non-null selects PVLS v3 and writes the plan section after the
     /// seed; null keeps the plan-less v2 byte stream.
     const query::PlanRecord* plan = nullptr;
@@ -215,7 +217,6 @@ struct SnapshotInfo {
   std::string mechanism;
   double epsilon = 0.0;
   std::uint64_t seed = 0;
-  matrix::EngineOptions engine_options;
   /// Planner provenance (v3 files only).
   std::optional<query::PlanRecord> plan;
   std::vector<std::size_t> dims;
@@ -268,7 +269,6 @@ class MappedSnapshot {
   std::uint64_t seed() const { return seed_; }
   /// Planner provenance (v3 files only).
   const std::optional<query::PlanRecord>& plan() const { return plan_; }
-  const matrix::EngineOptions& engine_options() const { return options_; }
   const std::vector<std::size_t>& dims() const { return dims_; }
   std::size_t num_cells() const { return values_.size(); }
   std::uint64_t file_bytes() const { return file_.size(); }
@@ -293,7 +293,6 @@ class MappedSnapshot {
   double epsilon_ = 0.0;
   std::uint64_t seed_ = 0;
   std::optional<query::PlanRecord> plan_;
-  matrix::EngineOptions options_;
   std::vector<std::size_t> dims_;
   std::span<const double> values_;
   std::span<const double> table_;

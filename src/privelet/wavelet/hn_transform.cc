@@ -19,10 +19,9 @@ namespace privelet::wavelet {
 
 namespace {
 
-// Per-worker workspace shared by both engines: two panels (or line
-// buffers) plus transform scratch. Pooled so chunk bodies never allocate
-// after a worker's first chunk (capacities persist across leases and axis
-// passes).
+// Per-worker workspace: two panels plus transform scratch. Pooled so
+// chunk bodies never allocate after a worker's first chunk (capacities
+// persist across leases and axis passes).
 struct LineWorkspace {
   matrix::TileBuffer in;
   matrix::TileBuffer out;
@@ -41,66 +40,33 @@ using WorkspacePool = common::ScratchPool<LineWorkspace>;
 
 enum class Direction { kForward, kInverse };
 
-// Naive engine: the per-line reference path (gather one line, transform,
-// scatter). Lines write disjoint slices of `dst`, so the output is
-// bit-identical for every pool size (including none).
-void TransformLinesNaive(const matrix::FrequencyMatrix& src,
-                         matrix::FrequencyMatrix& dst, std::size_t axis,
-                         const Transform1D& t, Direction dir,
-                         common::ThreadPool* pool, WorkspacePool& workspaces,
-                         const matrix::EngineOptions& options,
-                         simd::IsaLevel isa,
-                         common::ResidencyGovernor& governor) {
+// One axis pass: panels of kTileLines adjacent lines per step. Axes whose
+// lines are contiguous (stride == 1) are processed in place in the matrix
+// slabs; other axes are block-transposed through TileBuffer and run
+// through the batched Transform1D kernels. `noise` (first inverse pass
+// only) perturbs each coefficient panel while it is cache-hot.
+void RunAxisPass(const matrix::FrequencyMatrix& src,
+                 matrix::FrequencyMatrix& dst, std::size_t axis,
+                 const Transform1D& t, Direction dir,
+                 common::ThreadPool* pool, WorkspacePool& workspaces,
+                 const matrix::EngineOptions& options,
+                 const PanelNoiseFactory* noise_factory) {
+  // Release-behind for the out-of-core engine: evict already-processed
+  // pages of both matrices each time a quota of bytes has streamed by, so
+  // the pass's resident set tracks options.max_memory_bytes, not the
+  // matrix sizes. ReleaseResidency is a no-op on vector-backed matrices
+  // and never alters values, so the pass's arithmetic (and thus the
+  // published bytes) is unchanged.
+  common::ResidencyGovernor governor(options.max_memory_bytes, [&src, &dst] {
+    src.ReleaseResidency();
+    dst.ReleaseResidency();
+  });
+  // Resolve the kernel level once per pass (options.isa, then the
+  // PRIVELET_ISA environment, then the best the host supports) so every
+  // worker of the pass dispatches to the same table.
+  const simd::IsaLevel isa = simd::ResolveIsa(options.isa);
   const std::size_t lines = src.NumLines(axis);
-  const std::size_t line_len =
-      std::max(t.input_size(), t.coefficient_count());
-  // Out-of-core: a strided line maps one page per element — axis_dim pages
-  // before any end-of-line charge could fire — so the gather/scatter must
-  // charge the governor per step. TileBuffer with count == 1 copies the
-  // exact same elements as GatherLine/ScatterLine and carries that hook.
-  const bool paced = options.out_of_core();
-  common::ParallelFor(
-      pool, lines, /*grain=*/0, [&](std::size_t begin, std::size_t end) {
-        auto ws = workspaces.Acquire();
-        double* in_line = ws->in.Prepare(line_len, 1);
-        double* out_line = ws->out.Prepare(line_len, 1);
-        double* scratch = ws->Scratch(t.scratch_size());
-        for (std::size_t line = begin; line < end; ++line) {
-          if (paced) {
-            ws->in.Gather(src, axis, line, 1, &governor);
-          } else {
-            src.GatherLine(axis, line, in_line);
-          }
-          if (dir == Direction::kForward) {
-            t.Forward(in_line, out_line, scratch, isa);
-          } else {
-            t.Refine(in_line);
-            t.Inverse(in_line, out_line, scratch, isa);
-          }
-          if (paced) {
-            ws->out.Scatter(dst, axis, line, 1, &governor);
-          } else {
-            dst.ScatterLine(axis, line, out_line);
-          }
-        }
-      });
-}
-
-// Tiled engine: panels of `options.tile_lines` adjacent lines per step.
-// Axes whose lines are contiguous (stride == 1) are processed in place in
-// the matrix slabs; other axes are block-transposed through TileBuffer and
-// run through the batched Transform1D kernels. `noise` (first inverse
-// pass only) perturbs each coefficient panel while it is cache-hot.
-void TransformLinesTiled(const matrix::FrequencyMatrix& src,
-                         matrix::FrequencyMatrix& dst, std::size_t axis,
-                         const Transform1D& t, Direction dir,
-                         common::ThreadPool* pool, WorkspacePool& workspaces,
-                         const matrix::EngineOptions& options,
-                         simd::IsaLevel isa,
-                         const PanelNoiseFactory* noise_factory,
-                         common::ResidencyGovernor& governor) {
-  const std::size_t lines = src.NumLines(axis);
-  const std::size_t tile = std::max<std::size_t>(1, options.tile_lines);
+  constexpr std::size_t tile = matrix::kTileLines;
   const std::size_t panels = (lines + tile - 1) / tile;
   const std::size_t in_len = src.dim(axis);
   const std::size_t out_len = dst.dim(axis);
@@ -247,35 +213,6 @@ void TransformLinesTiled(const matrix::FrequencyMatrix& src,
       });
 }
 
-void RunAxisPass(const matrix::FrequencyMatrix& src,
-                 matrix::FrequencyMatrix& dst, std::size_t axis,
-                 const Transform1D& t, Direction dir,
-                 common::ThreadPool* pool, WorkspacePool& workspaces,
-                 const matrix::EngineOptions& options,
-                 const PanelNoiseFactory* noise_factory) {
-  // Release-behind for the out-of-core engine: evict already-processed
-  // pages of both matrices each time a quota of bytes has streamed by, so
-  // the pass's resident set tracks options.max_memory_bytes, not the
-  // matrix sizes. ReleaseResidency is a no-op on vector-backed matrices
-  // and never alters values, so the pass's arithmetic (and thus the
-  // published bytes) is unchanged.
-  common::ResidencyGovernor governor(options.max_memory_bytes, [&src, &dst] {
-    src.ReleaseResidency();
-    dst.ReleaseResidency();
-  });
-  // Resolve the kernel level once per pass (options.isa, then the
-  // PRIVELET_ISA environment, then the best the host supports) so every
-  // worker of the pass dispatches to the same table.
-  const simd::IsaLevel isa = simd::ResolveIsa(options.isa);
-  if (options.engine == matrix::LineEngine::kNaive) {
-    TransformLinesNaive(src, dst, axis, t, dir, pool, workspaces, options,
-                        isa, governor);
-  } else {
-    TransformLinesTiled(src, dst, axis, t, dir, pool, workspaces, options,
-                        isa, noise_factory, governor);
-  }
-}
-
 }  // namespace
 
 double HnCoefficients::WeightAt(std::size_t flat) const {
@@ -355,8 +292,8 @@ Result<HnCoefficients> HnTransform::Forward(
                                           std::move(next_dims),
                                           options.scratch_dir));
     } else {
-      // Every engine writes all out_len elements of every destination
-      // line, so the pass fully overwrites `next` — skip the zero-fill.
+      // Every pass writes all out_len elements of every destination
+      // line, so it fully overwrites `next` — skip the zero-fill.
       next = matrix::FrequencyMatrix::Uninitialized(std::move(next_dims));
     }
 
@@ -381,9 +318,6 @@ Result<matrix::FrequencyMatrix> HnTransform::Inverse(
     return Status::InvalidArgument(
         "coefficient dims do not match the transform");
   }
-  PRIVELET_CHECK(noise == nullptr ||
-                     options.engine == matrix::LineEngine::kTiled,
-                 "fused noise requires the tiled engine");
   WorkspacePool workspaces;
   // The first pass reads `c.coeffs` directly; fused noise perturbs staged
   // panels, never the caller's coefficients.
@@ -399,8 +333,8 @@ Result<matrix::FrequencyMatrix> HnTransform::Inverse(
                                           std::move(next_dims),
                                           options.scratch_dir));
     } else {
-      // Every engine writes all out_len elements of every destination
-      // line, so the pass fully overwrites `next` — skip the zero-fill.
+      // Every pass writes all out_len elements of every destination
+      // line, so it fully overwrites `next` — skip the zero-fill.
       next = matrix::FrequencyMatrix::Uninitialized(std::move(next_dims));
     }
 

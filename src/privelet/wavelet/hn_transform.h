@@ -6,11 +6,9 @@
 // weights, so it is represented as one weight vector per axis rather than a
 // materialized weight matrix.
 //
-// Each axis pass is executed by the line engine selected via
-// matrix::EngineOptions: the tiled engine (default) streams panels of
-// adjacent lines through the batched Transform1D kernels, the naive engine
-// is the per-line reference path. Both produce bit-identical results for
-// every thread count and tile size.
+// Each axis pass streams panels of adjacent lines through the batched
+// Transform1D kernels (matrix/engine.h), with results bit-identical for
+// every thread count and ISA level.
 #ifndef PRIVELET_WAVELET_HN_TRANSFORM_H_
 #define PRIVELET_WAVELET_HN_TRANSFORM_H_
 
@@ -136,10 +134,10 @@ class HnTransform {
 
   /// Applies the 1-D transforms along axes 0..d-1 in turn. A non-null
   /// `pool` fans the independent line transforms of each axis pass across
-  /// its workers; `options` picks the line engine and tile size. The
-  /// result is bit-identical for any pool size, engine, and tile size
-  /// (each line is an independent computation undergoing identical
-  /// floating-point operations on every path).
+  /// its workers; `options` carries the memory budget and ISA level. The
+  /// result is bit-identical for any pool size and options (each line is
+  /// an independent computation undergoing identical floating-point
+  /// operations on every path).
   Result<HnCoefficients> Forward(
       const matrix::FrequencyMatrix& m, common::ThreadPool* pool = nullptr,
       const matrix::EngineOptions& options = {}) const;
@@ -147,13 +145,12 @@ class HnTransform {
   /// Inverts along axes d-1..0. On each axis the 1-D transform's Refine()
   /// runs on every coefficient line before inversion (for noise-free
   /// coefficients this is a no-op by construction). Parallel and
-  /// deterministic across pool sizes, engines, and tile sizes like
-  /// Forward.
+  /// deterministic across pool sizes and options like Forward.
   ///
-  /// `noise` (tiled engine only) is applied to each coefficient panel of
-  /// the first axis pass before refinement — the mechanisms fuse their
-  /// Laplace injection here so the extra full-matrix noise sweep
-  /// disappears. The input coefficients are not modified.
+  /// `noise` is applied to each coefficient panel of the first axis pass
+  /// before refinement — the mechanisms fuse their Laplace injection here
+  /// so no separate full-matrix noise sweep is needed. The input
+  /// coefficients are not modified.
   Result<matrix::FrequencyMatrix> Inverse(
       const HnCoefficients& c, common::ThreadPool* pool = nullptr,
       const matrix::EngineOptions& options = {},

@@ -72,7 +72,7 @@ class Transform1D {
   /// RefineLines).
   virtual void Refine(double* coeffs) const { (void)coeffs; }
 
-  /// Whether Refine is a non-trivial operation. The tiled engine skips the
+  /// Whether Refine is a non-trivial operation. The line engine skips the
   /// whole refinement pass (including its gather/scatter) when false.
   virtual bool has_refinement() const { return false; }
 
@@ -81,7 +81,7 @@ class Transform1D {
   virtual void Inverse(const double* coeffs, double* out) const = 0;
 
   /// ---- Batched (panel) entry points ---------------------------------
-  /// The tiled engine transforms `count` lines at once from an interleaved
+  /// The line engine transforms `count` lines at once from an interleaved
   /// panel: element k of line b lives at data[k * count + b] (the layout
   /// matrix::TileBuffer gathers). Each line undergoes exactly the same
   /// floating-point operations as the single-line entry points, so batched

@@ -19,7 +19,6 @@
 #include "privelet/data/attribute.h"
 #include "privelet/data/hierarchy.h"
 #include "privelet/data/schema.h"
-#include "privelet/matrix/engine.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/matrix/prefix_sum.h"
 #include "privelet/mechanism/basic.h"
@@ -36,6 +35,7 @@
 #include "privelet/storage/session_io.h"
 #include "privelet/storage/snapshot.h"
 #include "privelet/wavelet/hn_transform.h"
+#include "reference/per_line_engine.h"
 
 namespace privelet {
 namespace {
@@ -117,37 +117,28 @@ TEST(PublishDeterminismTest, HayAcrossThreadCounts) {
   ExpectPublishInvariantUnderThreads(hay, schema, RandomMatrix(schema, 4));
 }
 
-// Tile sweep: the naive serial release is the reference; the tiled engine
-// must reproduce it bit-for-bit for every (tile size, thread count)
-// combination — the engine, its panel width, and the pool are all pure
-// performance knobs.
-TEST(PublishDeterminismTest, TileSweepMatchesNaiveSerialRelease) {
-  constexpr std::size_t kTileSizes[] = {1, 8, 64};
+// The per-line reference (reference/per_line_engine.h) pins the release:
+// the panel engine with fused noise must reproduce it bit-for-bit for
+// every thread count — the pool is a pure performance knob.
+TEST(PublishDeterminismTest, PooledReleasesMatchPerLineReference) {
   mechanism::PriveletPlusMechanism mech({"Nom"});
   const data::Schema schema = MultiShardSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 9);
+  const matrix::FrequencyMatrix expected = reference::PublishPrivelet(
+      schema, {"Nom"}, m, /*epsilon=*/0.8, /*seed=*/57);
 
-  mech.set_engine_options(
-      matrix::MakeEngineOptions(matrix::LineEngine::kNaive));
-  auto reference = mech.Publish(schema, m, /*epsilon=*/0.8, /*seed=*/57);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  for (const std::size_t tile : kTileSizes) {
-    mech.set_engine_options(
-        matrix::MakeEngineOptions(matrix::LineEngine::kTiled, tile));
-    auto serial = mech.Publish(schema, m, 0.8, 57);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_TRUE(matrix::ValuesEqual(reference->values(), serial->values()))
-        << "tile " << tile << ", serial";
-    for (const std::size_t threads : kPoolSizes) {
-      common::ThreadPool pool(threads);
-      mech.set_thread_pool(&pool);
-      auto parallel = mech.Publish(schema, m, 0.8, 57);
-      ASSERT_TRUE(parallel.ok());
-      EXPECT_TRUE(matrix::ValuesEqual(reference->values(), parallel->values()))
-          << "tile " << tile << ", " << threads << " threads";
-      mech.set_thread_pool(nullptr);
-    }
+  auto serial = mech.Publish(schema, m, 0.8, 57);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_TRUE(matrix::ValuesEqual(expected.values(), serial->values()))
+      << "serial";
+  for (const std::size_t threads : kPoolSizes) {
+    common::ThreadPool pool(threads);
+    mech.set_thread_pool(&pool);
+    auto parallel = mech.Publish(schema, m, 0.8, 57);
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_TRUE(matrix::ValuesEqual(expected.values(), parallel->values()))
+        << threads << " threads";
+    mech.set_thread_pool(nullptr);
   }
 }
 
@@ -190,78 +181,55 @@ TEST(PrefixSumDeterminismTest, PooledBuildMatchesSerial) {
   }
 }
 
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
 // Extends the sweep across the process boundary: a release published
 // under any thread count serializes to the byte-identical snapshot file
-// (same engine options => same bytes, CRC included), and releases
-// published under different engines/tile sizes — whose snapshots differ
-// only in the recorded engine options — load back into sessions that
-// answer bit-identically.
-TEST(PublishDeterminismTest, SnapshotFilesInvariantAcrossThreadsAndEngines) {
+// (CRC included), and the file loads back into a session holding the
+// per-line reference release.
+TEST(PublishDeterminismTest, SnapshotFilesInvariantAcrossThreads) {
   const data::Schema schema = MultiShardSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 11);
   mechanism::PriveletPlusMechanism mech({"Nom"});
 
-  const auto save = [&](common::ThreadPool* pool,
-                        const matrix::EngineOptions& options,
-                        const std::string& name) {
+  const auto save = [&](common::ThreadPool* pool, const std::string& name) {
     mech.set_thread_pool(pool);
-    mech.set_engine_options(options);
     auto session = query::PublishingSession::Publish(
-        schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, pool, options);
+        schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, pool);
     EXPECT_TRUE(session.ok()) << session.status().ToString();
     const std::string path = testing::TempDir() + "/" + name;
     EXPECT_TRUE(storage::SaveSession(path, *session).ok());
     mech.set_thread_pool(nullptr);
     return path;
   };
-  const auto file_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
 
-  const matrix::EngineOptions tiled =
-      matrix::MakeEngineOptions(matrix::LineEngine::kTiled);
-  const std::string ref_path = save(nullptr, tiled, "det_ref.pvls");
-  const std::string ref_bytes = file_bytes(ref_path);
+  const std::string ref_path = save(nullptr, "det_ref.pvls");
+  const std::string ref_bytes = FileBytes(ref_path);
   ASSERT_FALSE(ref_bytes.empty());
-
-  // Same engine options, any pool size: byte-identical snapshot files.
   for (const std::size_t threads : kPoolSizes) {
     common::ThreadPool pool(threads);
-    const std::string path = save(&pool, tiled, "det_threads.pvls");
-    EXPECT_EQ(ref_bytes, file_bytes(path)) << threads << " threads";
+    const std::string path = save(&pool, "det_threads.pvls");
+    EXPECT_EQ(ref_bytes, FileBytes(path)) << threads << " threads";
   }
 
-  // Different engines/tile sizes: the recorded options differ, but the
-  // loaded sessions must answer a workload bit-identically.
-  query::WorkloadOptions wopts;
-  wopts.num_queries = 300;
-  auto workload = query::GenerateWorkload(schema, wopts);
-  ASSERT_TRUE(workload.ok());
-  auto reference = storage::LoadSession(ref_path);
-  ASSERT_TRUE(reference.ok());
-  const std::vector<double> expected = reference->AnswerAll(*workload);
-  for (const matrix::EngineOptions& options :
-       {matrix::MakeEngineOptions(matrix::LineEngine::kNaive),
-        matrix::MakeEngineOptions(matrix::LineEngine::kTiled, 1),
-        matrix::MakeEngineOptions(matrix::LineEngine::kTiled, 8)}) {
-    common::ThreadPool pool(2);
-    const std::string path = save(&pool, options, "det_engine.pvls");
-    auto loaded = storage::LoadSession(path, &pool);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_TRUE(matrix::ValuesEqual(reference->published().values(),
-                                    loaded->published().values()));
-    EXPECT_EQ(expected, loaded->AnswerAll(*workload));
-  }
+  common::ThreadPool pool(2);
+  auto loaded = storage::LoadSession(ref_path, &pool);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(matrix::ValuesEqual(
+      reference::PublishPrivelet(schema, {"Nom"}, m, 0.8, 57).values(),
+      loaded->published().values()));
 }
 
 // The out-of-core contract: a streamed publish (panels staged through
 // mmap scratch files under a memory budget far below the release size)
-// must produce the byte-identical PVLS file of the in-core publish with
-// the same engine options — across engines, tile sizes, and thread
-// counts — and the returned session must answer the same workload
-// bit-identically. The budget is a pure operational knob, like the pool.
+// must produce the byte-identical PVLS file of the in-core publish
+// across thread counts, and the returned session must answer the same
+// workload bit-identically. The budget is a pure operational knob, like
+// the pool.
 TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreByteForByte) {
   const data::Schema schema = MultiShardSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 21);
@@ -272,66 +240,50 @@ TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreByteForByte) {
   auto workload = query::GenerateWorkload(schema, wopts);
   ASSERT_TRUE(workload.ok());
 
-  const auto file_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-
   // 16384 cells = 128 KiB of doubles (plus a 256 KiB table): a 64 KiB
   // budget forces genuine out-of-core staging in every stage.
   constexpr std::size_t kBudget = std::size_t{1} << 16;
   constexpr std::size_t kThreadCounts[] = {0, 2, 8};  // 0 = serial
 
-  for (const matrix::EngineOptions& base :
-       {matrix::MakeEngineOptions(matrix::LineEngine::kTiled),
-        matrix::MakeEngineOptions(matrix::LineEngine::kNaive),
-        matrix::MakeEngineOptions(matrix::LineEngine::kTiled, 8)}) {
-    for (const std::size_t threads : kThreadCounts) {
-      std::unique_ptr<common::ThreadPool> pool;
-      if (threads > 0) pool = std::make_unique<common::ThreadPool>(threads);
-      const std::string tag =
-          (base.engine == matrix::LineEngine::kTiled ? "tiled" : "naive") +
-          std::string("/tile ") + std::to_string(base.tile_lines) + "/" +
-          std::to_string(threads) + " threads";
+  for (const std::size_t threads : kThreadCounts) {
+    std::unique_ptr<common::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<common::ThreadPool>(threads);
+    const std::string tag = std::to_string(threads) + " threads";
 
-      mech.set_thread_pool(pool.get());
-      mech.set_engine_options(base);
-      auto in_core = query::PublishingSession::Publish(
-          schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, pool.get(), base);
-      ASSERT_TRUE(in_core.ok()) << in_core.status().ToString();
-      EXPECT_EQ(query::PublishMode::kInCore,
-                in_core->metadata().publish_mode);
-      const std::string in_path = testing::TempDir() + "/det_incore.pvls";
-      ASSERT_TRUE(storage::SaveSession(in_path, *in_core).ok());
+    mech.set_thread_pool(pool.get());
+    mech.set_engine_options({});
+    auto in_core = query::PublishingSession::Publish(
+        schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, pool.get());
+    ASSERT_TRUE(in_core.ok()) << in_core.status().ToString();
+    EXPECT_EQ(query::PublishMode::kInCore, in_core->metadata().publish_mode);
+    const std::string in_path = testing::TempDir() + "/det_incore.pvls";
+    ASSERT_TRUE(storage::SaveSession(in_path, *in_core).ok());
 
-      matrix::EngineOptions streamed_options = base;
-      streamed_options.max_memory_bytes = kBudget;
-      mech.set_engine_options(streamed_options);
-      const std::string out_path = testing::TempDir() + "/det_streamed.pvls";
-      auto streamed = storage::PublishToFile(out_path, schema, mech, m, 0.8,
-                                             57, pool.get(), streamed_options);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString() << " " << tag;
-      EXPECT_EQ(query::PublishMode::kStreamed,
-                streamed->metadata().publish_mode);
-      mech.set_thread_pool(nullptr);
+    matrix::EngineOptions streamed_options;
+    streamed_options.max_memory_bytes = kBudget;
+    mech.set_engine_options(streamed_options);
+    const std::string out_path = testing::TempDir() + "/det_streamed.pvls";
+    auto streamed = storage::PublishToFile(out_path, schema, mech, m, 0.8, 57,
+                                           pool.get(), streamed_options);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString() << " " << tag;
+    EXPECT_EQ(query::PublishMode::kStreamed,
+              streamed->metadata().publish_mode);
+    mech.set_thread_pool(nullptr);
 
-      EXPECT_EQ(file_bytes(in_path), file_bytes(out_path)) << tag;
-      EXPECT_TRUE(matrix::ValuesEqual(in_core->published().values(),
-                                      streamed->published().values()))
-          << tag;
-      EXPECT_EQ(in_core->AnswerAll(*workload), streamed->AnswerAll(*workload))
-          << tag;
-    }
+    EXPECT_EQ(FileBytes(in_path), FileBytes(out_path)) << tag;
+    EXPECT_TRUE(matrix::ValuesEqual(in_core->published().values(),
+                                    streamed->published().values()))
+        << tag;
+    EXPECT_EQ(in_core->AnswerAll(*workload), streamed->AnswerAll(*workload))
+        << tag;
   }
 }
 
-// Extends the serving sweep across the mmap boundary: for releases
-// published under every engine/tile combination, the zero-copy mapped
-// session must answer bit-identically to the legacy copy-loaded session,
-// under every pool size — the storage mode of the prefix table (owned
-// copy vs. span view into the file) is a pure operational knob.
-TEST(PublishDeterminismTest, MappedServingMatchesCopyLoadAcrossEnginesAndThreads) {
+// Extends the serving sweep across the mmap boundary: the zero-copy
+// mapped session must answer bit-identically to the legacy copy-loaded
+// session, under every pool size — the storage mode of the prefix table
+// (owned copy vs. span view into the file) is a pure operational knob.
+TEST(PublishDeterminismTest, MappedServingMatchesCopyLoadAcrossThreads) {
   const data::Schema schema = MultiShardSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 12);
   mechanism::PriveletPlusMechanism mech({"Nom"});
@@ -341,44 +293,36 @@ TEST(PublishDeterminismTest, MappedServingMatchesCopyLoadAcrossEnginesAndThreads
   auto workload = query::GenerateWorkload(schema, wopts);
   ASSERT_TRUE(workload.ok());
 
-  std::vector<double> expected;  // pinned by the first configuration
-  for (const matrix::EngineOptions& options :
-       {matrix::MakeEngineOptions(matrix::LineEngine::kTiled),
-        matrix::MakeEngineOptions(matrix::LineEngine::kNaive),
-        matrix::MakeEngineOptions(matrix::LineEngine::kTiled, 8)}) {
-    mech.set_engine_options(options);
-    auto session = query::PublishingSession::Publish(
-        schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, nullptr, options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    const std::string path = testing::TempDir() + "/det_mapped.pvls";
-    ASSERT_TRUE(storage::SaveSession(path, *session).ok());
-    if (expected.empty()) expected = session->AnswerAll(*workload);
+  auto session = query::PublishingSession::Publish(
+      schema, mech, m, /*epsilon=*/0.8, /*seed=*/57);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const std::string path = testing::TempDir() + "/det_mapped.pvls";
+  ASSERT_TRUE(storage::SaveSession(path, *session).ok());
+  const std::vector<double> expected = session->AnswerAll(*workload);
 
-    auto copied = storage::LoadSession(path);
-    ASSERT_TRUE(copied.ok());
-    EXPECT_EQ(expected, copied->AnswerAll(*workload));
-    auto mapped_serial = storage::MapSession(path);
-    ASSERT_TRUE(mapped_serial.ok()) << mapped_serial.status().ToString();
-    EXPECT_EQ(expected, mapped_serial->AnswerAll(*workload));
-    for (const std::size_t threads : kPoolSizes) {
-      common::ThreadPool pool(threads);
-      auto mapped = storage::MapSession(path, &pool);
-      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-      EXPECT_EQ(expected, mapped->AnswerAll(*workload))
-          << threads << " threads";
-    }
+  auto copied = storage::LoadSession(path);
+  ASSERT_TRUE(copied.ok());
+  EXPECT_EQ(expected, copied->AnswerAll(*workload));
+  auto mapped_serial = storage::MapSession(path);
+  ASSERT_TRUE(mapped_serial.ok()) << mapped_serial.status().ToString();
+  EXPECT_EQ(expected, mapped_serial->AnswerAll(*workload));
+  for (const std::size_t threads : kPoolSizes) {
+    common::ThreadPool pool(threads);
+    auto mapped = storage::MapSession(path, &pool);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_EQ(expected, mapped->AnswerAll(*workload))
+        << threads << " threads";
   }
 }
 
 // The ISA determinism sweep (docs/DETERMINISM.md, "ISA levels"): with
 // PRIVELET_ISA forced to every kernel level the host supports, publishes
 // must produce byte-identical PVLS snapshot files and bit-identical
-// workload answers across engines, tile sizes, and thread counts. The
-// dispatch level — like the engine and the pool — is purely a
-// performance knob; a single differing bit here means a vector kernel
-// reordered someone's float operations.
+// workload answers across thread counts, and the released values must
+// equal the per-line reference. The dispatch level — like the pool — is
+// purely a performance knob; a single differing bit here means a vector
+// kernel reordered someone's float operations.
 TEST(PublishDeterminismTest, IsaSweepSnapshotsAndAnswersAreInvariant) {
-  constexpr std::size_t kTileSizes[] = {1, 8, 64};
   const data::Schema schema = MultiShardSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 17);
   mechanism::PriveletPlusMechanism mech({"Nom"});
@@ -388,11 +332,8 @@ TEST(PublishDeterminismTest, IsaSweepSnapshotsAndAnswersAreInvariant) {
   auto workload = query::GenerateWorkload(schema, wopts);
   ASSERT_TRUE(workload.ok());
 
-  const auto file_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
+  const matrix::FrequencyMatrix per_line =
+      reference::PublishPrivelet(schema, {"Nom"}, m, 0.8, 57);
   const auto publish_bytes = [&](const matrix::EngineOptions& options,
                                  common::ThreadPool* pool,
                                  std::vector<double>* answers) {
@@ -402,75 +343,53 @@ TEST(PublishDeterminismTest, IsaSweepSnapshotsAndAnswersAreInvariant) {
         schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, pool, options);
     EXPECT_TRUE(session.ok()) << session.status().ToString();
     mech.set_thread_pool(nullptr);
+    EXPECT_TRUE(matrix::ValuesEqual(per_line.values(),
+                                    session->published().values()));
     const std::string path = testing::TempDir() + "/det_isa.pvls";
     EXPECT_TRUE(storage::SaveSession(path, *session).ok());
     if (answers != nullptr) *answers = session->AnswerAll(*workload);
-    return file_bytes(path);
+    return FileBytes(path);
   };
 
-  // The engine configurations under sweep. Snapshot files embed the
-  // engine options, so byte comparisons only hold within one
-  // configuration; answers and published values must agree globally.
-  std::vector<matrix::EngineOptions> configs = {
-      matrix::MakeEngineOptions(matrix::LineEngine::kNaive)};
-  for (const std::size_t tile : kTileSizes) {
-    configs.push_back(
-        matrix::MakeEngineOptions(matrix::LineEngine::kTiled, tile));
-  }
-
-  // Per-config reference: forced-scalar serial publish.
+  // Reference: forced-scalar serial publish.
   ASSERT_EQ(0, setenv("PRIVELET_ISA", "scalar", 1));
   std::vector<double> expected;
-  std::vector<std::string> references;
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    std::vector<double> answers;
-    references.push_back(publish_bytes(configs[c], nullptr, &answers));
-    ASSERT_FALSE(references.back().empty());
-    if (c == 0) {
-      expected = answers;
-    } else {
-      EXPECT_EQ(expected, answers) << "scalar serial, config " << c;
-    }
-  }
+  const std::string reference_bytes = publish_bytes({}, nullptr, &expected);
+  ASSERT_FALSE(reference_bytes.empty());
 
   for (int lvl = 0; lvl <= static_cast<int>(simd::DetectBestIsa()); ++lvl) {
     const std::string name(
         simd::IsaLevelName(static_cast<simd::IsaLevel>(lvl)));
     ASSERT_EQ(0, setenv("PRIVELET_ISA", name.c_str(), 1));
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      std::vector<double> answers;
-      EXPECT_EQ(references[c], publish_bytes(configs[c], nullptr, &answers))
-          << "config " << c << " serial, isa " << name;
-      EXPECT_EQ(expected, answers) << "config " << c << ", isa " << name;
-      for (const std::size_t threads : kPoolSizes) {
-        common::ThreadPool pool(threads);
-        EXPECT_EQ(references[c], publish_bytes(configs[c], &pool, nullptr))
-            << "config " << c << ", " << threads << " threads, isa " << name;
-      }
+    std::vector<double> answers;
+    EXPECT_EQ(reference_bytes, publish_bytes({}, nullptr, &answers))
+        << "serial, isa " << name;
+    EXPECT_EQ(expected, answers) << "isa " << name;
+    for (const std::size_t threads : kPoolSizes) {
+      common::ThreadPool pool(threads);
+      EXPECT_EQ(reference_bytes, publish_bytes({}, &pool, nullptr))
+          << threads << " threads, isa " << name;
     }
   }
   ASSERT_EQ(0, unsetenv("PRIVELET_ISA"));
 
-  // EngineOptions::isa overrides the environment the same way (the isa
-  // request is not part of the snapshot's recorded options, so bytes stay
-  // comparable within the tile-64 configuration).
-  matrix::EngineOptions forced =
-      matrix::MakeEngineOptions(matrix::LineEngine::kTiled, 64);
+  // EngineOptions::isa overrides the environment the same way.
+  matrix::EngineOptions forced;
   forced.isa = simd::IsaChoice::kScalar;
-  EXPECT_EQ(references[3], publish_bytes(forced, nullptr, nullptr))
+  EXPECT_EQ(reference_bytes, publish_bytes(forced, nullptr, nullptr))
       << "options-forced scalar";
   forced.isa = simd::IsaChoice::kAvx512;  // clamps to the host's best
-  EXPECT_EQ(references[3], publish_bytes(forced, nullptr, nullptr))
+  EXPECT_EQ(reference_bytes, publish_bytes(forced, nullptr, nullptr))
       << "options-forced best";
 }
 
 // The planner sweep: the mechanism decision is a pure function of
 // (schema, workload, ε) — replanning reproduces the ranking, ids, and
 // variances exactly — and an auto-planned release (plan attached, so the
-// snapshot is PVLS v3) stays byte-identical across engines, thread
-// counts, and forced ISA levels, exactly like plan-less releases. The
-// plan section is provenance, never noise input.
-TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossEnginesThreadsAndIsa) {
+// snapshot is PVLS v3) stays byte-identical across thread counts and
+// forced ISA levels, exactly like plan-less releases. The plan section
+// is provenance, never noise input.
+TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossThreadsAndIsa) {
   const data::Schema schema = MultiShardSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 23);
   query::WorkloadOptions wopts;
@@ -507,37 +426,23 @@ TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossEnginesThreadsAnd
     return std::make_unique<mechanism::PriveletPlusMechanism>(
         plan->chosen.sa_names);
   };
-  const auto file_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-  };
-  const auto publish_bytes = [&](const matrix::EngineOptions& options,
-                                 common::ThreadPool* pool) {
+  const auto publish_bytes = [&](common::ThreadPool* pool) {
     const auto mech = make_mechanism();
     mech->set_thread_pool(pool);
-    mech->set_engine_options(options);
     auto session = query::PublishingSession::Publish(
-        schema, *mech, m, /*epsilon=*/0.8, /*seed=*/57, pool, options);
+        schema, *mech, m, /*epsilon=*/0.8, /*seed=*/57, pool);
     EXPECT_TRUE(session.ok()) << session.status().ToString();
     session->set_plan(record);
     const std::string path = testing::TempDir() + "/det_autoplan.pvls";
     EXPECT_TRUE(storage::SaveSession(path, *session).ok());
-    return file_bytes(path);
+    return FileBytes(path);
   };
 
-  const std::vector<matrix::EngineOptions> configs = {
-      matrix::MakeEngineOptions(matrix::LineEngine::kNaive),
-      matrix::MakeEngineOptions(matrix::LineEngine::kTiled, 64)};
-
-  // Per-config reference: forced-scalar serial publish. The plan must be
-  // in the reference file (v3) for the byte comparisons to cover it.
+  // Reference: forced-scalar serial publish. The plan must be in the
+  // reference file (v3) for the byte comparisons to cover it.
   ASSERT_EQ(0, setenv("PRIVELET_ISA", "scalar", 1));
-  std::vector<std::string> references;
-  for (const matrix::EngineOptions& options : configs) {
-    references.push_back(publish_bytes(options, nullptr));
-    ASSERT_FALSE(references.back().empty());
-  }
+  const std::string reference_bytes = publish_bytes(nullptr);
+  ASSERT_FALSE(reference_bytes.empty());
   {
     auto info =
         storage::InspectSnapshot(testing::TempDir() + "/det_autoplan.pvls");
@@ -551,14 +456,12 @@ TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossEnginesThreadsAnd
     const std::string name(
         simd::IsaLevelName(static_cast<simd::IsaLevel>(lvl)));
     ASSERT_EQ(0, setenv("PRIVELET_ISA", name.c_str(), 1));
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      EXPECT_EQ(references[c], publish_bytes(configs[c], nullptr))
-          << "config " << c << " serial, isa " << name;
-      for (const std::size_t threads : kPoolSizes) {
-        common::ThreadPool pool(threads);
-        EXPECT_EQ(references[c], publish_bytes(configs[c], &pool))
-            << "config " << c << ", " << threads << " threads, isa " << name;
-      }
+    EXPECT_EQ(reference_bytes, publish_bytes(nullptr))
+        << "serial, isa " << name;
+    for (const std::size_t threads : kPoolSizes) {
+      common::ThreadPool pool(threads);
+      EXPECT_EQ(reference_bytes, publish_bytes(&pool))
+          << threads << " threads, isa " << name;
     }
   }
   ASSERT_EQ(0, unsetenv("PRIVELET_ISA"));

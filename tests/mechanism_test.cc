@@ -5,13 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <vector>
 
+#include "privelet/analysis/bounds.h"
+#include "privelet/analysis/mechanism_planner.h"
 #include "privelet/analysis/query_variance.h"
+#include "privelet/analysis/workload_planner.h"
 #include "privelet/common/math_util.h"
 #include "privelet/data/census_generator.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/basic.h"
+#include "privelet/mechanism/fourier_marginals.h"
+#include "privelet/mechanism/hay.h"
 #include "privelet/mechanism/privelet_mechanism.h"
 #include "privelet/query/range_query.h"
 #include "privelet/rng/xoshiro256pp.h"
@@ -236,6 +243,61 @@ TEST(PriveletPlusTest, TotalCountNoiseMatchesExactVariance) {
   // 5σ⁴/n).
   EXPECT_NEAR(SampleVariance(noise) / exact_variance, 1.0,
               4.0 * std::sqrt(5.0 / kTrials));
+}
+
+TEST(EpsilonValidationTest, NonFiniteAndSignedZeroBudgetsAreRejected) {
+  // +inf would publish the exact counts and NaN a release of NaNs; -0.0
+  // compares equal to 0. Every entry point taking ε refuses all three.
+  const data::Schema schema = OneDimensionalSchema(8);
+  const matrix::FrequencyMatrix m = RandomMatrix(schema, 1);
+  const data::Schema binary = [] {
+    std::vector<data::Attribute> attrs;
+    attrs.push_back(data::Attribute::Ordinal("X", 2));
+    attrs.push_back(data::Attribute::Ordinal("Y", 2));
+    return data::Schema(std::move(attrs));
+  }();
+  const matrix::FrequencyMatrix binary_m = RandomMatrix(binary, 2);
+  const query::RangeQuery full(schema.num_attributes());
+  const std::vector<query::RangeQuery> workload = {full};
+
+  std::vector<std::unique_ptr<Mechanism>> mechanisms;
+  mechanisms.push_back(std::make_unique<BasicMechanism>());
+  mechanisms.push_back(std::make_unique<PriveletMechanism>());
+  mechanisms.push_back(
+      std::make_unique<PriveletPlusMechanism>(std::vector<std::string>{"A"}));
+  mechanisms.push_back(std::make_unique<HayHierarchicalMechanism>());
+  const FourierMarginalMechanism fourier(
+      std::vector<std::vector<std::size_t>>{{0}});
+
+  const auto invalid = [](const Status& status) {
+    return status.code() == StatusCode::kInvalidArgument;
+  };
+  for (const double epsilon : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN(),
+                               -0.0}) {
+    SCOPED_TRACE(epsilon);
+    for (const auto& mech : mechanisms) {
+      EXPECT_TRUE(invalid(mech->Publish(schema, m, epsilon, 1).status()))
+          << mech->name();
+      EXPECT_TRUE(invalid(mech->NoiseVarianceBound(schema, epsilon).status()))
+          << mech->name();
+    }
+    EXPECT_TRUE(invalid(fourier.Publish(binary_m, epsilon, 1).status()));
+    EXPECT_TRUE(
+        invalid(fourier.MarginalEntryVarianceBound(2, 1, epsilon).status()));
+    EXPECT_TRUE(invalid(
+        analysis::PlanMechanismForWorkload(schema, workload, epsilon)
+            .status()));
+    EXPECT_TRUE(invalid(
+        analysis::EvaluateAllSaSubsets(schema, workload, epsilon).status()));
+    EXPECT_TRUE(invalid(
+        analysis::PriveletPlusVarianceBound(schema, {}, epsilon).status()));
+    EXPECT_TRUE(invalid(
+        analysis::PriveletPlusQueryVariance(schema, {}, epsilon, full)
+            .status()));
+    EXPECT_TRUE(invalid(
+        analysis::BasicQueryVariance(schema, epsilon, full).status()));
+  }
 }
 
 }  // namespace

@@ -259,6 +259,29 @@ TEST(ReleaseStoreTest, RebindRegistersUnknownIds) {
   EXPECT_TRUE(store.Acquire("fresh").ok());
 }
 
+TEST(ReleaseStoreTest, FailedRebindLeavesTheBindingServing) {
+  const data::Schema schema = TestSchema();
+  const std::uint64_t seeds[] = {93};
+  const auto paths = SaveReleases(schema, seeds, "rebind_bad");
+  const std::vector<query::RangeQuery> workload = TestWorkload(schema, 40);
+  query::ReleaseStore store;
+  ASSERT_TRUE(store.Register("r", paths[0]).ok());
+  auto before = store.AnswerAll("r", workload);
+  ASSERT_TRUE(before.ok());
+  const std::uint64_t generation = store.generation("r");
+
+  EXPECT_FALSE(
+      store.Rebind("r", testing::TempDir() + "/rebind_missing.pvls").ok());
+  EXPECT_EQ(generation, store.generation("r"));
+  auto after = store.AnswerAll("r", workload);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(*before, *after);
+  // An unknown id with a bad path is not registered.
+  EXPECT_FALSE(
+      store.Rebind("fresh", testing::TempDir() + "/rebind_missing.pvls").ok());
+  EXPECT_EQ(std::vector<std::string>{"r"}, store.ids());
+}
+
 // Rebind racing concurrent Acquires (the daemon's RELOAD-mid-traffic
 // path): every Acquire must return a valid session whose answers match
 // either the old or the new release — never an error, never a torn mix.

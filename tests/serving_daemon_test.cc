@@ -695,6 +695,31 @@ TEST_F(DaemonTest, ReloadInvalidatesTheAnswerCache) {
   EXPECT_EQ(payload[0], expected1[0]) << "stale cached answer after RELOAD";
 }
 
+TEST_F(DaemonTest, FailedReloadKeepsServingTheCurrentRelease) {
+  // A RELOAD to a path that does not load is that request's error; the
+  // id keeps answering from the release it had, with the same bytes.
+  StartServer();
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+  std::string header;
+  std::vector<std::string> before;
+  std::vector<std::string> payload;
+  ASSERT_TRUE(client.Send("QUERY r0 *\n"));
+  ASSERT_TRUE(client.ReadResponse(&header, &before));
+  ASSERT_EQ(header, "ok 1");
+
+  const std::string missing = testing::TempDir() + "/missing.pvls";
+  ASSERT_TRUE(client.Send("RELOAD r0 " + missing + "\n"));
+  ASSERT_TRUE(client.ReadResponse(&header, &payload));
+  EXPECT_EQ(header.rfind("error:", 0), 0u) << header;
+
+  ASSERT_TRUE(client.Send("QUERY r0 *\n"));
+  ASSERT_TRUE(client.ReadResponse(&header, &payload));
+  EXPECT_EQ(header, "ok 1");
+  EXPECT_EQ(payload, before);
+  EXPECT_EQ(server_->stats().reloads, 0u);
+}
+
 TEST_F(DaemonTest, SequentialQueryLatencyStaysInteractive) {
   // 200 sequential request/response turnarounds on one connection. With
   // TCP_NODELAY on both ends each is well under a millisecond on

@@ -166,21 +166,14 @@ TEST(SnapshotTest, SnapshotWithoutTableRebuildsBitIdentically) {
   EXPECT_EQ(expected, loaded->AnswerAll(workload));
 }
 
-TEST(SnapshotTest, ReadSnapshotPreservesSchemaAndEngineOptions) {
+TEST(SnapshotTest, ReadSnapshotPreservesSchema) {
   const data::Schema schema = TestSchema();
-  mechanism::PriveletPlusMechanism mech({"Occ"});
-  const matrix::EngineOptions options =
-      matrix::MakeEngineOptions(matrix::LineEngine::kNaive, 17);
-  auto session = query::PublishingSession::Publish(
-      schema, mech, RandomMatrix(schema, 3), 0.9, 41, nullptr, options);
-  ASSERT_TRUE(session.ok());
+  const query::PublishingSession session = PublishTestSession(schema, nullptr);
   const std::string path = TempPath("schema.pvls");
-  ASSERT_TRUE(storage::SaveSession(path, *session).ok());
+  ASSERT_TRUE(storage::SaveSession(path, session).ok());
 
   auto snapshot = storage::ReadSnapshot(path);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  EXPECT_EQ(matrix::LineEngine::kNaive, snapshot->engine_options.engine);
-  EXPECT_EQ(std::size_t{17}, snapshot->engine_options.tile_lines);
   ASSERT_EQ(schema.num_attributes(), snapshot->schema.num_attributes());
   for (std::size_t a = 0; a < schema.num_attributes(); ++a) {
     const data::Attribute& want = schema.attribute(a);
@@ -201,6 +194,65 @@ TEST(SnapshotTest, ReadSnapshotPreservesSchemaAndEngineOptions) {
     EXPECT_EQ(want.node(id).leaf_end, got.node(id).leaf_end);
   }
   EXPECT_TRUE(got.Validate().ok());
+}
+
+// Files written when the header's reserved fields still selected a line
+// engine (`--engine naive --tile-lines 17` wrote 1 | 17) load through
+// both readers and serve exactly what a fresh build over the same matrix
+// serves; an engine byte no writer ever produced stays corrupt.
+TEST(SnapshotTest, LegacyEngineFieldsStillLoad) {
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("A", 6));
+  attrs.push_back(data::Attribute::Ordinal("B", 5));
+  const data::Schema schema(std::move(attrs));
+  mechanism::PriveletMechanism mech;
+  auto session = query::PublishingSession::Publish(
+      schema, mech, RandomMatrix(schema, 5), /*epsilon=*/0.9, /*seed=*/41);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const std::string path = TempPath("legacy_engine.pvls");
+  ASSERT_TRUE(storage::SaveSession(path, *session).ok());
+  const auto fresh = query::PublishingSession::FromMatrix(
+      schema, session->published());
+  ASSERT_TRUE(fresh.ok());
+
+  // magic, version, mechanism id, epsilon, seed; then the reserved fields.
+  const std::size_t engine_at = 4 + 4 + 2 + mech.name().size() + 8 + 8;
+  const std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(std::uint8_t{0}, static_cast<std::uint8_t>(bytes[engine_at]));
+  const auto patched = [&](std::uint8_t engine) {
+    std::string out = bytes.substr(0, bytes.size() - 4);
+    out[engine_at] = static_cast<char>(engine);
+    const std::uint64_t tile = 17;
+    std::memcpy(out.data() + engine_at + 1, &tile, sizeof(tile));
+    const std::uint32_t crc = storage::Crc32(out.data(), out.size());
+    out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    return out;
+  };
+
+  WriteFileBytes(path, patched(1));
+  auto loaded = storage::LoadSession(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto mapped = storage::MapSession(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  for (std::size_t a_lo = 0; a_lo < 6; ++a_lo) {
+    for (std::size_t a_hi = a_lo; a_hi < 6; ++a_hi) {
+      for (std::size_t b_lo = 0; b_lo < 5; ++b_lo) {
+        for (std::size_t b_hi = b_lo; b_hi < 5; ++b_hi) {
+          query::RangeQuery q(2);
+          ASSERT_TRUE(q.SetRange(schema, 0, a_lo, a_hi).ok());
+          ASSERT_TRUE(q.SetRange(schema, 1, b_lo, b_hi).ok());
+          const double want = fresh->Answer(q);
+          EXPECT_EQ(want, loaded->Answer(q));
+          EXPECT_EQ(want, mapped->Answer(q));
+        }
+      }
+    }
+  }
+
+  WriteFileBytes(path, patched(2));
+  EXPECT_FALSE(storage::LoadSession(path).ok());
+  EXPECT_FALSE(storage::MapSession(path).ok());
+  EXPECT_FALSE(storage::InspectSnapshot(path).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +414,7 @@ ByteBuilder MinimalPrefix(std::uint64_t domain, std::uint32_t version = 1) {
   b.Str("Test");                               // mechanism
   b.Pod(double{0.5});                          // epsilon
   b.Pod(std::uint64_t{7});                     // seed
-  b.Pod(std::uint8_t{0}).Pod(std::uint64_t{64});  // engine options
+  b.Pod(std::uint8_t{0}).Pod(std::uint64_t{64});  // reserved
   b.Pod(std::uint32_t{1});                     // num_attributes
   b.Str("A").Pod(std::uint8_t{0}).Pod(domain);  // ordinal attribute
   return b;

@@ -1,11 +1,12 @@
-// The tiled/naive engine contract: both line engines perform identical
-// floating-point work per line, so HN transforms, prefix-sum tables, and
-// whole published releases must be bit-identical between the engines for
-// every tile size — including degenerate shapes (axes of size 1,
-// non-power-of-two ordinal domains, single-axis matrices) and a 4-D cube
-// mixing Haar, identity, and nominal axes. Also pins the TileBuffer
-// gather/scatter round trip and the NoiseStreamCursor's index-for-index
-// equivalence with the sharded noise loops.
+// The line-engine contract: the panel, strided and fused-noise paths do
+// the same floating-point work per line as the per-line reference
+// (reference/per_line_engine.h), so HN transforms, prefix-sum tables, and
+// whole published releases must be bit-identical to it at every ISA level
+// — including degenerate shapes (axes of size 1, non-power-of-two ordinal
+// domains, single-axis matrices) and a 4-D cube mixing Haar, identity, and
+// nominal axes. Also pins the TileBuffer gather/scatter round trip and the
+// NoiseStreamCursor's index-for-index equivalence with the sharded noise
+// loops.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -26,19 +27,24 @@
 #include "privelet/mechanism/noise.h"
 #include "privelet/mechanism/privelet_mechanism.h"
 #include "privelet/rng/xoshiro256pp.h"
+#include "privelet/simd/dispatch.h"
 #include "privelet/wavelet/hn_transform.h"
+#include "reference/per_line_engine.h"
 
 namespace privelet {
 namespace {
 
-constexpr std::size_t kTileSizes[] = {1, 8, 64};
-
-matrix::EngineOptions Tiled(std::size_t tile) {
-  return matrix::MakeEngineOptions(matrix::LineEngine::kTiled, tile);
-}
-
-matrix::EngineOptions Naive() {
-  return matrix::MakeEngineOptions(matrix::LineEngine::kNaive);
+// One EngineOptions per kernel level the host runs: the scalar level
+// takes the gather/transform/scatter panels, the vector levels the
+// strided in-place kernels.
+std::vector<matrix::EngineOptions> IsaOptions() {
+  std::vector<matrix::EngineOptions> all;
+  for (int lvl = 0; lvl <= static_cast<int>(simd::DetectBestIsa()); ++lvl) {
+    matrix::EngineOptions options;
+    options.isa = static_cast<simd::IsaChoice>(lvl);
+    all.push_back(options);
+  }
+  return all;
 }
 
 matrix::FrequencyMatrix RandomMatrix(std::vector<std::size_t> dims,
@@ -90,6 +96,14 @@ std::vector<data::Schema> AwkwardSchemas() {
         "Nom", data::Hierarchy::Balanced({3, 2}).value()));
     schemas.emplace_back(std::move(a));
   }
+  {
+    // More lines than one panel (kTileLines) on the strided axis, with a
+    // partial last panel.
+    std::vector<data::Attribute> a;
+    a.push_back(ordinal("A", 12));
+    a.push_back(ordinal("B", 150));
+    schemas.emplace_back(std::move(a));
+  }
   return schemas;
 }
 
@@ -105,96 +119,101 @@ data::Schema MixedCubeSchema() {
   return data::Schema(std::move(attrs));
 }
 
-void ExpectEnginesAgree(const data::Schema& schema,
-                        const std::vector<std::size_t>& identity_axes,
-                        std::uint64_t seed) {
+void ExpectTransformsMatchReference(
+    const data::Schema& schema, const std::vector<std::size_t>& identity_axes,
+    std::uint64_t seed) {
   auto transform = wavelet::HnTransform::Create(schema, identity_axes);
   ASSERT_TRUE(transform.ok()) << transform.status().ToString();
   const matrix::FrequencyMatrix m = RandomMatrix(schema.DomainSizes(), seed);
 
-  auto naive_fwd = transform->Forward(m, nullptr, Naive());
-  ASSERT_TRUE(naive_fwd.ok());
-  auto naive_inv = transform->Inverse(*naive_fwd, nullptr, Naive());
-  ASSERT_TRUE(naive_inv.ok());
+  const wavelet::HnCoefficients ref_fwd = reference::Forward(*transform, m);
+  const matrix::FrequencyMatrix ref_inv =
+      reference::Inverse(*transform, ref_fwd.coeffs);
 
-  for (const std::size_t tile : kTileSizes) {
-    auto fwd = transform->Forward(m, nullptr, Tiled(tile));
+  for (const matrix::EngineOptions& options : IsaOptions()) {
+    const int isa = static_cast<int>(options.isa);
+    auto fwd = transform->Forward(m, nullptr, options);
     ASSERT_TRUE(fwd.ok());
     EXPECT_TRUE(
-        matrix::ValuesEqual(naive_fwd->coeffs.values(), fwd->coeffs.values()))
-        << "forward, tile " << tile;
-    auto inv = transform->Inverse(*fwd, nullptr, Tiled(tile));
+        matrix::ValuesEqual(ref_fwd.coeffs.values(), fwd->coeffs.values()))
+        << "forward, isa " << isa;
+    auto inv = transform->Inverse(*fwd, nullptr, options);
     ASSERT_TRUE(inv.ok());
-    EXPECT_TRUE(matrix::ValuesEqual(naive_inv->values(), inv->values()))
-        << "inverse, tile " << tile;
+    EXPECT_TRUE(matrix::ValuesEqual(ref_inv.values(), inv->values()))
+        << "inverse, isa " << isa;
   }
 
   // The round trip reconstructs the data (noise-free coefficients).
   for (std::size_t i = 0; i < m.size(); ++i) {
-    EXPECT_NEAR(m[i], (*naive_inv)[i], 1e-6) << "round trip at " << i;
+    EXPECT_NEAR(m[i], ref_inv[i], 1e-6) << "round trip at " << i;
   }
 }
 
-TEST(TileEngineTest, AwkwardShapesAgreeAcrossEnginesAndTiles) {
+TEST(TileEngineTest, AwkwardShapesMatchPerLineReference) {
   std::uint64_t seed = 11;
   for (const data::Schema& schema : AwkwardSchemas()) {
     SCOPED_TRACE(schema.attribute(0).name() + std::string(" d=") +
                  std::to_string(schema.num_attributes()));
-    ExpectEnginesAgree(schema, {}, seed++);
+    ExpectTransformsMatchReference(schema, {}, seed++);
   }
 }
 
-TEST(TileEngineTest, MixedCubeAgreesAcrossEnginesAndTiles) {
-  ExpectEnginesAgree(MixedCubeSchema(), /*identity_axes=*/{1}, 29);
+TEST(TileEngineTest, MixedCubeMatchesPerLineReference) {
+  ExpectTransformsMatchReference(MixedCubeSchema(), /*identity_axes=*/{1}, 29);
 }
 
-void ExpectPublishBitIdenticalAcrossEngines(
-    const data::Schema& schema, mechanism::PriveletPlusMechanism& mech,
-    std::uint64_t data_seed) {
+void ExpectPublishMatchesReference(const data::Schema& schema,
+                                   const std::vector<std::string>& sa_names,
+                                   std::uint64_t data_seed) {
   const matrix::FrequencyMatrix m = RandomMatrix(schema.DomainSizes(),
                                                  data_seed);
-  mech.set_engine_options(Naive());
-  auto reference = mech.Publish(schema, m, /*epsilon=*/0.9, /*seed=*/41);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  for (const std::size_t tile : kTileSizes) {
-    mech.set_engine_options(Tiled(tile));
+  const matrix::FrequencyMatrix expected = reference::PublishPrivelet(
+      schema, sa_names, m, /*epsilon=*/0.9, /*seed=*/41);
+  mechanism::PriveletPlusMechanism mech(sa_names);
+  for (const matrix::EngineOptions& options : IsaOptions()) {
+    mech.set_engine_options(options);
     auto release = mech.Publish(schema, m, 0.9, 41);
-    ASSERT_TRUE(release.ok());
-    EXPECT_TRUE(matrix::ValuesEqual(reference->values(), release->values()))
-        << "tile " << tile;
+    ASSERT_TRUE(release.ok()) << release.status().ToString();
+    EXPECT_TRUE(matrix::ValuesEqual(expected.values(), release->values()))
+        << "isa " << static_cast<int>(options.isa);
   }
 }
 
-TEST(TileEngineTest, PublishIsBitIdenticalAcrossEnginesAndTiles) {
-  mechanism::PriveletPlusMechanism mech({"Sa"});
-  ExpectPublishBitIdenticalAcrossEngines(MixedCubeSchema(), mech, 3);
+TEST(TileEngineTest, FusedNoisePublishMatchesPerLineReference) {
+  ExpectPublishMatchesReference(MixedCubeSchema(), {"Sa"}, 3);
 }
 
 TEST(TileEngineTest, PublishWithNominalLastAxisExercisesStagedRefine) {
   // Last axis nominal (and no SA): the first inverse pass runs the staged
-  // slab branch — copy panel, fused noise, per-line Refine — which must
-  // still match the naive separate-sweep reference bit-for-bit.
+  // slab branch — copy line, fused noise, per-line Refine — which must
+  // still match the reference's separate noise sweep bit-for-bit.
   std::vector<data::Attribute> attrs;
   attrs.push_back(data::Attribute::Ordinal("Ord", 24));
   attrs.push_back(data::Attribute::Nominal(
       "Nom", data::Hierarchy::Balanced({4, 4}).value()));
-  const data::Schema schema(std::move(attrs));
-  mechanism::PriveletPlusMechanism mech;
-  ExpectPublishBitIdenticalAcrossEngines(schema, mech, 13);
+  ExpectPublishMatchesReference(data::Schema(std::move(attrs)), {}, 13);
 }
 
-TEST(TileEngineTest, PrefixSumsAgreeAcrossEnginesAndTiles) {
+TEST(TileEngineTest, PublishSpanningSeveralNoiseShardsMatchesReference) {
+  // 160 x 160 = 25600 coefficients: the fused cursor crosses shard
+  // boundaries inside panels.
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("A", 160));
+  attrs.push_back(data::Attribute::Ordinal("B", 160));
+  ExpectPublishMatchesReference(data::Schema(std::move(attrs)), {}, 17);
+}
+
+TEST(TileEngineTest, PrefixSumsMatchPerLineReference) {
   for (const auto& dims : std::vector<std::vector<std::size_t>>{
-           {1}, {37}, {1, 13, 1}, {5, 1, 9}, {16, 6, 21, 11}}) {
+           {1}, {37}, {1, 13, 1}, {5, 1, 9}, {12, 150}, {16, 6, 21, 11}}) {
     const matrix::FrequencyMatrix m = RandomMatrix(dims, 7);
-    const matrix::PrefixSumTable<double> naive(m, nullptr, Naive());
-    for (const std::size_t tile : kTileSizes) {
-      const matrix::PrefixSumTable<double> tiled(m, nullptr, Tiled(tile));
-      ASSERT_EQ(0, std::memcmp(naive.raw_sums().data(),
-                               tiled.raw_sums().data(),
-                               naive.raw_sums().size_bytes()))
-          << "tile " << tile;
+    const std::vector<double> expected = reference::PrefixSums(m);
+    for (const matrix::EngineOptions& options : IsaOptions()) {
+      const matrix::PrefixSumTable<double> table(m, nullptr, options);
+      ASSERT_EQ(expected.size(), table.raw_sums().size());
+      ASSERT_EQ(0, std::memcmp(expected.data(), table.raw_sums().data(),
+                               table.raw_sums().size_bytes()))
+          << "isa " << static_cast<int>(options.isa);
     }
   }
 }
@@ -276,11 +295,10 @@ TEST(TileEngineTest, NoiseCursorMatchesShardedLoops) {
   }
 }
 
-TEST(TileEngineTest, TiledPublishDeterministicUnderThreads) {
+TEST(TileEngineTest, PublishDeterministicUnderThreads) {
   const data::Schema schema = MixedCubeSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema.DomainSizes(), 5);
   mechanism::PriveletPlusMechanism mech;
-  mech.set_engine_options(Tiled(8));
   auto serial = mech.Publish(schema, m, 1.1, 77);
   ASSERT_TRUE(serial.ok());
   for (const std::size_t threads : {2u, 8u}) {

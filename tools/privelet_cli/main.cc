@@ -78,8 +78,7 @@ usage:
                        [--mechanism basic|privelet|privelet+|hay] [--sa A,B]
                        [--auto-plan (--workload FILE | --random N
                        [--workload-seed S])]
-                       [--epsilon E] [--seed S] [--threads N]
-                       [--engine tiled|naive] [--tile-lines B] [--no-table]
+                       [--epsilon E] [--seed S] [--threads N] [--no-table]
                        [--max-memory BYTES[K|M|G]] [--scratch-dir DIR]
                        --output FILE.pvls
   privelet_cli inspect FILE.pvls
@@ -127,7 +126,7 @@ snapshot bytes are identical to an in-core publish of the same release.
 
 defaults: --tuples 100000, --data-seed 42, --mechanism privelet,
           --epsilon 1.0, --seed 7, --threads <hardware> (0 = serial),
-          --engine tiled, --workload-seed 7, --max-resident 0 (unbounded),
+          --workload-seed 7, --max-resident 0 (unbounded),
           --max-memory 0 (in-core), --output - (stdout for query/serve)
 )";
 
@@ -278,18 +277,6 @@ Result<std::size_t> GetByteSize(const Args& args, const std::string& name,
 
 Result<matrix::EngineOptions> GetEngineOptions(const Args& args) {
   matrix::EngineOptions options;
-  const std::string engine = args.Get("engine", "tiled");
-  if (engine == "naive") {
-    options.engine = matrix::LineEngine::kNaive;
-  } else if (engine != "tiled") {
-    return Status::InvalidArgument("--engine must be tiled or naive");
-  }
-  PRIVELET_ASSIGN_OR_RETURN(
-      options.tile_lines,
-      GetCount(args, "tile-lines", matrix::kDefaultTileLines));
-  if (options.tile_lines == 0) {
-    return Status::InvalidArgument("--tile-lines must be >= 1");
-  }
   PRIVELET_ASSIGN_OR_RETURN(options.max_memory_bytes,
                             GetByteSize(args, "max-memory", 0));
   options.scratch_dir = args.Get("scratch-dir", "");
@@ -512,9 +499,9 @@ int RunPlan(const Args& args) {
 int RunPublish(const Args& args) {
   Status flags = RejectUnknownFlags(
       args, {"csv", "schema", "synthetic", "census", "tuples", "data-seed",
-             "mechanism", "sa", "epsilon", "seed", "threads", "engine",
-             "tile-lines", "no-table", "max-memory", "scratch-dir", "output",
-             "auto-plan", "workload", "random", "workload-seed"});
+             "mechanism", "sa", "epsilon", "seed", "threads", "no-table",
+             "max-memory", "scratch-dir", "output", "auto-plan", "workload",
+             "random", "workload-seed"});
   if (!flags.ok()) return Fail(flags);
   if (!args.Has("output")) {
     return Fail(Status::InvalidArgument("publish needs --output FILE.pvls"));
@@ -608,7 +595,6 @@ int RunPublish(const Args& args) {
       view.mechanism = session->metadata().mechanism;
       view.epsilon = session->metadata().epsilon;
       view.seed = session->metadata().seed;
-      view.engine_options = session->engine_options();
       view.published = &session->published();
       view.plan = plan_record.has_value() ? &*plan_record : nullptr;
       st = storage::WriteSnapshot(output, view);
@@ -683,11 +669,6 @@ int RunInspect(const Args& args) {
   std::printf("epsilon:      %g\n", info->epsilon);
   std::printf("seed:         %llu\n",
               static_cast<unsigned long long>(info->seed));
-  std::printf("engine:       %s, tile_lines=%zu\n",
-              info->engine_options.engine == matrix::LineEngine::kTiled
-                  ? "tiled"
-                  : "naive",
-              info->engine_options.tile_lines);
   std::printf("prefix table: %s\n", info->has_prefix_table ? "yes" : "no");
   std::printf("cells:        %zu\n", info->num_cells);
   std::printf("values:       offset %ju, %ju bytes\n",
