@@ -104,14 +104,12 @@ int main() {
                                   sizeof(double)) / 1e6);
 
   // --- analyst side -----------------------------------------------------
-  // Serve the snapshot in place: OpenServingSession memory-maps a v2
-  // file, checks the CRC once, and the session's evaluator reads the
-  // prefix table straight from the mapped pages — zero copies, no O(m)
-  // load work (falling back to the LoadSession copy path for v1 files or
-  // platforms without mmap; answers are bit-identical either way). The
+  // Serve the snapshot in place: MapSession memory-maps the file, checks
+  // the CRC once, and the session's evaluator reads the prefix table
+  // straight from the mapped pages — zero copies, no O(m) load work. The
   // session carries the release provenance, answers batches across the
   // pool, and is safe to share between serving threads.
-  auto session = storage::OpenServingSession(release_path, &pool);
+  auto session = storage::MapSession(release_path, &pool);
   if (!session.ok()) return 1;
   std::printf("mapped release: mechanism=%s epsilon=%g seed=%llu\n",
               session->metadata().mechanism.c_str(),

@@ -8,34 +8,29 @@
 #include "privelet/common/check.h"
 #include "privelet/common/io_util.h"
 
-#if !defined(_WIN32)
 #include <cerrno>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace privelet::common {
 
 namespace {
 
-#if !defined(_WIN32)
 std::string ResolveScratchDir(const std::string& dir) {
   if (!dir.empty()) return dir;
   const char* tmpdir = std::getenv("TMPDIR");
   if (tmpdir != nullptr && tmpdir[0] != '\0') return tmpdir;
   return "/tmp";
 }
-#endif
 
 }  // namespace
 
 Result<MappedFile> MappedFile::Open(const std::string& path) {
-#if defined(_WIN32)
-  return Status::IOError("memory mapping is not supported on this platform");
-#else
-  const int fd = OpenRetry(path.c_str(), O_RDONLY | O_CLOEXEC);
+  // O_NONBLOCK only so that a FIFO path fails the regular-file check below
+  // instead of blocking the open; it does not affect regular files.
+  const int fd = OpenRetry(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
   if (fd < 0) {
     return Status::IOError("cannot open '" + path + "': " + ErrnoMessage());
   }
@@ -44,6 +39,10 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
     const std::string msg = ErrnoMessage();
     CloseFd(fd);
     return Status::IOError("cannot stat '" + path + "': " + msg);
+  }
+  if (!S_ISREG(st.st_mode)) {
+    CloseFd(fd);
+    return Status::IOError("'" + path + "' is not a regular file");
   }
   const auto size = static_cast<std::size_t>(st.st_size);
   if (size == 0) {
@@ -63,14 +62,10 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
   (void)::posix_madvise(addr, size, POSIX_MADV_WILLNEED);
 #endif
   return MappedFile(addr, size, /*writable=*/false, /*release_safe=*/false);
-#endif
 }
 
 Result<MappedFile> MappedFile::CreateScratch(std::size_t size,
                                              const std::string& dir) {
-#if defined(_WIN32)
-  return Status::IOError("scratch mapping is not supported on this platform");
-#else
   const std::string resolved = ResolveScratchDir(dir);
   std::vector<char> name(resolved.begin(), resolved.end());
   const char suffix[] = "/privelet_scratch.XXXXXX";
@@ -115,14 +110,9 @@ Result<MappedFile> MappedFile::CreateScratch(std::size_t size,
   (void)::posix_madvise(addr, size, POSIX_MADV_RANDOM);
 #endif
   return MappedFile(addr, size, /*writable=*/true, /*release_safe=*/true);
-#endif
 }
 
 Result<MappedFile> MappedFile::CreateAnonymous(std::size_t size) {
-#if defined(_WIN32)
-  return Status::IOError(
-      "anonymous mapping is not supported on this platform");
-#else
   if (size == 0) {
     MappedFile empty;
     empty.writable_ = true;
@@ -137,7 +127,6 @@ Result<MappedFile> MappedFile::CreateAnonymous(std::size_t size) {
   // Anonymous pages must never be MADV_DONTNEED'ed: the kernel would
   // replace them with zero pages, destroying the contents.
   return MappedFile(addr, size, /*writable=*/true, /*release_safe=*/false);
-#endif
 }
 
 std::span<std::byte> MappedFile::mutable_bytes() const {
@@ -146,19 +135,15 @@ std::span<std::byte> MappedFile::mutable_bytes() const {
 }
 
 void MappedFile::ReleaseResidency() const {
-#if !defined(_WIN32)
   if (release_safe_ && addr_ != nullptr) {
     (void)::madvise(addr_, size_, MADV_DONTNEED);
   }
-#endif
 }
 
 void MappedFile::Reset() {
-#if !defined(_WIN32)
   if (addr_ != nullptr) {
     ::munmap(addr_, size_);
   }
-#endif
   addr_ = nullptr;
   size_ = 0;
   writable_ = false;

@@ -31,9 +31,9 @@ namespace privelet::common {
 /// 64-byte-aligned file offset is 64-byte aligned in memory too.
 class MappedFile {
  public:
-  /// Maps `path` read-only in full. Fails with IOError when the file
-  /// cannot be opened, stat'ed, or mapped (including on platforms without
-  /// mmap support).
+  /// Maps `path` read-only in full. Fails with IOError when the path
+  /// cannot be opened or stat'ed, is not a regular file (a directory, a
+  /// device, a FIFO), or cannot be mapped.
   static Result<MappedFile> Open(const std::string& path);
 
   /// Creates a writable zero-filled scratch mapping of `size` bytes backed

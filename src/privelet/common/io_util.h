@@ -5,9 +5,6 @@
 // snapshot path would corrupt a release. Every raw fd operation in the
 // library goes through these helpers so a delivered signal can interrupt
 // *when* I/O happens but never *whether* it completes.
-//
-// All functions are no-ops returning IOError on _WIN32 (the library's
-// fd-based paths are already gated off there).
 #ifndef PRIVELET_COMMON_IO_UTIL_H_
 #define PRIVELET_COMMON_IO_UTIL_H_
 

@@ -43,7 +43,7 @@ Status ReleaseStore::Rebind(std::string id, std::string path) {
   // load leaves the id's path and generation as they were, so the next
   // Acquire reloads the release it was serving.
   PRIVELET_ASSIGN_OR_RETURN(PublishingSession opened,
-                            storage::OpenServingSession(path, options_.pool));
+                            storage::MapSession(path, options_.pool));
   auto session = std::make_shared<const PublishingSession>(std::move(opened));
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.loads;
@@ -119,7 +119,7 @@ Result<std::shared_ptr<const PublishingSession>> ReleaseStore::Acquire(
   const std::string path = entry.path;
   lock.unlock();
 
-  auto opened = storage::OpenServingSession(path, options_.pool);
+  auto opened = storage::MapSession(path, options_.pool);
   SessionResult result =
       opened.ok()
           ? SessionResult(std::make_shared<const PublishingSession>(

@@ -3,9 +3,9 @@
 // at once — one process answering mixed workloads over dozens of
 // releases — so the store maps release ids to snapshot paths and turns
 // them into live PublishingSessions lazily: a release costs nothing until
-// its first query, v2 snapshots are memory-mapped in place (zero-copy,
-// O(header + CRC) open), and an optional LRU bound caps how many stay
-// resident. Sessions are handed out as shared_ptrs, so eviction never
+// its first query, snapshots are memory-mapped in place (zero-copy,
+// O(header + CRC) open for v2/v3), and an optional LRU bound caps how
+// many stay resident. Sessions are handed out as shared_ptrs, so eviction never
 // yanks a release out from under an in-flight batch — the mapping is
 // unmapped when the last borrower drops it.
 //
@@ -14,7 +14,7 @@
 // to map the file N times.
 //
 // Layering note (docs/ARCHITECTURE.md): this header is storage-free, but
-// release_store.cc composes storage::OpenServingSession with the session
+// release_store.cc composes storage::MapSession with the session
 // facade — it is the serving tip of the library, above both query and
 // storage.
 #ifndef PRIVELET_QUERY_RELEASE_STORE_H_

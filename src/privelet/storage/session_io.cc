@@ -184,24 +184,4 @@ Result<query::PublishingSession> MapSession(const std::string& path,
       std::make_shared<const MappedSnapshot>(std::move(mapped)), pool);
 }
 
-Result<query::PublishingSession> OpenServingSession(const std::string& path,
-                                                    common::ThreadPool* pool) {
-  auto mapped = MapSession(path, pool);
-  if (mapped.ok()) return mapped;
-  switch (mapped.status().code()) {
-    case StatusCode::kFailedPrecondition:
-      // v1 snapshot: the sections are not mappable in place.
-      return LoadSession(path, pool);
-    case StatusCode::kIOError:
-      // mmap itself failed (unsupported platform/filesystem) — the copy
-      // loader may still read the file; a missing file just fails again
-      // with the same error.
-      return LoadSession(path, pool);
-    default:
-      // Corrupt/invalid snapshots fail identically on both paths; don't
-      // pay a second full read to rediscover that.
-      return mapped;
-  }
-}
-
 }  // namespace privelet::storage

@@ -1,8 +1,10 @@
 // File-level persistence of serving sessions: SaveSession streams a live
 // PublishingSession straight into a PVLS snapshot (no copy of the matrix
-// or table), LoadSession turns a snapshot file back into a serving
-// session, and MapSession / OpenServingSession serve a v2 snapshot in
-// place from a memory mapping with zero copies. Also the home of
+// or table), MapSession serves a snapshot in place from a memory mapping
+// with zero copies (the serving path), and LoadSession copies one into an
+// owning session. Both read through the one mapped parse in snapshot.cc,
+// accept every PVLS version, and fail alike: IOError for a path that
+// cannot be mapped, InvalidArgument for a corrupt file. Also the home of
 // PublishingSession::ToSnapshot/FromSnapshot/FromMapped — they are
 // declared on the session for discoverability but implemented here
 // because storage sits above query in the layer order
@@ -57,28 +59,25 @@ Result<query::PublishingSession> PublishToFile(
     const matrix::EngineOptions& options = {},
     const query::PlanRecord* plan = nullptr);
 
-/// Loads a snapshot (v1 or v2) by copy and wraps it as a serving session.
-/// When the file carries an adoptable prefix table this is an O(file
-/// size) read with no O(m) compute; otherwise the table is rebuilt on
-/// `pool`. Either way the loaded session answers bit-identically to the
-/// one that was saved.
+/// Loads a snapshot by copy (ReadSnapshot) and wraps it as an owning
+/// session, whose published() matrix can be saved again. When the file
+/// carries an adoptable prefix table this is an O(file size) copy with no
+/// O(m) compute; otherwise the table is rebuilt on `pool`. Either way the
+/// loaded session answers bit-identically to the one that was saved.
+/// Peak memory is the mapped file plus the copy; serving paths use
+/// MapSession.
 Result<query::PublishingSession> LoadSession(const std::string& path,
                                              common::ThreadPool* pool = nullptr);
 
-/// Maps a v2 snapshot and serves it in place: open cost is
-/// O(header + CRC) and the prefix table is adopted as a zero-copy view
-/// into the file's pages (rebuilt from the mapped matrix only when the
-/// stored accumulator layout does not match this platform). Answers are
-/// bit-identical to LoadSession's. Fails with FailedPrecondition on v1
-/// files — use OpenServingSession to fall back automatically.
+/// Maps a snapshot and serves it in place — the serving entry point, used
+/// by query::ReleaseStore, the daemon and `privelet_cli query`. For v2/v3
+/// files the open cost is O(header + CRC) and the prefix table is adopted
+/// as a zero-copy view into the file's pages. A legacy table (v1
+/// double-double, x87) is rebuilt on `pool` from the matrix values, which
+/// a v1 file has copied out of the mapping. Answers are bit-identical to
+/// LoadSession's.
 Result<query::PublishingSession> MapSession(const std::string& path,
                                             common::ThreadPool* pool = nullptr);
-
-/// The serving entry point: MapSession when the file supports it (v2),
-/// the LoadSession copy path otherwise (v1). What query::ReleaseStore
-/// uses to resolve a release id to a live session.
-Result<query::PublishingSession> OpenServingSession(
-    const std::string& path, common::ThreadPool* pool = nullptr);
 
 }  // namespace privelet::storage
 

@@ -12,12 +12,8 @@
 
 #include <atomic>
 
-#if defined(_WIN32)
-#include <process.h>
-#else
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "privelet/common/io_util.h"
 #include "privelet/data/attribute.h"
@@ -46,8 +42,6 @@ constexpr std::size_t kMaxNameLen = 4096;
 constexpr std::size_t kMaxAttributes = 256;
 constexpr std::size_t kMaxDims = 64;
 
-constexpr std::size_t kChunkElements = 1 << 14;  // 128 KiB of doubles
-
 // The table-section header of the only accumulator written and adopted:
 // IEEE-754 binary64, (mant_dig, accum_bytes) = (53, 8).
 constexpr std::uint16_t kTableMantDig = std::numeric_limits<double>::digits;
@@ -71,38 +65,26 @@ std::size_t PadBytes(std::uint64_t offset) {
 // with the previous snapshot, or the winner's output, intact.
 std::string TempSnapshotPath(const std::string& path) {
   static std::atomic<std::uint64_t> counter{0};
-#if defined(_WIN32)
-  const unsigned long pid = static_cast<unsigned long>(_getpid());
-#else
   const unsigned long pid = static_cast<unsigned long>(::getpid());
-#endif
   return path + ".tmp." + std::to_string(pid) + "." +
          std::to_string(counter.fetch_add(1));
 }
 
-// Flushes a closed file's data to stable storage. No-op where fsync is
-// unavailable (Windows std-only build) — there the rename below is not
-// crash-atomic either.
+// Flushes a closed file's data to stable storage.
 Status SyncFile(const std::string& path) {
-#if !defined(_WIN32)
   const int fd = common::OpenRetry(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IOError("cannot reopen '" + path + "' to sync it");
   }
   const Status synced = common::FsyncRetry(fd, path);
   common::CloseFd(fd);
-  PRIVELET_RETURN_IF_ERROR(synced);
-#else
-  (void)path;
-#endif
-  return Status::OK();
+  return synced;
 }
 
 // Makes the rename itself durable by syncing the containing directory.
 // Best effort: some filesystems refuse directory fsync; the file's data
 // is already durable by then.
 void SyncParentDirectory(const std::string& path) {
-#if !defined(_WIN32)
   const std::size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
                               ? std::string(".")
@@ -113,9 +95,6 @@ void SyncParentDirectory(const std::string& path) {
     (void)common::FsyncRetry(fd, dir);
     common::CloseFd(fd);
   }
-#else
-  (void)path;
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -184,14 +163,8 @@ class SnapshotWriter {
     // rename over still-unwritten blocks and destroy the old snapshot.
     PRIVELET_RETURN_IF_ERROR(SyncFile(tmp_path_));
     if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-#if defined(_WIN32)
-      // Windows rename does not replace an existing destination; the
-      // non-atomic remove+rename is the best that std:: offers there.
-      std::remove(path_.c_str());
-      if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0)
-#endif
-        return Status::IOError("cannot move '" + tmp_path_ +
-                               "' into place at '" + path_ + "'");
+      return Status::IOError("cannot move '" + tmp_path_ +
+                             "' into place at '" + path_ + "'");
     }
     SyncParentDirectory(path_);  // best effort; the data itself is durable
     finished_ = true;
@@ -208,129 +181,18 @@ class SnapshotWriter {
 };
 
 // ---------------------------------------------------------------------------
-// Streaming reader over [start, file_size - 4): tracks the bytes left
-// before the trailing CRC so every length field can be bounds-checked
-// prior to allocation, and folds everything it reads into the running
-// CRC for the final comparison.
-class SnapshotReader {
- public:
-  static Result<SnapshotReader> Open(const std::string& path) {
-    SnapshotReader r(path);
-    if (!r.in_) {
-      return Status::IOError("cannot open '" + path + "' for reading");
-    }
-    r.in_.seekg(0, std::ios::end);
-    const std::streamoff size = r.in_.tellg();
-    r.in_.seekg(0, std::ios::beg);
-    if (size < 0) return Status::IOError("cannot stat '" + path + "'");
-    r.file_bytes_ = static_cast<std::uint64_t>(size);
-    if (r.file_bytes_ < sizeof(kMagic) + sizeof(std::uint32_t) * 2) {
-      return r.Corrupt("file too short to be a snapshot");
-    }
-    r.remaining_ = r.file_bytes_ - sizeof(std::uint32_t);  // minus the CRC
-    return r;
-  }
-
-  const std::string& path() const { return path_; }
-  std::uint64_t file_bytes() const { return file_bytes_; }
-  std::uint64_t remaining() const { return remaining_; }
-  /// Bytes consumed so far (== the current file offset).
-  std::uint64_t offset() const { return offset_; }
-
-  Status Corrupt(const std::string& what) const {
-    return Status::InvalidArgument("snapshot '" + path_ + "': " + what);
-  }
-
-  Status ReadRaw(void* dst, std::size_t len, const char* what) {
-    if (len > remaining_) {
-      return Corrupt(std::string("truncated while reading ") + what);
-    }
-    in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(len));
-    if (!in_ || in_.gcount() != static_cast<std::streamsize>(len)) {
-      return Corrupt(std::string("read failed in ") + what);
-    }
-    crc_ = Crc32Update(crc_, dst, len);
-    remaining_ -= len;
-    offset_ += len;
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status ReadPod(T* dst, const char* what) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return ReadRaw(dst, sizeof(T), what);
-  }
-
-  Status ReadString(std::string* dst, std::size_t max_len, const char* what) {
-    std::uint16_t len = 0;
-    PRIVELET_RETURN_IF_ERROR(ReadPod(&len, what));
-    if (len > max_len) {
-      return Corrupt(std::string(what) + " length out of bounds");
-    }
-    dst->resize(len);
-    return ReadRaw(dst->data(), len, what);
-  }
-
-  /// Consumes `len` bytes without keeping them (metadata-only reads still
-  /// need the full stream folded into the CRC).
-  Status Skip(std::size_t len, const char* what) {
-    std::vector<char> scratch(std::min<std::size_t>(len, kChunkElements * 8));
-    while (len > 0) {
-      const std::size_t step = std::min(len, scratch.size());
-      PRIVELET_RETURN_IF_ERROR(ReadRaw(scratch.data(), step, what));
-      len -= step;
-    }
-    return Status::OK();
-  }
-
-  /// Verifies every payload byte was consumed and the trailing checksum
-  /// matches the stream.
-  Status VerifyCrc() {
-    if (remaining_ != 0) {
-      return Corrupt("trailing bytes after the table section");
-    }
-    std::uint32_t stored = 0;
-    in_.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-    if (!in_ || in_.gcount() != sizeof(stored)) {
-      return Corrupt("missing trailing CRC");
-    }
-    if (stored != Crc32Finish(crc_)) {
-      return Corrupt("CRC mismatch (file corrupted)");
-    }
-    return Status::OK();
-  }
-
- private:
-  explicit SnapshotReader(const std::string& path)
-      : path_(path), in_(path, std::ios::binary) {}
-
-  std::string path_;
-  std::ifstream in_;
-  std::uint64_t file_bytes_ = 0;
-  std::uint64_t remaining_ = 0;
-  std::uint64_t offset_ = 0;
-  std::uint32_t crc_ = kCrc32Init;
-};
-
-// ---------------------------------------------------------------------------
-// In-memory reader over an already-mapped payload (everything before the
-// trailing CRC). The CRC is verified once over the whole mapping before
-// parsing starts, so this reader only bounds-checks; Skip is O(1), which
-// is what makes MappedSnapshot::Open O(header) after the checksum pass.
-// Mirrors SnapshotReader's interface so the section parsers below are
-// shared templates.
+// Reader over a mapped snapshot's payload (everything before the trailing
+// CRC). The CRC is verified once over the whole mapping before parsing
+// starts, so this reader only bounds-checks; Skip is O(1), which is what
+// makes every parse O(header) after the checksum pass.
 class MemReader {
  public:
-  MemReader(std::string path, std::span<const std::byte> payload)
-      : path_(std::move(path)), payload_(payload) {}
+  MemReader(const std::string& path, std::span<const std::byte> payload)
+      : path_(path), payload_(payload) {}
 
-  const std::string& path() const { return path_; }
   std::uint64_t remaining() const { return payload_.size() - pos_; }
+  /// Bytes consumed so far (== the current file offset).
   std::uint64_t offset() const { return pos_; }
-
-  /// The current read position inside the mapping (used to take section
-  /// spans without copying).
-  const std::byte* cursor() const { return payload_.data() + pos_; }
 
   Status Corrupt(const std::string& what) const {
     return Status::InvalidArgument("snapshot '" + path_ + "': " + what);
@@ -370,13 +232,13 @@ class MemReader {
   }
 
  private:
-  std::string path_;
+  const std::string& path_;
   std::span<const std::byte> payload_;
   std::size_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// Schema section (shared between the streamed and mapped readers).
+// Schema section.
 
 void WriteHierarchy(SnapshotWriter& w, const data::Hierarchy& h) {
   w.WritePod(static_cast<std::uint64_t>(h.num_nodes()));
@@ -401,8 +263,7 @@ data::HierarchySpec BuildSpec(const std::vector<std::uint32_t>& counts,
   return spec;
 }
 
-template <typename Reader>
-Result<data::Hierarchy> ReadHierarchy(Reader& r) {
+Result<data::Hierarchy> ReadHierarchy(MemReader& r) {
   std::uint64_t num_nodes = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&num_nodes, "hierarchy node count"));
   // Each node costs 4 bytes; bounding by the remaining bytes caps the
@@ -450,8 +311,7 @@ void WriteSchema(SnapshotWriter& w, const data::Schema& schema) {
   }
 }
 
-template <typename Reader>
-Result<data::Schema> ReadSchema(Reader& r) {
+Result<data::Schema> ReadSchema(MemReader& r) {
   std::uint32_t num_attributes = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&num_attributes, "attribute count"));
   if (num_attributes == 0 || num_attributes > kMaxAttributes) {
@@ -494,8 +354,7 @@ void WriteReservedFields(SnapshotWriter& w) {
   w.WritePod(std::uint64_t{64});
 }
 
-template <typename Reader>
-Status SkipReservedFields(Reader& r) {
+Status SkipReservedFields(MemReader& r) {
   std::uint8_t engine = 0;
   std::uint64_t panel_width = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&engine, "line engine"));
@@ -507,8 +366,7 @@ Status SkipReservedFields(Reader& r) {
 // ---------------------------------------------------------------------------
 // Matrix and table sections.
 
-template <typename Reader>
-Result<std::vector<std::size_t>> ReadDims(Reader& r,
+Result<std::vector<std::size_t>> ReadDims(MemReader& r,
                                           const data::Schema& schema) {
   std::uint32_t num_dims = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&num_dims, "dimension count"));
@@ -539,11 +397,10 @@ Result<std::vector<std::size_t>> ReadDims(Reader& r,
   return dims;
 }
 
-/// v2 only: consumes the zero padding bringing the reader to the next
+/// v2+ only: consumes the zero padding bringing the reader to the next
 /// section-aligned offset. Nonzero padding is rejected so the byte format
 /// stays canonical (identical releases <=> identical files).
-template <typename Reader>
-Status ConsumeSectionPadding(Reader& r) {
+Status ConsumeSectionPadding(MemReader& r) {
   const std::size_t pad = PadBytes(r.offset());
   if (pad == 0) return Status::OK();
   unsigned char buf[kSectionAlignment];
@@ -554,37 +411,14 @@ Status ConsumeSectionPadding(Reader& r) {
   return Status::OK();
 }
 
-// Everything up to (and including) the dims field — identical in v1 and
-// v2, shared by the streamed readers and MappedSnapshot.
-struct HeaderFields {
-  std::uint32_t version = 0;
-  std::string mechanism;
-  double epsilon = 0.0;
-  std::uint64_t seed = 0;
-  std::optional<query::PlanRecord> plan;
-  data::Schema schema;
-  std::vector<std::size_t> dims;
-  std::size_t cells = 0;
-};
-
-template <typename Reader>
-Status ParseHeaderFields(Reader& r, HeaderFields* out) {
-  char magic[4];
-  PRIVELET_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic), "magic"));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("'" + r.path() +
-                                   "' is not a PVLS release snapshot");
-  }
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&out->version, "version"));
-  if (out->version != kVersionLegacy && out->version != kVersion &&
-      out->version != kVersionPlanned) {
-    return r.Corrupt("unsupported snapshot version");
-  }
+// Everything between the version and the matrix section: provenance,
+// plan (v3), reserved fields, schema and dims. Identical in every version.
+Status ParseHeader(MemReader& r, SnapshotInfo* info) {
   PRIVELET_RETURN_IF_ERROR(
-      r.ReadString(&out->mechanism, kMaxNameLen, "mechanism id"));
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&out->epsilon, "epsilon"));
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&out->seed, "seed"));
-  if (out->version >= kVersionPlanned) {
+      r.ReadString(&info->mechanism, kMaxNameLen, "mechanism id"));
+  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&info->epsilon, "epsilon"));
+  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&info->seed, "seed"));
+  if (info->version >= kVersionPlanned) {
     query::PlanRecord plan;
     PRIVELET_RETURN_IF_ERROR(
         r.ReadString(&plan.chosen, kMaxNameLen, "plan chosen id"));
@@ -599,139 +433,113 @@ Status ParseHeaderFields(Reader& r, HeaderFields* out) {
         r.ReadPod(&plan.runner_up_variance, "plan runner-up variance"));
     PRIVELET_RETURN_IF_ERROR(
         r.ReadPod(&plan.workload_queries, "plan workload size"));
-    out->plan = std::move(plan);
+    info->plan = std::move(plan);
   }
   PRIVELET_RETURN_IF_ERROR(SkipReservedFields(r));
-  PRIVELET_ASSIGN_OR_RETURN(out->schema, ReadSchema(r));
-  PRIVELET_ASSIGN_OR_RETURN(out->dims, ReadDims(r, out->schema));
+  PRIVELET_ASSIGN_OR_RETURN(info->schema, ReadSchema(r));
+  PRIVELET_ASSIGN_OR_RETURN(info->dims, ReadDims(r, info->schema));
   // Overflow-checked by ReadDims (and bounded by the file size).
-  out->cells = 1;
-  for (std::size_t d : out->dims) out->cells *= d;
+  info->num_cells = 1;
+  for (std::size_t d : info->dims) info->num_cells *= d;
   return Status::OK();
 }
 
-// v2 table-section header: binary64 entries are adopted verbatim (a raw
-// copy or view); any other accumulator — the x87 (64, 16) tables written
-// before the table became double — falls back to the deterministic
-// rebuild from the matrix.
-struct TableSectionV2 {
-  std::uint16_t mant_dig = 0;
-  std::uint16_t accum_bytes = 0;
-  std::size_t payload = 0;
-
-  bool adoptable() const {
-    return mant_dig == kTableMantDig && accum_bytes == kTableAccumBytes;
-  }
-};
-
-template <typename Reader>
-Status ReadTableSectionHeaderV2(Reader& r, std::size_t cells,
-                                TableSectionV2* section) {
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&section->mant_dig, "table accumulator"));
-  PRIVELET_RETURN_IF_ERROR(
-      r.ReadPod(&section->accum_bytes, "table accumulator width"));
-  if (section->accum_bytes == 0 || section->accum_bytes > 64) {
-    return r.Corrupt("table accumulator width out of bounds");
-  }
-  PRIVELET_RETURN_IF_ERROR(ConsumeSectionPadding(r));
-  if (!CheckedMul(cells, section->accum_bytes, &section->payload) ||
-      section->payload > r.remaining()) {
-    return r.Corrupt("prefix-table payload exceeds the file size");
-  }
-  return Status::OK();
-}
-
-// Shared parse behind ReadSnapshot and InspectSnapshot: `snapshot` is
-// filled when non-null, otherwise payloads are skipped (still streamed
-// through the CRC) and only `info` is filled.
-Status ParseSnapshot(const std::string& path, ReleaseSnapshot* snapshot,
-                     SnapshotInfo* info) {
-  PRIVELET_ASSIGN_OR_RETURN(SnapshotReader r, SnapshotReader::Open(path));
-  HeaderFields h;
-  PRIVELET_RETURN_IF_ERROR(ParseHeaderFields(r, &h));
-  const std::size_t cells = h.cells;
-
-  if (h.version >= kVersion) {
+// The payload sections after the header: v2+ padding, the matrix values,
+// then the optional table section, whose entries are adopted only when
+// they are binary64 — (mant_dig, accum_bytes) = (53, 8). The v1
+// double-double entries and the x87 (64, 16) entries written before the
+// table became double are located but left unused; loaders rebuild the
+// table from the matrix, which the determinism contract guarantees equals
+// a fresh build bit for bit.
+Status ParseSections(MemReader& r, SnapshotInfo* info) {
+  if (info->version >= kVersion) {
     PRIVELET_RETURN_IF_ERROR(ConsumeSectionPadding(r));
   }
-  const std::uint64_t values_offset = r.offset();
-  std::uint64_t table_offset = 0;
-  std::uint64_t table_bytes = 0;
-  matrix::FrequencyMatrix published;
-  if (snapshot != nullptr) {
-    published = matrix::FrequencyMatrix(h.dims);
-    PRIVELET_RETURN_IF_ERROR(r.ReadRaw(published.values().data(),
-                                       cells * sizeof(double),
-                                       "matrix values"));
-  } else {
-    PRIVELET_RETURN_IF_ERROR(r.Skip(cells * sizeof(double), "matrix values"));
-  }
+  info->values_offset = r.offset();
+  info->values_bytes = info->num_cells * sizeof(double);
+  PRIVELET_RETURN_IF_ERROR(r.Skip(info->values_bytes, "matrix values"));
 
   std::uint8_t has_table = 0;
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&has_table, "table flag"));
   if (has_table > 1) return r.Corrupt("bad table flag");
-  std::optional<matrix::PrefixSumTable<double>> prefix;
-  TableSectionV2 section;
-  if (has_table == 1 && h.version == kVersionLegacy) {
-    // v1 double-double entries are never adopted: the table is rebuilt
-    // from the matrix, so the section is only validated and skipped.
+  info->has_prefix_table = has_table == 1;
+  if (!info->has_prefix_table) return Status::OK();
+  PRIVELET_RETURN_IF_ERROR(
+      r.ReadPod(&info->table_mant_dig, "table accumulator"));
+  if (info->version == kVersionLegacy) {
+    // v1: a u8 exactness flag, then unpadded (f64 hi, f64 lo) entries.
     std::uint8_t exact = 0;
-    PRIVELET_RETURN_IF_ERROR(
-        r.ReadPod(&section.mant_dig, "table accumulator"));
     PRIVELET_RETURN_IF_ERROR(r.ReadPod(&exact, "table exactness"));
-    section.accum_bytes = 2 * sizeof(double);
-    if (!CheckedMul(cells, section.accum_bytes, &section.payload) ||
-        section.payload > r.remaining()) {
-      return r.Corrupt("prefix-table payload exceeds the file size");
-    }
-    table_offset = r.offset();
-    table_bytes = section.payload;
-    PRIVELET_RETURN_IF_ERROR(r.Skip(section.payload, "prefix-table entries"));
-  } else if (has_table == 1) {
-    PRIVELET_RETURN_IF_ERROR(ReadTableSectionHeaderV2(r, cells, &section));
-    table_offset = r.offset();
-    table_bytes = section.payload;
-    if (snapshot != nullptr && section.adoptable()) {
-      // The entries are binary64 verbatim — one read, no decode.
-      auto sums = std::make_unique_for_overwrite<double[]>(cells);
-      PRIVELET_RETURN_IF_ERROR(
-          r.ReadRaw(sums.get(), section.payload, "prefix-table entries"));
-      prefix.emplace(h.dims, std::move(sums));
-    } else {
-      PRIVELET_RETURN_IF_ERROR(r.Skip(section.payload,
-                                      "prefix-table entries"));
-    }
-  }
-  PRIVELET_RETURN_IF_ERROR(r.VerifyCrc());
-
-  if (snapshot != nullptr) {
-    snapshot->schema = std::move(h.schema);
-    snapshot->mechanism = std::move(h.mechanism);
-    snapshot->epsilon = h.epsilon;
-    snapshot->seed = h.seed;
-    snapshot->published = std::move(published);
-    snapshot->prefix = std::move(prefix);
-    snapshot->plan = std::move(h.plan);
+    info->table_accum_bytes = 2 * sizeof(double);
   } else {
-    info->version = h.version;
-    info->plan = std::move(h.plan);
-    info->schema = std::move(h.schema);
-    info->mechanism = std::move(h.mechanism);
-    info->epsilon = h.epsilon;
-    info->seed = h.seed;
-    info->dims = std::move(h.dims);
-    info->num_cells = cells;
-    info->has_prefix_table = has_table == 1;
-    info->table_mant_dig = section.mant_dig;
-    info->table_accum_bytes = section.accum_bytes;
-    info->table_adoptable = section.adoptable();
-    info->file_bytes = r.file_bytes();
-    info->values_offset = values_offset;
-    info->values_bytes = cells * sizeof(double);
-    info->table_offset = table_offset;
-    info->table_bytes = table_bytes;
+    PRIVELET_RETURN_IF_ERROR(
+        r.ReadPod(&info->table_accum_bytes, "table accumulator width"));
+    if (info->table_accum_bytes == 0 || info->table_accum_bytes > 64) {
+      return r.Corrupt("table accumulator width out of bounds");
+    }
+    PRIVELET_RETURN_IF_ERROR(ConsumeSectionPadding(r));
   }
-  return Status::OK();
+  std::size_t table_bytes = 0;
+  if (!CheckedMul(info->num_cells, info->table_accum_bytes, &table_bytes) ||
+      table_bytes > r.remaining()) {
+    return r.Corrupt("prefix-table payload exceeds the file size");
+  }
+  info->table_offset = r.offset();
+  info->table_bytes = table_bytes;
+  info->table_adoptable = info->table_mant_dig == kTableMantDig &&
+                          info->table_accum_bytes == kTableAccumBytes;
+  return r.Skip(table_bytes, "prefix-table entries");
+}
+
+// A snapshot file mapped read-only and parsed: the one read path behind
+// ReadSnapshot, InspectSnapshot and MappedSnapshot::Open.
+struct ParsedMapping {
+  common::MappedFile file;
+  SnapshotInfo info;
+
+  /// The mapped byte at file offset `offset`.
+  const std::byte* at(std::uint64_t offset) const {
+    return file.bytes().data() + offset;
+  }
+};
+
+// Maps `path`, checks the magic and version, checks the CRC once over the
+// whole mapping, then parses the header and locates the payload sections
+// without touching them — O(header) after the checksum pass.
+Result<ParsedMapping> MapAndParse(const std::string& path) {
+  PRIVELET_ASSIGN_OR_RETURN(common::MappedFile file,
+                            common::MappedFile::Open(path));
+  const std::span<const std::byte> bytes = file.bytes();
+  if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t) * 2) {
+    return Status::InvalidArgument("snapshot '" + path +
+                                   "': file too short to be a snapshot");
+  }
+  MemReader r(path, bytes.first(bytes.size() - sizeof(std::uint32_t)));
+  SnapshotInfo info;
+  info.file_bytes = bytes.size();
+  char magic[sizeof(kMagic)];
+  PRIVELET_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic), "magic"));
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument("'" + path +
+                                   "' is not a PVLS release snapshot");
+  }
+  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&info.version, "version"));
+  if (info.version != kVersionLegacy && info.version != kVersion &&
+      info.version != kVersionPlanned) {
+    return r.Corrupt("unsupported snapshot version");
+  }
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
+              sizeof(stored));
+  if (stored != Crc32(bytes.data(), bytes.size() - sizeof(stored))) {
+    return r.Corrupt("CRC mismatch (file corrupted)");
+  }
+  PRIVELET_RETURN_IF_ERROR(ParseHeader(r, &info));
+  PRIVELET_RETURN_IF_ERROR(ParseSections(r, &info));
+  if (r.remaining() != 0) {
+    return r.Corrupt("trailing bytes after the table section");
+  }
+  return ParsedMapping{std::move(file), std::move(info)};
 }
 
 }  // namespace
@@ -952,87 +760,62 @@ Status WriteSnapshot(const std::string& path, const ReleaseSnapshot& snapshot) {
 }
 
 Result<ReleaseSnapshot> ReadSnapshot(const std::string& path) {
+  PRIVELET_ASSIGN_OR_RETURN(ParsedMapping parsed, MapAndParse(path));
+  SnapshotInfo& info = parsed.info;
+  // Copied out, not viewed: the snapshot owns its payloads past the
+  // mapping, and v1 sections are unaligned.
   ReleaseSnapshot snapshot;
-  PRIVELET_RETURN_IF_ERROR(ParseSnapshot(path, &snapshot, nullptr));
+  snapshot.published = matrix::FrequencyMatrix(info.dims);
+  std::memcpy(snapshot.published.values().data(),
+              parsed.at(info.values_offset), info.values_bytes);
+  if (info.table_adoptable) {
+    auto sums = std::make_unique_for_overwrite<double[]>(info.num_cells);
+    std::memcpy(sums.get(), parsed.at(info.table_offset), info.table_bytes);
+    snapshot.prefix.emplace(info.dims, std::move(sums));
+  }
+  snapshot.schema = std::move(info.schema);
+  snapshot.mechanism = std::move(info.mechanism);
+  snapshot.epsilon = info.epsilon;
+  snapshot.seed = info.seed;
+  snapshot.plan = std::move(info.plan);
   return snapshot;
 }
 
 Result<SnapshotInfo> InspectSnapshot(const std::string& path) {
-  SnapshotInfo info;
-  PRIVELET_RETURN_IF_ERROR(ParseSnapshot(path, nullptr, &info));
-  return info;
+  PRIVELET_ASSIGN_OR_RETURN(ParsedMapping parsed, MapAndParse(path));
+  return std::move(parsed.info);
 }
 
 Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
-  PRIVELET_ASSIGN_OR_RETURN(common::MappedFile file,
-                            common::MappedFile::Open(path));
-  const std::span<const std::byte> bytes = file.bytes();
-  const auto corrupt = [&path](const std::string& what) {
-    return Status::InvalidArgument("snapshot '" + path + "': " + what);
-  };
-  if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t) * 2) {
-    return corrupt("file too short to be a snapshot");
-  }
-  // Version gate before the O(file) CRC pass, so the v1 fallback to the
-  // copy loader stays cheap.
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is not a PVLS release snapshot");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-  if (version != kVersion && version != kVersionPlanned) {
-    return Status::FailedPrecondition(
-        "snapshot '" + path + "' is PVLS v" + std::to_string(version) +
-        " — only v2/v3 sections can be mapped in place; use the copy loader");
-  }
-  // CRC checked exactly once, over the whole mapping.
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, bytes.data() + bytes.size() - sizeof(stored),
-              sizeof(stored));
-  if (stored != Crc32(bytes.data(), bytes.size() - sizeof(stored))) {
-    return corrupt("CRC mismatch (file corrupted)");
-  }
-
-  MemReader r(path, bytes.first(bytes.size() - sizeof(std::uint32_t)));
-  HeaderFields h;
-  PRIVELET_RETURN_IF_ERROR(ParseHeaderFields(r, &h));
-  PRIVELET_RETURN_IF_ERROR(ConsumeSectionPadding(r));
-
+  PRIVELET_ASSIGN_OR_RETURN(ParsedMapping parsed, MapAndParse(path));
+  SnapshotInfo& info = parsed.info;
   MappedSnapshot mapped;
-  const std::byte* values_ptr = r.cursor();
-  if (reinterpret_cast<std::uintptr_t>(values_ptr) % alignof(double) != 0) {
-    return corrupt("matrix section is misaligned");
+  const std::byte* values = parsed.at(info.values_offset);
+  if (reinterpret_cast<std::uintptr_t>(values) % alignof(double) == 0) {
+    mapped.values_ = {reinterpret_cast<const double*>(values),
+                      info.num_cells};
+  } else {
+    // A v1 file: no section padding, so the values are copied out once.
+    mapped.owned_values_ =
+        std::make_unique_for_overwrite<double[]>(info.num_cells);
+    std::memcpy(mapped.owned_values_.get(), values, info.values_bytes);
+    mapped.values_ = {mapped.owned_values_.get(), info.num_cells};
   }
-  PRIVELET_RETURN_IF_ERROR(r.Skip(h.cells * sizeof(double), "matrix values"));
-  mapped.values_ = {reinterpret_cast<const double*>(values_ptr), h.cells};
-
-  std::uint8_t has_table = 0;
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&has_table, "table flag"));
-  if (has_table > 1) return corrupt("bad table flag");
-  if (has_table == 1) {
-    TableSectionV2 section;
-    PRIVELET_RETURN_IF_ERROR(ReadTableSectionHeaderV2(r, h.cells, &section));
-    const std::byte* table_ptr = r.cursor();
-    PRIVELET_RETURN_IF_ERROR(r.Skip(section.payload, "prefix-table entries"));
-    if (section.adoptable() &&
-        reinterpret_cast<std::uintptr_t>(table_ptr) % alignof(double) == 0) {
-      mapped.table_ = {reinterpret_cast<const double*>(table_ptr), h.cells};
-    }
-    // Not adoptable: the section stays unused and the caller rebuilds the
-    // table from matrix_values() — deterministically identical.
+  // Adoptable tables exist only in v2+, whose sections start on 64-byte
+  // file offsets. Any other table stays unused and the caller rebuilds it
+  // from matrix_values().
+  if (info.table_adoptable) {
+    mapped.table_ = {
+        reinterpret_cast<const double*>(parsed.at(info.table_offset)),
+        info.num_cells};
   }
-  if (r.remaining() != 0) {
-    return corrupt("trailing bytes after the table section");
-  }
-
-  mapped.file_ = std::move(file);
-  mapped.schema_ = std::move(h.schema);
-  mapped.mechanism_ = std::move(h.mechanism);
-  mapped.epsilon_ = h.epsilon;
-  mapped.seed_ = h.seed;
-  mapped.plan_ = std::move(h.plan);
-  mapped.dims_ = std::move(h.dims);
+  mapped.file_ = std::move(parsed.file);
+  mapped.schema_ = std::move(info.schema);
+  mapped.mechanism_ = std::move(info.mechanism);
+  mapped.epsilon_ = info.epsilon;
+  mapped.seed_ = info.seed;
+  mapped.plan_ = std::move(info.plan);
+  mapped.dims_ = std::move(info.dims);
   return mapped;
 }
 

@@ -43,11 +43,12 @@
 // reject a first byte > 1 as corrupt and otherwise ignore both. v4 drops
 // them.
 //
-// PVLS v1 differs in the table section only — no alignment padding and
+// PVLS v1 differs in the payload sections only — no alignment padding and
 // double-double encoded entries (u16 mant_dig | u8 exact | (f64 hi,
-// f64 lo) per cell), which are not adoptable either. v1 files remain
-// readable through the legacy copy path (ReadSnapshot / LoadSession),
-// which rebuilds their table; MappedSnapshot requires v2+.
+// f64 lo) per cell), which are not adoptable either. v1 files stay
+// readable by every reader, MappedSnapshot included: its values are
+// copied out of the mapping when they are unaligned, and its table is
+// rebuilt.
 //
 // PVLS v3 = v2 plus a plan section directly after the seed, present
 // exactly when the release was published under a workload-adaptive plan
@@ -64,11 +65,17 @@
 // snapshots and tools interoperate unchanged (backward and forward
 // compatibility in one rule).
 //
-// Reads are streamed and defensive: every variable-length field is
-// validated against the bytes actually remaining in the file before any
-// allocation, dimension products are checked for overflow, and the file
-// CRC must match before a snapshot is returned. Corrupt or truncated
-// files come back as Status errors, never crashes.
+// There is one parse, over a read-only memory mapping of the whole file,
+// behind ReadSnapshot, InspectSnapshot and MappedSnapshot::Open. It checks
+// the magic and version, then the CRC once over the mapping, then parses
+// the header defensively: every variable-length field is validated against
+// the bytes actually remaining in the file before any allocation, and
+// dimension products are checked for overflow. The payload sections are
+// only located; each reader then views or copies them. A path that cannot
+// be opened or is not a regular file is an IOError; a corrupt, truncated
+// or unknown-version file is an InvalidArgument, never a crash. A file
+// truncated while it is mapped raises SIGBUS on access, so writers only
+// ever rename a finished file into place (SnapshotStreamWriter).
 #ifndef PRIVELET_STORAGE_SNAPSHOT_H_
 #define PRIVELET_STORAGE_SNAPSHOT_H_
 
@@ -202,15 +209,14 @@ Status WriteSnapshot(const std::string& path, const ReleaseSnapshot& snapshot);
 /// Reads and fully validates a snapshot (v1, v2 or v3): structural limits,
 /// dimension overflow, schema/matrix agreement, hierarchy invariants
 /// (data::Hierarchy::FromSpec re-checks them), and the trailing CRC.
-/// This is the copy path — payloads are decoded into owned storage; the
-/// zero-copy alternative is MappedSnapshot below.
+/// This is the copy path — the payloads are copied out of the mapping into
+/// owned storage; the zero-copy alternative is MappedSnapshot below.
 Result<ReleaseSnapshot> ReadSnapshot(const std::string& path);
 
 /// Reads only the metadata of a snapshot — everything except the matrix
-/// values and table entries, which are skipped (still CRC-verified).
-/// What `privelet_cli inspect` prints; cheap even for huge releases is
-/// not the goal (the whole file is still streamed for the CRC), avoiding
-/// the decoded matrix's memory footprint is.
+/// values and table entries, which are located but not read (still
+/// CRC-verified). What `privelet_cli inspect` prints; the CRC pass still
+/// reads the whole file, but nothing proportional to it is allocated.
 struct SnapshotInfo {
   std::uint32_t version = 0;  ///< PVLS format version of the file (1, 2, 3)
   data::Schema schema;
@@ -242,23 +248,24 @@ struct SnapshotInfo {
 
 Result<SnapshotInfo> InspectSnapshot(const std::string& path);
 
-/// A PVLS v2/v3 snapshot served in place from a read-only memory mapping:
-/// Open maps the file, checks the CRC once over the whole mapping, and
-/// decodes only the small header sections (schema, provenance, dims) —
-/// the matrix values and prefix-table entries stay in the file and are
-/// exposed as naturally aligned spans over the mapped pages. Opening is
+/// A snapshot served in place from a read-only memory mapping: Open maps
+/// the file, checks the CRC once over the whole mapping, and decodes only
+/// the small header sections (schema, provenance, dims) — the matrix
+/// values and prefix-table entries stay in the file and are exposed as
+/// naturally aligned spans over the mapped pages. Opening a v2/v3 file is
 /// therefore O(header + CRC) with no allocation proportional to the
 /// release, and any number of processes mapping the same snapshot share
 /// one set of physical pages.
 ///
-/// Movable, not copyable. Every span is a view into the mapping and dies
-/// with it; PublishingSession::FromMapped keeps the object alive (via
-/// shared_ptr) for as long as an evaluator serves from it.
+/// v1 files open too. Their sections carry no alignment padding, so
+/// unaligned values are copied out of the mapping once, and their
+/// double-double table is never adopted (has_prefix_table() is false).
+/// Errors are ReadSnapshot's: IOError for a path that cannot be mapped,
+/// InvalidArgument for a corrupt or unknown-version file.
 ///
-/// v1 files (whose sections are not aligned) and unknown versions are
-/// rejected with FailedPrecondition so callers can fall back to the
-/// ReadSnapshot copy path; corrupt files fail with InvalidArgument
-/// exactly like the streamed reader.
+/// Movable, not copyable. Every span dies with the object;
+/// PublishingSession::FromMapped keeps it alive (via shared_ptr) for as
+/// long as an evaluator serves from it.
 class MappedSnapshot {
  public:
   static Result<MappedSnapshot> Open(const std::string& path);
@@ -273,7 +280,8 @@ class MappedSnapshot {
   std::size_t num_cells() const { return values_.size(); }
   std::uint64_t file_bytes() const { return file_.size(); }
 
-  /// The noisy matrix values, row-major, straight from the mapping.
+  /// The noisy matrix values, row-major, straight from the mapping (or
+  /// from the copy of an unaligned v1 section).
   std::span<const double> matrix_values() const { return values_; }
 
   /// Whether the file carries a binary64 prefix table to adopt in place
@@ -294,6 +302,7 @@ class MappedSnapshot {
   std::uint64_t seed_ = 0;
   std::optional<query::PlanRecord> plan_;
   std::vector<std::size_t> dims_;
+  std::unique_ptr<double[]> owned_values_;  ///< unaligned v1 values only
   std::span<const double> values_;
   std::span<const double> table_;
 };

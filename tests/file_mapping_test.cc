@@ -1,7 +1,7 @@
 // Tests for common::MappedFile's three roles — read-only file mapping,
 // file-backed writable scratch, anonymous writable mapping — with the
-// error paths of each creation mode (missing/empty files, failed maps,
-// unusable scratch directories) and the residency-release contract the
+// error paths of each creation mode (missing/empty files, paths that are
+// not regular files, unusable scratch directories) and the residency-release contract the
 // out-of-core publish path depends on: dropping resident pages of a
 // file-backed scratch mapping must never lose data.
 #include "privelet/common/file_mapping.h"
@@ -13,6 +13,9 @@
 #include <fstream>
 #include <string>
 #include <utility>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 namespace privelet::common {
 namespace {
@@ -53,10 +56,22 @@ TEST(MappedFileTest, OpenEmptyFileYieldsEmptyMapping) {
   EXPECT_TRUE(mapped->bytes().empty());
 }
 
-TEST(MappedFileTest, OpenDirectoryFailsAtTheMapStep) {
-  // Directories open and stat fine but cannot be mmap'ed — the failed-map
-  // error path, without needing to exhaust address space.
+TEST(MappedFileTest, OpenDirectoryIsAnIOError) {
+  // Directories open and stat fine but are not regular files; they are
+  // rejected before the map step.
   auto mapped = MappedFile::Open(testing::TempDir());
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(StatusCode::kIOError, mapped.status().code());
+}
+
+TEST(MappedFileTest, OpenFifoIsAnIOErrorWithoutBlocking) {
+  // A FIFO with no writer would block a plain open(2) forever; Open must
+  // reject it as not a regular file instead.
+  const std::string path = TempPath("mapped_fifo");
+  ::unlink(path.c_str());
+  ASSERT_EQ(0, ::mkfifo(path.c_str(), 0600));
+  auto mapped = MappedFile::Open(path);
+  ::unlink(path.c_str());
   ASSERT_FALSE(mapped.ok());
   EXPECT_EQ(StatusCode::kIOError, mapped.status().code());
 }

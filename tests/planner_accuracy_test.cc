@@ -472,7 +472,7 @@ TEST(PlannerAccuracyTest, PlanRecordRoundTripsThroughSnapshot) {
   ASSERT_TRUE(loaded->metadata().plan.has_value());
   EXPECT_EQ(*loaded->metadata().plan, record);
 
-  auto served = storage::OpenServingSession(planned);
+  auto served = storage::MapSession(planned);
   ASSERT_TRUE(served.ok());
   ASSERT_TRUE(served->metadata().plan.has_value());
   EXPECT_EQ(*served->metadata().plan, record);

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "privelet/common/thread_pool.h"
@@ -85,6 +86,22 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out) << path;
+}
+
+// The four read entry points share one parse, so a file that one of them
+// rejects must be rejected by all four, with the same status code.
+void ExpectEveryReaderFails(const std::string& path, StatusCode code,
+                            const std::string& what) {
+  const std::pair<const char*, Status> results[] = {
+      {"ReadSnapshot", storage::ReadSnapshot(path).status()},
+      {"InspectSnapshot", storage::InspectSnapshot(path).status()},
+      {"LoadSession", storage::LoadSession(path).status()},
+      {"MapSession", storage::MapSession(path).status()},
+  };
+  for (const auto& [reader, status] : results) {
+    EXPECT_EQ(code, status.code())
+        << reader << " on " << what << ": " << status.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -164,6 +181,10 @@ TEST(SnapshotTest, SnapshotWithoutTableRebuildsBitIdentically) {
   auto loaded = storage::LoadSession(path, &pool);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(expected, loaded->AnswerAll(workload));
+  auto mapped = storage::MapSession(path, &pool);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_FALSE(mapped->prefix_table().is_view());  // rebuilt from the values
+  EXPECT_EQ(expected, mapped->AnswerAll(workload));
 }
 
 TEST(SnapshotTest, ReadSnapshotPreservesSchema) {
@@ -250,13 +271,11 @@ TEST(SnapshotTest, LegacyEngineFieldsStillLoad) {
   }
 
   WriteFileBytes(path, patched(2));
-  EXPECT_FALSE(storage::LoadSession(path).ok());
-  EXPECT_FALSE(storage::MapSession(path).ok());
-  EXPECT_FALSE(storage::InspectSnapshot(path).ok());
+  ExpectEveryReaderFails(path, StatusCode::kInvalidArgument, "engine byte 2");
 }
 
 // ---------------------------------------------------------------------------
-// Corruption and truncation.
+// Corruption and truncation: every case runs all four readers.
 
 TEST(SnapshotTest, EveryTruncationPrefixIsRejectedWithoutCrashing) {
   const data::Schema schema = TestSchema();
@@ -271,10 +290,8 @@ TEST(SnapshotTest, EveryTruncationPrefixIsRejectedWithoutCrashing) {
        {std::size_t{0}, std::size_t{3}, std::size_t{8}, std::size_t{40},
         bytes.size() / 2, bytes.size() - 5, bytes.size() - 1}) {
     WriteFileBytes(cut, bytes.substr(0, keep));
-    auto snapshot = storage::ReadSnapshot(cut);
-    EXPECT_FALSE(snapshot.ok()) << "prefix of " << keep << " bytes parsed";
-    auto info = storage::InspectSnapshot(cut);
-    EXPECT_FALSE(info.ok()) << "prefix of " << keep << " bytes inspected";
+    ExpectEveryReaderFails(cut, StatusCode::kInvalidArgument,
+                           "a prefix of " + std::to_string(keep) + " bytes");
   }
 }
 
@@ -294,8 +311,8 @@ TEST(SnapshotTest, FlippedBytesAreRejected) {
     std::string corrupted = bytes;
     corrupted[offset] = static_cast<char>(corrupted[offset] ^ 0x40);
     WriteFileBytes(flip, corrupted);
-    auto snapshot = storage::ReadSnapshot(flip);
-    EXPECT_FALSE(snapshot.ok()) << "flip at " << offset << " parsed";
+    ExpectEveryReaderFails(flip, StatusCode::kInvalidArgument,
+                           "a flip at " + std::to_string(offset));
   }
 }
 
@@ -306,13 +323,20 @@ TEST(SnapshotTest, TrailingBytesAreRejected) {
   ASSERT_TRUE(storage::SaveSession(path, session).ok());
   const std::string padded = TempPath("trail.pvls");
   WriteFileBytes(padded, ReadFileBytes(path) + std::string(6, '\0'));
-  EXPECT_FALSE(storage::ReadSnapshot(padded).ok());
+  ExpectEveryReaderFails(padded, StatusCode::kInvalidArgument,
+                         "6 trailing bytes");
 }
 
 TEST(SnapshotTest, MissingFileIsAnIOError) {
-  auto snapshot = storage::ReadSnapshot(TempPath("does_not_exist.pvls"));
-  ASSERT_FALSE(snapshot.ok());
-  EXPECT_EQ(StatusCode::kIOError, snapshot.status().code());
+  ExpectEveryReaderFails(TempPath("does_not_exist.pvls"), StatusCode::kIOError,
+                         "a missing file");
+}
+
+// A path that is not a regular file cannot be a snapshot, but it is not a
+// corrupt one either: it fails like a missing file.
+TEST(SnapshotTest, DirectoryIsAnIOError) {
+  ExpectEveryReaderFails(testing::TempDir(), StatusCode::kIOError,
+                         "a directory");
 }
 
 // ---------------------------------------------------------------------------
@@ -593,9 +617,10 @@ TEST(SnapshotTest, LegacyX87V2TableIsRebuiltOnEveryLoader) {
 }
 
 // A complete v1 file (dims + matrix + double-double table, no alignment
-// padding): the legacy format stays readable byte-for-byte, its table is
-// rebuilt from the matrix, and the serving entry point falls back from
-// the mmap path (v1 sections are unaligned) to the copy loader.
+// padding): the legacy format stays readable byte-for-byte and its table
+// is rebuilt from the matrix. The mapped path serves it too: the values
+// section starts at the unaligned offset 67, so it is copied out of the
+// mapping.
 TEST(SnapshotTest, LegacyV1SnapshotStillLoadsAndServes) {
   ByteBuilder b = MinimalPrefix(kLegacyCells, /*version=*/1);
   b.Pod(std::uint32_t{1}).Pod(std::uint64_t{kLegacyCells});  // no padding
@@ -627,13 +652,27 @@ TEST(SnapshotTest, LegacyV1SnapshotStillLoadsAndServes) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(expected, AllBoxAnswers(*loaded));
 
+  auto snapshot_view = storage::MappedSnapshot::Open(path);
+  ASSERT_TRUE(snapshot_view.ok()) << snapshot_view.status().ToString();
+  EXPECT_FALSE(snapshot_view->has_prefix_table());
+  EXPECT_TRUE(matrix::ValuesEqual(kLegacyValues,
+                                  snapshot_view->matrix_values()));
   auto mapped = storage::MapSession(path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(StatusCode::kFailedPrecondition, mapped.status().code());
-  auto served = storage::OpenServingSession(path);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  EXPECT_TRUE(served->has_published());  // copy path materializes
-  EXPECT_EQ(expected, AllBoxAnswers(*served));
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_FALSE(mapped->prefix_table().is_view());  // rebuilt, not adopted
+  EXPECT_EQ(expected, AllBoxAnswers(*mapped));
+}
+
+TEST(SnapshotTest, UnknownVersionIsRejectedByEveryReader) {
+  ByteBuilder b = MinimalPrefix(4, /*version=*/99);
+  b.Pod(std::uint32_t{1}).Pod(std::uint64_t{4});  // dims
+  b.PadTo64();
+  for (const double v : {1.0, 2.0, 3.0, 4.0}) b.Pod(v);
+  b.Pod(std::uint8_t{0});  // no table
+  b.Crc();
+  const std::string path = TempPath("version_99.pvls");
+  WriteFileBytes(path, b.bytes());
+  ExpectEveryReaderFails(path, StatusCode::kInvalidArgument, "version 99");
 }
 
 TEST(SnapshotTest, V2NonzeroSectionPaddingIsRejected) {
@@ -656,7 +695,8 @@ TEST(SnapshotTest, V2NonzeroSectionPaddingIsRejected) {
   ASSERT_FALSE(snapshot.ok());
   EXPECT_NE(std::string::npos, snapshot.status().message().find("padding"))
       << snapshot.status().ToString();
-  EXPECT_FALSE(storage::MappedSnapshot::Open(path).ok());
+  ExpectEveryReaderFails(path, StatusCode::kInvalidArgument,
+                         "nonzero padding");
 }
 
 TEST(SnapshotTest, HierarchyWithFanoutOneIsRejected) {
@@ -675,7 +715,7 @@ TEST(SnapshotTest, HierarchyWithFanoutOneIsRejected) {
   b.Crc();
   const std::string path = TempPath("chain.pvls");
   WriteFileBytes(path, b.bytes());
-  EXPECT_FALSE(storage::ReadSnapshot(path).ok());
+  ExpectEveryReaderFails(path, StatusCode::kInvalidArgument, "fanout 1");
 }
 
 // ---------------------------------------------------------------------------
@@ -776,32 +816,6 @@ TEST(SnapshotTest, RewritingASnapshotDoesNotDisturbLiveMappings) {
   ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
   EXPECT_EQ(second->AnswerAll(workload), remapped->AnswerAll(workload));
   EXPECT_NE(old_answers, remapped->AnswerAll(workload));
-}
-
-TEST(SnapshotTest, MappedOpenRejectsFlippedBytesViaTheSingleCrcCheck) {
-  const data::Schema schema = TestSchema();
-  const query::PublishingSession session = PublishTestSession(schema, nullptr);
-  const std::string path = TempPath("mflip_src.pvls");
-  ASSERT_TRUE(storage::SaveSession(path, session).ok());
-  const std::string bytes = ReadFileBytes(path);
-
-  const std::string flip = TempPath("mflip.pvls");
-  for (const std::size_t offset :
-       {std::size_t{9}, std::size_t{60}, bytes.size() / 3,
-        2 * bytes.size() / 3, bytes.size() - 2}) {
-    std::string corrupted = bytes;
-    corrupted[offset] = static_cast<char>(corrupted[offset] ^ 0x40);
-    WriteFileBytes(flip, corrupted);
-    EXPECT_FALSE(storage::MappedSnapshot::Open(flip).ok())
-        << "flip at " << offset << " mapped";
-  }
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{8}, std::size_t{40}, bytes.size() / 2,
-        bytes.size() - 1}) {
-    WriteFileBytes(flip, bytes.substr(0, keep));
-    EXPECT_FALSE(storage::MappedSnapshot::Open(flip).ok())
-        << "prefix of " << keep << " bytes mapped";
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -728,7 +728,7 @@ int RunQuery(const Args& args) {
   if (!pool.ok()) return Fail(pool.status());
 
   Stopwatch load_watch;
-  auto session = storage::LoadSession(args.positional[0], pool->get());
+  auto session = storage::MapSession(args.positional[0], pool->get());
   if (!session.ok()) return Fail(session.status());
   const double load_seconds = load_watch.ElapsedSeconds();
 
