@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "privelet/common/thread_pool.h"
@@ -13,8 +14,10 @@
 #include "privelet/matrix/prefix_sum.h"
 #include "privelet/mechanism/basic.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/rng/distributions.h"
+#include "privelet/rng/laplace.h"
 #include "privelet/rng/xoshiro256pp.h"
+#include "privelet/simd/dispatch.h"
+#include "privelet/simd/kernels.h"
 #include "privelet/wavelet/haar.h"
 #include "privelet/wavelet/hn_transform.h"
 #include "privelet/wavelet/nominal.h"
@@ -210,16 +213,29 @@ void BM_PrefixSumBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixSumBuild)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
+// Unit Laplace draws in batches of 4096 through laplace_units, one run per
+// ISA level the host supports (levels above it clamp to the best one).
 void BM_LaplaceSample(benchmark::State& state) {
-  rng::Xoshiro256pp gen(7);
-  double acc = 0.0;
-  for (auto _ : state) {
-    acc += rng::SampleLaplace(gen, 2.0);
+  const auto level = static_cast<simd::IsaLevel>(state.range(0));
+  if (level > simd::DetectBestIsa()) {
+    state.SkipWithError("ISA level not supported by this host");
+    return;
   }
-  benchmark::DoNotOptimize(acc);
-  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::string(simd::IsaLevelName(level)));
+  const simd::KernelTable& kernels = simd::Kernels(level);
+  const rng::NoiseKey key = rng::NoiseKey::FromSeed(7);
+  std::vector<double> out(4096);
+  std::uint64_t first = 0;
+  for (auto _ : state) {
+    kernels.laplace_units(key, first, out.size(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    first += out.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(out.size()));
 }
-BENCHMARK(BM_LaplaceSample);
+BENCHMARK(BM_LaplaceSample)->DenseRange(0, 2);
 
 void BM_PublishBasic(benchmark::State& state) {
   const auto total = static_cast<std::size_t>(state.range(0));

@@ -1,5 +1,5 @@
 // Work-sharded thread pool backing every parallel stage of the library
-// (HN transform line fan-out, sharded noise injection, batched query
+// (HN transform line fan-out, noise injection, batched query
 // serving). The design contract is determinism: ParallelFor executes a
 // caller-chosen chunking of [0, n) and which thread runs which chunk is
 // the ONLY scheduling freedom, so any computation whose chunks touch
@@ -37,7 +37,7 @@ class ThreadPool {
   /// Runs body(begin, end) over chunks covering [0, n) and returns when
   /// all chunks have finished. `grain` > 0 fixes the chunking to
   /// [i*grain, min((i+1)*grain, n)) — callers that derive per-chunk state
-  /// from the chunk index (e.g. RNG shards) rely on this; `grain` == 0
+  /// from the chunk index rely on this; `grain` == 0
   /// lets the pool pick a chunking (an implementation detail that must not
   /// affect results). The calling thread participates in chunk execution,
   /// so nested ParallelFor calls from inside a body cannot deadlock. `body`

@@ -33,7 +33,8 @@ Result<matrix::FrequencyMatrix> BasicMechanism::Publish(
   // entries by one each), so Laplace magnitude 2/ε gives ε-DP (Theorem 1).
   const double lambda = 2.0 / epsilon;
   matrix::FrequencyMatrix noisy = m;
-  AddLaplaceNoise(noisy.values(), lambda, rng::DeriveSeed(seed, 0xBA51C),
+  AddLaplaceNoise(noisy.values(), lambda,
+                  rng::NoiseKey::FromSeed(rng::DeriveSeed(seed, 0xBA51C)),
                   thread_pool(), engine_options().isa);
   return noisy;
 }

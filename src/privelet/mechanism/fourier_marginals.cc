@@ -5,9 +5,9 @@
 
 #include "privelet/common/check.h"
 #include "privelet/mechanism/mechanism.h"
-#include "privelet/rng/distributions.h"
+#include "privelet/rng/laplace.h"
 #include "privelet/rng/splitmix64.h"
-#include "privelet/rng/xoshiro256pp.h"
+#include "privelet/simd/kernels.h"
 
 namespace privelet::mechanism {
 
@@ -101,11 +101,13 @@ Result<std::vector<Marginal>> FourierMarginalMechanism::Publish(
   // other coefficients stay private and unused.
   const double lambda =
       2.0 * static_cast<double>(closure_.size()) / epsilon;
-  rng::Xoshiro256pp gen(rng::DeriveSeed(seed, 0xF0C5));
+  // Coefficient i of the closure draws index i of the Fourier key.
   std::vector<double> released(closure_.size());
+  simd::Kernels(simd::ResolveIsa())
+      .laplace_units(rng::NoiseKey::FromSeed(rng::DeriveSeed(seed, 0xF0C5)),
+                     0, released.size(), released.data());
   for (std::size_t i = 0; i < closure_.size(); ++i) {
-    released[i] =
-        fhat[flat_mask_of(closure_[i])] + rng::SampleLaplace(gen, lambda);
+    released[i] = fhat[flat_mask_of(closure_[i])] + lambda * released[i];
   }
   auto released_value = [&](std::uint64_t attribute_mask) {
     const auto it = std::lower_bound(closure_.begin(), closure_.end(),

@@ -42,14 +42,13 @@ Result<matrix::FrequencyMatrix> HayHierarchicalMechanism::Publish(
   }
 
   // Uniform budget split: each level gets ε/h, i.e. Laplace(h/ε) per node.
-  // Sharded per-node noise (node 1 = shard offset 0, matching the old
-  // serial draw order on single-shard trees).
+  // Per-node noise: node v draws index v - 1 of the Hay key.
   const double lambda = static_cast<double>(levels) / epsilon;
   std::vector<double> noisy = true_count;
   noisy[0] = 0.0;
   AddLaplaceNoise(std::span<double>(noisy).subspan(1), lambda,
-                  rng::DeriveSeed(seed, 0x4A7), thread_pool(),
-                  engine_options().isa);
+                  rng::NoiseKey::FromSeed(rng::DeriveSeed(seed, 0x4A7)),
+                  thread_pool(), engine_options().isa);
 
   // Consistency, pass 1 (bottom-up): z[v] is the best subtree-local
   // estimate. For a node whose subtree has k levels:

@@ -32,7 +32,7 @@ class Mechanism {
   virtual std::string_view name() const = 0;
 
   /// Optional worker pool used by Publish implementations for internal
-  /// parallelism (transform fan-out, sharded noise). Not owned; must
+  /// parallelism (transform fan-out, noise injection). Not owned; must
   /// outlive every Publish call. Publish output is bit-identical for a
   /// given seed whatever the pool — nullptr (serial, the default) and any
   /// pool size produce the same matrix — so threading is purely a

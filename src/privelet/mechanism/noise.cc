@@ -1,105 +1,29 @@
 #include "privelet/mechanism/noise.h"
 
-#include <vector>
+#include <algorithm>
+#include <cmath>
 
 #include "privelet/common/check.h"
-#include "privelet/rng/distributions.h"
+#include "privelet/simd/kernels.h"
 
 namespace privelet::mechanism {
 
-void ForEachNoiseShard(
-    std::size_t total, std::uint64_t noise_seed, common::ThreadPool* pool,
-    const std::function<void(std::size_t, std::size_t, rng::Xoshiro256pp&)>&
-        body) {
-  if (total == 0) return;
-  const std::size_t shards = NumNoiseShards(total);
-  // The streams are materialized up front (a Jump is ~256 state steps, a
-  // few percent of the 8192 draws a full shard makes) so the parallel
-  // phase touches only its own generator.
-  std::vector<rng::Xoshiro256pp> streams =
-      rng::MakeJumpStreams(noise_seed, shards);
-  common::ParallelFor(pool, total, kNoiseShardSize,
-                      [&](std::size_t begin, std::size_t end) {
-                        body(begin, end, streams[begin / kNoiseShardSize]);
-                      });
-}
-
-double NoiseStreamCursor::LaplaceAt(std::size_t index, double magnitude) {
-  PRIVELET_DCHECK(magnitude > 0.0, "cursor draws require magnitude > 0");
-  const std::size_t shard = index / kNoiseShardSize;
-  if (shard != shard_ || index < next_index_) {
-    PRIVELET_DCHECK(shard < streams_.size(), "index beyond the stream space");
-    gen_ = streams_[shard];
-    shard_ = shard;
-    next_index_ = shard * kNoiseShardSize;
-  }
-  // Discard the draws of the skipped indices: one 64-bit step each
-  // (SampleLaplace consumes exactly one NextDoubleOpenZero = one Next()).
-  while (next_index_ < index) {
-    gen_.Next();
-    ++next_index_;
-  }
-  ++next_index_;
-  return rng::SampleLaplace(gen_, magnitude);
-}
-
-void NoiseStreamCursor::UnitLaplaceRun(std::size_t index, std::size_t count,
-                                       double* out,
-                                       const simd::KernelTable& kernels) {
-  std::size_t done = 0;
-  while (done < count) {
-    const std::size_t i = index + done;
-    const std::size_t shard = i / kNoiseShardSize;
-    if (shard != shard_ || i < next_index_) {
-      PRIVELET_DCHECK(shard < streams_.size(),
-                      "index beyond the stream space");
-      gen_ = streams_[shard];
-      shard_ = shard;
-      next_index_ = shard * kNoiseShardSize;
-    }
-    while (next_index_ < i) {
-      gen_.Next();
-      ++next_index_;
-    }
-    const std::size_t shard_end = (shard + 1) * kNoiseShardSize;
-    const std::size_t run = std::min(count - done, shard_end - i);
-    rng::SampleLaplaceUnitBatch(gen_, out + done, run, kernels);
-    next_index_ += run;
-    done += run;
-  }
-}
-
 void AddLaplaceNoise(std::span<double> values, double magnitude,
-                     std::uint64_t noise_seed, common::ThreadPool* pool,
+                     const rng::NoiseKey& key, common::ThreadPool* pool,
                      simd::IsaChoice isa) {
-  PRIVELET_CHECK(magnitude >= 0.0, "Laplace magnitude must be >= 0");
-  if (magnitude == 0.0) {
-    // Degenerate case: SampleLaplace(gen, 0) consumes nothing and returns
-    // +0.0, whose addition still normalizes any -0.0 entries. Preserved
-    // as-is, outside the batched path.
-    ForEachNoiseShard(values.size(), noise_seed, pool,
-                      [values](std::size_t begin, std::size_t end,
-                               rng::Xoshiro256pp& gen) {
-                        (void)gen;
-                        for (std::size_t i = begin; i < end; ++i) {
-                          values[i] += 0.0;
-                        }
-                      });
-    return;
-  }
+  PRIVELET_CHECK(std::isfinite(magnitude) && magnitude > 0.0,
+                 "Laplace magnitude must be finite and > 0");
   const simd::KernelTable& kernels = simd::Kernels(simd::ResolveIsa(isa));
-  ForEachNoiseShard(
-      values.size(), noise_seed, pool,
-      [values, magnitude, &kernels](std::size_t begin, std::size_t end,
-                                    rng::Xoshiro256pp& gen) {
-        // Per-block staging: unit draws from the shard's stream, then one
-        // rounding per element at the final scale — the exact bits of
-        // values[i] += SampleLaplace(gen, magnitude).
+  // Chunks and blocks are whole 128-draw groups, so laplace_units never
+  // computes a draw it discards except at the end of `values`.
+  common::ParallelFor(
+      pool, values.size(), /*grain=*/16384,
+      [&](std::size_t begin, std::size_t end) {
         constexpr std::size_t kBlock = 512;
         double unit[kBlock];
         for (std::size_t i = begin; i < end; i += kBlock) {
           const std::size_t run = std::min(kBlock, end - i);
-          rng::SampleLaplaceUnitBatch(gen, unit, run, kernels);
+          kernels.laplace_units(key, i, run, unit);
           kernels.row_add_scaled(values.data() + i, unit, magnitude, run);
         }
       });

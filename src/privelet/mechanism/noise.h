@@ -1,96 +1,36 @@
-// Sharded Laplace noise injection shared by the publishing mechanisms.
+// Counter-based Laplace noise injection shared by the publishing
+// mechanisms.
 //
-// Determinism contract: the element range [0, total) is cut into fixed
-// kNoiseShardSize-wide shards, and shard i always draws from jump-stream i
-// of the noise seed (see rng::MakeJumpStreams). The noise added at a given
-// index therefore depends only on (seed, index) — never on the thread
-// pool or its size — so published matrices are bit-identical across
-// thread counts. With a single shard, stream 0 is the plain
-// Xoshiro256pp(seed) sequence, i.e. exactly what the pre-sharding serial
-// mechanisms drew.
+// Determinism contract: the noise added at index i is
+// magnitude * rng::LaplaceUnitAt(key, i) — a pure function of (key, i),
+// computed in batches by the kernel table's laplace_units at every ISA
+// level. No stream state is carried between indices, so any split of the
+// index range (threads, panels, chunk sizes) and every ISA level give the
+// same bits.
+//
+// The key is expanded from the publish seed (rng::NoiseKey::FromSeed of a
+// per-mechanism derived seed), and that seed is persisted in every
+// snapshot: anyone holding a release can regenerate its noise. ROADMAP
+// item 1 replaces it with a secret key.
 #ifndef PRIVELET_MECHANISM_NOISE_H_
 #define PRIVELET_MECHANISM_NOISE_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <span>
 
 #include "privelet/common/thread_pool.h"
-#include "privelet/rng/xoshiro256pp.h"
-#include "privelet/simd/kernels.h"
+#include "privelet/rng/laplace.h"
+#include "privelet/simd/dispatch.h"
 
 namespace privelet::mechanism {
 
-/// Fixed shard width of the noise-injection index space. Part of the
-/// published-output format for a given seed: changing it changes every
-/// multi-shard release.
-inline constexpr std::size_t kNoiseShardSize = 8192;
-
-/// Calls body(begin, end, gen) for every shard of [0, total), where `gen`
-/// is the shard's private jump stream of `noise_seed`, fanned across
-/// `pool` (nullptr runs the shards serially, in index order, with
-/// identical draws). `body` must consume gen identically regardless of
-/// scheduling (it sees each shard exactly once) and must not touch state
-/// shared with other shards.
-void ForEachNoiseShard(
-    std::size_t total, std::uint64_t noise_seed, common::ThreadPool* pool,
-    const std::function<void(std::size_t, std::size_t, rng::Xoshiro256pp&)>&
-        body);
-
-/// values[i] += Laplace(magnitude) with the sharded stream scheme above —
-/// the whole noise step of the Basic and Hay mechanisms. The raw-bits ->
-/// tail mapping of each draw runs through the kernel table selected by
-/// `isa` (see simd::ResolveIsa); every level produces the same bits as the
-/// original scalar loop.
+/// values[i] += magnitude * unit(key, i) — the whole noise step of the
+/// Basic and Hay mechanisms, fanned across `pool` (nullptr runs serially,
+/// with identical bits). `magnitude` must be finite and > 0; the draws
+/// and the scaling run through the kernel table selected by `isa` (see
+/// simd::ResolveIsa).
 void AddLaplaceNoise(std::span<double> values, double magnitude,
-                     std::uint64_t noise_seed, common::ThreadPool* pool,
+                     const rng::NoiseKey& key, common::ThreadPool* pool,
                      simd::IsaChoice isa = simd::IsaChoice::kAuto);
-
-/// Number of shards ForEachNoiseShard cuts [0, total) into; the stream
-/// count to pass to rng::MakeJumpStreams when driving the cursor below.
-inline std::size_t NumNoiseShards(std::size_t total) {
-  return (total + kNoiseShardSize - 1) / kNoiseShardSize;
-}
-
-/// Random access (monotone within a cursor) into the sharded Laplace
-/// scheme: LaplaceAt(i, magnitude) returns exactly the draw the
-/// ForEachNoiseShard loops make at index i, whatever chunking the caller
-/// uses — the basis of fusing noise injection into the transform panels
-/// without changing a single published bit.
-///
-/// Sequential accesses are O(1); skipping forward inside a shard costs one
-/// raw RNG step per skipped index (SampleLaplace with magnitude > 0
-/// consumes exactly one 64-bit draw), and entering a new shard restarts
-/// from that shard's precomputed stream. Each worker keeps its own cursor
-/// over the shared stream vector.
-class NoiseStreamCursor {
- public:
-  /// `streams` = rng::MakeJumpStreams(noise_seed, NumNoiseShards(total)),
-  /// shared (read-only) across cursors; must outlive the cursor.
-  explicit NoiseStreamCursor(const std::vector<rng::Xoshiro256pp>& streams)
-      : streams_(streams) {}
-
-  /// The Laplace(magnitude) draw of index `index`. Indices must be
-  /// strictly increasing across calls on one cursor; magnitude must be
-  /// > 0 (a zero magnitude would consume no draw and desynchronize the
-  /// stream positions).
-  double LaplaceAt(std::size_t index, double magnitude);
-
-  /// Fills out[0..count) with the unit-magnitude draws of indices
-  /// [index, index + count): magnitude * out[j] is bit-identical to
-  /// LaplaceAt(index + j, magnitude) (see rng::SampleLaplaceUnitBatch).
-  /// Splits the run at shard boundaries internally; the same monotonicity
-  /// rule as LaplaceAt applies to the whole run.
-  void UnitLaplaceRun(std::size_t index, std::size_t count, double* out,
-                      const simd::KernelTable& kernels);
-
- private:
-  const std::vector<rng::Xoshiro256pp>& streams_;
-  rng::Xoshiro256pp gen_{0};
-  std::size_t shard_ = static_cast<std::size_t>(-1);
-  std::size_t next_index_ = 0;
-};
 
 }  // namespace privelet::mechanism
 

@@ -1,11 +1,21 @@
 #include "privelet/mechanism/privelet_mechanism.h"
 
-#include "privelet/mechanism/noise.h"
+#include <algorithm>
+
+#include "privelet/rng/laplace.h"
 #include "privelet/rng/splitmix64.h"
-#include "privelet/rng/xoshiro256pp.h"
 #include "privelet/simd/kernels.h"
 
 namespace privelet::mechanism {
+
+namespace {
+
+// The fused noise draws runs of at least this many consecutive indices
+// from an 8-aligned start, so short coefficient lines share whole 128-draw
+// ChaCha20 groups instead of each computing a partial one.
+constexpr std::size_t kMinNoiseRun = 128;
+
+}  // namespace
 
 PriveletPlusMechanism::PriveletPlusMechanism(std::vector<std::string> sa_names)
     : sa_names_(std::move(sa_names)) {
@@ -54,7 +64,8 @@ Result<matrix::FrequencyMatrix> PriveletPlusMechanism::Publish(
 
   common::ThreadPool* pool = thread_pool();
   const matrix::EngineOptions& options = engine_options();
-  const std::uint64_t noise_seed = rng::DeriveSeed(seed, 0x9121E7);
+  const rng::NoiseKey key =
+      rng::NoiseKey::FromSeed(rng::DeriveSeed(seed, 0x9121E7));
 
   // Step 1: wavelet transform.
   PRIVELET_ASSIGN_OR_RETURN(wavelet::HnCoefficients coefficients,
@@ -62,33 +73,43 @@ Result<matrix::FrequencyMatrix> PriveletPlusMechanism::Publish(
 
   // Steps 2+3: Laplace noise of magnitude λ / WHN(c) per coefficient,
   // then refine (mean subtraction on nominal axes, inside Inverse) and
-  // reconstruct the noisy frequency matrix. The draw at a coefficient
-  // depends only on (seed, flat index) — fixed kNoiseShardSize-wide shards
-  // on per-shard jump streams, see mechanism/noise.h — so the release is
-  // bit-identical whatever the pool. The injection is fused into the
-  // first Inverse axis pass: each worker perturbs its coefficient panels
-  // while they are cache-hot, drawing through a cursor that reproduces
-  // the sharded stream scheme index-for-index.
-  const std::vector<rng::Xoshiro256pp> streams = rng::MakeJumpStreams(
-      noise_seed, NumNoiseShards(coefficients.coeffs.size()));
+  // reconstruct the noisy frequency matrix. The draw at a coefficient is
+  // unit(key, flat index) (rng/laplace.h), so the release is
+  // bit-identical whatever the pool or ISA level. The injection is fused
+  // into the first Inverse axis pass, whose lines run along the last
+  // axis: each worker perturbs its coefficient lines while they are
+  // cache-hot.
   const simd::KernelTable& kernels =
       simd::Kernels(simd::ResolveIsa(options.isa));
+  const std::size_t total = coefficients.coeffs.size();
+  const std::size_t line_len = coefficients.coeffs.dims().back();
+  const std::vector<double>& last_weights = *coefficients.axis_weights.back();
   const wavelet::PanelNoiseFactory noise_factory = [&]() {
-    // Both cursors advance monotonically across the chunk's panels. The
-    // unit buffer grows to the chunk's panel size on the first call and is
-    // reused after that. Batching changes no bits: the per-index draw is
-    // (lambda/weight) * unit = one rounding of the same real product
-    // LaplaceAt evaluates (see NoiseStreamCursor::UnitLaplaceRun).
-    return [lambda, &kernels, draws = NoiseStreamCursor(streams),
-            weights = wavelet::HnWeightCursor(coefficients),
-            unit = std::vector<double>()](
+    return [&kernels, &key, &coefficients, &last_weights, lambda, total,
+            line_len, unit = std::vector<double>(),
+            unit_first = std::size_t{0}, unit_end = std::size_t{0}](
                std::size_t begin, std::size_t end, double* panel) mutable {
-      if (unit.size() < end - begin) unit.resize(end - begin);
-      draws.UnitLaplaceRun(begin, end - begin, unit.data(), kernels);
-      weights.ForEachInRange(
-          begin, end, [&](std::size_t flat, double weight) {
-            panel[flat - begin] += (lambda / weight) * unit[flat - begin];
-          });
+      if (begin < unit_first || end > unit_end) {
+        unit_first = begin - begin % 8;
+        unit_end = std::min(total, unit_first + std::max(kMinNoiseRun,
+                                                         end - unit_first));
+        unit.resize(std::max(unit.size(), unit_end - unit_first));
+        kernels.laplace_units(key, unit_first, unit_end - unit_first,
+                              unit.data());
+      }
+      for (std::size_t flat = begin; flat < end;) {
+        const std::size_t line = flat / line_len;
+        const std::size_t col = flat - line * line_len;
+        const std::size_t count = std::min(end - flat, line_len - col);
+        const double partial = coefficients.LineWeight(line);
+        double* values = panel + (flat - begin);
+        const double* u = unit.data() + (flat - unit_first);
+        const double* w = last_weights.data() + col;
+        for (std::size_t j = 0; j < count; ++j) {
+          values[j] += (lambda / (partial * w[j])) * u[j];
+        }
+        flat += count;
+      }
     };
   };
   return transform.Inverse(coefficients, pool, options, noise_factory);

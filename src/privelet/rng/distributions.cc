@@ -7,38 +7,6 @@
 
 namespace privelet::rng {
 
-double SampleLaplace(Xoshiro256pp& gen, double magnitude) {
-  PRIVELET_CHECK(magnitude >= 0.0, "Laplace magnitude must be >= 0");
-  if (magnitude == 0.0) return 0.0;
-  // Inverse CDF: u uniform on (-1/2, 1/2]; x = -b * sgn(u) * ln(1 - 2|u|).
-  const double u = gen.NextDoubleOpenZero() - 0.5;  // (-0.5, 0.5]
-  const double sign = (u >= 0.0) ? 1.0 : -1.0;
-  const double mag = std::abs(u);
-  // 1 - 2|u| is in [0, 1); guard the log at the closed endpoint u == 0.5.
-  const double tail = std::max(1.0 - 2.0 * mag, 1e-300);
-  return -magnitude * sign * std::log(tail);
-}
-
-void SampleLaplaceUnitBatch(Xoshiro256pp& gen, double* out, std::size_t n,
-                            const simd::KernelTable& kernels) {
-  // Fixed-size blocks keep the staging buffers in L1; the block size never
-  // affects values (each lane is a pure function of its own raw draw).
-  constexpr std::size_t kBlock = 256;
-  std::uint64_t raw[kBlock];
-  double tail[kBlock];
-  double neg_sign[kBlock];
-  for (std::size_t done = 0; done < n; done += kBlock) {
-    const std::size_t run = std::min(kBlock, n - done);
-    gen.FillRaw(raw, run);
-    kernels.laplace_tail(raw, tail, neg_sign, run);
-    // The log itself is libm at every dispatch level — vector log
-    // implementations are not bit-compatible with it.
-    for (std::size_t i = 0; i < run; ++i) {
-      out[done + i] = neg_sign[i] * std::log(tail[i]);
-    }
-  }
-}
-
 std::uint64_t SampleUniformInt(Xoshiro256pp& gen, std::uint64_t lo,
                                std::uint64_t hi) {
   return gen.NextUint64InRange(lo, hi);

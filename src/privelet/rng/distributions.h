@@ -1,6 +1,6 @@
-// Distribution samplers built on Xoshiro256pp. The Laplace sampler is the
-// noise primitive of every differential-privacy mechanism in the library;
-// the remaining samplers drive the synthetic data generators.
+// Distribution samplers built on Xoshiro256pp, driving the synthetic data
+// generators and workload builders. The privacy noise is not drawn here:
+// see rng/laplace.h.
 #ifndef PRIVELET_RNG_DISTRIBUTIONS_H_
 #define PRIVELET_RNG_DISTRIBUTIONS_H_
 
@@ -9,27 +9,8 @@
 #include <vector>
 
 #include "privelet/rng/xoshiro256pp.h"
-#include "privelet/simd/kernels.h"
 
 namespace privelet::rng {
-
-/// Draws from the zero-mean Laplace distribution with the given magnitude
-/// (scale) b, density (1/2b) exp(-|x|/b) — Eq. (1) of the paper. The
-/// variance is 2*b^2. Sampled by inverse CDF. `magnitude` must be >= 0; a
-/// magnitude of 0 returns 0 (the "no noise" degenerate case used in tests).
-double SampleLaplace(Xoshiro256pp& gen, double magnitude);
-
-/// Fills out[0..n) with unit-magnitude Laplace draws such that
-/// magnitude * out[i] is bit-identical to SampleLaplace(gen, magnitude) at
-/// the same draw offset: SampleLaplace evaluates
-/// -magnitude * sign * log(tail), which rounds only at the final multiply
-/// because sign is +-1, so factoring out[i] = -sign * log(tail) and scaling
-/// later reproduces the exact double. Consumes exactly n raw draws. The raw
-/// bits -> (tail, -sign) map runs through the given kernel table (every
-/// step of that map is exact in binary64, hence level-independent); log
-/// stays scalar libm at every level.
-void SampleLaplaceUnitBatch(Xoshiro256pp& gen, double* out, std::size_t n,
-                            const simd::KernelTable& kernels);
 
 /// Uniform integer in [lo, hi] inclusive.
 std::uint64_t SampleUniformInt(Xoshiro256pp& gen, std::uint64_t lo,

@@ -1,5 +1,5 @@
-// SplitMix64: tiny splittable generator, used to seed Xoshiro256++ and to
-// derive independent per-task seeds. Reference: Steele, Lea, Flood (2014),
+// SplitMix64: tiny splittable generator, used to seed Xoshiro256++, to
+// expand noise keys and to derive independent per-task seeds. Reference: Steele, Lea, Flood (2014),
 // "Fast splittable pseudorandom number generators".
 #ifndef PRIVELET_RNG_SPLITMIX64_H_
 #define PRIVELET_RNG_SPLITMIX64_H_
@@ -10,7 +10,7 @@ namespace privelet::rng {
 
 /// 64-bit SplitMix generator. Deterministic for a given seed; passes
 /// standard statistical batteries for its intended use (seeding, seed
-/// derivation). Not suitable as the main noise source — use Xoshiro256pp.
+/// derivation, key expansion). Not a noise source itself.
 class SplitMix64 {
  public:
   explicit SplitMix64(std::uint64_t seed) : state_(seed) {}

@@ -30,10 +30,6 @@ std::uint64_t Xoshiro256pp::Next() {
   return result;
 }
 
-void Xoshiro256pp::FillRaw(std::uint64_t* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = Next();
-}
-
 double Xoshiro256pp::NextDouble() {
   // Top 53 bits scaled by 2^-53: uniform on [0, 1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
@@ -42,42 +38,6 @@ double Xoshiro256pp::NextDouble() {
 double Xoshiro256pp::NextDoubleOpenZero() {
   // (k + 1) * 2^-53 for k in [0, 2^53): uniform on (0, 1].
   return (static_cast<double>(Next() >> 11) + 1.0) * 0x1.0p-53;
-}
-
-void Xoshiro256pp::Jump() {
-  // Reference jump constants from Blackman & Vigna's xoshiro256plusplus.c:
-  // the characteristic-polynomial power that advances the state 2^128 steps.
-  static constexpr std::uint64_t kJump[4] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (std::uint64_t{1} << bit)) {
-        s0 ^= state_[0];
-        s1 ^= state_[1];
-        s2 ^= state_[2];
-        s3 ^= state_[3];
-      }
-      Next();
-    }
-  }
-  state_[0] = s0;
-  state_[1] = s1;
-  state_[2] = s2;
-  state_[3] = s3;
-}
-
-std::vector<Xoshiro256pp> MakeJumpStreams(std::uint64_t seed,
-                                          std::size_t count) {
-  std::vector<Xoshiro256pp> streams;
-  streams.reserve(count);
-  Xoshiro256pp current(seed);
-  for (std::size_t i = 0; i < count; ++i) {
-    streams.push_back(current);
-    current.Jump();
-  }
-  return streams;
 }
 
 std::uint64_t Xoshiro256pp::NextUint64InRange(std::uint64_t lo,

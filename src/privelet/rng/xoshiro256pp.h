@@ -1,6 +1,7 @@
-// Xoshiro256++: the library's main pseudorandom generator. Hand-rolled (the
-// paper's mechanisms need only uniform deviates plus inverse-CDF sampling),
-// deterministic across platforms for reproducible experiments.
+// Xoshiro256++: the sequential generator behind the synthetic data
+// generators, workload builders and tests. Hand-rolled and deterministic
+// across platforms for reproducible experiments. Privacy noise does not
+// use it: see the counter-based stream of rng/laplace.h.
 // Reference: Blackman & Vigna (2019), "Scrambled linear pseudorandom number
 // generators".
 #ifndef PRIVELET_RNG_XOSHIRO256PP_H_
@@ -8,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace privelet::rng {
 
@@ -25,12 +25,6 @@ class Xoshiro256pp {
   /// Next raw 64-bit output.
   std::uint64_t Next();
 
-  /// Writes the next `n` raw outputs into `out` — exactly equivalent to n
-  /// calls of Next(), leaving the state where n single draws would. Lets
-  /// batched samplers fill a block of raws for vector post-processing
-  /// without changing the draw sequence.
-  void FillRaw(std::uint64_t* out, std::size_t n);
-
   std::uint64_t operator()() { return Next(); }
   static constexpr std::uint64_t min() { return 0; }
   static constexpr std::uint64_t max() { return ~0ULL; }
@@ -45,22 +39,9 @@ class Xoshiro256pp {
   /// result is exactly uniform. Requires lo <= hi.
   std::uint64_t NextUint64InRange(std::uint64_t lo, std::uint64_t hi);
 
-  /// Advances the state by 2^128 steps (the authors' jump polynomial):
-  /// generators jumped different numbers of times yield non-overlapping
-  /// subsequences, the basis of the library's per-shard noise streams.
-  void Jump();
-
  private:
   std::uint64_t state_[4];
 };
-
-/// `count` generators on the stream seeded by `seed` (via SplitMix64, as
-/// the constructor does), spaced 2^128 draws apart by repeated Jump():
-/// stream i starts where a 2^128-draw prefix of stream i-1 would end, so
-/// the streams never overlap. Stream 0 is exactly Xoshiro256pp(seed) —
-/// sharded consumers with a single shard reproduce the unsharded sequence.
-std::vector<Xoshiro256pp> MakeJumpStreams(std::uint64_t seed,
-                                          std::size_t count);
 
 }  // namespace privelet::rng
 

@@ -401,4 +401,14 @@ Result<BinaryResponse> DecodeResponse(std::string_view payload) {
   return response;
 }
 
+void AppendAnswerLine(std::string* out, double value) {
+  // 17 significant digits: at most 1 sign + 17 digits + '.' + "e-308".
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), value,
+                    std::chars_format::general, 17);
+  out->append(buf, r.ptr);
+  out->push_back('\n');
+}
+
 }  // namespace privelet::serving

@@ -66,6 +66,13 @@ enum class Verb : std::uint8_t {
   kIds = 5,
 };
 
+/// Appends `value` and '\n' to `out` as a text answer line: the
+/// `%.17g` rendering (which round-trips every double), produced with
+/// std::to_chars(general, 17), byte-identical to printf's including
+/// signed zeros, infinities and NaNs. The one formatter of the daemon's
+/// text framing and of `privelet_cli query` / `serve` output.
+void AppendAnswerLine(std::string* out, double value);
+
 // ---------------------------------------------------------------------------
 // Predicate parsing (shared with the workload-file reader in
 // tools/privelet_cli/workload_io.cc — one grammar, one implementation).

@@ -1015,13 +1015,9 @@ void Server::AppendTextHeader(Connection& conn, std::size_t payload_lines) {
 
 void Server::AppendTextAnswers(Connection& conn,
                                std::span<const double> answers) {
-  char buf[64];
-  for (const double a : answers) {
-    // %.17g round-trips doubles exactly — text answers are bit-identical
-    // to `privelet_cli query` output for the same release.
-    const int len = std::snprintf(buf, sizeof(buf), "%.17g\n", a);
-    conn.out.append(buf, static_cast<std::size_t>(len));
-  }
+  // Text answers are byte-identical to `privelet_cli query` output for
+  // the same release.
+  for (const double a : answers) AppendAnswerLine(&conn.out, a);
 }
 
 void Server::AppendTextError(EventLoop& loop, Connection& conn,

@@ -1,6 +1,6 @@
 // Runtime CPU dispatch for the vector kernel layer (privelet/simd). The
-// hot inner loops of the library — Haar butterfly levels, the Laplace
-// stream's inverse-CDF front half, int64 prefix sums, and the nominal
+// hot inner loops of the library — Haar butterfly levels, the
+// counter-based Laplace draws, int64 prefix sums, and the nominal
 // transform's row combines — exist in up to three implementations
 // (scalar, AVX2, AVX-512) selected at runtime from one function table per
 // level (see simd/kernels.h).

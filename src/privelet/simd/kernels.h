@@ -1,22 +1,25 @@
 // The dispatched kernel table: one set of function pointers per IsaLevel
 // covering the library's hot inner loops. Selection happens through
 // simd::Kernels(ResolveIsa(...)); the callers (haar.cc, nominal.cc,
-// noise.cc, prefix_sum.h) never test CPU features themselves.
+// the mechanisms' noise, prefix_sum.h) never test CPU features
+// themselves.
 //
 // Bit-identity by construction: every entry performs, per output element,
 // exactly the floating-point operations of the scalar kernel. The lanes of
 // each kernel are independent data items — panel lines, butterflies of one
-// level, or consecutive stream draws — so vectorizing across them never
-// reorders any per-item operation sequence. Operations that cannot keep
-// that promise are not in the table and stay scalar at every level:
-// libm's log (no bit-compatible vector version exists) and running sums
-// along a line (the prefix table's last-axis scan, a serial dependency).
+// level, or ChaCha20 blocks and their draws — so vectorizing across them
+// never reorders any per-item operation sequence. No entry calls libm: the
+// Laplace draws use the project's own rng::Log, whose operation sequence
+// every level repeats. Running sums along a line (the prefix table's
+// last-axis scan, a serial dependency) are not in the table and stay
+// scalar at every level.
 #ifndef PRIVELET_SIMD_KERNELS_H_
 #define PRIVELET_SIMD_KERNELS_H_
 
 #include <cstddef>
 #include <cstdint>
 
+#include "privelet/rng/laplace.h"
 #include "privelet/simd/dispatch.h"
 
 namespace privelet::simd {
@@ -74,18 +77,18 @@ struct KernelTable {
   void (*row_add_scaled)(double* acc, const double* row, double scale,
                          std::size_t count);
 
-  // ---- Laplace inverse-CDF front half -----------------------------------
-  // From a batch of raw 64-bit generator outputs, computes per draw the
-  // quantities the scalar SampleLaplace derives before its log call. With
-  //   v = (double)(raw[i] >> 11), u = (v + 1.0) * 0x1.0p-53 - 0.5:
-  //   tail[i]     = max(1.0 - 2.0 * |u|, 1e-300)
-  //   neg_sign[i] = (u >= 0.0) ? -1.0 : 1.0
-  // Every operation here is exact in IEEE double (integer-to-double of
-  // values < 2^53, power-of-two scales, cancellation-free subtractions),
-  // so all levels produce identical bits. The back half — unit draw =
-  // neg_sign * log(tail) — runs in one shared scalar loop over libm.
-  void (*laplace_tail)(const std::uint64_t* raw, double* tail,
-                       double* neg_sign, std::size_t n);
+  // ---- Counter-based Laplace draws ------------------------------------
+  // out[j] = rng::LaplaceUnitAt(key, first + j) for j in [0, n): the
+  // ChaCha20 blocks of 8 draws each run 8 (AVX2) or 16 (scalar, AVX-512)
+  // at a time, one block per lane, and the front half and rng::Log run
+  // across draws. A group of blocks only partly inside [first, first + n)
+  // is computed whole and trimmed, so a run of whole 128-draw groups from
+  // a multiple of 8 wastes nothing. Every level gives the bits of the
+  // per-index definition: the block function is integer arithmetic, and
+  // the front half and Log are the same correctly rounded operations in
+  // the same order.
+  void (*laplace_units)(const rng::NoiseKey& key, std::uint64_t first,
+                        std::size_t n, double* out);
 
   // ---- int64 prefix-sum kernel ------------------------------------------
   // Integer addition is associative, so any lane split is bit-identical.

@@ -1,11 +1,13 @@
-// AVX-512 kernel table (8 lanes). Requires F+DQ+VL (DQ for
-// _mm512_cvtepu64_pd, VL only as a dispatch-level simplification).
+// AVX-512 kernel table (8 lanes of double / int64, 16 of uint32 for
+// ChaCha20). Requires F+DQ+VL (DQ for the 64-bit integer <-> double
+// conversions, VL only as a dispatch-level simplification).
 // Compiled with -mavx512f -mavx512dq -mavx512vl -ffp-contract=off; only
 // reachable after dispatch.cc's CPUID probe. Same bit-identity contracts
 // as the AVX2 table (see kernels_avx2.cc and kernels.h).
 #include <cstddef>
 #include <cstdint>
 
+#include "privelet/simd/draw_groups.h"
 #include "privelet/simd/kernels.h"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512VL__)
@@ -205,38 +207,158 @@ void RowAddScaled(double* acc, const double* row, double scale,
   for (; b < count; ++b) acc[b] += scale * row[b];
 }
 
-void LaplaceTail(const std::uint64_t* raw, double* tail, double* neg_sign,
-                 std::size_t n) {
+// ---- laplace_units: 16 ChaCha20 blocks per group, one per 32-bit lane --
+
+constexpr std::size_t kBlocks = 16;
+
+inline void QuarterRound(__m512i& a, __m512i& b, __m512i& c, __m512i& d) {
+  a = _mm512_add_epi32(a, b);
+  d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 16);
+  c = _mm512_add_epi32(c, d);
+  b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 12);
+  a = _mm512_add_epi32(a, b);
+  d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 8);
+  c = _mm512_add_epi32(c, d);
+  b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 7);
+}
+
+// raw[8b + j] = draw j of block `block + b`: the 16 x 16 word matrix (row
+// w = word w of every block) is transposed so that each block's 16 words,
+// read as 8 little-endian u64, land in draw order.
+void ChaChaRaw(const rng::NoiseKey& key, std::uint64_t block,
+               std::uint64_t* raw) {
+  alignas(64) std::uint32_t counter_lo[kBlocks];
+  alignas(64) std::uint32_t counter_hi[kBlocks];
+  for (std::size_t l = 0; l < kBlocks; ++l) {
+    counter_lo[l] = static_cast<std::uint32_t>(block + l);
+    counter_hi[l] = static_cast<std::uint32_t>((block + l) >> 32);
+  }
+  const auto input = [&](int w) -> __m512i {
+    static constexpr std::uint32_t kSigma[4] = {0x61707865, 0x3320646e,
+                                                0x79622d32, 0x6b206574};
+    if (w < 4) return _mm512_set1_epi32(static_cast<int>(kSigma[w]));
+    if (w < 12) return _mm512_set1_epi32(static_cast<int>(key.key[w - 4]));
+    if (w == 12) return _mm512_load_si512(counter_lo);
+    if (w == 13) return _mm512_load_si512(counter_hi);
+    return _mm512_set1_epi32(static_cast<int>(key.nonce[w - 14]));
+  };
+  __m512i x[16];
+  for (int w = 0; w < 16; ++w) x[w] = input(w);
+  for (int round = 0; round < 10; ++round) {
+    QuarterRound(x[0], x[4], x[8], x[12]);
+    QuarterRound(x[1], x[5], x[9], x[13]);
+    QuarterRound(x[2], x[6], x[10], x[14]);
+    QuarterRound(x[3], x[7], x[11], x[15]);
+    QuarterRound(x[0], x[5], x[10], x[15]);
+    QuarterRound(x[1], x[6], x[11], x[12]);
+    QuarterRound(x[2], x[7], x[8], x[13]);
+    QuarterRound(x[3], x[4], x[9], x[14]);
+  }
+  for (int w = 0; w < 16; ++w) x[w] = _mm512_add_epi32(x[w], input(w));
+
+  // Within each 128-bit lane L: after the two unpack stages, u[4g + m]
+  // holds words 4g..4g+3 of block 4L + m.
+  __m512i t[16];
+  for (int p = 0; p < 8; ++p) {
+    t[2 * p] = _mm512_unpacklo_epi32(x[2 * p], x[2 * p + 1]);
+    t[2 * p + 1] = _mm512_unpackhi_epi32(x[2 * p], x[2 * p + 1]);
+  }
+  __m512i u[16];
+  for (int g = 0; g < 4; ++g) {
+    u[4 * g] = _mm512_unpacklo_epi64(t[4 * g], t[4 * g + 2]);
+    u[4 * g + 1] = _mm512_unpackhi_epi64(t[4 * g], t[4 * g + 2]);
+    u[4 * g + 2] = _mm512_unpacklo_epi64(t[4 * g + 1], t[4 * g + 3]);
+    u[4 * g + 3] = _mm512_unpackhi_epi64(t[4 * g + 1], t[4 * g + 3]);
+  }
+  // A 4 x 4 transpose of 128-bit lanes gathers block 4L + m's words.
+  for (int m = 0; m < 4; ++m) {
+    const __m512i v0 = _mm512_shuffle_i32x4(u[m], u[4 + m], 0x44);
+    const __m512i v1 = _mm512_shuffle_i32x4(u[m], u[4 + m], 0xEE);
+    const __m512i v2 = _mm512_shuffle_i32x4(u[8 + m], u[12 + m], 0x44);
+    const __m512i v3 = _mm512_shuffle_i32x4(u[8 + m], u[12 + m], 0xEE);
+    _mm512_store_si512(raw + 8 * m, _mm512_shuffle_i32x4(v0, v2, 0x88));
+    _mm512_store_si512(raw + 8 * (4 + m), _mm512_shuffle_i32x4(v0, v2, 0xDD));
+    _mm512_store_si512(raw + 8 * (8 + m), _mm512_shuffle_i32x4(v1, v3, 0x88));
+    _mm512_store_si512(raw + 8 * (12 + m),
+                       _mm512_shuffle_i32x4(v1, v3, 0xDD));
+  }
+}
+
+// rng::Log, lane for lane: the same operations in the same order.
+inline __m512d Log(__m512d x) {
+  using namespace rng::log_coeffs;
+  const __m512i bits = _mm512_castpd_si512(x);
+  const __m512i mantissa =
+      _mm512_and_si512(bits, _mm512_set1_epi64(0x000FFFFFFFFFFFFFLL));
+  const __m512i carry = _mm512_and_si512(
+      _mm512_add_epi64(mantissa,
+                       _mm512_set1_epi64(static_cast<long long>(kSqrt2Carry))),
+      _mm512_set1_epi64(1LL << 52));
+  const __m512d m = _mm512_castsi512_pd(_mm512_or_si512(
+      mantissa,
+      _mm512_xor_si512(carry, _mm512_set1_epi64(0x3FF0000000000000LL))));
+  // The biased exponent (< 2^11) converts exactly.
+  const __m512d dk = _mm512_sub_pd(
+      _mm512_cvtepi64_pd(_mm512_add_epi64(_mm512_srli_epi64(bits, 52),
+                                          _mm512_srli_epi64(carry, 52))),
+      _mm512_set1_pd(1023.0));
+
+  const __m512d f = _mm512_sub_pd(m, _mm512_set1_pd(1.0));
+  const __m512d s = _mm512_div_pd(f, _mm512_add_pd(_mm512_set1_pd(2.0), f));
+  const __m512d z = _mm512_mul_pd(s, s);
+  const __m512d w = _mm512_mul_pd(z, z);
+  const auto mul_add = [](__m512d c, __m512d a, __m512d b) {
+    return _mm512_add_pd(c, _mm512_mul_pd(a, b));  // c + a * b, two roundings
+  };
+  const __m512d t1 = _mm512_mul_pd(
+      w, mul_add(_mm512_set1_pd(kLg2), w,
+                 mul_add(_mm512_set1_pd(kLg4), w, _mm512_set1_pd(kLg6))));
+  const __m512d t2 = _mm512_mul_pd(
+      z, mul_add(_mm512_set1_pd(kLg1), w,
+                 mul_add(_mm512_set1_pd(kLg3), w,
+                         mul_add(_mm512_set1_pd(kLg5), w,
+                                 _mm512_set1_pd(kLg7)))));
+  const __m512d r = _mm512_add_pd(t2, t1);
+  const __m512d hfsq =
+      _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(0.5), f), f);
+  const __m512d inner = _mm512_add_pd(
+      _mm512_mul_pd(s, _mm512_add_pd(hfsq, r)),
+      _mm512_mul_pd(dk, _mm512_set1_pd(kLn2Lo)));
+  return _mm512_sub_pd(
+      _mm512_mul_pd(dk, _mm512_set1_pd(kLn2Hi)),
+      _mm512_sub_pd(_mm512_sub_pd(hfsq, inner), f));
+}
+
+void LaplaceGroup(const rng::NoiseKey& key, std::uint64_t block,
+                  double* out) {
+  alignas(64) std::uint64_t raw[8 * kBlocks];
+  ChaChaRaw(key, block, raw);
   const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d two = _mm512_set1_pd(2.0);
-  const __m512d half = _mm512_set1_pd(0.5);
-  const __m512d scale = _mm512_set1_pd(0x1.0p-53);
-  const __m512d floor_v = _mm512_set1_pd(1e-300);
   const __m512d minus_one = _mm512_set1_pd(-1.0);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    const __m512i r =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(raw + i));
-    // _mm512_cvtepu64_pd (DQ) is exact here: the shifted value has 53 bits.
-    const __m512d v = _mm512_cvtepu64_pd(_mm512_srli_epi64(r, 11));
-    const __m512d u =
-        _mm512_sub_pd(_mm512_mul_pd(_mm512_add_pd(v, one), scale), half);
-    const __m512d mag = _mm512_abs_pd(u);
-    const __m512d t = _mm512_sub_pd(one, _mm512_mul_pd(two, mag));
-    _mm512_storeu_pd(tail + i, _mm512_max_pd(t, floor_v));
+  for (std::size_t i = 0; i < 8 * kBlocks; i += kW) {
+    // The front half of rng::LaplaceUnitFromRaw; every step is exact.
+    const __m512d v = _mm512_cvtepu64_pd(
+        _mm512_srli_epi64(_mm512_load_si512(raw + i), 11));
+    const __m512d u = _mm512_sub_pd(
+        _mm512_mul_pd(_mm512_add_pd(v, one), _mm512_set1_pd(0x1.0p-53)),
+        _mm512_set1_pd(0.5));
+    const __m512d tail = _mm512_max_pd(
+        _mm512_sub_pd(one, _mm512_mul_pd(_mm512_set1_pd(2.0),
+                                         _mm512_abs_pd(u))),
+        _mm512_set1_pd(1e-300));
     const __mmask8 ge =
         _mm512_cmp_pd_mask(u, _mm512_setzero_pd(), _CMP_GE_OQ);
-    _mm512_storeu_pd(neg_sign + i, _mm512_mask_blend_pd(ge, one, minus_one));
+    const __m512d neg_sign = _mm512_mask_blend_pd(ge, one, minus_one);
+    _mm512_storeu_pd(out + i, _mm512_mul_pd(neg_sign, Log(tail)));
   }
-  for (; i < n; ++i) {
-    const double v = static_cast<double>(raw[i] >> 11);
-    const double u = (v + 1.0) * 0x1.0p-53 - 0.5;
-    const double mag = u >= 0.0 ? u : -u;
-    double t = 1.0 - 2.0 * mag;
-    if (t < 1e-300) t = 1e-300;
-    tail[i] = t;
-    neg_sign[i] = u >= 0.0 ? -1.0 : 1.0;
-  }
+}
+
+void LaplaceUnits(const rng::NoiseKey& key, std::uint64_t first,
+                  std::size_t n, double* out) {
+  ForEachDrawGroup<kBlocks>(first, n, out,
+                            [&key](std::uint64_t block, double* group) {
+                              LaplaceGroup(key, block, group);
+                            });
 }
 
 void PrefixRowsAddI64(std::int64_t* curr, const std::int64_t* prev,
@@ -256,7 +378,7 @@ constexpr KernelTable kTable = {
     HaarForwardLevel,       HaarInverseLevel,       HaarForwardLevelSplit,
     HaarInverseLevelExpand, RowAdd,                 RowSub,
     RowDiv,                 RowAddDiv,              RowSubDiv,
-    RowAddScaled,           LaplaceTail,            PrefixRowsAddI64,
+    RowAddScaled,           LaplaceUnits,           PrefixRowsAddI64,
 };
 
 }  // namespace

@@ -224,6 +224,18 @@ double HnCoefficients::WeightAt(std::size_t flat) const {
   return weight;
 }
 
+double HnCoefficients::LineWeight(std::size_t line) const {
+  const std::size_t d = coeffs.num_dims();
+  const std::size_t line_len = coeffs.dim(d - 1);
+  double weight = 1.0;
+  for (std::size_t axis = 0; axis + 1 < d; ++axis) {
+    const std::size_t coord =
+        (line / (coeffs.Stride(axis) / line_len)) % coeffs.dim(axis);
+    weight *= (*axis_weights[axis])[coord];
+  }
+  return weight;
+}
+
 HnTransform::HnTransform(std::vector<std::unique_ptr<Transform1D>> transforms)
     : transforms_(std::move(transforms)) {
   input_dims_.reserve(transforms_.size());

@@ -47,54 +47,17 @@ struct HnCoefficients {
 
   /// ForEachCoefficient restricted to flat indices [begin, end): O(d)
   /// startup to position the odometer, then amortized O(1) per
-  /// coefficient. The building block of sharded (parallel) noise
-  /// injection — disjoint ranges may run concurrently.
+  /// coefficient. Disjoint ranges may run concurrently.
   template <typename Fn>
   void ForEachCoefficientInRange(std::size_t begin, std::size_t end,
                                  Fn&& fn) const;
-};
 
-/// Stateful flavor of ForEachCoefficientInRange for panel-at-a-time
-/// callers (the fused noise hooks): the odometer buffers live in the
-/// cursor, so successive ForEachInRange calls allocate nothing, and a
-/// range continuing the previous one resumes in O(1) (any other start
-/// costs an O(d) reseek). Ranges must be non-overlapping and increasing
-/// within one cursor; each worker keeps its own.
-class HnWeightCursor {
- public:
-  /// `c` must outlive the cursor.
-  explicit HnWeightCursor(const HnCoefficients& c)
-      : c_(&c),
-        coords_(c.coeffs.num_dims()),
-        partial_(c.coeffs.num_dims()) {}
-
-  /// Calls fn(flat, weight) for flat in [begin, end), like
-  /// HnCoefficients::ForEachCoefficientInRange.
-  template <typename Fn>
-  void ForEachInRange(std::size_t begin, std::size_t end, Fn&& fn);
-
- private:
-  void SeekTo(std::size_t flat) {
-    const matrix::FrequencyMatrix& m = c_->coeffs;
-    for (std::size_t axis = 0; axis < coords_.size(); ++axis) {
-      coords_[axis] = (flat / m.Stride(axis)) % m.dim(axis);
-    }
-    RecomputeFrom(0);
-  }
-
-  // partial_[a] = product of weights over axes 0..a at coords_.
-  void RecomputeFrom(std::size_t axis) {
-    for (std::size_t a = axis; a < coords_.size(); ++a) {
-      const double prev = (a == 0) ? 1.0 : partial_[a - 1];
-      partial_[a] = prev * (*c_->axis_weights[a])[coords_[a]];
-    }
-  }
-
-  const HnCoefficients* c_;
-  std::vector<std::size_t> coords_;
-  std::vector<double> partial_;
-  // Flat index the odometer state corresponds to; anything else reseeks.
-  std::size_t next_ = static_cast<std::size_t>(-1);
+  /// The product of the weights of axes 0..d-2 at line `line` along the
+  /// last axis (1 for a 1-D matrix), folded in axis order: the coefficient
+  /// at column j of that line has weight
+  /// LineWeight(line) * (*axis_weights.back())[j], bit-for-bit WeightAt.
+  /// O(d).
+  double LineWeight(std::size_t line) const;
 };
 
 /// Coefficient perturbation fused into the first Inverse axis pass (the
@@ -106,7 +69,7 @@ using PanelNoiseFn = std::function<void(std::size_t begin, std::size_t end,
                                         double* values)>;
 
 /// Makes one PanelNoiseFn per ParallelFor chunk (so the closure may carry
-/// mutable per-worker state, e.g. a noise-stream cursor). The returned
+/// mutable per-worker state, e.g. a buffer of noise draws). The returned
 /// function is invoked with non-overlapping ranges in increasing order
 /// within its chunk; across all chunks every coefficient is visited
 /// exactly once.
@@ -182,30 +145,34 @@ template <typename Fn>
 void HnCoefficients::ForEachCoefficientInRange(std::size_t begin,
                                                std::size_t end,
                                                Fn&& fn) const {
-  HnWeightCursor cursor(*this);
-  cursor.ForEachInRange(begin, end, std::forward<Fn>(fn));
-}
-
-template <typename Fn>
-void HnWeightCursor::ForEachInRange(std::size_t begin, std::size_t end,
-                                    Fn&& fn) {
   if (begin >= end) return;
-  if (begin != next_) SeekTo(begin);
-  const auto& dims = c_->coeffs.dims();
+  const auto& dims = coeffs.dims();
   const std::size_t d = dims.size();
+  // Row-major odometer; partial[a] = product of weights of axes 0..a.
+  std::vector<std::size_t> coords(d);
+  std::vector<double> partial(d);
+  const auto recompute_from = [&](std::size_t axis) {
+    for (std::size_t a = axis; a < d; ++a) {
+      const double prev = (a == 0) ? 1.0 : partial[a - 1];
+      partial[a] = prev * (*axis_weights[a])[coords[a]];
+    }
+  };
+  for (std::size_t axis = 0; axis < d; ++axis) {
+    coords[axis] = (begin / coeffs.Stride(axis)) % dims[axis];
+  }
+  recompute_from(0);
   for (std::size_t flat = begin; flat < end; ++flat) {
-    fn(flat, partial_[d - 1]);
-    // Row-major odometer: bump the last axis, carry leftward.
+    fn(flat, partial[d - 1]);
+    // Bump the last axis, carry leftward.
     std::size_t axis = d;
     while (axis-- > 0) {
-      if (++coords_[axis] < dims[axis]) {
-        RecomputeFrom(axis);
+      if (++coords[axis] < dims[axis]) {
+        recompute_from(axis);
         break;
       }
-      coords_[axis] = 0;
+      coords[axis] = 0;
     }
   }
-  next_ = end;
 }
 
 }  // namespace privelet::wavelet

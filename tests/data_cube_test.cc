@@ -161,9 +161,11 @@ TEST(RollUpTest, CommutesWithPublishQueries) {
   }
 }
 
-// Baseline recorded from the initial release build; re-record consciously
-// if the pipeline's deterministic behaviour is intentionally changed.
-double GoldenChecksum() { return 3672.2845714819623; }
+// Baseline re-recorded when the noise moved to the counter-based ChaCha20
+// stream with the project's own Log (identical at every ISA level);
+// re-record consciously if the pipeline's deterministic behaviour is
+// intentionally changed.
+double GoldenChecksum() { return 2801.6155818910452; }
 
 TEST(GoldenRegressionTest, PublishIsStableAcrossRefactors) {
   // Pins the full deterministic pipeline (generator seeding, transform

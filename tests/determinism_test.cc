@@ -1,9 +1,9 @@
 // The threading determinism contract: for a fixed seed, every publishing
 // mechanism and both directions of the HN transform produce bit-identical
 // output whatever the thread pool — none (serial), 1, 2, or 8 workers.
-// The schemas are sized so the coefficient/cell spaces span several noise
-// shards (kNoiseShardSize = 8192), exercising the multi-stream paths, not
-// just the single-shard degenerate case.
+// The schemas are sized so the coefficient/cell spaces span many pool
+// chunks and 128-draw noise groups, so every worker draws from the middle
+// of the counter space, not just from index 0.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -43,8 +43,9 @@ namespace {
 constexpr std::size_t kPoolSizes[] = {1, 2, 8};
 
 // Ordinal 1024 x nominal {4,4}: 16384 cells, 1024 * 21 = 21504 HN
-// coefficients — both above one noise shard.
-data::Schema MultiShardSchema() {
+// coefficients — both spread over several pool chunks and many 128-draw
+// noise groups.
+data::Schema MultiChunkSchema() {
   std::vector<data::Attribute> attrs;
   attrs.push_back(data::Attribute::Ordinal("Ord", 1024));
   attrs.push_back(data::Attribute::Nominal(
@@ -94,20 +95,20 @@ void ExpectPublishInvariantUnderThreads(mechanism::Mechanism& mech,
 
 TEST(PublishDeterminismTest, BasicAcrossThreadCounts) {
   mechanism::BasicMechanism basic;
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   ExpectPublishInvariantUnderThreads(basic, schema, RandomMatrix(schema, 1));
 }
 
 TEST(PublishDeterminismTest, PriveletAcrossThreadCounts) {
   mechanism::PriveletMechanism privelet;
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   ExpectPublishInvariantUnderThreads(privelet, schema,
                                      RandomMatrix(schema, 2));
 }
 
 TEST(PublishDeterminismTest, PriveletPlusAcrossThreadCounts) {
   mechanism::PriveletPlusMechanism plus({"Nom"});
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   ExpectPublishInvariantUnderThreads(plus, schema, RandomMatrix(schema, 3));
 }
 
@@ -122,7 +123,7 @@ TEST(PublishDeterminismTest, HayAcrossThreadCounts) {
 // every thread count — the pool is a pure performance knob.
 TEST(PublishDeterminismTest, PooledReleasesMatchPerLineReference) {
   mechanism::PriveletPlusMechanism mech({"Nom"});
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 9);
   const matrix::FrequencyMatrix expected = reference::PublishPrivelet(
       schema, {"Nom"}, m, /*epsilon=*/0.8, /*seed=*/57);
@@ -143,7 +144,7 @@ TEST(PublishDeterminismTest, PooledReleasesMatchPerLineReference) {
 }
 
 TEST(HnTransformDeterminismTest, ForwardAndInverseAcrossThreadCounts) {
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   auto transform = wavelet::HnTransform::Create(schema);
   ASSERT_TRUE(transform.ok());
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 5);
@@ -168,7 +169,7 @@ TEST(HnTransformDeterminismTest, ForwardAndInverseAcrossThreadCounts) {
 }
 
 TEST(PrefixSumDeterminismTest, PooledBuildMatchesSerial) {
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 6);
   const matrix::PrefixSumTable<double> serial(m);
   for (const std::size_t threads : kPoolSizes) {
@@ -192,7 +193,7 @@ std::string FileBytes(const std::string& path) {
 // (CRC included), and the file loads back into a session holding the
 // per-line reference release.
 TEST(PublishDeterminismTest, SnapshotFilesInvariantAcrossThreads) {
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 11);
   mechanism::PriveletPlusMechanism mech({"Nom"});
 
@@ -231,7 +232,7 @@ TEST(PublishDeterminismTest, SnapshotFilesInvariantAcrossThreads) {
 // workload bit-identically. The budget is a pure operational knob, like
 // the pool.
 TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreByteForByte) {
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 21);
   mechanism::PriveletPlusMechanism mech({"Nom"});
 
@@ -284,7 +285,7 @@ TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreByteForByte) {
 // session, under every pool size — the storage mode of the prefix table
 // (owned copy vs. span view into the file) is a pure operational knob.
 TEST(PublishDeterminismTest, MappedServingMatchesCopyLoadAcrossThreads) {
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 12);
   mechanism::PriveletPlusMechanism mech({"Nom"});
 
@@ -323,7 +324,7 @@ TEST(PublishDeterminismTest, MappedServingMatchesCopyLoadAcrossThreads) {
 // purely a performance knob; a single differing bit here means a vector
 // kernel reordered someone's float operations.
 TEST(PublishDeterminismTest, IsaSweepSnapshotsAndAnswersAreInvariant) {
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 17);
   mechanism::PriveletPlusMechanism mech({"Nom"});
 
@@ -390,7 +391,7 @@ TEST(PublishDeterminismTest, IsaSweepSnapshotsAndAnswersAreInvariant) {
 // forced ISA levels, exactly like plan-less releases. The plan section
 // is provenance, never noise input.
 TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossThreadsAndIsa) {
-  const data::Schema schema = MultiShardSchema();
+  const data::Schema schema = MultiChunkSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 23);
   query::WorkloadOptions wopts;
   wopts.num_queries = 64;
@@ -467,23 +468,24 @@ TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossThreadsAndIsa) {
   ASSERT_EQ(0, unsetenv("PRIVELET_ISA"));
 }
 
-TEST(NoiseShardDeterminismTest, ShardedDrawsDependOnlyOnIndex) {
-  // Three shard widths of values, processed with and without pools: the
-  // noise vector must be identical, and the first shard must reproduce
-  // the plain Xoshiro sequence (legacy single-shard compatibility).
-  const std::size_t n = mechanism::kNoiseShardSize * 3 + 123;
+TEST(NoiseDeterminismTest, DrawsDependOnlyOnIndex) {
+  // Values spread over several pool chunks, processed with and without
+  // pools: the noise vector must be identical, and a shorter vector must
+  // get exactly the prefix of the longer one's draws.
+  const std::size_t n = 3 * 16384 + 123;
+  const rng::NoiseKey key = rng::NoiseKey::FromSeed(77);
   std::vector<double> serial(n, 0.0);
-  mechanism::AddLaplaceNoise(serial, 2.0, /*noise_seed=*/77, nullptr);
+  mechanism::AddLaplaceNoise(serial, 2.0, key, nullptr);
 
   for (const std::size_t threads : kPoolSizes) {
     common::ThreadPool pool(threads);
     std::vector<double> parallel(n, 0.0);
-    mechanism::AddLaplaceNoise(parallel, 2.0, 77, &pool);
+    mechanism::AddLaplaceNoise(parallel, 2.0, key, &pool);
     EXPECT_EQ(serial, parallel) << threads << " threads";
   }
 
   std::vector<double> single(100, 0.0);
-  mechanism::AddLaplaceNoise(single, 2.0, 77, nullptr);
+  mechanism::AddLaplaceNoise(single, 2.0, key, nullptr);
   for (std::size_t i = 0; i < single.size(); ++i) {
     EXPECT_EQ(single[i], serial[i]) << "prefix mismatch at " << i;
   }

@@ -144,14 +144,20 @@ TEST(HnTransformTest, GeneralizedSensitivityIsProductOfPFactors) {
 }
 
 TEST(HnTransformTest, ForEachCoefficientMatchesWeightAt) {
+  // ForEachCoefficient, WeightAt and LineWeight times the last axis's
+  // weight (the fused noise's per-line form) fold the same product.
   auto transform = HnTransform::Create(MixedSchema());
   ASSERT_TRUE(transform.ok());
   matrix::FrequencyMatrix m({5, 6, 4});
   auto coeffs = transform->Forward(m);
   ASSERT_TRUE(coeffs.ok());
+  const std::size_t line_len = coeffs->coeffs.dims().back();
+  const std::vector<double>& last = *coeffs->axis_weights.back();
   std::size_t visited = 0;
   coeffs->ForEachCoefficient([&](std::size_t flat, double weight) {
-    EXPECT_DOUBLE_EQ(weight, coeffs->WeightAt(flat));
+    EXPECT_EQ(weight, coeffs->WeightAt(flat));
+    EXPECT_EQ(weight,
+              coeffs->LineWeight(flat / line_len) * last[flat % line_len]);
     EXPECT_EQ(flat, visited);
     ++visited;
   });

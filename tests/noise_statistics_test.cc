@@ -2,7 +2,9 @@
 // sample-moment checks that the injected noise matches the calibrated
 // λ = 2ρ/ε per coefficient weight — per weight class of the Haar
 // decomposition, per cell on identity axes, and per query against the
-// closed-form exact variance. These replace "looks noisy" spot checks
+// closed-form exact variance — plus distribution-shape checks of the raw
+// unit draws (a KS test at every ISA level, and lag-1 correlation within
+// and across ChaCha20 blocks). These replace "looks noisy" spot checks
 // with tolerance bands derived from the variance of the sample variance
 // (for Laplace, Var(s²) ≈ 5σ⁴/n, excess kurtosis 3) — shared with the
 // planner accuracy suite via statistical_test_util.h.
@@ -25,7 +27,9 @@
 #include "privelet/mechanism/privelet_mechanism.h"
 #include "privelet/query/evaluator.h"
 #include "privelet/query/range_query.h"
-#include "privelet/rng/xoshiro256pp.h"
+#include "privelet/rng/laplace.h"
+#include "privelet/simd/dispatch.h"
+#include "privelet/simd/kernels.h"
 #include "privelet/wavelet/haar.h"
 
 namespace privelet {
@@ -34,13 +38,14 @@ namespace {
 using testutil::ExpectCenteredNoiseWithVariance;
 using testutil::VarianceTolerance;
 
-TEST(NoiseStatisticsTest, ShardedLaplaceMatchesMoments) {
-  // 2^17 draws span 16 shards; the pooled sample must look Laplace(b):
-  // mean 0, variance 2b², half of the mass within b·ln 2 of 0.
+TEST(NoiseStatisticsTest, CounterLaplaceMatchesMoments) {
+  // 2^17 draws span 1024 groups of 128; the pooled sample must look
+  // Laplace(b): mean 0, variance 2b², half of the mass within b·ln 2 of 0.
   const std::size_t n = std::size_t{1} << 17;
   const double b = 3.0;
   std::vector<double> draws(n, 0.0);
-  mechanism::AddLaplaceNoise(draws, b, /*noise_seed=*/404, nullptr);
+  mechanism::AddLaplaceNoise(draws, b, rng::NoiseKey::FromSeed(404),
+                             nullptr);
 
   EXPECT_NEAR(Mean(draws), 0.0, 0.05);
   EXPECT_NEAR(SampleVariance(draws) / (2.0 * b * b), 1.0,
@@ -51,6 +56,75 @@ TEST(NoiseStatisticsTest, ShardedLaplaceMatchesMoments) {
       }));
   EXPECT_NEAR(static_cast<double>(within) / static_cast<double>(n), 0.5,
               0.01);
+}
+
+std::vector<simd::IsaLevel> HostLevels() {
+  std::vector<simd::IsaLevel> levels;
+  for (int l = 0; l <= static_cast<int>(simd::DetectBestIsa()); ++l) {
+    levels.push_back(static_cast<simd::IsaLevel>(l));
+  }
+  return levels;
+}
+
+TEST(NoiseStatisticsTest, UnitDrawsPassKolmogorovSmirnovAtEveryLevel) {
+  // Two-sided KS test of 2^17 unit draws against the Laplace(1) CDF
+  // F(x) = e^x / 2 (x < 0), 1 - e^-x / 2 (x >= 0). The critical value at
+  // α = 0.001 is sqrt(-ln(α/2) / 2) / sqrt(n) ≈ 1.949 / sqrt(n).
+  const std::size_t n = std::size_t{1} << 17;
+  const double critical = 1.949 / std::sqrt(static_cast<double>(n));
+  for (const simd::IsaLevel level : HostLevels()) {
+    std::vector<double> draws(n);
+    simd::Kernels(level).laplace_units(rng::NoiseKey::FromSeed(2026), 0, n,
+                                       draws.data());
+    std::sort(draws.begin(), draws.end());
+    double d = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double x = draws[i];
+      const double cdf =
+          x < 0.0 ? 0.5 * std::exp(x) : 1.0 - 0.5 * std::exp(-x);
+      d = std::max({d, std::abs(cdf - static_cast<double>(i) / n),
+                    std::abs(static_cast<double>(i + 1) / n - cdf)});
+    }
+    EXPECT_LT(d, critical) << "level " << static_cast<int>(level);
+  }
+}
+
+// Pearson correlation of (x[i], x[i + 1]) over the i that `keep` selects.
+template <typename Keep>
+double LagOneCorrelation(const std::vector<double>& x, Keep keep,
+                         std::size_t* pairs) {
+  std::vector<double> a, b;
+  for (std::size_t i = 0; i + 1 < x.size(); ++i) {
+    if (!keep(i)) continue;
+    a.push_back(x[i]);
+    b.push_back(x[i + 1]);
+  }
+  *pairs = a.size();
+  const double ma = Mean(a), mb = Mean(b);
+  double sab = 0.0, saa = 0.0, sbb = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    sab += (a[i] - ma) * (b[i] - mb);
+    saa += (a[i] - ma) * (a[i] - ma);
+    sbb += (b[i] - mb) * (b[i] - mb);
+  }
+  return sab / std::sqrt(saa * sbb);
+}
+
+TEST(NoiseStatisticsTest, NeighbouringDrawsAreUncorrelated) {
+  // Draw i and i + 1 come from one ChaCha20 block (i mod 8 != 7) or from
+  // consecutive blocks (i mod 8 == 7). Independent pairs give a sample
+  // correlation of sd 1/sqrt(pairs); the band is 4.5 sd.
+  const std::size_t n = std::size_t{1} << 17;
+  std::vector<double> draws(n);
+  simd::Kernels(simd::ResolveIsa())
+      .laplace_units(rng::NoiseKey::FromSeed(31), 0, n, draws.data());
+  std::size_t pairs = 0;
+  const double within = LagOneCorrelation(
+      draws, [](std::size_t i) { return i % 8 != 7; }, &pairs);
+  EXPECT_NEAR(within, 0.0, 4.5 / std::sqrt(static_cast<double>(pairs)));
+  const double across = LagOneCorrelation(
+      draws, [](std::size_t i) { return i % 8 == 7; }, &pairs);
+  EXPECT_NEAR(across, 0.0, 4.5 / std::sqrt(static_cast<double>(pairs)));
 }
 
 TEST(NoiseStatisticsTest, PriveletHaarNoisePerWeightClass) {

@@ -8,8 +8,7 @@
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/matrix/matrix_io.h"
 #include "privelet/mechanism/postprocess.h"
-#include "privelet/rng/distributions.h"
-#include "privelet/rng/xoshiro256pp.h"
+#include "privelet/rng/laplace.h"
 
 namespace privelet {
 namespace {
@@ -66,10 +65,10 @@ TEST(PostprocessTest, ClampingBiasesSparseRangeSumsUpward) {
   // symmetric noise, clamping turns an unbiased full-range sum into one
   // that grows linearly with the number of covered cells.
   matrix::FrequencyMatrix m({1024});
-  rng::Xoshiro256pp gen(3);
+  const rng::NoiseKey key = rng::NoiseKey::FromSeed(3);
   double raw_sum = 0.0;
   for (std::size_t i = 0; i < m.size(); ++i) {
-    m[i] = rng::SampleLaplace(gen, 2.0);
+    m[i] = 2.0 * rng::LaplaceUnitAt(key, i);
     raw_sum += m[i];
   }
   mechanism::ClampNonNegative(&m);

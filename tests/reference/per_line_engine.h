@@ -1,7 +1,8 @@
 // Per-line reference for the line engine (matrix/engine.h): every axis
 // pass is a plain gather → Transform1D → scatter walk, one line at a time;
-// Privelet's noise is a separate flat sweep over the sharded streams; the
-// prefix-sum table is built one line at a time. The library's panel,
+// Privelet's noise is a separate flat sweep that draws every coefficient
+// through the per-index definition rng::LaplaceUnitAt; the prefix-sum
+// table is built one line at a time. The library's panel,
 // strided and fused-noise paths must reproduce these bit-for-bit
 // (docs/DETERMINISM.md); tile_engine_test, determinism_test and
 // bench/tile_sweep compare against them.
@@ -17,9 +18,8 @@
 
 #include "privelet/data/schema.h"
 #include "privelet/matrix/frequency_matrix.h"
-#include "privelet/mechanism/noise.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/rng/distributions.h"
+#include "privelet/rng/laplace.h"
 #include "privelet/rng/splitmix64.h"
 #include "privelet/simd/dispatch.h"
 #include "privelet/wavelet/hn_transform.h"
@@ -76,8 +76,9 @@ inline matrix::FrequencyMatrix Inverse(const wavelet::HnTransform& transform,
 }
 
 /// PriveletPlusMechanism({sa_names}).Publish(schema, m, epsilon, seed):
-/// forward transform, one flat noise sweep of magnitude λ / WHN(c) over
-/// the sharded streams, then refine + inverse.
+/// forward transform, one flat noise sweep adding
+/// (λ / WHN(c)) * rng::LaplaceUnitAt(key, c) to every coefficient c, then
+/// refine + inverse.
 inline matrix::FrequencyMatrix PublishPrivelet(
     const data::Schema& schema, const std::vector<std::string>& sa_names,
     const matrix::FrequencyMatrix& m, double epsilon, std::uint64_t seed) {
@@ -92,15 +93,12 @@ inline matrix::FrequencyMatrix PublishPrivelet(
                             .value();
   wavelet::HnCoefficients c = Forward(transform, m);
   const std::span<double> values = c.coeffs.values();
-  // The mechanism's noise-seed derivation (privelet_mechanism.cc).
-  mechanism::ForEachNoiseShard(
-      values.size(), rng::DeriveSeed(seed, 0x9121E7), /*pool=*/nullptr,
-      [&](std::size_t begin, std::size_t end, rng::Xoshiro256pp& gen) {
-        c.ForEachCoefficientInRange(
-            begin, end, [&](std::size_t flat, double weight) {
-              values[flat] += rng::SampleLaplace(gen, lambda / weight);
-            });
-      });
+  // The mechanism's noise-key derivation (privelet_mechanism.cc).
+  const rng::NoiseKey key =
+      rng::NoiseKey::FromSeed(rng::DeriveSeed(seed, 0x9121E7));
+  c.ForEachCoefficient([&](std::size_t flat, double weight) {
+    values[flat] += (lambda / weight) * rng::LaplaceUnitAt(key, flat);
+  });
   return Inverse(transform, std::move(c.coeffs));
 }
 

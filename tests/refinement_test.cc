@@ -9,7 +9,7 @@
 
 #include "privelet/common/math_util.h"
 #include "privelet/data/hierarchy.h"
-#include "privelet/rng/distributions.h"
+#include "privelet/rng/laplace.h"
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/wavelet/nominal.h"
 
@@ -50,7 +50,8 @@ RefinementEffect MeasureSubtreeSumVariance(std::size_t group_index) {
     return total;
   };
 
-  rng::Xoshiro256pp gen(5);
+  const rng::NoiseKey key = rng::NoiseKey::FromSeed(5);
+  std::uint64_t draw = 0;
   std::vector<double> noisy(k), reconstructed(leaves);
   std::vector<double> with_refine, without_refine;
   const double true_sum = 10.0 * static_cast<double>(group.leaf_end -
@@ -58,7 +59,7 @@ RefinementEffect MeasureSubtreeSumVariance(std::size_t group_index) {
   const auto& w = transform.weights();
   for (int trial = 0; trial < 4000; ++trial) {
     for (std::size_t j = 0; j < k; ++j) {
-      noisy[j] = exact[j] + rng::SampleLaplace(gen, 1.0 / w[j]);
+      noisy[j] = exact[j] + (1.0 / w[j]) * rng::LaplaceUnitAt(key, draw++);
     }
     std::vector<double> refined = noisy;
     transform.Refine(refined.data());

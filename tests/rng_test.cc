@@ -1,12 +1,15 @@
-// Tests for the hand-rolled generators and distributions, including
-// statistical checks on the Laplace sampler (the privacy noise primitive).
+// Tests for the hand-rolled generators and distributions, and for the
+// per-index definition of the Laplace noise (rng/laplace.h): the ChaCha20
+// block function, the project's Log, the edge draws and the moments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "privelet/common/math_util.h"
 #include "privelet/rng/distributions.h"
+#include "privelet/rng/laplace.h"
 #include "privelet/rng/splitmix64.h"
 #include "privelet/rng/xoshiro256pp.h"
 
@@ -88,9 +91,91 @@ TEST(Xoshiro256ppTest, UniformMeanIsHalf) {
   EXPECT_NEAR(sum / n, 0.5, 0.005);
 }
 
-TEST(LaplaceTest, ZeroMagnitudeIsZero) {
-  Xoshiro256pp gen(1);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(SampleLaplace(gen, 0.0), 0.0);
+// The RFC 8439 §2.3.2 test vector: key 00 01 .. 1f, nonce
+// 00:00:00:09:00:00:00:4a:00:00:00:00, block counter 1. In the 64-bit
+// counter layout, state words 12..13 (counter 1, nonce word 0x09000000)
+// are counter 0x0900000000000001 and words 14..15 are the nonce.
+NoiseKey Rfc8439Key() {
+  NoiseKey key;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    key.key[i] = (4 * i) | ((4 * i + 1) << 8) | ((4 * i + 2) << 16) |
+                 ((4 * i + 3) << 24);
+  }
+  key.nonce = {0x4a000000, 0x00000000};
+  return key;
+}
+
+TEST(ChaCha20Test, Rfc8439BlockFunctionKnownAnswer) {
+  constexpr std::uint32_t kExpected[16] = {
+      0xe4e7f110, 0x15593bd1, 0x1fdd0f50, 0xc47120a3,
+      0xc7f4d1c7, 0x0368c033, 0x9aaa2204, 0x4e6cd4c3,
+      0x466482d2, 0x09aa9f07, 0x05d7c214, 0xa2028bd9,
+      0xd19c12b5, 0xb94e16de, 0xe883d0cb, 0x4e3c50a2};
+  std::uint32_t block[16];
+  ChaCha20Block(Rfc8439Key(), 0x0900000000000001ULL, block);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(kExpected[i], block[i]) << i;
+}
+
+TEST(ChaCha20Test, DrawIndexPicksWordPairOfItsBlock) {
+  // unit(i) reads words 2(i mod 8), 2(i mod 8)+1 of block i / 8.
+  const NoiseKey key = NoiseKey::FromSeed(5);
+  std::uint32_t block[16];
+  ChaCha20Block(key, 3, block);
+  for (std::uint64_t j = 0; j < 8; ++j) {
+    const std::uint64_t raw =
+        block[2 * j] | (std::uint64_t{block[2 * j + 1]} << 32);
+    double expected;
+    LaplaceUnitsFromRaw(&raw, 1, &expected);
+    EXPECT_EQ(expected, LaplaceUnitAt(key, 24 + j)) << j;
+  }
+}
+
+TEST(NoiseKeyTest, FromSeedIsDeterministicPerSeed) {
+  const NoiseKey a = NoiseKey::FromSeed(42), b = NoiseKey::FromSeed(42);
+  EXPECT_EQ(a.key, b.key);
+  EXPECT_NE(a.key, NoiseKey::FromSeed(43).key);
+  EXPECT_EQ(LaplaceUnitAt(a, 17), LaplaceUnitAt(b, 17));
+  EXPECT_NE(LaplaceUnitAt(a, 17), LaplaceUnitAt(NoiseKey::FromSeed(43), 17));
+}
+
+TEST(LaplaceUnitTest, EdgeRawsClampTheTailAndGiveSignedZero) {
+  // raw >> 11 = 2^53 - 1: u = 1/2, tail 1 - 1 = 0 is clamped to 1e-300,
+  // so the draw is the largest positive one, -Log(1e-300) (~690.8).
+  // raw >> 11 = 2^52 - 1: u = 0, tail 1, Log(1) = +0 and the draw is
+  // -1 * +0 = -0, which adds nothing to any value.
+  const std::uint64_t raws[2] = {~0ULL, ((1ULL << 52) - 1) << 11};
+  double units[2];
+  LaplaceUnitsFromRaw(raws, 2, units);
+  EXPECT_EQ(-Log(1e-300), units[0]);
+  EXPECT_NEAR(units[0], 300.0 * std::log(10.0), 1e-9);
+  EXPECT_EQ(0.0, Log(1.0));
+  EXPECT_FALSE(std::signbit(Log(1.0)));
+  EXPECT_EQ(0.0, units[1]);
+  EXPECT_TRUE(std::signbit(units[1]));
+}
+
+TEST(LogTest, WithinOneUlpOfLibmOverTheUnitInterval) {
+  // An accuracy bound, not bit equality: a correctly rounded log and
+  // this one differ by at most 1 ulp. Sweeps the grid of tails the
+  // sampler produces (multiples of 2^-53 near 1), a uniform grid of
+  // (0, 1], and log-uniform points down to the 1e-300 clamp.
+  Xoshiro256pp gen(2718);
+  std::vector<double> xs = {1.0, 0.5, 1e-300, std::sqrt(0.5),
+                            std::nextafter(std::sqrt(0.5), 1.0),
+                            std::nextafter(1.0, 0.0)};
+  for (int i = 1; i <= 4096; ++i) xs.push_back(1.0 - i * 0x1.0p-53);
+  for (int i = 1; i <= 200000; ++i) xs.push_back(i / 200000.0);
+  for (int i = 0; i < 200000; ++i) {
+    const double x = gen.NextDoubleOpenZero() *
+                     std::pow(10.0, -300.0 * gen.NextDouble());
+    if (x >= 1e-300) xs.push_back(x);
+  }
+  for (const double x : xs) {
+    const double expected = std::log(x);
+    const double ulp =
+        std::abs(std::nextafter(expected, -HUGE_VAL) - expected);
+    ASSERT_LE(std::abs(Log(x) - expected), ulp) << "x = " << x;
+  }
 }
 
 // Statistical property sweep: for several magnitudes, the sample mean is
@@ -98,12 +183,17 @@ TEST(LaplaceTest, ZeroMagnitudeIsZero) {
 // 2b^2 — the DP calibration depends on this).
 class LaplaceMagnitudeTest : public ::testing::TestWithParam<double> {};
 
+std::vector<double> LaplaceSamples(std::uint64_t seed, std::size_t n,
+                                   double b) {
+  const NoiseKey key = NoiseKey::FromSeed(seed);
+  std::vector<double> samples(n);
+  for (std::size_t i = 0; i < n; ++i) samples[i] = b * LaplaceUnitAt(key, i);
+  return samples;
+}
+
 TEST_P(LaplaceMagnitudeTest, MeanAndVarianceMatchTheory) {
   const double b = GetParam();
-  Xoshiro256pp gen(31337);
-  const int n = 400000;
-  std::vector<double> samples(n);
-  for (int i = 0; i < n; ++i) samples[i] = SampleLaplace(gen, b);
+  const std::vector<double> samples = LaplaceSamples(31337, 400000, b);
   const double mean = Mean(samples);
   const double var = SampleVariance(samples);
   const double expected_var = 2.0 * b * b;
@@ -115,25 +205,22 @@ INSTANTIATE_TEST_SUITE_P(Magnitudes, LaplaceMagnitudeTest,
                          ::testing::Values(0.1, 0.5, 1.0, 2.0, 8.0, 40.0));
 
 TEST(LaplaceTest, MedianIsZeroAndSymmetric) {
-  Xoshiro256pp gen(99);
-  int positive = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (SampleLaplace(gen, 1.0) > 0.0) ++positive;
-  }
-  EXPECT_NEAR(static_cast<double>(positive) / n, 0.5, 0.01);
+  const std::vector<double> samples = LaplaceSamples(99, 100000, 1.0);
+  const auto positive =
+      std::count_if(samples.begin(), samples.end(),
+                    [](double x) { return x > 0.0; });
+  EXPECT_NEAR(static_cast<double>(positive) / samples.size(), 0.5, 0.01);
 }
 
 TEST(LaplaceTest, TailProbabilityMatchesExponential) {
   // P(|X| > t) = exp(-t/b) for Laplace(b).
-  Xoshiro256pp gen(123);
   const double b = 2.0, t = 3.0;
-  int exceed = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    if (std::abs(SampleLaplace(gen, b)) > t) ++exceed;
-  }
-  EXPECT_NEAR(static_cast<double>(exceed) / n, std::exp(-t / b), 0.01);
+  const std::vector<double> samples = LaplaceSamples(123, 200000, b);
+  const auto exceed =
+      std::count_if(samples.begin(), samples.end(),
+                    [t](double x) { return std::abs(x) > t; });
+  EXPECT_NEAR(static_cast<double>(exceed) / samples.size(), std::exp(-t / b),
+              0.01);
 }
 
 TEST(BernoulliTest, FrequencyMatchesP) {
@@ -223,61 +310,6 @@ TEST(DiscreteSamplerTest, ZeroWeightNeverSampled) {
   Xoshiro256pp gen(29);
   DiscreteSampler sampler({0.0, 1.0, 0.0});
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(sampler.Sample(gen), 1u);
-}
-
-TEST(JumpTest, JumpAdvancesPast2To64SequentialDraws) {
-  // Spot-checkable property of the 2^128 jump: the jumped generator's
-  // output differs from any near-term continuation of the base stream.
-  Xoshiro256pp base(99);
-  Xoshiro256pp jumped = base;
-  jumped.Jump();
-  bool found = false;
-  const std::uint64_t target = jumped.Next();
-  for (int i = 0; i < 10'000 && !found; ++i) found = base.Next() == target;
-  EXPECT_FALSE(found);
-}
-
-TEST(JumpTest, JumpIsDeterministic) {
-  Xoshiro256pp a(7), b(7);
-  a.Jump();
-  b.Jump();
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(a.Next(), b.Next());
-}
-
-TEST(JumpStreamsTest, StreamZeroIsThePlainGenerator) {
-  // Sharded noise with one shard must reproduce the unsharded sequence.
-  auto streams = MakeJumpStreams(12345, 3);
-  Xoshiro256pp plain(12345);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(streams[0].Next(), plain.Next());
-}
-
-TEST(JumpStreamsTest, StreamsAreDistinctAndDeterministic) {
-  auto a = MakeJumpStreams(5, 4);
-  auto b = MakeJumpStreams(5, 4);
-  std::vector<std::uint64_t> firsts;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::uint64_t draw = a[i].Next();
-    EXPECT_EQ(draw, b[i].Next()) << "stream " << i;
-    firsts.push_back(draw);
-  }
-  for (std::size_t i = 0; i < firsts.size(); ++i) {
-    for (std::size_t j = i + 1; j < firsts.size(); ++j) {
-      EXPECT_NE(firsts[i], firsts[j]) << i << " vs " << j;
-    }
-  }
-}
-
-TEST(JumpStreamsTest, LaplaceMomentsHoldAcrossStreams) {
-  // Per-shard streams drive the mechanisms' noise: each stream must be a
-  // sound Laplace source on its own. Pool 20k draws from 8 streams.
-  auto streams = MakeJumpStreams(2026, 8);
-  std::vector<double> draws;
-  for (auto& gen : streams) {
-    for (int i = 0; i < 2500; ++i) draws.push_back(SampleLaplace(gen, 1.5));
-  }
-  EXPECT_NEAR(Mean(draws), 0.0, 0.05);
-  // Var = 2b² = 4.5.
-  EXPECT_NEAR(SampleVariance(draws) / 4.5, 1.0, 0.1);
 }
 
 }  // namespace

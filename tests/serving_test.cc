@@ -7,7 +7,10 @@
 // bytes).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 #include "privelet/serving/answer_cache.h"
 #include "privelet/serving/concurrent_histogram.h"
 #include "privelet/serving/latency_histogram.h"
+#include "privelet/rng/xoshiro256pp.h"
 #include "privelet/serving/protocol.h"
 
 namespace privelet::serving {
@@ -323,6 +327,34 @@ TEST(ProtocolTest, ResponseRoundTrips) {
   ASSERT_TRUE(response.ok());
   EXPECT_FALSE(response->ok);
   EXPECT_NE(response->error.find("no such release"), std::string::npos);
+}
+
+TEST(ProtocolTest, AnswerLinesMatchPrintfG17) {
+  // AppendAnswerLine (std::to_chars) must stay byte-identical to the
+  // `%.17g` lines it replaced: special values, boundaries, integers, and
+  // fixed samples of random bit patterns and of normal doubles.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {
+      0.0, -0.0, inf, -inf, nan, -nan, 1.0, -1.0, 0.1, 1e-5, 1e-4, 1e16,
+      1e17, 123456789012345678.0, 9007199254740993.0, 0.5, 1.0 / 3.0,
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::lowest()};
+  rng::Xoshiro256pp gen(17);
+  for (int i = 0; i < 20000; ++i) {
+    const double bits = std::bit_cast<double>(gen.Next());
+    if (std::isfinite(bits)) values.push_back(bits);
+    values.push_back((gen.NextDouble() - 0.5) *
+                     std::pow(10.0, static_cast<int>(gen.Next() % 40) - 20));
+  }
+  for (const double v : values) {
+    std::string line;
+    AppendAnswerLine(&line, v);
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.17g\n", v);
+    ASSERT_EQ(expected, line);
+  }
 }
 
 TEST(ProtocolTest, PeekFrameHandlesPartialAndPoisonedInput) {

@@ -4,16 +4,17 @@
 // dispatcher resolves requests by the documented rules — env var
 // vocabulary, clamping to host capability, options override. Also pins
 // the strided-panel Haar paths (which feed matrix storage straight to the
-// kernels) against the per-line reference, and the batched Laplace front
-// half against the draw-at-a-time scalar sampler.
+// kernels) against the per-line reference, and the batched counter-based
+// Laplace draws against their per-index definition (rng/laplace.h).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
-#include "privelet/rng/distributions.h"
+#include "privelet/rng/laplace.h"
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/simd/dispatch.h"
 #include "privelet/simd/kernels.h"
@@ -182,32 +183,73 @@ TEST(SimdKernelTest, PrefixKernelsMatchScalar) {
   }
 }
 
-TEST(SimdKernelTest, LaplaceTailMatchesScalarKernelAndSampler) {
-  const KernelTable& scalar = simd::Kernels(IsaLevel::kScalar);
+TEST(SimdKernelTest, LaplaceUnitsMatchPerIndexDefinitionOnUnalignedRuns) {
+  // Starts off the 8-draw block and 128-draw group grids, and runs shorter
+  // than, equal to and just past one block or group: every level must
+  // give the bits of rng::LaplaceUnitAt at every index.
+  const rng::NoiseKey key = rng::NoiseKey::FromSeed(2024);
+  constexpr std::uint64_t kFirsts[] = {0, 1, 5, 8, 131, 1000003,
+                                       (std::uint64_t{1} << 35) + 7};
+  constexpr std::size_t kRuns[] = {1, 7, 8, 32, 127, 129, 2048};
   for (const IsaLevel level : HostLevels()) {
     const KernelTable& k = simd::Kernels(level);
-    for (const std::size_t n : kCounts) {
-      rng::Xoshiro256pp gen(7);
-      std::vector<std::uint64_t> raw(n);
-      gen.FillRaw(raw.data(), n);
-      std::vector<double> t0(n), s0(n), t1(n), s1(n);
-      scalar.laplace_tail(raw.data(), t0.data(), s0.data(), n);
-      k.laplace_tail(raw.data(), t1.data(), s1.data(), n);
-      EXPECT_EQ(t0, t1) << "tail, count " << n;
-      EXPECT_EQ(s0, s1) << "neg_sign, count " << n;
+    for (const std::uint64_t first : kFirsts) {
+      for (const std::size_t n : kRuns) {
+        std::vector<double> out(n);
+        k.laplace_units(key, first, n, out.data());
+        for (std::size_t j = 0; j < n; ++j) {
+          const double expected = rng::LaplaceUnitAt(key, first + j);
+          ASSERT_EQ(0, std::memcmp(&out[j], &expected, sizeof(double)))
+              << "level " << static_cast<int>(level) << ", first " << first
+              << ", n " << n << ", j " << j;
+        }
+      }
     }
+  }
+}
 
-    // End to end through the batch front half: magnitude * unit draw must
-    // be the exact double the scalar one-at-a-time sampler returns.
-    const std::size_t n = 1000;
-    const double magnitude = 2.25;
-    rng::Xoshiro256pp batch_gen(11), draw_gen(11);
-    std::vector<double> unit(n);
-    rng::SampleLaplaceUnitBatch(batch_gen, unit.data(), n, k);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(rng::SampleLaplace(draw_gen, magnitude), magnitude * unit[i])
-          << "draw " << i << ", level " << static_cast<int>(level);
-    }
+TEST(SimdKernelTest, LaplaceUnitsAgreeAcrossLevelsOnLongRuns) {
+  const rng::NoiseKey key = rng::NoiseKey::FromSeed(77);
+  const std::size_t n = 1 << 16;
+  std::vector<double> scalar(n);
+  simd::Kernels(IsaLevel::kScalar).laplace_units(key, 3, n, scalar.data());
+  for (const IsaLevel level : HostLevels()) {
+    std::vector<double> out(n);
+    simd::Kernels(level).laplace_units(key, 3, n, out.data());
+    EXPECT_EQ(0, std::memcmp(scalar.data(), out.data(), n * sizeof(double)))
+        << "level " << static_cast<int>(level);
+  }
+}
+
+TEST(SimdKernelTest, LaplaceUnitsRfc8439KnownAnswer) {
+  // RFC 8439 §2.3.2: key 00 01 .. 1f, nonce 00:00:00:09:00:00:00:4a:
+  // 00:00:00:00, block counter 1 — in the 64-bit counter layout, block
+  // 0x0900000000000001 with nonce words {0x4a000000, 0}. Its 16 keystream
+  // words are draws 8 * that block onward; every level must turn them
+  // into the units of the per-index definition.
+  rng::NoiseKey key;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    key.key[i] = (4 * i) | ((4 * i + 1) << 8) | ((4 * i + 2) << 16) |
+                 ((4 * i + 3) << 24);
+  }
+  key.nonce = {0x4a000000, 0x00000000};
+  constexpr std::uint32_t kBlock[16] = {
+      0xe4e7f110, 0x15593bd1, 0x1fdd0f50, 0xc47120a3,
+      0xc7f4d1c7, 0x0368c033, 0x9aaa2204, 0x4e6cd4c3,
+      0x466482d2, 0x09aa9f07, 0x05d7c214, 0xa2028bd9,
+      0xd19c12b5, 0xb94e16de, 0xe883d0cb, 0x4e3c50a2};
+  std::uint64_t raw[8];
+  for (int j = 0; j < 8; ++j) {
+    raw[j] = kBlock[2 * j] | (std::uint64_t{kBlock[2 * j + 1]} << 32);
+  }
+  double expected[8];
+  rng::LaplaceUnitsFromRaw(raw, 8, expected);
+  const std::uint64_t first = 8 * 0x0900000000000001ULL;
+  for (const IsaLevel level : HostLevels()) {
+    double out[8];
+    simd::Kernels(level).laplace_units(key, first, 8, out);
+    EXPECT_EQ(0, std::memcmp(expected, out, sizeof(out)))
+        << "level " << static_cast<int>(level);
   }
 }
 

@@ -4,9 +4,7 @@
 // whole published releases must be bit-identical to it at every ISA level
 // — including degenerate shapes (axes of size 1, non-power-of-two ordinal
 // domains, single-axis matrices) and a 4-D cube mixing Haar, identity, and
-// nominal axes. Also pins the TileBuffer gather/scatter round trip and the
-// NoiseStreamCursor's index-for-index equivalence with the sharded noise
-// loops.
+// nominal axes. Also pins the TileBuffer gather/scatter round trip.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -24,7 +22,6 @@
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/matrix/prefix_sum.h"
 #include "privelet/matrix/tile_buffer.h"
-#include "privelet/mechanism/noise.h"
 #include "privelet/mechanism/privelet_mechanism.h"
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/simd/dispatch.h"
@@ -194,9 +191,21 @@ TEST(TileEngineTest, PublishWithNominalLastAxisExercisesStagedRefine) {
   ExpectPublishMatchesReference(data::Schema(std::move(attrs)), {}, 13);
 }
 
-TEST(TileEngineTest, PublishSpanningSeveralNoiseShardsMatchesReference) {
-  // 160 x 160 = 25600 coefficients: the fused cursor crosses shard
-  // boundaries inside panels.
+TEST(TileEngineTest, AwkwardShapesPublishMatchPerLineReference) {
+  // Coefficient lines of 1, 10, 16, 64 and 256 along the last axis: the fused
+  // noise's draw buffer spans several lines, starts off the 8-draw block
+  // grid, and is cut at the end of the matrix.
+  std::uint64_t seed = 31;
+  for (const data::Schema& schema : AwkwardSchemas()) {
+    SCOPED_TRACE(schema.attribute(0).name() + std::string(" d=") +
+                 std::to_string(schema.num_attributes()));
+    ExpectPublishMatchesReference(schema, {}, seed++);
+  }
+}
+
+TEST(TileEngineTest, PublishSpanningManyDrawGroupsMatchesReference) {
+  // 256 x 256 = 65536 coefficients in lines of 256: each line draws two
+  // whole 128-draw groups.
   std::vector<data::Attribute> attrs;
   attrs.push_back(data::Attribute::Ordinal("A", 160));
   attrs.push_back(data::Attribute::Ordinal("B", 160));
@@ -272,27 +281,6 @@ TEST(TileEngineTest, PanelsScratchAndMatrixStorageAre64ByteAligned) {
   EXPECT_TRUE(aligned(m.values().data()));
   EXPECT_TRUE(aligned(
       matrix::FrequencyMatrix::Uninitialized({9, 3}).values().data()));
-}
-
-TEST(TileEngineTest, NoiseCursorMatchesShardedLoops) {
-  // Three shards and change; scattered monotone ranges must reproduce the
-  // AddLaplaceNoise draws index-for-index, whatever the chunk boundaries.
-  const std::size_t n = mechanism::kNoiseShardSize * 3 + 123;
-  std::vector<double> reference(n, 0.0);
-  mechanism::AddLaplaceNoise(reference, 1.5, /*noise_seed=*/99, nullptr);
-
-  const std::vector<rng::Xoshiro256pp> streams =
-      rng::MakeJumpStreams(99, mechanism::NumNoiseShards(n));
-  // Ranges deliberately straddle shard boundaries and leave gaps (gaps
-  // within a cursor's shard trigger the skip path).
-  const std::size_t starts[] = {0, 500, mechanism::kNoiseShardSize - 3,
-                                2 * mechanism::kNoiseShardSize + 77, n - 10};
-  for (std::size_t chunk = 0; chunk + 1 < 5; ++chunk) {
-    mechanism::NoiseStreamCursor cursor(streams);
-    for (std::size_t i = starts[chunk]; i < starts[chunk + 1]; i += 2) {
-      EXPECT_EQ(reference[i], cursor.LaplaceAt(i, 1.5)) << "index " << i;
-    }
-  }
 }
 
 TEST(TileEngineTest, PublishDeterministicUnderThreads) {

@@ -56,6 +56,7 @@
 #include "privelet/query/publishing_session.h"
 #include "privelet/query/release_store.h"
 #include "privelet/query/workload.h"
+#include "privelet/serving/protocol.h"
 #include "privelet/serving/server.h"
 #include "privelet/simd/dispatch.h"
 #include "privelet/storage/session_io.h"
@@ -770,10 +771,9 @@ int RunQuery(const Args& args) {
   }
   // %.17g round-trips doubles exactly, so identical releases print
   // identical answer files (the CLI e2e test diffs them).
-  bool write_ok = true;
-  for (const double a : answers) {
-    write_ok = std::fprintf(out, "%.17g\n", a) > 0 && write_ok;
-  }
+  std::string text;
+  for (const double a : answers) serving::AppendAnswerLine(&text, a);
+  bool write_ok = std::fwrite(text.data(), 1, text.size(), out) == text.size();
   write_ok = write_ok && std::ferror(out) == 0;
   if (out != stdout) {
     write_ok = std::fclose(out) == 0 && write_ok;
@@ -864,9 +864,12 @@ int RunServe(const Args& args) {
         } else {
           const std::vector<double> answers = (*session)->AnswerAll(*queries);
           total_queries += answers.size();
-          std::fprintf(out, "ok %zu\n", answers.size());
-          // %.17g round-trips doubles exactly (same contract as query).
-          for (const double a : answers) std::fprintf(out, "%.17g\n", a);
+          // %.17g lines (same contract as query).
+          std::string text = "ok ";
+          text += std::to_string(answers.size());
+          text += '\n';
+          for (const double a : answers) serving::AppendAnswerLine(&text, a);
+          std::fwrite(text.data(), 1, text.size(), out);
         }
       }
     }
