@@ -38,11 +38,12 @@ namespace privelet::bench {
 namespace {
 
 // RSS growth allowance for the streamed smoke run, in multiples of the
-// budget. Several scratch mappings are live at once (source + destination
-// of the active pass) and each keeps up to a quarter-budget resident
-// before its governor fires, so ~1x budget of working set is expected;
-// 1.5x leaves headroom for allocator and page-granularity slop while
-// still failing loudly if any stage materializes the whole cube (>= 4x).
+// budget. The transform's per-worker panels (~25 MiB with 4 threads, not
+// charged to the budget) plus the scratch pages mapped between two
+// releases (the governor fires every sixteenth of the budget) make ~1x
+// budget of working set; 1.5x leaves headroom for allocator and
+// page-granularity slop while still failing loudly if any stage
+// materializes the whole cube (>= 4x).
 constexpr double kSmokeRssFactor = 1.5;
 
 std::string ReadFileBytes(const std::string& path) {

@@ -40,11 +40,23 @@ FrequencyMatrix::FrequencyMatrix(std::vector<std::size_t> dims)
 }
 
 FrequencyMatrix FrequencyMatrix::Uninitialized(std::vector<std::size_t> dims) {
+  return Uninitialized(std::move(dims), FrequencyMatrix());
+}
+
+FrequencyMatrix FrequencyMatrix::Uninitialized(std::vector<std::size_t> dims,
+                                               FrequencyMatrix&& reuse) {
   FrequencyMatrix m;
   m.dims_ = std::move(dims);
   m.InitStrides();
+  FrequencyMatrix spent = std::move(reuse);
+  if (!spent.is_scratch() && spent.owned_.capacity() >= m.size_) {
+    m.owned_ = std::move(spent.owned_);
+  } else {
+    spent = FrequencyMatrix();  // free it before allocating the new buffer
+  }
   // Default-initializing resize: MatrixAllocator skips the zero-fill, so
-  // this is a pure allocation (the caller contract is a full overwrite).
+  // this is a pure allocation, or within capacity no allocation at all
+  // (the caller contract is a full overwrite).
   m.owned_.resize(m.size_);
   m.data_ = m.owned_.data();
   return m;

@@ -83,6 +83,15 @@ class FrequencyMatrix {
   /// the zero-filled constructor unless the full overwrite is structural.
   static FrequencyMatrix Uninitialized(std::vector<std::size_t> dims);
 
+  /// Uninitialized(dims) that recycles the storage of `reuse` when it is
+  /// vector-backed and its capacity() covers the new cell count: the
+  /// buffer is re-dimensioned in place, with no allocation and no fill.
+  /// Otherwise `reuse` is released first and a fresh buffer allocated.
+  /// Either way `reuse` is left empty, and every entry of the result is
+  /// indeterminate until written.
+  static FrequencyMatrix Uninitialized(std::vector<std::size_t> dims,
+                                       FrequencyMatrix&& reuse);
+
   /// Zero-filled matrix backed by an unlinked mmap scratch file under
   /// `scratch_dir` (empty -> $TMPDIR, then /tmp). Identical semantics to
   /// the vector-backed constructor; additionally supports
@@ -109,6 +118,13 @@ class FrequencyMatrix {
 
   /// Total number of entries (the paper's m for data matrices).
   std::size_t size() const { return size_; }
+
+  /// Entries the storage holds without reallocating: the owned vector's
+  /// capacity (>= size() for a recycled buffer), or size() for a scratch
+  /// matrix.
+  std::size_t capacity() const {
+    return is_scratch() ? size_ : owned_.capacity();
+  }
 
   /// Entry at a row-major flat index (no bounds check in release builds).
   double operator[](std::size_t flat) const { return data_[flat]; }

@@ -1,6 +1,7 @@
 #include "privelet/mechanism/privelet_mechanism.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "privelet/rng/laplace.h"
 #include "privelet/rng/splitmix64.h"
@@ -78,14 +79,17 @@ Result<matrix::FrequencyMatrix> PriveletPlusMechanism::Publish(
   // bit-identical whatever the pool or ISA level. The injection is fused
   // into the first Inverse axis pass, whose lines run along the last
   // axis: each worker perturbs its coefficient lines while they are
-  // cache-hot.
+  // cache-hot. The coefficients are moved into Inverse, which recycles
+  // their storage once that pass has consumed them, so the closure reads
+  // only what it copied out of them here.
   const simd::KernelTable& kernels =
       simd::Kernels(simd::ResolveIsa(options.isa));
   const std::size_t total = coefficients.coeffs.size();
   const std::size_t line_len = coefficients.coeffs.dims().back();
   const std::vector<double>& last_weights = *coefficients.axis_weights.back();
+  const wavelet::LineWeights line_weight = coefficients.line_weights();
   const wavelet::PanelNoiseFactory noise_factory = [&]() {
-    return [&kernels, &key, &coefficients, &last_weights, lambda, total,
+    return [&kernels, &key, &line_weight, &last_weights, lambda, total,
             line_len, unit = std::vector<double>(),
             unit_first = std::size_t{0}, unit_end = std::size_t{0}](
                std::size_t begin, std::size_t end, double* panel) mutable {
@@ -101,7 +105,7 @@ Result<matrix::FrequencyMatrix> PriveletPlusMechanism::Publish(
         const std::size_t line = flat / line_len;
         const std::size_t col = flat - line * line_len;
         const std::size_t count = std::min(end - flat, line_len - col);
-        const double partial = coefficients.LineWeight(line);
+        const double partial = line_weight(line);
         double* values = panel + (flat - begin);
         const double* u = unit.data() + (flat - unit_first);
         const double* w = last_weights.data() + col;
@@ -112,7 +116,8 @@ Result<matrix::FrequencyMatrix> PriveletPlusMechanism::Publish(
       }
     };
   };
-  return transform.Inverse(coefficients, pool, options, noise_factory);
+  return transform.Inverse(std::move(coefficients), pool, options,
+                           noise_factory);
 }
 
 Result<double> PriveletPlusMechanism::NoiseVarianceBound(

@@ -213,6 +213,64 @@ void RunAxisPass(const matrix::FrequencyMatrix& src,
       });
 }
 
+// The pass loop of both directions: runs the axis passes of `dir` (axes
+// 0..d-1 forward, d-1..0 inverse), the first reading `*src`. On entry
+// `current` owns `*src` when the loop may recycle it (empty when `*src`
+// is the caller's) and `idle` is a dead buffer; on return `current` holds
+// the result and `idle` the last dead buffer. In core, each pass writes
+// into the dead buffer when its capacity covers the pass (the inverse's
+// last pass, the release, only on an exact fit so it pins no slack), and
+// the matrix the pass consumed becomes the next dead buffer; so the
+// passes alternate between two working matrices when the dims allow.
+// Out-of-core passes write fresh scratch matrices, which are never
+// recycled. `noise` (inverse only) rides the first pass.
+Status RunPasses(const std::vector<std::unique_ptr<Transform1D>>& transforms,
+                 Direction dir, const matrix::FrequencyMatrix* src,
+                 matrix::FrequencyMatrix& current,
+                 matrix::FrequencyMatrix& idle, common::ThreadPool* pool,
+                 const matrix::EngineOptions& options,
+                 const PanelNoiseFactory& noise) {
+  WorkspacePool workspaces;
+  const std::size_t d = transforms.size();
+  for (std::size_t k = 0; k < d; ++k) {
+    const std::size_t axis = dir == Direction::kForward ? k : d - 1 - k;
+    const Transform1D& t = *transforms[axis];
+    std::vector<std::size_t> next_dims = src->dims();
+    next_dims[axis] = dir == Direction::kForward ? t.coefficient_count()
+                                                 : t.input_size();
+    matrix::FrequencyMatrix next;
+    if (options.out_of_core()) {
+      // Each intermediate lives in an mmap scratch file so the pass can
+      // release residency behind itself (the previous intermediate's
+      // pages are freed wholesale when `current` is reassigned below).
+      PRIVELET_ASSIGN_OR_RETURN(next, matrix::FrequencyMatrix::CreateScratch(
+                                          std::move(next_dims),
+                                          options.scratch_dir));
+    } else {
+      const bool release = dir == Direction::kInverse && k + 1 == d;
+      const std::size_t cells = src->NumLines(axis) * next_dims[axis];
+      if (release && idle.capacity() != cells) {
+        idle = matrix::FrequencyMatrix();
+      }
+      // Every pass writes all out_len elements of every destination
+      // line, so it fully overwrites `next` — skip the zero-fill.
+      next = matrix::FrequencyMatrix::Uninitialized(std::move(next_dims),
+                                                    std::move(idle));
+    }
+
+    // Only the first inverse pass (axis d-1, the contiguous axis, which
+    // touches every coefficient exactly once) carries the noise hook.
+    const PanelNoiseFactory* noise_factory =
+        (k == 0 && noise != nullptr) ? &noise : nullptr;
+    RunAxisPass(*src, next, axis, t, dir, pool, workspaces, options,
+                noise_factory);
+    if (!current.is_scratch()) idle = std::move(current);
+    current = std::move(next);
+    src = &current;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 double HnCoefficients::WeightAt(std::size_t flat) const {
@@ -224,13 +282,20 @@ double HnCoefficients::WeightAt(std::size_t flat) const {
   return weight;
 }
 
-double HnCoefficients::LineWeight(std::size_t line) const {
-  const std::size_t d = coeffs.num_dims();
-  const std::size_t line_len = coeffs.dim(d - 1);
+LineWeights HnCoefficients::line_weights() const {
+  LineWeights w{coeffs.dims(), {}, axis_weights};
+  for (std::size_t axis = 0; axis < coeffs.num_dims(); ++axis) {
+    w.strides.push_back(coeffs.Stride(axis));
+  }
+  return w;
+}
+
+double LineWeights::operator()(std::size_t line) const {
+  const std::size_t d = dims.size();
+  const std::size_t line_len = dims[d - 1];
   double weight = 1.0;
   for (std::size_t axis = 0; axis + 1 < d; ++axis) {
-    const std::size_t coord =
-        (line / (coeffs.Stride(axis) / line_len)) % coeffs.dim(axis);
+    const std::size_t coord = (line / (strides[axis] / line_len)) % dims[axis];
     weight *= (*axis_weights[axis])[coord];
   }
   return weight;
@@ -285,38 +350,12 @@ Result<HnCoefficients> HnTransform::Forward(
   if (m.dims() != input_dims_) {
     return Status::InvalidArgument("matrix dims do not match the transform");
   }
-  WorkspacePool workspaces;
   // Step i (paper's C_i): transform every 1-D line along axis i. The first
   // pass reads `m` directly (no working copy of the input).
-  const matrix::FrequencyMatrix* src = &m;
-  matrix::FrequencyMatrix current;
-  for (std::size_t axis = 0; axis < transforms_.size(); ++axis) {
-    const Transform1D& t = *transforms_[axis];
-    std::vector<std::size_t> next_dims = src->dims();
-    next_dims[axis] = t.coefficient_count();
-    // Out-of-core engine: each intermediate lives in an mmap scratch file
-    // so the pass can release residency behind itself (the previous
-    // intermediate's pages are freed wholesale when `current` is
-    // reassigned below).
-    matrix::FrequencyMatrix next;
-    if (options.out_of_core()) {
-      PRIVELET_ASSIGN_OR_RETURN(next, matrix::FrequencyMatrix::CreateScratch(
-                                          std::move(next_dims),
-                                          options.scratch_dir));
-    } else {
-      // Every pass writes all out_len elements of every destination
-      // line, so it fully overwrites `next` — skip the zero-fill.
-      next = matrix::FrequencyMatrix::Uninitialized(std::move(next_dims));
-    }
-
-    RunAxisPass(*src, next, axis, t, Direction::kForward, pool, workspaces,
-                options, /*noise_factory=*/nullptr);
-    current = std::move(next);
-    src = &current;
-  }
-
   HnCoefficients result;
-  result.coeffs = std::move(current);
+  PRIVELET_RETURN_IF_ERROR(RunPasses(transforms_, Direction::kForward, &m,
+                                     result.coeffs, result.workspace, pool,
+                                     options, /*noise=*/{}));
   result.axis_weights.reserve(transforms_.size());
   for (const auto& t : transforms_) result.axis_weights.push_back(&t->weights());
   return result;
@@ -330,36 +369,30 @@ Result<matrix::FrequencyMatrix> HnTransform::Inverse(
     return Status::InvalidArgument(
         "coefficient dims do not match the transform");
   }
-  WorkspacePool workspaces;
   // The first pass reads `c.coeffs` directly; fused noise perturbs staged
-  // panels, never the caller's coefficients.
-  const matrix::FrequencyMatrix* src = &c.coeffs;
+  // panels, never the caller's coefficients. Nothing is recycled until a
+  // pass has consumed a matrix of the loop's own.
   matrix::FrequencyMatrix current;
-  for (std::size_t axis = transforms_.size(); axis-- > 0;) {
-    const Transform1D& t = *transforms_[axis];
-    std::vector<std::size_t> next_dims = src->dims();
-    next_dims[axis] = t.input_size();
-    matrix::FrequencyMatrix next;
-    if (options.out_of_core()) {
-      PRIVELET_ASSIGN_OR_RETURN(next, matrix::FrequencyMatrix::CreateScratch(
-                                          std::move(next_dims),
-                                          options.scratch_dir));
-    } else {
-      // Every pass writes all out_len elements of every destination
-      // line, so it fully overwrites `next` — skip the zero-fill.
-      next = matrix::FrequencyMatrix::Uninitialized(std::move(next_dims));
-    }
+  matrix::FrequencyMatrix idle;
+  PRIVELET_RETURN_IF_ERROR(RunPasses(transforms_, Direction::kInverse,
+                                     &c.coeffs, current, idle, pool, options,
+                                     noise));
+  return current;
+}
 
-    // Only the first pass (axis d-1, the contiguous axis, which touches
-    // every coefficient exactly once) carries the noise hook.
-    const bool first_pass = axis + 1 == transforms_.size();
-    const PanelNoiseFactory* noise_factory =
-        (first_pass && noise != nullptr) ? &noise : nullptr;
-    RunAxisPass(*src, next, axis, t, Direction::kInverse, pool, workspaces,
-                options, noise_factory);
-    current = std::move(next);
-    src = &current;
+Result<matrix::FrequencyMatrix> HnTransform::Inverse(
+    HnCoefficients&& c, common::ThreadPool* pool,
+    const matrix::EngineOptions& options,
+    const PanelNoiseFactory& noise) const {
+  if (c.coeffs.dims() != output_dims_) {
+    return Status::InvalidArgument(
+        "coefficient dims do not match the transform");
   }
+  matrix::FrequencyMatrix current = std::move(c.coeffs);
+  matrix::FrequencyMatrix idle = std::move(c.workspace);
+  PRIVELET_RETURN_IF_ERROR(RunPasses(transforms_, Direction::kInverse,
+                                     &current, current, idle, pool, options,
+                                     noise));
   return current;
 }
 

@@ -29,12 +29,34 @@ class ThreadPool;
 
 namespace privelet::wavelet {
 
+/// The inputs of the per-line weight factor, copied out of an
+/// HnCoefficients so that a holder (the mechanisms' fused noise closure)
+/// stays valid after the coefficients are moved into HnTransform::Inverse.
+struct LineWeights {
+  std::vector<std::size_t> dims;
+  std::vector<std::size_t> strides;
+  std::vector<const std::vector<double>*> axis_weights;
+
+  /// The product of the weights of axes 0..d-2 at line `line` along the
+  /// last axis (1 for a 1-D matrix), folded in axis order: the coefficient
+  /// at column j of that line has weight
+  /// (*this)(line) * (*axis_weights.back())[j], bit-for-bit
+  /// HnCoefficients::WeightAt. O(d).
+  double operator()(std::size_t line) const;
+};
+
 /// The output of HnTransform::Forward: the d-dimensional coefficient
 /// matrix (axis i has axis_transform(i)->coefficient_count() entries) plus
 /// the per-axis weight vectors defining WHN.
 struct HnCoefficients {
   matrix::FrequencyMatrix coeffs;
   std::vector<const std::vector<double>*> axis_weights;
+  /// Forward's idle working matrix, carried so that
+  /// Inverse(HnCoefficients&&) can write its first pass into it instead of
+  /// a fresh buffer. Value-free: its dims are those of an intermediate
+  /// pass and its entries are indeterminate, so never read it. Empty when
+  /// there is no idle buffer (1-D, out-of-core scratch).
+  matrix::FrequencyMatrix workspace;
 
   /// WHN of the coefficient at the given flat index (product of per-axis
   /// weights). O(d) — use ForEachCoefficient for bulk access.
@@ -52,12 +74,8 @@ struct HnCoefficients {
   void ForEachCoefficientInRange(std::size_t begin, std::size_t end,
                                  Fn&& fn) const;
 
-  /// The product of the weights of axes 0..d-2 at line `line` along the
-  /// last axis (1 for a 1-D matrix), folded in axis order: the coefficient
-  /// at column j of that line has weight
-  /// LineWeight(line) * (*axis_weights.back())[j], bit-for-bit WeightAt.
-  /// O(d).
-  double LineWeight(std::size_t line) const;
+  /// The per-line weight factor's inputs, by value (see LineWeights).
+  LineWeights line_weights() const;
 };
 
 /// Coefficient perturbation fused into the first Inverse axis pass (the
@@ -101,6 +119,10 @@ class HnTransform {
   /// result is bit-identical for any pool size and options (each line is
   /// an independent computation undergoing identical floating-point
   /// operations on every path).
+  ///
+  /// In core, the passes alternate between two working matrices (the
+  /// first pass reads `m`); the idle one is returned as the result's
+  /// workspace.
   Result<HnCoefficients> Forward(
       const matrix::FrequencyMatrix& m, common::ThreadPool* pool = nullptr,
       const matrix::EngineOptions& options = {}) const;
@@ -116,6 +138,17 @@ class HnTransform {
   /// coefficients are not modified.
   Result<matrix::FrequencyMatrix> Inverse(
       const HnCoefficients& c, common::ThreadPool* pool = nullptr,
+      const matrix::EngineOptions& options = {},
+      const PanelNoiseFactory& noise = {}) const;
+
+  /// Inverse that recycles the coefficients' storage: the first pass
+  /// writes into `c.workspace`, and each matrix a pass has consumed
+  /// becomes a later pass's destination when its capacity covers it (the
+  /// release only on an exact fit, so it pins no slack). Out-of-core
+  /// scratch matrices are never recycled. Bit-identical to the const&
+  /// overload: the same passes run on the same values.
+  Result<matrix::FrequencyMatrix> Inverse(
+      HnCoefficients&& c, common::ThreadPool* pool = nullptr,
       const matrix::EngineOptions& options = {},
       const PanelNoiseFactory& noise = {}) const;
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "privelet/data/attribute.h"
@@ -185,6 +187,32 @@ TEST(GoldenRegressionTest, PublishIsStableAcrossRefactors) {
     checksum += (*noisy)[i] * static_cast<double>(i + 1);
   }
   EXPECT_NEAR(checksum, GoldenChecksum(), 1e-6);
+}
+
+// FNV-1a 64 of the bytes of the release above, recorded with it.
+std::uint64_t GoldenReleaseHash() { return 0x9b0073cf7632489eULL; }
+
+TEST(GoldenRegressionTest, ReleaseBytesAreStable) {
+  // The checksum above tolerates 1e-6, so a build that rounds one step
+  // differently (say, one that contracts a * b + c into an FMA) still
+  // passes it. The hash pins every bit of the same release.
+  const data::Schema schema = CubeSchema();
+  FrequencyMatrix m(schema.DomainSizes());
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m[i] = static_cast<double>(i % 7);
+  }
+  mechanism::PriveletMechanism privelet;
+  auto noisy = privelet.Publish(schema, m, 1.0, 2010);
+  ASSERT_TRUE(noisy.ok());
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const double v : noisy->values()) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &v, sizeof(double));
+    for (const unsigned char b : bytes) {
+      hash = (hash ^ b) * 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(hash, GoldenReleaseHash()) << std::hex << hash;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the multi-dimensional Haar-nominal transform (paper Sec. VI):
 // the Fig. 4 worked example, round-trips over random mixed schemas,
-// linearity (Proposition 1), weight tensor products, and the P/H factor
-// bookkeeping.
+// linearity (Proposition 1), weight tensor products, the P/H factor
+// bookkeeping, and the recycling Inverse(HnCoefficients&&).
 //
 // Note on Fig. 4 / Example 5: the paper's Example 5 misstates the axis
 // kinds ("both dimensions ... are nominal") and quotes a base weight of
@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <vector>
 
+#include "privelet/common/thread_pool.h"
 #include "privelet/data/attribute.h"
 #include "privelet/data/schema.h"
 #include "privelet/rng/xoshiro256pp.h"
+#include "privelet/simd/dispatch.h"
 #include "privelet/wavelet/hn_transform.h"
 
 namespace privelet::wavelet {
@@ -144,7 +147,7 @@ TEST(HnTransformTest, GeneralizedSensitivityIsProductOfPFactors) {
 }
 
 TEST(HnTransformTest, ForEachCoefficientMatchesWeightAt) {
-  // ForEachCoefficient, WeightAt and LineWeight times the last axis's
+  // ForEachCoefficient, WeightAt and LineWeights times the last axis's
   // weight (the fused noise's per-line form) fold the same product.
   auto transform = HnTransform::Create(MixedSchema());
   ASSERT_TRUE(transform.ok());
@@ -153,11 +156,11 @@ TEST(HnTransformTest, ForEachCoefficientMatchesWeightAt) {
   ASSERT_TRUE(coeffs.ok());
   const std::size_t line_len = coeffs->coeffs.dims().back();
   const std::vector<double>& last = *coeffs->axis_weights.back();
+  const LineWeights line_weight = coeffs->line_weights();
   std::size_t visited = 0;
   coeffs->ForEachCoefficient([&](std::size_t flat, double weight) {
     EXPECT_EQ(weight, coeffs->WeightAt(flat));
-    EXPECT_EQ(weight,
-              coeffs->LineWeight(flat / line_len) * last[flat % line_len]);
+    EXPECT_EQ(weight, line_weight(flat / line_len) * last[flat % line_len]);
     EXPECT_EQ(flat, visited);
     ++visited;
   });
@@ -230,6 +233,136 @@ TEST_P(HnRoundTripTest, InverseRecoversInput) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HnRoundTripTest,
                          ::testing::Range<std::uint64_t>(0, 24));
+
+// Inverse(HnCoefficients&&) writes its passes into the forward's working
+// matrices; it must release exactly the bytes of Inverse(const&), which
+// recycles nothing. A position-keyed perturbation rides the first pass
+// like the mechanisms' fused noise, so recycling under the hook is
+// covered too.
+std::vector<simd::IsaLevel> HostLevels() {
+  std::vector<simd::IsaLevel> levels;
+  for (int l = 0; l <= static_cast<int>(simd::DetectBestIsa()); ++l) {
+    levels.push_back(static_cast<simd::IsaLevel>(l));
+  }
+  return levels;
+}
+
+void ExpectRecyclingInverseMatches(std::vector<data::Attribute> attrs,
+                                   const std::vector<std::size_t>& identity) {
+  const data::Schema schema(std::move(attrs));
+  auto transform = HnTransform::Create(schema, identity);
+  ASSERT_TRUE(transform.ok());
+  matrix::FrequencyMatrix m(schema.DomainSizes());
+  rng::Xoshiro256pp gen(m.size());
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m[i] = static_cast<double>(gen.NextUint64InRange(0, 30));
+  }
+  const PanelNoiseFactory noise = [] {
+    return [](std::size_t begin, std::size_t end, double* values) {
+      for (std::size_t i = begin; i < end; ++i) {
+        values[i - begin] += 1.0 / static_cast<double>(i + 1);
+      }
+    };
+  };
+  common::ThreadPool four(4);
+  for (common::ThreadPool* pool : {static_cast<common::ThreadPool*>(nullptr),
+                                   &four}) {
+    for (const simd::IsaLevel level : HostLevels()) {
+      matrix::EngineOptions options;
+      options.isa = static_cast<simd::IsaChoice>(level);
+      const std::string where = std::string(simd::IsaLevelName(level)) +
+                                (pool != nullptr ? ", 4 threads" : ", serial");
+      auto coeffs = transform->Forward(m, pool, options);
+      ASSERT_TRUE(coeffs.ok()) << where;
+      auto kept = transform->Inverse(*coeffs, pool, options, noise);
+      auto recycled =
+          transform->Inverse(std::move(*coeffs), pool, options, noise);
+      ASSERT_TRUE(kept.ok() && recycled.ok()) << where;
+      ASSERT_EQ(kept->dims(), m.dims()) << where;
+      ASSERT_EQ(recycled->dims(), m.dims()) << where;
+      EXPECT_EQ(0, std::memcmp(kept->values().data(),
+                               recycled->values().data(),
+                               m.size() * sizeof(double)))
+          << where;
+    }
+  }
+}
+
+TEST(HnRecyclingTest, PowerOfTwoHaarMatchesConstInverse) {
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("A", 64));
+  attrs.push_back(data::Attribute::Ordinal("B", 64));
+  ExpectRecyclingInverseMatches(std::move(attrs), {});
+}
+
+TEST(HnRecyclingTest, PaddedHaarMatchesConstInverse) {
+  // 100 x 60 pads to 128 x 64: every pass changes the cell count.
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("A", 100));
+  attrs.push_back(data::Attribute::Ordinal("B", 60));
+  ExpectRecyclingInverseMatches(std::move(attrs), {});
+}
+
+TEST(HnRecyclingTest, GrowingNominalAndHaarMatchesConstInverse) {
+  // Forward grows the matrix on every pass (10 -> 16, 12 -> 17 nodes,
+  // 24 -> 32), so the third pass finds no dead buffer large enough.
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("A", 10));
+  attrs.push_back(data::Attribute::Nominal(
+      "N", data::Hierarchy::Balanced({3, 4}).value()));
+  attrs.push_back(data::Attribute::Ordinal("B", 24));
+  ExpectRecyclingInverseMatches(std::move(attrs), {});
+}
+
+TEST(HnRecyclingTest, PriveletPlusIdentityAxisMatchesConstInverse) {
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("SA", 40));
+  attrs.push_back(data::Attribute::Nominal(
+      "N", data::Hierarchy::Balanced({2, 3}).value()));
+  attrs.push_back(data::Attribute::Ordinal("B", 20));
+  ExpectRecyclingInverseMatches(std::move(attrs), {0});
+}
+
+TEST(HnRecyclingTest, OneDimensionalMatchesConstInverse) {
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("A", 1000));
+  ExpectRecyclingInverseMatches(std::move(attrs), {});
+}
+
+TEST(HnRecyclingTest, ReleaseLandsInOneOfTheForwardBuffers) {
+  // Powers of two keep every pass the same size: Forward leaves its two
+  // working matrices in coeffs and workspace, and every inverse pass
+  // writes into one of them. In 3-D the release lands in the workspace,
+  // so an inverse that ignored it would release a third buffer.
+  for (const std::vector<std::size_t>& dims :
+       {std::vector<std::size_t>{64, 128},
+        std::vector<std::size_t>{16, 8, 32}}) {
+    std::vector<data::Attribute> attrs;
+    for (const std::size_t n : dims) {
+      std::string name = "A";
+      name += std::to_string(attrs.size());
+      attrs.push_back(data::Attribute::Ordinal(name, n));
+    }
+    const data::Schema schema(std::move(attrs));
+    auto transform = HnTransform::Create(schema);
+    ASSERT_TRUE(transform.ok());
+    matrix::FrequencyMatrix m(dims);
+    m[5] = 3.0;
+    auto coeffs = transform->Forward(m);
+    ASSERT_TRUE(coeffs.ok());
+    const double* forward_out = coeffs->coeffs.values().data();
+    const double* forward_idle = coeffs->workspace.values().data();
+    ASSERT_NE(forward_idle, nullptr);
+    ASSERT_NE(forward_out, forward_idle);
+    auto back = transform->Inverse(std::move(*coeffs));
+    ASSERT_TRUE(back.ok());
+    const double* release = back->values().data();
+    EXPECT_TRUE(release == forward_out || release == forward_idle)
+        << dims.size() << "-D";
+    EXPECT_EQ(back->capacity(), back->size());
+    EXPECT_DOUBLE_EQ((*back)[5], 3.0);
+  }
+}
 
 }  // namespace
 }  // namespace privelet::wavelet

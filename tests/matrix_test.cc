@@ -67,6 +67,36 @@ TEST(FrequencyMatrixTest, ScratchInMissingDirectoryFails) {
   ASSERT_FALSE(scratch.ok());
 }
 
+TEST(FrequencyMatrixTest, UninitializedRecyclesOnlyACoveringOwnedBuffer) {
+  // Covering capacity: the same storage, re-dimensioned; a smaller
+  // matrix keeps the larger capacity.
+  FrequencyMatrix big = FrequencyMatrix::Uninitialized({8, 8});
+  const double* storage = big.values().data();
+  FrequencyMatrix smaller = FrequencyMatrix::Uninitialized({4, 6},
+                                                           std::move(big));
+  EXPECT_EQ(smaller.values().data(), storage);
+  EXPECT_EQ(smaller.dims(), (std::vector<std::size_t>{4, 6}));
+  EXPECT_EQ(smaller.size(), 24u);
+  EXPECT_EQ(smaller.capacity(), 64u);
+  EXPECT_EQ(big.size(), 0u);
+  // Too small: released, and the result gets a buffer of its own size.
+  FrequencyMatrix grown = FrequencyMatrix::Uninitialized({10, 10},
+                                                         std::move(smaller));
+  EXPECT_EQ(grown.size(), 100u);
+  EXPECT_EQ(grown.capacity(), 100u);
+  EXPECT_EQ(smaller.size(), 0u);
+  // A scratch matrix is never recycled.
+  auto scratch = FrequencyMatrix::CreateScratch({16, 8});
+  ASSERT_TRUE(scratch.ok());
+  EXPECT_EQ(scratch->capacity(), scratch->size());
+  const double* mapped = scratch->values().data();
+  FrequencyMatrix owned =
+      FrequencyMatrix::Uninitialized({4, 4}, std::move(*scratch));
+  EXPECT_NE(owned.values().data(), mapped);
+  EXPECT_FALSE(owned.is_scratch());
+  EXPECT_EQ(owned.capacity(), 16u);
+}
+
 TEST(FrequencyMatrixTest, FlatIndexIsRowMajor) {
   FrequencyMatrix m({2, 3, 4});
   EXPECT_EQ(m.Stride(0), 12u);

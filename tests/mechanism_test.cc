@@ -1,10 +1,12 @@
 // Tests for the publishing mechanisms: Basic (Dwork et al.) and
 // Privelet / Privelet+. Covers argument validation, determinism, noise
-// calibration, near-exactness at huge ε, Privelet+ SA handling, and the
-// paper's closed-form variance-bound examples.
+// calibration, near-exactness at huge ε, Privelet+ SA handling, the
+// paper's closed-form variance-bound examples, and the release buffer
+// (no slack, out-of-core bytes equal to in-core).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "privelet/analysis/query_variance.h"
 #include "privelet/analysis/workload_planner.h"
 #include "privelet/common/math_util.h"
+#include "privelet/common/thread_pool.h"
 #include "privelet/data/census_generator.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/basic.h"
@@ -121,6 +124,53 @@ TEST(PriveletTest, DeterministicInSeed) {
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
   EXPECT_TRUE(matrix::ValuesEqual(a->values(), b->values()));
   EXPECT_FALSE(matrix::ValuesEqual(a->values(), c->values()));
+}
+
+TEST(PriveletTest, CensusShapedReleasePinsNoSlack) {
+  // The census coefficients outgrow the cube (Age pads 101 -> 128, the
+  // nominal axes gain their internal nodes), so every working matrix of
+  // the last inverse pass is larger than the release: the release must
+  // get a buffer of its own size, not a recycled one with slack.
+  auto schema = data::MakeCensusSchema(data::CensusCountry::kBrazil, 4);
+  ASSERT_TRUE(schema.ok());
+  const matrix::FrequencyMatrix m = RandomMatrix(*schema, 9);
+  for (const auto& mech :
+       {PriveletPlusMechanism(), PriveletPlusMechanism({"Gender"})}) {
+    auto noisy = mech.Publish(*schema, m, 1.0, 3);
+    ASSERT_TRUE(noisy.ok()) << mech.name();
+    EXPECT_EQ(noisy->dims(), m.dims()) << mech.name();
+    EXPECT_EQ(noisy->capacity(), noisy->size()) << mech.name();
+  }
+}
+
+TEST(PriveletTest, OutOfCorePublishMatchesInCore) {
+  // A 4 KiB budget puts every working matrix in a scratch file, which is
+  // never recycled; the release must not depend on that.
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("Ord", 200));
+  attrs.push_back(data::Attribute::Nominal(
+      "Nom", data::Hierarchy::Balanced({4, 4}).value()));
+  const data::Schema schema(std::move(attrs));
+  const matrix::FrequencyMatrix m = RandomMatrix(schema, 13);
+  matrix::EngineOptions streamed;
+  streamed.max_memory_bytes = std::size_t{1} << 12;
+  common::ThreadPool four(4);
+  for (common::ThreadPool* pool : {static_cast<common::ThreadPool*>(nullptr),
+                                   &four}) {
+    for (PriveletPlusMechanism mech :
+         {PriveletPlusMechanism(), PriveletPlusMechanism({"Ord"})}) {
+      mech.set_thread_pool(pool);
+      auto in_core = mech.Publish(schema, m, 0.7, 5);
+      mech.set_engine_options(streamed);
+      auto out_of_core = mech.Publish(schema, m, 0.7, 5);
+      ASSERT_TRUE(in_core.ok() && out_of_core.ok()) << mech.name();
+      ASSERT_EQ(in_core->dims(), out_of_core->dims());
+      EXPECT_EQ(0, std::memcmp(in_core->values().data(),
+                               out_of_core->values().data(),
+                               m.size() * sizeof(double)))
+          << mech.name() << (pool != nullptr ? ", 4 threads" : ", serial");
+    }
+  }
 }
 
 TEST(PriveletTest, LaplaceMagnitudeIsTwoRhoOverEpsilon) {
