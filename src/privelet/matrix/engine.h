@@ -1,11 +1,15 @@
 // Engine options for the layout-aware line traversal shared by the matrix,
 // wavelet, mechanism, and query layers. Every multi-dimensional pass in the
 // library (HN transform axes, prefix-sum axes) is a sweep of independent
-// 1-D lines, walked in panels of kTileLines adjacent lines: non-contiguous
-// axes are block-transposed into contiguous scratch (matrix::TileBuffer),
-// transformed with the batched Transform1D kernels, and scattered back, so
-// strided per-element access becomes contiguous run copies and the passes
-// stream through memory instead of thrashing the cache.
+// 1-D lines. Lines along the contiguous last axis are walked in place. A
+// strided axis runs each transform's one batched kernel per direction
+// (Transform1D::ForwardLines/InverseLines, element k of line b at
+// data[b + k * pitch]) by one of two routes: in core on the matrices
+// themselves (pitch = the axis stride), out of core on panels of
+// kTileLines lines that matrix::TileBuffer gathers into contiguous scratch
+// (pitch = the panel width) and scatters back, pacing residency per axis
+// step. Either way the inner loops run unit-stride over adjacent lines and
+// the passes stream through memory instead of thrashing the cache.
 //
 // Each line undergoes the same floating-point operations as a per-line
 // gather → transform → scatter walk (tests/reference/per_line_engine.h),
@@ -21,9 +25,10 @@
 
 namespace privelet::matrix {
 
-/// Panel width B: 64 lines keeps gather/scatter run copies at one or more
-/// full cache lines for every axis stride >= 64 while the panel of a
-/// 1024-wide axis still fits in L2.
+/// Panel width B of the contiguous-axis walk and the gathered out-of-core
+/// panels: 64 lines keeps gather/scatter run copies at one or more full
+/// cache lines for every axis stride >= 64 while the panel of a 1024-wide
+/// axis still fits in L2.
 inline constexpr std::size_t kTileLines = 64;
 
 struct EngineOptions {

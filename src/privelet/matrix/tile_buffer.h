@@ -1,14 +1,15 @@
 // TileBuffer: block-transposes a panel of B contiguous lines along any
 // axis of a FrequencyMatrix into contiguous scratch, and scatters it back.
-// The heart of the tiled transform engine (see matrix/engine.h).
+// The out-of-core route of the line engine (see matrix/engine.h), whose
+// Gather/Scatter pace residency per axis step.
 //
 // Panel layout ("interleaved"): element k of panel line b lives at
 // panel[k * count + b]. Consecutive line indices along an axis with stride
 // S > 1 have consecutive base addresses (runs of up to S lines), so one
 // panel row k is a handful of contiguous run copies from the matrix —
 // gathering B lines costs line_len * B contiguous traffic instead of
-// line_len * B strided single-element loads. The layout also hands the
-// batched Transform1D kernels unit-stride inner loops over b.
+// line_len * B strided single-element loads. The layout is the batched
+// Transform1D kernels' row-pitch layout with pitch == count.
 //
 // For the innermost axis (stride == 1) lines are already contiguous in the
 // matrix; callers should address them in place rather than paying the

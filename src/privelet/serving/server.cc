@@ -734,7 +734,7 @@ void Server::FinishTextBatch(EventLoop& loop, Connection& conn) {
   conn.batch_id.clear();
   conn.batch_expected = 0;
   conn.batch_lines.clear();
-  loop.counters.requests.fetch_add(1, std::memory_order_relaxed);
+  // The BATCH header line already counted this request.
   auto answers = AnswerTextQueries(loop, id, lines);
   if (!answers.ok()) {
     AppendTextError(loop, conn, answers.status());

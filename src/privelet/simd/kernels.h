@@ -27,13 +27,17 @@ namespace privelet::simd {
 struct KernelTable {
   IsaLevel level;
 
-  // ---- Haar butterflies over an interleaved panel (lane b = line b) ----
+  // ---- Haar butterflies across the rows of a batched line kernel -------
+  // (lane b = line b; Transform1D::ForwardLines/InverseLines)
   //   detail[b] = (left[b] - right[b]) / 2;  avg[b] = (left[b] + right[b]) / 2
   // `avg` may alias `left` (each lane is loaded before either store).
   void (*haar_forward_step)(const double* left, const double* right,
                             double* detail, double* avg, std::size_t count);
   //   right[b] = avg[b] - detail[b];  left[b] = avg[b] + detail[b]
-  // `left` may alias `avg` (same load-before-store discipline).
+  // `left` may alias `avg` (same load-before-store discipline). `left` may
+  // also equal `right` when the caller discards both, as the padded Haar
+  // inverse does with its padding rows: the lane then holds one of the two
+  // results, and nothing reads it.
   void (*haar_inverse_step)(const double* avg, const double* detail,
                             double* left, double* right, std::size_t count);
 
@@ -61,11 +65,13 @@ struct KernelTable {
   void (*haar_inverse_level_expand)(const double* avg, const double* detail,
                                     double* dst, std::size_t half);
 
-  // ---- Element-wise row combines (nominal panels, prefix-table passes) --
+  // ---- Element-wise row combines (nominal lines, prefix-table passes) ---
   void (*row_add)(double* acc, const double* row, std::size_t count);
   void (*row_sub)(double* row, const double* sub, std::size_t count);
   void (*row_div)(double* row, double divisor, std::size_t count);
   // out[b] = a[b] + b_[b] / divisor  (the nominal top-down reconstruction)
+  // `out` may alias `a` (each lane is loaded before it is stored), which
+  // the nominal inverse uses to sum in place.
   void (*row_add_div)(double* out, const double* a, const double* b_,
                       double divisor, std::size_t count);
   // out[b] = a[b] - b_[b] / divisor  (the nominal forward detail)

@@ -41,12 +41,12 @@ void HaarTransform::Forward(const double* in, double* out, double* scratch,
   const simd::KernelTable& k = simd::Kernels(isa);
   // `scratch` holds the running subtree averages; each pass halves it and
   // emits the detail coefficients of the current (finest remaining) level
-  // into their level-order slots [half, len). Vector levels on
-  // power-of-two inputs fuse the first level with the line copy: the
-  // split kernel reads `in` directly and emits averages into scratch,
-  // so the full-length copy never happens.
+  // into their level-order slots [half, len). Power-of-two inputs fuse the
+  // first level with the line copy: the split kernel reads `in` directly
+  // and emits averages into scratch, so the full-length copy never
+  // happens.
   std::size_t len = padded_;
-  if (k.level != simd::IsaLevel::kScalar && n_ == padded_ && padded_ > 1) {
+  if (n_ == padded_ && padded_ > 1) {
     const std::size_t half = padded_ / 2;
     k.haar_forward_level_split(in, scratch, out + half, half);
     len = half;
@@ -62,109 +62,39 @@ void HaarTransform::Forward(const double* in, double* out, double* scratch,
 }
 
 void HaarTransform::ForwardLines(std::size_t count, const double* in,
-                                 double* out, double* scratch) const {
-  ForwardLines(count, in, out, scratch, simd::ResolveIsa());
-}
-
-void HaarTransform::ForwardLines(std::size_t count, const double* in,
-                                 double* out, double* scratch,
-                                 simd::IsaLevel isa) const {
-  const simd::KernelTable& k = simd::Kernels(isa);
-  // Interleaved panel: row k (elements [k*count, (k+1)*count)) holds
-  // element k of every line. The single-line algorithm lifts row-wise:
-  // copy the n_ input rows, zero the padding rows, then run each butterfly
-  // level with a unit-stride inner loop over the lines. Vector levels on
-  // power-of-two inputs skip the copy and run the first level straight
-  // off `in` — the values every lane sees are identical either way.
-  std::size_t len = padded_;
-  if (k.level != simd::IsaLevel::kScalar && n_ == padded_ && padded_ > 1) {
-    const std::size_t half = padded_ / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      k.haar_forward_step(in + (2 * i) * count, in + (2 * i + 1) * count,
-                          out + (half + i) * count, scratch + i * count,
-                          count);
-    }
-    len = half;
-  } else {
-    std::copy(in, in + n_ * count, scratch);
-    std::fill(scratch + n_ * count, scratch + padded_ * count, 0.0);
-  }
-  for (; len > 1; len /= 2) {
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      // For i == 0 the avg row aliases the left row; the kernel loads
-      // each lane before either store.
-      k.haar_forward_step(scratch + (2 * i) * count,
-                          scratch + (2 * i + 1) * count,
-                          out + (half + i) * count, scratch + i * count,
-                          count);
-    }
-  }
-  std::copy(scratch, scratch + count, out);
-}
-
-void HaarTransform::InverseLines(std::size_t count, const double* coeffs,
-                                 double* out, double* scratch) const {
-  InverseLines(count, coeffs, out, scratch, simd::ResolveIsa());
-}
-
-void HaarTransform::InverseLines(std::size_t count, const double* coeffs,
-                                 double* out, double* scratch,
-                                 simd::IsaLevel isa) const {
-  const simd::KernelTable& k = simd::Kernels(isa);
-  // Vector levels on power-of-two inputs write the final expansion level
-  // straight into `out`, replacing the trailing panel copy.
-  const bool fuse_last =
-      k.level != simd::IsaLevel::kScalar && n_ == padded_ && padded_ > 1;
-  std::copy(coeffs, coeffs + count, scratch);
-  for (std::size_t len = 2; len <= padded_; len *= 2) {
-    const std::size_t half = len / 2;
-    double* dst = (fuse_last && len == padded_) ? out : scratch;
-    for (std::size_t i = half; i-- > 0;) {
-      // Right first inside the kernel: for i == 0 the left row aliases
-      // the avg row (scratch destinations only).
-      k.haar_inverse_step(scratch + i * count, coeffs + (half + i) * count,
-                          dst + (2 * i) * count, dst + (2 * i + 1) * count,
-                          count);
-    }
-  }
-  if (!fuse_last) std::copy(scratch, scratch + n_ * count, out);
-}
-
-void HaarTransform::ForwardLinesStrided(std::size_t count, const double* in,
-                                        double* out, std::size_t stride,
-                                        double* scratch,
-                                        simd::IsaLevel isa) const {
-  PRIVELET_CHECK(n_ == padded_, "strided panels require an unpadded line");
+                                 double* out, std::size_t pitch,
+                                 double* scratch, simd::IsaLevel isa) const {
   if (padded_ == 1) {
     std::copy(in, in + count, out);
     return;
   }
   const simd::KernelTable& k = simd::Kernels(isa);
-  // The first sweep reads the source matrix rows directly; every level
-  // writes its detail rows straight into the destination matrix. Only the
-  // ladder of running averages lives in scratch, at a pitch of
-  // count + kStridedRowPad: a dense pitch of exactly `count` puts
-  // consecutive ladder rows a page multiple apart whenever 8 * count is
-  // one, and the resulting store-to-load 4K aliasing between a level's
-  // avg stores and the next level's loads serializes the ladder. One
-  // extra vector of slack keeps rows 64-byte aligned while breaking the
-  // page-offset collision.
+  // The first sweep reads the input rows directly; every level writes its
+  // detail rows straight into the output. Only the ladder of running
+  // averages lives in scratch, at a pitch of count + kRowPad: a dense
+  // pitch of exactly `count` puts consecutive ladder rows a page multiple
+  // apart whenever 8 * count is one, and the resulting store-to-load 4K
+  // aliasing between a level's avg stores and the next level's loads
+  // serializes the ladder. One extra vector of slack keeps rows 64-byte
+  // aligned while breaking the page-offset collision.
   //
-  // Levels run in fused pairs: one sweep consumes 4 source rows, emits
-  // the two finer detail rows plus the coarser one, and stages the
-  // intermediate half-level averages in two reused (cache-hot) tmp rows
-  // instead of materializing that ladder level — per line the butterflies
-  // are the same kernel ops on the same values, only their store
-  // addresses change, so fusing cannot change a bit. This cuts ladder
-  // traffic by a third and keeps the resident ladder at a quarter line.
-  const std::size_t pitch = count + kStridedRowPad;
-  double* tmp0 = padded_ >= 4 ? scratch + (padded_ / 4) * pitch : nullptr;
-  double* tmp1 = padded_ >= 4 ? tmp0 + pitch : nullptr;
+  // Levels run in fused pairs: one sweep consumes 4 rows, emits the two
+  // finer detail rows plus the coarser one, and stages the intermediate
+  // half-level averages in two reused (cache-hot) tmp rows instead of
+  // materializing that ladder level — per line the butterflies are the
+  // same kernel ops on the same values, only their store addresses
+  // change, so fusing cannot change a bit. This cuts ladder traffic by a
+  // third and keeps the resident ladder at a quarter line.
+  const std::size_t sp = count + kRowPad;
+  double* tmp0 = scratch + (padded_ / 4) * sp;
+  double* tmp1 = tmp0 + sp;
+  double* zero = tmp1 + sp;  // what the padding rows [n_, padded_) read
+  if (n_ < padded_) std::fill(zero, zero + count, 0.0);
   std::size_t len = padded_;
-  bool from_src = true;
-  auto row = [&](std::size_t r) {
-    return from_src ? in + r * stride : scratch + r * pitch;
+  bool from_in = true;
+  auto row = [&](std::size_t r) -> const double* {
+    if (!from_in) return scratch + r * sp;
+    return r < n_ ? in + r * pitch : zero;
   };
   while (len > 1) {
     const std::size_t half = len / 2;
@@ -175,74 +105,72 @@ void HaarTransform::ForwardLinesStrided(std::size_t count, const double* in,
         // level were consumed at iteration i/4 (< i, or within this very
         // iteration for i == 0, before the write below).
         k.haar_forward_step(row(4 * i), row(4 * i + 1),
-                            out + (half + 2 * i) * stride, tmp0, count);
+                            out + (half + 2 * i) * pitch, tmp0, count);
         k.haar_forward_step(row(4 * i + 2), row(4 * i + 3),
-                            out + (half + 2 * i + 1) * stride, tmp1, count);
-        k.haar_forward_step(tmp0, tmp1, out + (quarter + i) * stride,
-                            scratch + i * pitch, count);
+                            out + (half + 2 * i + 1) * pitch, tmp1, count);
+        k.haar_forward_step(tmp0, tmp1, out + (quarter + i) * pitch,
+                            scratch + i * sp, count);
       }
       len = quarter;
     } else {
       // Odd level count: the coarsest level has no partner.
-      k.haar_forward_step(row(0), row(1), out + stride, scratch, count);
+      k.haar_forward_step(row(0), row(1), out + pitch, scratch, count);
       len = 1;
     }
-    from_src = false;
+    from_in = false;
   }
   std::copy(scratch, scratch + count, out);  // base coefficient row
 }
 
-void HaarTransform::InverseLinesStrided(std::size_t count,
-                                        const double* coeffs, double* out,
-                                        std::size_t stride, double* scratch,
-                                        simd::IsaLevel isa) const {
-  PRIVELET_CHECK(n_ == padded_, "strided panels require an unpadded line");
+void HaarTransform::InverseLines(std::size_t count, const double* coeffs,
+                                 double* out, std::size_t pitch,
+                                 double* scratch, simd::IsaLevel isa) const {
   if (padded_ == 1) {
     std::copy(coeffs, coeffs + count, out);
     return;
   }
   const simd::KernelTable& k = simd::Kernels(isa);
-  // Detail rows are read from the coefficient matrix per level; the
-  // expansion runs in scratch (padded pitch, see ForwardLinesStrided)
-  // until the last level writes the output matrix rows directly. Like the
-  // forward sweep, levels run in fused pairs: one sweep expands each avg
-  // row into four, staging the intermediate half-level averages in two
-  // reused tmp rows — identical per-line ops, so bit-identical output.
-  const std::size_t pitch = count + kStridedRowPad;
-  double* tmp0 = padded_ >= 4 ? scratch + (padded_ / 4) * pitch : nullptr;
-  double* tmp1 = padded_ >= 4 ? tmp0 + pitch : nullptr;
+  // Detail rows are read from `coeffs` per level; the expansion runs in
+  // scratch (padded pitch, see ForwardLines) until the last level writes
+  // the output rows directly. Like the forward sweep, levels run in fused
+  // pairs: one sweep expands each avg row into four, staging the
+  // intermediate half-level averages in two reused tmp rows — identical
+  // per-line ops, so bit-identical output.
+  const std::size_t sp = count + kRowPad;
+  double* tmp0 = scratch + (padded_ / 4) * sp;
+  double* tmp1 = tmp0 + sp;
+  double* discard = tmp1 + sp;  // where the padding rows [n_, padded_) go
+  auto out_row = [&](std::size_t r) {
+    return r < n_ ? out + r * pitch : discard;
+  };
   std::copy(coeffs, coeffs + count, scratch);  // base coefficient row
   std::size_t len = 1;
   if (levels_ % 2 == 1) {
     // Odd level count: expand the coarsest level alone so the remaining
     // sweeps pair evenly.
     const bool last = padded_ == 2;
-    double* left = last ? out : scratch;
-    double* right = last ? out + stride : scratch + pitch;
+    double* left = last ? out_row(0) : scratch;
+    double* right = last ? out_row(1) : scratch + sp;
     // Right first inside the kernel: the in-scratch left row aliases the
     // avg row.
-    k.haar_inverse_step(scratch, coeffs + stride, left, right, count);
+    k.haar_inverse_step(scratch, coeffs + pitch, left, right, count);
     len = 2;
   }
   for (; len < padded_; len *= 4) {
     const bool last = len * 4 == padded_;
+    auto dst = [&](std::size_t r) {
+      return last ? out_row(r) : scratch + r * sp;
+    };
     for (std::size_t i = len; i-- > 0;) {
       // Descending i: writing rows 4i..4i+3 only clobbers avg rows this
       // sweep has already consumed (all > i except row 0, which the first
       // step below reads before anything is stored).
-      k.haar_inverse_step(scratch + i * pitch, coeffs + (len + i) * stride,
-                          tmp0, tmp1, count);
-      double* o0 = last ? out + (4 * i) * stride : scratch + (4 * i) * pitch;
-      double* o1 =
-          last ? out + (4 * i + 1) * stride : scratch + (4 * i + 1) * pitch;
-      double* o2 =
-          last ? out + (4 * i + 2) * stride : scratch + (4 * i + 2) * pitch;
-      double* o3 =
-          last ? out + (4 * i + 3) * stride : scratch + (4 * i + 3) * pitch;
-      k.haar_inverse_step(tmp0, coeffs + (2 * len + 2 * i) * stride, o0, o1,
-                          count);
-      k.haar_inverse_step(tmp1, coeffs + (2 * len + 2 * i + 1) * stride, o2,
-                          o3, count);
+      k.haar_inverse_step(scratch + i * sp, coeffs + (len + i) * pitch, tmp0,
+                          tmp1, count);
+      k.haar_inverse_step(tmp0, coeffs + (2 * len + 2 * i) * pitch,
+                          dst(4 * i), dst(4 * i + 1), count);
+      k.haar_inverse_step(tmp1, coeffs + (2 * len + 2 * i + 1) * pitch,
+                          dst(4 * i + 2), dst(4 * i + 3), count);
     }
   }
 }
@@ -286,10 +214,9 @@ void HaarTransform::Inverse(const double* coeffs, double* out, double* scratch,
   scratch[0] = coeffs[0];
   // Per level: scratch[2i] = avg + detail (left subtree, g = +1, Eq. 3),
   // scratch[2i+1] = avg - detail (right subtree, g = -1), i descending.
-  // Vector levels on power-of-two inputs fuse the final level with the
-  // output copy: the expand kernel writes `out` directly.
-  const bool fuse_last =
-      k.level != simd::IsaLevel::kScalar && n_ == padded_ && padded_ > 1;
+  // Power-of-two inputs fuse the final level with the output copy: the
+  // expand kernel writes `out` directly.
+  const bool fuse_last = n_ == padded_ && padded_ > 1;
   for (std::size_t len = 2; len <= padded_; len *= 2) {
     if (fuse_last && len == padded_) {
       k.haar_inverse_level_expand(scratch, coeffs + len / 2, out, len / 2);

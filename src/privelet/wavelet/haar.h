@@ -4,7 +4,8 @@
 // root of the decomposition tree, and indices [2^(i-1), 2^i) the level-i
 // coefficients. Each coefficient is (avg of left subtree - avg of right
 // subtree) / 2 and the weight function is WHaar (base -> 2^l, level i ->
-// 2^(l-i+1)).
+// 2^(l-i+1)). Every length, padded or not, has the one batched line kernel
+// (ForwardLines/InverseLines) the line engine runs on strided axes.
 #ifndef PRIVELET_WAVELET_HAAR_H_
 #define PRIVELET_WAVELET_HAAR_H_
 
@@ -43,53 +44,33 @@ class HaarTransform final : public Transform1D {
   void Inverse(const double* coeffs, double* out,
                double* scratch) const override;
 
-  /// Blocked panel kernels (see Transform1D): the butterfly of each level
-  /// runs across all `count` interleaved lines with unit-stride inner
-  /// loops, performing per line exactly the ops of the single-line path.
-  /// Like the single-line entry points, these forward to the ISA-aware
-  /// overloads at the ambient level.
-  std::size_t lines_scratch_size(std::size_t count) const override {
-    // Sized for the strided path's padded row pitch (see kStridedRowPad);
-    // the interleaved-panel path uses a dense `count` pitch and needs
-    // strictly less.
-    return padded_ * (count + kStridedRowPad);
-  }
-  void ForwardLines(std::size_t count, const double* in, double* out,
-                    double* scratch) const override;
-  void InverseLines(std::size_t count, const double* coeffs, double* out,
-                    double* scratch) const override;
-
   /// Dispatched implementations: every butterfly level runs through the
-  /// selected simd::KernelTable. The scalar level reproduces the hand
-  /// blocked loops above verbatim; vector levels additionally fuse the
-  /// first forward level (read `in` directly) and last inverse level
-  /// (write `out` directly) of the panel kernels when n == padded_size()
-  /// — the copies those levels replace move values untouched, so fusion
-  /// never changes a bit.
+  /// selected simd::KernelTable. On power-of-two inputs the first forward
+  /// level reads `in` directly and the last inverse level writes `out`
+  /// directly (the split and expand kernels); the copies those levels
+  /// replace move values untouched, so this never changes a bit.
   void Forward(const double* in, double* out, double* scratch,
                simd::IsaLevel isa) const override;
   void Inverse(const double* coeffs, double* out, double* scratch,
                simd::IsaLevel isa) const override;
-  void ForwardLines(std::size_t count, const double* in, double* out,
-                    double* scratch, simd::IsaLevel isa) const override;
-  void InverseLines(std::size_t count, const double* coeffs, double* out,
-                    double* scratch, simd::IsaLevel isa) const override;
 
-  /// Strided panels (see Transform1D): matrix rows spaced `stride` apart
-  /// are the panel rows, so the gather/scatter copies of the TileBuffer
-  /// path disappear — the first forward level reads the source matrix and
-  /// every detail level writes the destination matrix directly, with only
-  /// the running averages staged in scratch. Available when no padding is
-  /// needed (n == padded_size(); padded rows would have no matrix storage
-  /// to read). Per line the butterflies are the same ops in the same
-  /// order as the interleaved-panel path: bit-identical.
-  bool SupportsStridedLines() const override { return n_ == padded_; }
-  void ForwardLinesStrided(std::size_t count, const double* in, double* out,
-                           std::size_t stride, double* scratch,
-                           simd::IsaLevel isa) const override;
-  void InverseLinesStrided(std::size_t count, const double* coeffs,
-                           double* out, std::size_t stride, double* scratch,
-                           simd::IsaLevel isa) const override;
+  /// The batched kernel (see Transform1D), for every n: the first forward
+  /// level reads the input rows directly and every detail level writes
+  /// the output rows directly, with only the running averages staged in
+  /// scratch. Padding input rows read as a zero row and padding output
+  /// rows go to a discard row, both in scratch. Per line the butterflies
+  /// are the single-line ops in the same order: bit-identical.
+  std::size_t lines_scratch_size(std::size_t count) const override {
+    // The averages ladder (a quarter line), two staging rows and the
+    // zero/discard row, each at the padded scratch pitch.
+    return (padded_ / 4 + 3) * (count + kRowPad);
+  }
+  void ForwardLines(std::size_t count, const double* in, double* out,
+                    std::size_t pitch, double* scratch,
+                    simd::IsaLevel isa) const override;
+  void InverseLines(std::size_t count, const double* coeffs, double* out,
+                    std::size_t pitch, double* scratch,
+                    simd::IsaLevel isa) const override;
 
   /// a[0] = |S|; a[j] = (leaves of j's left subtree in S) - (leaves of
   /// j's right subtree in S), per the proof of Lemma 3.
@@ -119,11 +100,11 @@ class HaarTransform final : public Transform1D {
   static std::size_t LevelOf(std::size_t j);
 
  private:
-  // Extra doubles of slack between ladder rows of the strided-panel
-  // scratch: keeps rows 64-byte aligned while moving consecutive rows off
-  // a common page offset (dense page-multiple pitches serialize on
-  // store-to-load 4K aliasing). One 512-bit vector is enough.
-  static constexpr std::size_t kStridedRowPad = 8;
+  // Extra doubles of slack between scratch rows of the batched kernel:
+  // keeps rows 64-byte aligned while moving consecutive rows off a common
+  // page offset (dense page-multiple pitches serialize on store-to-load 4K
+  // aliasing). One 512-bit vector is enough.
+  static constexpr std::size_t kRowPad = 8;
 
   std::size_t n_;
   std::size_t padded_;

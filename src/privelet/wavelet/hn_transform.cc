@@ -40,11 +40,12 @@ using WorkspacePool = common::ScratchPool<LineWorkspace>;
 
 enum class Direction { kForward, kInverse };
 
-// One axis pass: panels of kTileLines adjacent lines per step. Axes whose
-// lines are contiguous (stride == 1) are processed in place in the matrix
-// slabs; other axes are block-transposed through TileBuffer and run
-// through the batched Transform1D kernels. `noise` (first inverse pass
-// only) perturbs each coefficient panel while it is cache-hot.
+// One axis pass. Axes whose lines are contiguous (stride == 1) are walked
+// line by line in place in the matrix slabs, kTileLines lines per step;
+// every other axis runs the transform's batched kernel, in core on the
+// matrices themselves and out of core on gathered TileBuffer panels.
+// `noise` (first inverse pass only) perturbs each coefficient line while
+// it is cache-hot.
 void RunAxisPass(const matrix::FrequencyMatrix& src,
                  matrix::FrequencyMatrix& dst, std::size_t axis,
                  const Transform1D& t, Direction dir,
@@ -74,7 +75,7 @@ void RunAxisPass(const matrix::FrequencyMatrix& src,
   // boundaries: one panel touches up to a page per axis step in each
   // matrix, which can dwarf the byte budget long before an end-of-panel
   // charge would fire. The slab path charges per line below; the
-  // transpose path hands the governor to Gather/Scatter, which charge per
+  // gathered path hands the governor to Gather/Scatter, which charge per
   // axis step.
   common::ResidencyGovernor* paced =
       options.out_of_core() ? &governor : nullptr;
@@ -139,76 +140,69 @@ void RunAxisPass(const matrix::FrequencyMatrix& src,
 
   PRIVELET_CHECK(noise_factory == nullptr,
                  "fused noise applies only to the contiguous axis");
-  // Strided fast path for the vector levels: consecutive lines of a
-  // non-contiguous axis have consecutive base addresses (runs of
-  // ForEachLineRun), so the matrix storage already is an interleaved
-  // panel with row pitch Stride(axis) — the batched kernels read `src`
-  // and write `dst` directly and the Gather/Scatter copies disappear.
-  // The scalar level keeps the PR 3 gather/transform/scatter structure
-  // (it is the dispatch sweep's baseline), and the out-of-core engine
-  // keeps it for its per-step residency pacing.
-  if (paced == nullptr && isa != simd::IsaLevel::kScalar &&
-      t.SupportsStridedLines() && !t.has_refinement()) {
-    const std::size_t stride = src.Stride(axis);
-    // Lane count per call: as many consecutive lines as possible, NOT the
-    // tile size. With `count` lanes each panel row is a contiguous
-    // `count`-element span at an 8*stride-byte pitch; short rows at a
-    // page-multiple pitch serialize on store-to-load 4K aliasing, while
-    // runs approaching the full stride turn every row access into
-    // sequential streaming (count == stride means the rows tile the
-    // matrix exactly). The cap only bounds the scratch ladder — per line
-    // the operations are identical for every lane count, so the output
-    // does not depend on this choice.
-    constexpr std::size_t kStridedScratchBytes = std::size_t{8} << 20;
-    const std::size_t line_len = std::max(in_len, out_len);
-    const std::size_t chunk = std::max(
-        tile, std::max<std::size_t>(
-                  1, kStridedScratchBytes / (sizeof(double) * line_len)));
-    const std::size_t chunks = (lines + chunk - 1) / chunk;
+  // Every other axis runs through the transform's one batched kernel. Its
+  // pitch layout is both the matrix storage (consecutive lines along the
+  // axis have consecutive base addresses, rows Stride(axis) apart) and a
+  // gathered TileBuffer panel (pitch == count).
+  const auto run_kernel = [&](std::size_t count, const double* in,
+                              double* out, std::size_t pitch,
+                              double* scratch) {
+    if (dir == Direction::kForward) {
+      t.ForwardLines(count, in, out, pitch, scratch, isa);
+    } else {
+      t.InverseLines(count, in, out, pitch, scratch, isa);
+    }
+  };
+  if (paced != nullptr) {
+    // Out of core: gathered panels, because Gather/Scatter pace residency
+    // per axis step.
     common::ParallelFor(
-        pool, chunks, /*grain=*/0, [&](std::size_t pb, std::size_t pe) {
+        pool, panels, /*grain=*/0, [&](std::size_t pb, std::size_t pe) {
           auto ws = workspaces.Acquire();
           for (std::size_t p = pb; p < pe; ++p) {
-            const std::size_t first = p * chunk;
-            const std::size_t count = std::min(chunk, lines - first);
-            double* scratch = ws->Scratch(t.lines_scratch_size(count));
-            matrix::ForEachLineRun(
-                stride, in_len, first, count,
-                [&](std::size_t base, std::size_t col, std::size_t run) {
-                  const std::size_t dst_base =
-                      dst.LineBase(axis, first + col);
-                  if (dir == Direction::kForward) {
-                    t.ForwardLinesStrided(run, src.values().data() + base,
-                                          dst.values().data() + dst_base,
-                                          stride, scratch, isa);
-                  } else {
-                    t.InverseLinesStrided(run, src.values().data() + base,
-                                          dst.values().data() + dst_base,
-                                          stride, scratch, isa);
-                  }
-                });
+            const std::size_t first = p * tile;
+            const std::size_t count = std::min(tile, lines - first);
+            ws->in.Gather(src, axis, first, count, paced);
+            run_kernel(count, ws->in.panel(), ws->out.Prepare(out_len, count),
+                       count, ws->Scratch(t.lines_scratch_size(count)));
+            ws->out.Scatter(dst, axis, first, count, paced);
           }
         });
     return;
   }
+  // In core: the kernel reads `src` and writes `dst` in place, one call per
+  // run of ForEachLineRun. Lane count per call: as many consecutive lines
+  // as possible, NOT the tile size. With `count` lanes each row is a
+  // contiguous `count`-element span at an 8*stride-byte pitch; short rows
+  // at a page-multiple pitch serialize on store-to-load 4K aliasing, while
+  // runs approaching the full stride turn every row access into sequential
+  // streaming (count == stride means the rows tile the matrix exactly).
+  // The chunk only bounds the per-worker scratch near kScratchBytes — per
+  // line the operations are identical for every lane count, so the output
+  // does not depend on this choice.
+  constexpr std::size_t kScratchBytes = std::size_t{8} << 20;
+  const std::size_t stride = src.Stride(axis);
+  const std::size_t lane_len =
+      std::max({in_len, out_len, t.lines_scratch_size(tile) / tile});
+  const std::size_t chunk =
+      std::max(tile, kScratchBytes / (sizeof(double) * lane_len));
+  const std::size_t chunks = (lines + chunk - 1) / chunk;
   common::ParallelFor(
-      pool, panels, /*grain=*/0, [&](std::size_t pb, std::size_t pe) {
+      pool, chunks, /*grain=*/0, [&](std::size_t pb, std::size_t pe) {
         auto ws = workspaces.Acquire();
+        // Runs never exceed the stride, nor the chunk.
+        double* scratch =
+            ws->Scratch(t.lines_scratch_size(std::min(chunk, stride)));
         for (std::size_t p = pb; p < pe; ++p) {
-          const std::size_t first = p * tile;
-          const std::size_t count = std::min(tile, lines - first);
-          ws->in.Gather(src, axis, first, count, paced);
-          double* out_panel = ws->out.Prepare(out_len, count);
-          double* scratch = ws->Scratch(t.lines_scratch_size(count));
-          if (dir == Direction::kForward) {
-            t.ForwardLines(count, ws->in.panel(), out_panel, scratch, isa);
-          } else {
-            if (t.has_refinement()) {
-              t.RefineLines(count, ws->in.panel(), scratch, isa);
-            }
-            t.InverseLines(count, ws->in.panel(), out_panel, scratch, isa);
-          }
-          ws->out.Scatter(dst, axis, first, count, paced);
+          const std::size_t first = p * chunk;
+          const std::size_t count = std::min(chunk, lines - first);
+          matrix::ForEachLineRun(
+              stride, in_len, first, count,
+              [&](std::size_t base, std::size_t col, std::size_t run) {
+                const std::size_t dst_base = dst.LineBase(axis, first + col);
+                run_kernel(run, src.values().data() + base,
+                           dst.values().data() + dst_base, stride, scratch);
+              });
         }
       });
 }

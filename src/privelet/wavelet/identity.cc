@@ -20,15 +20,21 @@ void IdentityTransform::Inverse(const double* coeffs, double* out) const {
 }
 
 void IdentityTransform::ForwardLines(std::size_t count, const double* in,
-                                     double* out, double* scratch) const {
-  (void)scratch;
-  std::copy(in, in + n_ * count, out);
+                                     double* out, std::size_t pitch,
+                                     double* scratch,
+                                     simd::IsaLevel isa) const {
+  InverseLines(count, in, out, pitch, scratch, isa);
 }
 
 void IdentityTransform::InverseLines(std::size_t count, const double* coeffs,
-                                     double* out, double* scratch) const {
+                                     double* out, std::size_t pitch,
+                                     double* scratch,
+                                     simd::IsaLevel isa) const {
   (void)scratch;
-  std::copy(coeffs, coeffs + n_ * count, out);
+  (void)isa;
+  for (std::size_t k = 0; k < n_; ++k) {
+    std::copy(coeffs + k * pitch, coeffs + k * pitch + count, out + k * pitch);
+  }
 }
 
 void IdentityTransform::RangeContribution(std::size_t lo, std::size_t hi,

@@ -26,15 +26,17 @@ class IdentityTransform final : public Transform1D {
   void Forward(const double* in, double* out) const override;
   void Inverse(const double* coeffs, double* out) const override;
 
-  /// Panel kernels: a panel copy, whatever the interleaving.
+  /// The batched kernel (see Transform1D): a row copy.
   std::size_t lines_scratch_size(std::size_t count) const override {
     (void)count;
     return 0;
   }
   void ForwardLines(std::size_t count, const double* in, double* out,
-                    double* scratch) const override;
+                    std::size_t pitch, double* scratch,
+                    simd::IsaLevel isa) const override;
   void InverseLines(std::size_t count, const double* coeffs, double* out,
-                    double* scratch) const override;
+                    std::size_t pitch, double* scratch,
+                    simd::IsaLevel isa) const override;
 
   /// Indicator of the range: coefficients are the entries themselves.
   void RangeContribution(std::size_t lo, std::size_t hi,

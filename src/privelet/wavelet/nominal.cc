@@ -51,12 +51,8 @@ void NominalTransform::Forward(const double* in, double* out,
 }
 
 void NominalTransform::ForwardLines(std::size_t count, const double* in,
-                                    double* out, double* scratch) const {
-  ForwardLines(count, in, out, scratch, simd::ResolveIsa());
-}
-
-void NominalTransform::ForwardLines(std::size_t count, const double* in,
-                                    double* out, double* scratch,
+                                    double* out, std::size_t pitch,
+                                    double* scratch,
                                     simd::IsaLevel isa) const {
   const simd::KernelTable& k = simd::Kernels(isa);
   const data::Hierarchy& h = *hierarchy_;
@@ -66,7 +62,7 @@ void NominalTransform::ForwardLines(std::size_t count, const double* in,
   double* leafsum = scratch;
   std::fill(leafsum, leafsum + nodes * count, 0.0);
   for (std::size_t leaf = 0; leaf < h.num_leaves(); ++leaf) {
-    std::copy(in + leaf * count, in + (leaf + 1) * count,
+    std::copy(in + leaf * pitch, in + leaf * pitch + count,
               leafsum + h.leaf_node(leaf) * count);
   }
   for (std::size_t id = nodes; id-- > 1;) {
@@ -74,13 +70,13 @@ void NominalTransform::ForwardLines(std::size_t count, const double* in,
               count);
   }
 
-  std::copy(leafsum + data::Hierarchy::kRoot * count,
-            leafsum + (data::Hierarchy::kRoot + 1) * count,
-            out + data::Hierarchy::kRoot * count);
+  constexpr std::size_t kRoot = data::Hierarchy::kRoot;
+  std::copy(leafsum + kRoot * count, leafsum + (kRoot + 1) * count,
+            out + kRoot * pitch);
   for (std::size_t id = 1; id < nodes; ++id) {
     const std::size_t parent = h.node(id).parent;
     const double fanout = static_cast<double>(h.fanout(parent));
-    k.row_sub_div(out + id * count, leafsum + id * count,
+    k.row_sub_div(out + id * pitch, leafsum + id * count,
                   leafsum + parent * count, fanout, count);
   }
 }
@@ -94,34 +90,6 @@ void NominalTransform::Refine(double* coeffs) const {
     for (std::size_t child : children) sum += coeffs[child];
     const double mean = sum / static_cast<double>(children.size());
     for (std::size_t child : children) coeffs[child] -= mean;
-  }
-}
-
-void NominalTransform::RefineLines(std::size_t count, double* coeffs,
-                                   double* scratch) const {
-  RefineLines(count, coeffs, scratch, simd::ResolveIsa());
-}
-
-void NominalTransform::RefineLines(std::size_t count, double* coeffs,
-                                   double* scratch,
-                                   simd::IsaLevel isa) const {
-  const simd::KernelTable& k = simd::Kernels(isa);
-  const data::Hierarchy& h = *hierarchy_;
-  // One scratch row accumulates each sibling group's sum; children are
-  // visited in the same order as the single-line Refine, so the per-line
-  // sums (and hence the subtracted means) are bit-identical.
-  double* sum = scratch;
-  for (std::size_t id = 0; id < h.num_nodes(); ++id) {
-    const auto& children = h.node(id).children;
-    if (children.empty()) continue;
-    std::fill(sum, sum + count, 0.0);
-    for (std::size_t child : children) {
-      k.row_add(sum, coeffs + child * count, count);
-    }
-    k.row_div(sum, static_cast<double>(children.size()), count);
-    for (std::size_t child : children) {
-      k.row_sub(coeffs + child * count, sum, count);
-    }
   }
 }
 
@@ -187,28 +155,45 @@ void NominalTransform::Inverse(const double* coeffs, double* out,
 }
 
 void NominalTransform::InverseLines(std::size_t count, const double* coeffs,
-                                    double* out, double* scratch) const {
-  InverseLines(count, coeffs, out, scratch, simd::ResolveIsa());
-}
-
-void NominalTransform::InverseLines(std::size_t count, const double* coeffs,
-                                    double* out, double* scratch,
+                                    double* out, std::size_t pitch,
+                                    double* scratch,
                                     simd::IsaLevel isa) const {
   const simd::KernelTable& k = simd::Kernels(isa);
   const data::Hierarchy& h = *hierarchy_;
-  double* leafsum = scratch;
-  std::copy(coeffs + data::Hierarchy::kRoot * count,
-            coeffs + (data::Hierarchy::kRoot + 1) * count,
-            leafsum + data::Hierarchy::kRoot * count);
-  for (std::size_t id = 1; id < h.num_nodes(); ++id) {
+  const std::size_t nodes = h.num_nodes();
+  // The node panel takes a copy of the coefficients, which Refine's mean
+  // subtraction then rewrites in place; one scratch row accumulates each
+  // sibling group's sum. Children are visited in the order of the
+  // single-line Refine, so the per-line sums (and hence the subtracted
+  // means) are bit-identical.
+  double* node = scratch;
+  double* sum = scratch + nodes * count;
+  for (std::size_t id = 0; id < nodes; ++id) {
+    std::copy(coeffs + id * pitch, coeffs + id * pitch + count,
+              node + id * count);
+  }
+  for (std::size_t id = 0; id < nodes; ++id) {
+    const auto& children = h.node(id).children;
+    if (children.empty()) continue;
+    std::fill(sum, sum + count, 0.0);
+    for (std::size_t child : children) {
+      k.row_add(sum, node + child * count, count);
+    }
+    k.row_div(sum, static_cast<double>(children.size()), count);
+    for (std::size_t child : children) {
+      k.row_sub(node + child * count, sum, count);
+    }
+  }
+  // Leaf sums top-down, in place (Eq. 5 unrolled): parents precede
+  // children, so each parent row already holds its leaf sum.
+  for (std::size_t id = 1; id < nodes; ++id) {
     const std::size_t parent = h.node(id).parent;
-    k.row_add_div(leafsum + id * count, coeffs + id * count,
-                  leafsum + parent * count,
+    k.row_add_div(node + id * count, node + id * count, node + parent * count,
                   static_cast<double>(h.fanout(parent)), count);
   }
   for (std::size_t leaf = 0; leaf < h.num_leaves(); ++leaf) {
-    std::copy(leafsum + h.leaf_node(leaf) * count,
-              leafsum + (h.leaf_node(leaf) + 1) * count, out + leaf * count);
+    const double* row = node + h.leaf_node(leaf) * count;
+    std::copy(row, row + count, out + leaf * pitch);
   }
 }
 

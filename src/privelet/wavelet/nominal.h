@@ -51,31 +51,21 @@ class NominalTransform final : public Transform1D {
   void Inverse(const double* coeffs, double* out,
                double* scratch) const override;
 
-  /// Blocked panel kernels: the bottom-up/top-down leaf-sum recurrences
-  /// run node-by-node with unit-stride inner loops over the interleaved
-  /// lines; scratch holds a num_nodes x count leaf-sum panel. These
-  /// forward to the ISA-aware overloads at the ambient dispatch level
-  /// (simd::ResolveIsa()).
+  /// The batched kernel (see Transform1D): the bottom-up/top-down
+  /// leaf-sum recurrences and the sibling-group means run node by node
+  /// through the selected simd::KernelTable's element-wise row kernels,
+  /// lanes over the lines. Node order is the single-line order, so every
+  /// level is bit-identical to Forward and to Refine + Inverse. Scratch
+  /// holds a num_nodes x count node panel plus one group-sum row.
   std::size_t lines_scratch_size(std::size_t count) const override {
-    return hierarchy_->num_nodes() * count;
+    return (hierarchy_->num_nodes() + 1) * count;
   }
   void ForwardLines(std::size_t count, const double* in, double* out,
-                    double* scratch) const override;
-  void RefineLines(std::size_t count, double* coeffs,
-                   double* scratch) const override;
+                    std::size_t pitch, double* scratch,
+                    simd::IsaLevel isa) const override;
   void InverseLines(std::size_t count, const double* coeffs, double* out,
-                    double* scratch) const override;
-
-  /// Dispatched panel kernels: the per-node row combines (accumulate,
-  /// subtract-scaled-parent, group mean) run through the selected
-  /// simd::KernelTable's element-wise row kernels — node order is
-  /// untouched, so every level is bit-identical to the scalar fold.
-  void ForwardLines(std::size_t count, const double* in, double* out,
-                    double* scratch, simd::IsaLevel isa) const override;
-  void RefineLines(std::size_t count, double* coeffs, double* scratch,
-                   simd::IsaLevel isa) const override;
-  void InverseLines(std::size_t count, const double* coeffs, double* out,
-                    double* scratch, simd::IsaLevel isa) const override;
+                    std::size_t pitch, double* scratch,
+                    simd::IsaLevel isa) const override;
 
   /// Reconstruction coefficients of a range sum via the Eq. 5 expansion:
   /// a[N] = sum over leaves v in [lo, hi] under N of

@@ -14,7 +14,11 @@
 //  * p_factor() — the transform's generalized sensitivity with respect to
 //    its weight function (the paper's P(A), Sec. VI-C);
 //  * h_factor() — the transform's per-axis noise-variance factor (the
-//    paper's H(A), Sec. VI-C).
+//    paper's H(A), Sec. VI-C);
+//  * ForwardLines()/InverseLines() — the one batched kernel per direction
+//    the line engine runs: `count` lines at once, element k of line b at
+//    data[b + k * pitch], whether the lines sit in a matrix or in a
+//    gathered panel.
 #ifndef PRIVELET_WAVELET_TRANSFORM_H_
 #define PRIVELET_WAVELET_TRANSFORM_H_
 
@@ -68,57 +72,25 @@ class Transform1D {
   /// Refinement applied to noisy coefficients before Inverse. Must not use
   /// any information beyond the coefficients themselves (privacy relies on
   /// this, Sec. III-A). Default: no-op. Transforms overriding this must
-  /// also override has_refinement() (and, for full batched-engine speed,
-  /// RefineLines).
+  /// also override has_refinement() and apply the same refinement in
+  /// InverseLines.
   virtual void Refine(double* coeffs) const { (void)coeffs; }
 
-  /// Whether Refine is a non-trivial operation. The line engine skips the
-  /// whole refinement pass (including its gather/scatter) when false.
+  /// Whether Refine is a non-trivial operation. The contiguous-axis line
+  /// walk stages a line for Refine only when this is true.
   virtual bool has_refinement() const { return false; }
 
   /// Reconstructs data from (possibly refined) coefficients. Exact inverse
   /// of Forward for noise-free coefficients.
   virtual void Inverse(const double* coeffs, double* out) const = 0;
 
-  /// ---- Batched (panel) entry points ---------------------------------
-  /// The line engine transforms `count` lines at once from an interleaved
-  /// panel: element k of line b lives at data[k * count + b] (the layout
-  /// matrix::TileBuffer gathers). Each line undergoes exactly the same
-  /// floating-point operations as the single-line entry points, so batched
-  /// and per-line results are bit-identical. The defaults loop over the
-  /// panel through the single-line calls; HaarTransform, IdentityTransform,
-  /// and NominalTransform provide hand-blocked overrides whose inner loops
-  /// run unit-stride over b.
-
-  /// Elements of caller-provided scratch the *Lines entry points need for
-  /// `count` lines.
-  virtual std::size_t lines_scratch_size(std::size_t count) const;
-
-  /// Forward over `count` interleaved lines: `in` holds input_size() rows,
-  /// `out` coefficient_count() rows.
-  virtual void ForwardLines(std::size_t count, const double* in, double* out,
-                            double* scratch) const;
-
-  /// Refine over `count` interleaved coefficient lines, in place.
-  virtual void RefineLines(std::size_t count, double* coeffs,
-                           double* scratch) const;
-
-  /// Inverse over `count` interleaved lines: `coeffs` holds
-  /// coefficient_count() rows, `out` input_size() rows.
-  virtual void InverseLines(std::size_t count, const double* coeffs,
-                            double* out, double* scratch) const;
-
-  /// ---- ISA-aware entry points ---------------------------------------
-  /// The variants the line engines call: `isa` is the already-resolved
-  /// kernel level (simd::ResolveIsa, done once per axis pass) selecting
-  /// the dispatched kernel table the hot loops run on. Every level is
+  /// Single-line variants at an already-resolved kernel level `isa`
+  /// (simd::ResolveIsa, done once per axis pass). Every level is
   /// bit-identical to the scalar fold — see simd/kernels.h — so these are
   /// performance overloads, not semantic ones. The defaults ignore `isa`
-  /// and forward to the plain overloads (correct for transforms without
-  /// vector kernels, e.g. the memcpy-based identity transform);
-  /// HaarTransform and NominalTransform override them with dispatched
-  /// implementations and route their plain overloads here, so direct
-  /// callers of the plain entry points get the same dispatched kernels.
+  /// (correct for transforms without vector kernels); HaarTransform
+  /// overrides them and routes its plain overloads here at the ambient
+  /// level.
   virtual void Forward(const double* in, double* out, double* scratch,
                        simd::IsaLevel isa) const {
     (void)isa;
@@ -129,41 +101,35 @@ class Transform1D {
     (void)isa;
     Inverse(coeffs, out, scratch);
   }
-  virtual void ForwardLines(std::size_t count, const double* in, double* out,
-                            double* scratch, simd::IsaLevel isa) const {
-    (void)isa;
-    ForwardLines(count, in, out, scratch);
-  }
-  virtual void RefineLines(std::size_t count, double* coeffs, double* scratch,
-                           simd::IsaLevel isa) const {
-    (void)isa;
-    RefineLines(count, coeffs, scratch);
-  }
-  virtual void InverseLines(std::size_t count, const double* coeffs,
-                            double* out, double* scratch,
-                            simd::IsaLevel isa) const {
-    (void)isa;
-    InverseLines(count, coeffs, out, scratch);
-  }
 
-  /// ---- Strided (in-matrix) panel entry points -----------------------
-  /// For a panel of `count` lines whose base addresses are consecutive
-  /// (one run of matrix::ForEachLineRun), element k of line b lives at
-  /// data[b + k * stride] — the matrix's own storage is already an
-  /// interleaved panel with row pitch `stride`. Transforms that support
-  /// this run their batched kernels directly on the matrices, eliminating
-  /// the gather and scatter copies of the TileBuffer path. Same
-  /// per-element operations in the same order as the interleaved-panel
-  /// kernels, so the results are bit-identical; `scratch` takes
-  /// lines_scratch_size(count) elements as usual. Callers must check
-  /// SupportsStridedLines() first — the defaults abort.
-  virtual bool SupportsStridedLines() const { return false; }
-  virtual void ForwardLinesStrided(std::size_t count, const double* in,
-                                   double* out, std::size_t stride,
-                                   double* scratch, simd::IsaLevel isa) const;
-  virtual void InverseLinesStrided(std::size_t count, const double* coeffs,
-                                   double* out, std::size_t stride,
-                                   double* scratch, simd::IsaLevel isa) const;
+  /// ---- The batched line kernel --------------------------------------
+  /// Transforms `count` lines at once. Element k of line b lives at
+  /// data[b + k * pitch] (pitch >= count), in the input and the output
+  /// alike: consecutive lines along a non-contiguous matrix axis are this
+  /// layout with pitch Stride(axis), so the line engine runs the kernel on
+  /// the matrices themselves, and a gathered matrix::TileBuffer panel is
+  /// the pitch == count case. `isa` selects the dispatched kernel table.
+  /// Per line, both directions perform exactly the floating-point
+  /// operations of the single-line entry points, so the results are
+  /// bit-identical for every count, pitch and level.
+
+  /// Elements of caller-provided scratch ForwardLines/InverseLines need
+  /// for `count` lines.
+  virtual std::size_t lines_scratch_size(std::size_t count) const = 0;
+
+  /// Forward over `count` lines: `in` has input_size() rows, `out`
+  /// coefficient_count() rows.
+  virtual void ForwardLines(std::size_t count, const double* in, double* out,
+                            std::size_t pitch, double* scratch,
+                            simd::IsaLevel isa) const = 0;
+
+  /// Refine, then Inverse, over `count` lines: `coeffs` has
+  /// coefficient_count() rows, `out` input_size() rows. Never writes
+  /// `coeffs` (the refinement works on a copy in scratch), so it can read
+  /// a caller's coefficient matrix in place.
+  virtual void InverseLines(std::size_t count, const double* coeffs,
+                            double* out, std::size_t pitch, double* scratch,
+                            simd::IsaLevel isa) const = 0;
 
   /// The weight W(c) of each coefficient (all weights are > 0).
   virtual const std::vector<double>& weights() const = 0;

@@ -280,6 +280,64 @@ TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreByteForByte) {
   }
 }
 
+// The two routes of a non-contiguous axis — in core the batched kernel
+// runs on the matrices themselves, out of core on gathered panels — must
+// agree byte for byte at every kernel level, on every transform kind:
+// padded Haar (101 -> 128) and an uneven nominal hierarchy, both off the
+// contiguous last axis, and the per-line oracle agrees with both.
+TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreOnEveryAxisKind) {
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("Padded", 101));
+  attrs.push_back(data::Attribute::Nominal(
+      "Uneven", data::Hierarchy::FromGroupSizes({2, 5, 3}).value()));
+  attrs.push_back(data::Attribute::Ordinal("Last", 24));
+  const data::Schema schema(std::move(attrs));
+  const matrix::FrequencyMatrix m = RandomMatrix(schema, 29);
+  const matrix::FrequencyMatrix per_line =
+      reference::PublishPrivelet(schema, {}, m, 0.8, 57);
+  mechanism::PriveletMechanism mech;
+
+  // 24240 cells = 189 KiB of doubles: a 64 KiB budget streams every pass.
+  constexpr std::size_t kBudget = std::size_t{1} << 16;
+  common::ThreadPool pool(2);
+  std::string reference_bytes;
+  for (int lvl = 0; lvl <= static_cast<int>(simd::DetectBestIsa()); ++lvl) {
+    const std::string name(
+        simd::IsaLevelName(static_cast<simd::IsaLevel>(lvl)));
+    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                  &pool}) {
+      const std::string tag =
+          "isa " + name + (p == nullptr ? ", serial" : ", 2 threads");
+      matrix::EngineOptions in_core_options;
+      in_core_options.isa = static_cast<simd::IsaChoice>(lvl);
+      mech.set_thread_pool(p);
+      mech.set_engine_options(in_core_options);
+      auto in_core = query::PublishingSession::Publish(
+          schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, p, in_core_options);
+      ASSERT_TRUE(in_core.ok()) << in_core.status().ToString();
+      EXPECT_TRUE(matrix::ValuesEqual(per_line.values(),
+                                      in_core->published().values()))
+          << tag;
+      const std::string in_path = testing::TempDir() + "/det_routes.pvls";
+      ASSERT_TRUE(storage::SaveSession(in_path, *in_core).ok());
+
+      matrix::EngineOptions streamed_options = in_core_options;
+      streamed_options.max_memory_bytes = kBudget;
+      mech.set_engine_options(streamed_options);
+      const std::string out_path =
+          testing::TempDir() + "/det_routes_streamed.pvls";
+      auto streamed = storage::PublishToFile(out_path, schema, mech, m, 0.8,
+                                             57, p, streamed_options);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString() << " " << tag;
+      mech.set_thread_pool(nullptr);
+
+      if (reference_bytes.empty()) reference_bytes = FileBytes(in_path);
+      EXPECT_EQ(reference_bytes, FileBytes(in_path)) << "in core, " << tag;
+      EXPECT_EQ(reference_bytes, FileBytes(out_path)) << "streamed, " << tag;
+    }
+  }
+}
+
 // Extends the serving sweep across the mmap boundary: the zero-copy
 // mapped session must answer bit-identically to the legacy copy-loaded
 // session, under every pool size — the storage mode of the prefix table

@@ -7,6 +7,7 @@
 // the event loop, the store, and client threads together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -386,6 +387,34 @@ TEST_F(DaemonTest, ControlVerbsAndErrorsKeepTheConnectionAlive) {
   // QUIT drains and closes from the server side.
   ASSERT_TRUE(client.Send("QUIT\n"));
   EXPECT_TRUE(client.AtEof());
+}
+
+TEST_F(DaemonTest, TextBatchCountsAsOneRequest) {
+  StartServer();
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+  std::string header;
+  std::vector<std::string> payload;
+
+  // A text batch is one request, like a binary one: the header line and
+  // its predicate lines do not count separately.
+  ASSERT_TRUE(client.Send("BATCH r0 2\n*\n*\n"));
+  ASSERT_TRUE(client.ReadResponse(&header, &payload));
+  EXPECT_EQ(header, "ok 2");
+  ASSERT_TRUE(client.Send("STATS\n"));
+  ASSERT_TRUE(client.ReadResponse(&header, &payload));
+  EXPECT_NE(std::find(payload.begin(), payload.end(), "requests 2"),
+            payload.end())
+      << "STATS lacks the line 'requests 2'";
+  EXPECT_EQ(server_->stats().requests, 2u);
+  EXPECT_EQ(server_->stats().failures, 0u);
+
+  // A header rejected by validation counts once, with its failure.
+  ASSERT_TRUE(client.Send("BATCH r0 0\n"));
+  ASSERT_TRUE(client.ReadResponse(&header, &payload));
+  EXPECT_EQ(header.rfind("error:", 0), 0u) << header;
+  EXPECT_EQ(server_->stats().requests, 3u);
+  EXPECT_EQ(server_->stats().failures, 1u);
 }
 
 TEST_F(DaemonTest, ReloadHotSwapsUnderLiveTraffic) {

@@ -3,22 +3,28 @@
 // (including the scalar tails past the last full vector), and the
 // dispatcher resolves requests by the documented rules — env var
 // vocabulary, clamping to host capability, options override. Also pins
-// the strided-panel Haar paths (which feed matrix storage straight to the
-// kernels) against the per-line reference, and the batched counter-based
-// Laplace draws against their per-index definition (rng/laplace.h).
+// every transform's batched line kernel (which runs on matrix storage at
+// a row pitch) against the single-line transform, and the batched
+// counter-based Laplace draws against their per-index definition
+// (rng/laplace.h).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "privelet/rng/laplace.h"
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/simd/dispatch.h"
 #include "privelet/simd/kernels.h"
+#include "privelet/data/hierarchy.h"
 #include "privelet/wavelet/haar.h"
+#include "privelet/wavelet/identity.h"
+#include "privelet/wavelet/nominal.h"
 
 namespace privelet {
 namespace {
@@ -289,58 +295,74 @@ TEST(SimdDispatchTest, ResolveClampsToHostAndHonorsOverrides) {
   ASSERT_EQ(0, unsetenv("PRIVELET_ISA"));
 }
 
-// The strided-panel entry points read lines laid out directly in matrix
-// storage (element k of line b at data[b + k * stride]). Their contract:
-// available exactly when no padding is needed, and bit-identical, line
-// for line, to the single-line transform at the same level — for every
-// level, lane count, and stride >= count.
-TEST(SimdStridedPanelTest, StridedLinesMatchPerLineTransform) {
-  for (const std::size_t n : {2ul, 4ul, 8ul, 64ul, 128ul}) {
-    const wavelet::HaarTransform t(n);
-    ASSERT_TRUE(t.SupportsStridedLines());
-    for (const std::size_t count : {1ul, 3ul, 8ul, 17ul}) {
-      for (const std::size_t stride : {count, count + 5}) {
-        const std::vector<double> data = RandomDoubles(stride * n, 31);
-        for (const IsaLevel level : HostLevels()) {
-          std::vector<double> out(stride * n, 0.0);
-          std::vector<double> scratch(t.lines_scratch_size(count));
-          t.ForwardLinesStrided(count, data.data(), out.data(), stride,
-                                scratch.data(), level);
+// The batched kernel reads and writes lines at a row pitch (element k of
+// line b at data[b + k * pitch]): matrix storage in core, a gathered
+// panel (pitch == count) out of core. Its contract, for every transform,
+// level, lane count and pitch >= count: ForwardLines is the single-line
+// Forward and InverseLines the single-line Refine + Inverse, line for
+// line and bit for bit, and InverseLines leaves its coefficients alone.
+TEST(SimdPitchedLinesTest, PitchedLinesMatchPerLineTransform) {
+  std::vector<std::unique_ptr<wavelet::Transform1D>> transforms;
+  for (const std::size_t n : {1ul, 2ul, 3ul, 37ul, 101ul, 128ul}) {
+    transforms.push_back(std::make_unique<wavelet::HaarTransform>(n));
+  }
+  transforms.push_back(std::make_unique<wavelet::NominalTransform>(
+      std::make_shared<const data::Hierarchy>(
+          data::Hierarchy::FromGroupSizes({2, 5, 3}).value())));
+  transforms.push_back(std::make_unique<wavelet::IdentityTransform>(6));
 
-          std::vector<double> line(n), want(n), got(n),
-              line_scratch(t.scratch_size());
+  for (const auto& t : transforms) {
+    const std::size_t n = t->input_size();
+    const std::size_t m = t->coefficient_count();
+    std::vector<double> line(m), want(m), got(m), want_back(n), got_back(n),
+        line_scratch(t->scratch_size());
+    for (const std::size_t count : {1ul, 3ul, 17ul}) {
+      for (const std::size_t pitch : {count, count + 5}) {
+        const std::vector<double> data = RandomDoubles(pitch * n, 31);
+        const std::vector<double> noise = RandomDoubles(pitch * m, 37);
+        for (const IsaLevel level : HostLevels()) {
+          const auto where = [&](const char* what, std::size_t b) {
+            return std::string(what) + " line " + std::to_string(b) + ", " +
+                   std::string(t->name()) + " n " + std::to_string(n) +
+                   ", count " + std::to_string(count) + ", pitch " +
+                   std::to_string(pitch) + ", level " +
+                   std::to_string(static_cast<int>(level));
+          };
+          std::vector<double> scratch(t->lines_scratch_size(count));
+          std::vector<double> coeffs(pitch * m, 0.0);
+          t->ForwardLines(count, data.data(), coeffs.data(), pitch,
+                          scratch.data(), level);
           for (std::size_t b = 0; b < count; ++b) {
-            for (std::size_t k = 0; k < n; ++k) line[k] = data[b + k * stride];
-            t.Forward(line.data(), want.data(), line_scratch.data(), level);
-            for (std::size_t k = 0; k < n; ++k) got[k] = out[b + k * stride];
-            ASSERT_EQ(want, got)
-                << "forward line " << b << ", n " << n << ", count " << count
-                << ", stride " << stride << ", level "
-                << static_cast<int>(level);
+            for (std::size_t k = 0; k < n; ++k) line[k] = data[b + k * pitch];
+            t->Forward(line.data(), want.data(), line_scratch.data(), level);
+            for (std::size_t k = 0; k < m; ++k) got[k] = coeffs[b + k * pitch];
+            ASSERT_EQ(want, got) << where("forward", b);
           }
 
-          // Inverse: feed the forward coefficients back through the
-          // strided path and compare with the per-line inverse.
-          std::vector<double> back(stride * n, 0.0);
-          t.InverseLinesStrided(count, out.data(), back.data(), stride,
-                                scratch.data(), level);
+          // Inverse: perturb the coefficients (so the nominal refinement
+          // has work to do), then compare with per-line Refine + Inverse.
+          for (std::size_t i = 0; i < coeffs.size(); ++i) coeffs[i] += noise[i];
+          const std::vector<double> before = coeffs;
+          std::vector<double> back(pitch * n, 0.0);
+          t->InverseLines(count, coeffs.data(), back.data(), pitch,
+                          scratch.data(), level);
+          ASSERT_EQ(0, std::memcmp(before.data(), coeffs.data(),
+                                   coeffs.size() * sizeof(double)))
+              << where("coefficients written by inverse", 0);
           for (std::size_t b = 0; b < count; ++b) {
-            for (std::size_t k = 0; k < n; ++k) line[k] = out[b + k * stride];
-            t.Inverse(line.data(), want.data(), line_scratch.data(), level);
-            for (std::size_t k = 0; k < n; ++k) got[k] = back[b + k * stride];
-            ASSERT_EQ(want, got)
-                << "inverse line " << b << ", n " << n << ", count " << count
-                << ", stride " << stride << ", level "
-                << static_cast<int>(level);
+            for (std::size_t k = 0; k < m; ++k) line[k] = coeffs[b + k * pitch];
+            t->Refine(line.data());
+            t->Inverse(line.data(), want_back.data(), line_scratch.data(),
+                       level);
+            for (std::size_t k = 0; k < n; ++k) {
+              got_back[k] = back[b + k * pitch];
+            }
+            ASSERT_EQ(want_back, got_back) << where("inverse", b);
           }
         }
       }
     }
   }
-  // Padded sizes have no strided path: the padding rows would have no
-  // matrix storage to read.
-  EXPECT_FALSE(wavelet::HaarTransform(37).SupportsStridedLines());
-  EXPECT_FALSE(wavelet::HaarTransform(3).SupportsStridedLines());
 }
 
 }  // namespace

@@ -31,9 +31,8 @@
 namespace privelet {
 namespace {
 
-// One EngineOptions per kernel level the host runs: the scalar level
-// takes the gather/transform/scatter panels, the vector levels the
-// strided in-place kernels.
+// One EngineOptions per kernel level the host runs; every level runs the
+// strided axes through the batched kernel on the matrices themselves.
 std::vector<matrix::EngineOptions> IsaOptions() {
   std::vector<matrix::EngineOptions> all;
   for (int lvl = 0; lvl <= static_cast<int>(simd::DetectBestIsa()); ++lvl) {
