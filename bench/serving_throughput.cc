@@ -1,6 +1,6 @@
 // Serving-path benchmark: memory-mapped (zero-copy) release loading
 // against the legacy copy loader, plus steady-state answer throughput on
-// both — the acceptance harness for the PVLS v2 / MappedSnapshot read
+// both — the acceptance harness for the PVLS / MappedSnapshot read
 // side. Prints one table and drops BENCH_serving_throughput.json with
 // one row per mode (mmap = 1 for MapSession, 0 for LoadSession).
 //
@@ -232,13 +232,11 @@ int Run(bool smoke) {
 
   // The acceptance property is structural, not a timing artifact: a
   // mapped session must serve from a span view into the file's pages —
-  // no materialized matrix, no owned table copy.
+  // no owned table copy.
   auto mapped_session = storage::MapSession(path, &pool);
   PRIVELET_CHECK(mapped_session.ok(), "MapSession failed");
   PRIVELET_CHECK(mapped_session->prefix_table().is_view(),
                  "mapped session did not adopt the table as a zero-copy view");
-  PRIVELET_CHECK(!mapped_session->has_published(),
-                 "mapped session materialized the release matrix");
 
   // Steady-state multi-release serving through the store: after the
   // first Acquire every call is a catalog hit, so this isolates the

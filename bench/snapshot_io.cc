@@ -1,10 +1,10 @@
 // Snapshot economics: the whole point of a durable release artifact is
 // that a serving process pays an O(file) load instead of an O(publish)
 // recompute. This harness publishes a release on the scalability schema,
-// then times (a) SaveSession, (b) LoadSession with the stored prefix
-// table, (c) LoadSession when the snapshot carries no table (forced
-// rebuild), against the publish itself — and verifies all paths answer a
-// probe workload bit-identically. It also times the CRC-32 that every
+// then times (a) SaveSession, (b) LoadSession, which copies the stored
+// prefix table, (c) MapSession, which adopts it in place, against the
+// publish itself — and verifies all paths answer a probe workload
+// bit-identically. It also times the CRC-32 that every
 // save, copy load and mapped open pays, against memcpy over the same
 // buffer: crc_over_memcpy is scale-free, so CI gates it
 // (bench/baselines/manifest.json) and a byte-at-a-time CRC fails the
@@ -121,27 +121,21 @@ int main(int argc, char** argv) {
   PRIVELET_CHECK(expected == loaded->AnswerAll(*workload),
                  "loaded session answers diverge");
 
-  // Strip the table to time the rebuild path a foreign-accumulator (or
-  // table-less) snapshot would take.
-  storage::ReleaseSnapshot bare = session->ToSnapshot();
-  bare.prefix.reset();
-  PRIVELET_CHECK(storage::WriteSnapshot(path, bare).ok(),
-                 "table-less snapshot save failed");
-  Stopwatch rebuild_watch;
-  auto rebuilt = storage::LoadSession(path, &pool);
-  const double load_rebuild_s = rebuild_watch.ElapsedSeconds();
-  PRIVELET_CHECK(rebuilt.ok(), rebuilt.status().ToString());
-  PRIVELET_CHECK(expected == rebuilt->AnswerAll(*workload),
-                 "rebuilt session answers diverge");
+  Stopwatch map_watch;
+  auto mapped = storage::MapSession(path, &pool);
+  const double map_s = map_watch.ElapsedSeconds();
+  PRIVELET_CHECK(mapped.ok(), mapped.status().ToString());
+  PRIVELET_CHECK(expected == mapped->AnswerAll(*workload),
+                 "mapped session answers diverge");
 
   auto info = storage::InspectSnapshot(path);
   PRIVELET_CHECK(info.ok(), info.status().ToString());
 
   const CrcThroughput crc = MeasureCrcThroughput();
 
-  std::printf("cells=%zu publish=%.3fs save=%.3fs load=%.3fs "
-              "load+rebuild=%.3fs (%.1fx publish -> load speedup)\n",
-              m.size(), publish_s, save_s, load_s, load_rebuild_s,
+  std::printf("cells=%zu publish=%.3fs save=%.3fs load=%.3fs map=%.3fs "
+              "(%.1fx publish -> load speedup)\n",
+              m.size(), publish_s, save_s, load_s, map_s,
               publish_s / (load_s > 0 ? load_s : 1e-9));
   std::printf("crc32 %.0f MB/s, memcpy %.0f MB/s (crc/memcpy %.3f)\n",
               crc.crc_mb_per_s, crc.memcpy_mb_per_s,
@@ -152,7 +146,7 @@ int main(int argc, char** argv) {
                  {"publish_s", publish_s},
                  {"save_s", save_s},
                  {"load_s", load_s},
-                 {"load_rebuild_s", load_rebuild_s},
+                 {"map_s", map_s},
                  {"file_mb", static_cast<double>(info->file_bytes) / 1e6},
                  {"crc_mb_per_s", crc.crc_mb_per_s},
                  {"memcpy_mb_per_s", crc.memcpy_mb_per_s},

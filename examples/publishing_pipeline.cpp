@@ -25,13 +25,13 @@
 #include "privelet/data/census_generator.h"
 #include "privelet/data/csv.h"
 #include "privelet/matrix/frequency_matrix.h"
+#include "privelet/matrix/prefix_sum.h"
 #include "privelet/mechanism/postprocess.h"
 #include "privelet/mechanism/privelet_mechanism.h"
 #include "privelet/query/evaluator.h"
 #include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 #include "privelet/storage/session_io.h"
-#include "privelet/storage/snapshot.h"
 
 using namespace privelet;
 
@@ -89,19 +89,18 @@ int main() {
   if (!noisy.ok()) return 1;
   mechanism::RoundToIntegers(&*noisy);
   // Persist as a PVLS snapshot with provenance. Post-processing happened
-  // between Publish and here, so assemble the snapshot explicitly rather
-  // than going through a session's SaveSession (the table-less snapshot
-  // lets the serving side build the prefix table once, at load).
-  storage::ReleaseSnapshot snapshot;
-  snapshot.schema = schema;
-  snapshot.mechanism = std::string(mech.name());
-  snapshot.epsilon = epsilon;
-  snapshot.seed = 2026;
-  snapshot.published = std::move(*noisy);
-  if (!storage::WriteSnapshot(release_path, snapshot).ok()) return 1;
+  // between Publish and here, so wrap the rounded release's prefix table
+  // in a session explicitly and save that. The seed stays out of the
+  // file: whoever holds it can regenerate the noise.
+  auto release = query::PublishingSession::FromParts(
+      schema, matrix::PrefixSumTable<double>(*noisy, &pool),
+      {std::string(mech.name()), epsilon, query::PublishMode::kInCore,
+       /*plan=*/std::nullopt},
+      &pool);
+  if (!release.ok()) return 1;
+  if (!storage::SaveSession(release_path, *release).ok()) return 1;
   std::printf("release snapshot written to %s (%.1f MB)\n\n", release_path,
-              static_cast<double>(snapshot.published.size() *
-                                  sizeof(double)) / 1e6);
+              static_cast<double>(noisy->size() * sizeof(double)) / 1e6);
 
   // --- analyst side -----------------------------------------------------
   // Serve the snapshot in place: MapSession memory-maps the file, checks
@@ -111,10 +110,9 @@ int main() {
   // pool, and is safe to share between serving threads.
   auto session = storage::MapSession(release_path, &pool);
   if (!session.ok()) return 1;
-  std::printf("mapped release: mechanism=%s epsilon=%g seed=%llu\n",
+  std::printf("mapped release: mechanism=%s epsilon=%g\n",
               session->metadata().mechanism.c_str(),
-              session->metadata().epsilon,
-              static_cast<unsigned long long>(session->metadata().seed));
+              session->metadata().epsilon);
   query::QueryEvaluator truth(schema, m);  // for demonstration only
 
   std::printf("%-44s %10s %10s %12s\n", "query", "true", "private",

@@ -18,10 +18,10 @@ std::string ErrnoMessage() {
 #endif
 }
 
-int OpenRetry(const char* path, int flags) {
+int OpenRetry(const char* path, int flags, unsigned mode) {
   int fd;
   do {
-    fd = ::open(path, flags);
+    fd = ::open(path, flags, static_cast<mode_t>(mode));
   } while (fd < 0 && errno == EINTR);
   return fd;
 }

@@ -20,8 +20,9 @@ namespace privelet::common {
 /// POSIX-variant tolerant).
 std::string ErrnoMessage();
 
-/// open(2) retried on EINTR. Returns the fd, or -1 with errno set.
-int OpenRetry(const char* path, int flags);
+/// open(2) retried on EINTR; `mode` applies when `flags` creates the
+/// file. Returns the fd, or -1 with errno set.
+int OpenRetry(const char* path, int flags, unsigned mode = 0);
 
 /// close(2) ignoring EINTR (POSIX leaves the fd state unspecified after
 /// EINTR; retrying close risks double-closing a recycled descriptor, so

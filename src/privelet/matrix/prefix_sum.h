@@ -12,8 +12,8 @@
 //     out-of-core publish path can build a table many times larger than
 //     the memory budget (same arithmetic, hence bit-identical entries);
 //   view    — the View factory serves lookups straight out of caller-
-//     managed memory (the raw binary64 section of a memory-mapped PVLS
-//     v2 snapshot), so adopting a multi-GB table costs no copy at all.
+//     managed memory (the binary64 table section of a memory-mapped PVLS
+//     snapshot), so adopting a multi-GB table costs no copy at all.
 // The caller of View guarantees the backing storage outlives the table
 // and every copy of it (storage::MappedSnapshot is kept alive by the
 // owning PublishingSession).
@@ -68,9 +68,7 @@ class PrefixSumTable {
       : PrefixSumTable(source.dims(), source.values(), pool, options) {}
 
   /// Same build over raw row-major values with the given dims (the
-  /// product of `dims` must equal source.size()). Lets a serving process
-  /// rebuild the table straight from a mapped snapshot's matrix section
-  /// without materializing a FrequencyMatrix copy first.
+  /// product of `dims` must equal source.size()).
   PrefixSumTable(std::vector<std::size_t> dims, std::span<const double> source,
                  common::ThreadPool* pool = nullptr,
                  const EngineOptions& options = {})
@@ -120,9 +118,9 @@ class PrefixSumTable {
   /// product(dims) flat (row-major) entries of a previously built table
   /// over a matrix with the given dims, in the layout raw_sums() exposes
   /// (the caller has already validated the product against overflow).
-  /// Used by storage/snapshot.cc so a serving process can skip the O(m)
-  /// rebuild; the entries themselves are trusted — integrity is the
-  /// snapshot CRC's job.
+  /// Used by storage::LoadSession to own a copy of a snapshot's table;
+  /// the entries themselves are trusted — integrity is the snapshot
+  /// CRC's job.
   PrefixSumTable(std::vector<std::size_t> dims, std::unique_ptr<Accum[]> sums)
       : dims_(std::move(dims)), owned_(std::move(sums)) {
     InitStrides();
@@ -131,8 +129,8 @@ class PrefixSumTable {
     data_ = {owned_.get(), NumCells()};
   }
 
-  /// Non-owning view over externally stored entries (the raw binary64
-  /// section of a mapped PVLS v2 snapshot): lookups read `view` directly,
+  /// Non-owning view over externally stored entries (the binary64 table
+  /// section of a mapped PVLS snapshot): lookups read `view` directly,
   /// so adoption is O(1) with no copy. Entries are trusted like the parts
   /// constructor's; the backing storage must outlive this table and every
   /// table copied from it.

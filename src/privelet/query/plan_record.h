@@ -1,5 +1,5 @@
 // PlanRecord: the provenance of a workload-adaptive mechanism choice,
-// carried in ReleaseMetadata and round-tripped through PVLS v3 snapshots.
+// carried in ReleaseMetadata and round-tripped through the plan section of PVLS snapshots.
 // Deliberately flat (strings + numbers, no pointers into the planner's
 // candidate structures) so the storage layer can serialize it without
 // depending on the analysis module.

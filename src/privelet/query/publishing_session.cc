@@ -6,32 +6,13 @@ namespace privelet::query {
 
 PublishingSession::PublishingSession(
     std::shared_ptr<const data::Schema> schema,
-    std::shared_ptr<const matrix::FrequencyMatrix> published,
     std::shared_ptr<const QueryEvaluator> evaluator, ReleaseMetadata metadata,
     common::ThreadPool* pool, std::shared_ptr<const void> mapping)
     : schema_(std::move(schema)),
-      published_(std::move(published)),
       mapping_(std::move(mapping)),
       evaluator_(std::move(evaluator)),
       metadata_(std::move(metadata)),
       pool_(pool) {}
-
-PublishingSession PublishingSession::BuildOwned(
-    data::Schema schema, matrix::FrequencyMatrix published,
-    std::optional<matrix::PrefixSumTable<double>> table,
-    ReleaseMetadata metadata, common::ThreadPool* pool,
-    const matrix::EngineOptions& options) {
-  auto schema_ptr = std::make_shared<const data::Schema>(std::move(schema));
-  auto matrix_ptr = std::make_shared<const matrix::FrequencyMatrix>(
-      std::move(published));
-  auto evaluator = table.has_value()
-                       ? std::make_shared<const QueryEvaluator>(
-                             *schema_ptr, std::move(*table))
-                       : std::make_shared<const QueryEvaluator>(
-                             *schema_ptr, *matrix_ptr, pool, options);
-  return PublishingSession(std::move(schema_ptr), std::move(matrix_ptr),
-                           std::move(evaluator), std::move(metadata), pool);
-}
 
 Result<PublishingSession> PublishingSession::Publish(
     const data::Schema& schema, const mechanism::Mechanism& mech,
@@ -39,45 +20,39 @@ Result<PublishingSession> PublishingSession::Publish(
     common::ThreadPool* pool, const matrix::EngineOptions& options) {
   PRIVELET_ASSIGN_OR_RETURN(matrix::FrequencyMatrix published,
                             mech.Publish(schema, m, epsilon, seed));
-  ReleaseMetadata metadata{std::string(mech.name()), epsilon, seed,
+  ReleaseMetadata metadata{std::string(mech.name()), epsilon,
                            options.out_of_core() ? PublishMode::kStreamed
                                                  : PublishMode::kInCore,
                            /*plan=*/std::nullopt};
-  return BuildOwned(schema, std::move(published), std::nullopt,
-                    std::move(metadata), pool, options);
+  return FromParts(schema,
+                   matrix::PrefixSumTable<double>(published, pool, options),
+                   std::move(metadata), pool);
 }
 
 Result<PublishingSession> PublishingSession::FromMatrix(
-    const data::Schema& schema, matrix::FrequencyMatrix published,
+    const data::Schema& schema, const matrix::FrequencyMatrix& published,
     common::ThreadPool* pool, const matrix::EngineOptions& options) {
   if (published.dims() != schema.DomainSizes()) {
     return Status::InvalidArgument(
         "published matrix dims do not match the schema");
   }
-  return BuildOwned(schema, std::move(published), std::nullopt,
-                    ReleaseMetadata{}, pool, options);
+  return FromParts(schema,
+                   matrix::PrefixSumTable<double>(published, pool, options),
+                   ReleaseMetadata{}, pool);
 }
 
 Result<PublishingSession> PublishingSession::FromParts(
-    const data::Schema& schema, matrix::FrequencyMatrix published,
-    matrix::PrefixSumTable<double> table, ReleaseMetadata metadata,
-    common::ThreadPool* pool, const matrix::EngineOptions& options) {
-  if (published.dims() != schema.DomainSizes()) {
+    const data::Schema& schema, matrix::PrefixSumTable<double> table,
+    ReleaseMetadata metadata, common::ThreadPool* pool) {
+  if (table.dims() != schema.DomainSizes()) {
     return Status::InvalidArgument(
-        "published matrix dims do not match the schema");
+        "prefix-sum table dims do not match the schema");
   }
-  if (table.dims() != published.dims()) {
-    return Status::InvalidArgument(
-        "prefix-sum table dims do not match the published matrix");
-  }
-  return BuildOwned(schema, std::move(published), std::move(table),
-                    std::move(metadata), pool, options);
-}
-
-const matrix::FrequencyMatrix& PublishingSession::published() const {
-  PRIVELET_CHECK(published_ != nullptr,
-                 "mapped session does not materialize the release matrix");
-  return *published_;
+  auto schema_ptr = std::make_shared<const data::Schema>(schema);
+  auto evaluator =
+      std::make_shared<const QueryEvaluator>(*schema_ptr, std::move(table));
+  return PublishingSession(std::move(schema_ptr), std::move(evaluator),
+                           std::move(metadata), pool);
 }
 
 double PublishingSession::Answer(const RangeQuery& query) const {

@@ -6,15 +6,16 @@
 // concurrently, and AnswerAll additionally fans a batch across a worker
 // pool.
 //
-// Releases outlive processes: ToSnapshot / FromSnapshot (implemented in
-// storage/session_io.cc, which also provides the file-level
-// SaveSession / LoadSession) round-trip a session through the PVLS
-// snapshot format, so a serving process loads a release — including its
-// precomputed prefix-sum table — instead of re-running the publish.
-// FromMapped goes one step further: the session serves straight out of a
-// memory-mapped v2 snapshot (storage::MappedSnapshot) with zero copies —
-// the evaluator's table is a span view into the file's pages, kept alive
-// by the session. See docs/ARCHITECTURE.md for the publish → snapshot →
+// A session is a schema, the release's prefix-sum table, the release
+// metadata and, for a mapped session, the mapping that holds the table.
+// Every answer is a range sum over that table, so the noisy matrix a
+// publish produces is dropped once its table is built.
+//
+// Releases outlive processes: storage/session_io.h saves a session's
+// table to a PVLS snapshot (SaveSession) and loads it back by copy
+// (LoadSession) or in place (MapSession → FromMapped, where the
+// evaluator's table is a span view into the file's pages, kept alive by
+// the session). See docs/ARCHITECTURE.md for the publish → snapshot →
 // serve dataflow.
 #ifndef PRIVELET_QUERY_PUBLISHING_SESSION_H_
 #define PRIVELET_QUERY_PUBLISHING_SESSION_H_
@@ -39,7 +40,6 @@
 #include "privelet/query/range_query.h"
 
 namespace privelet::storage {
-struct ReleaseSnapshot;
 class MappedSnapshot;
 }  // namespace privelet::storage
 
@@ -59,21 +59,22 @@ enum class PublishMode {
 /// Provenance of a published release, carried by the session and
 /// persisted in its snapshot (publish_mode excepted — see PublishMode).
 /// Publish() records the real values; sessions wrapped around a bare
-/// matrix (FromMatrix) report the defaults below.
+/// matrix (FromMatrix) report the defaults below. The noise seed is not
+/// part of it: whoever holds the seed can regenerate the noise.
 struct ReleaseMetadata {
   std::string mechanism;   ///< Mechanism::name() of the publisher; "" unknown
   double epsilon = 0.0;    ///< privacy budget; 0 unknown
-  std::uint64_t seed = 0;  ///< publish seed; 0 when unknown
   PublishMode publish_mode = PublishMode::kUnknown;  ///< in-memory only
   /// Workload-adaptive planner decision behind this release (nullopt for
-  /// releases published without --auto-plan). Persisted: snapshots with a
-  /// plan are written as PVLS v3, plan-less ones stay byte-identical v2.
+  /// releases published without --auto-plan); persisted in the
+  /// snapshot's plan section.
   std::optional<PlanRecord> plan;
 };
 
 class PublishingSession {
  public:
-  /// Publishes `m` under `mech` at (epsilon, seed) and wraps the release.
+  /// Publishes `m` under `mech` at (epsilon, seed) and wraps the release:
+  /// the noisy matrix is summed into the prefix table and then dropped.
   /// `pool` is used for batched answering and the prefix-sum build (and is
   /// handed to nothing else — configure parallel publishing on the
   /// mechanism via set_thread_pool). Not owned; may be nullptr (serial
@@ -87,68 +88,40 @@ class PublishingSession {
       common::ThreadPool* pool = nullptr,
       const matrix::EngineOptions& options = {});
 
-  /// Wraps an already-published release (e.g. loaded from disk). The
-  /// matrix dims must match the schema's domain sizes. The provenance is
-  /// unknown (default ReleaseMetadata).
+  /// Wraps an already-published release matrix by building its prefix
+  /// table (the matrix is not kept). The matrix dims must match the
+  /// schema's domain sizes. The provenance is unknown (default
+  /// ReleaseMetadata).
   static Result<PublishingSession> FromMatrix(
-      const data::Schema& schema, matrix::FrequencyMatrix published,
+      const data::Schema& schema, const matrix::FrequencyMatrix& published,
       common::ThreadPool* pool = nullptr,
       const matrix::EngineOptions& options = {});
 
-  /// Wraps a fully materialized release: matrix plus its already-built
-  /// prefix-sum table (dims of both must match the schema) — the
-  /// skip-the-O(m)-rebuild path behind FromSnapshot. The table entries
-  /// are trusted to be the prefix sums of `published`.
+  /// Wraps an already-built prefix-sum table, whose dims must match the
+  /// schema's domain sizes — the path behind LoadSession and
+  /// PublishToFile. The entries are trusted to be a release's prefix sums.
   static Result<PublishingSession> FromParts(
-      const data::Schema& schema, matrix::FrequencyMatrix published,
-      matrix::PrefixSumTable<double> table, ReleaseMetadata metadata,
-      common::ThreadPool* pool = nullptr,
-      const matrix::EngineOptions& options = {});
+      const data::Schema& schema, matrix::PrefixSumTable<double> table,
+      ReleaseMetadata metadata, common::ThreadPool* pool = nullptr);
 
-  /// Rebuilds a serving session from a decoded release snapshot, reusing
-  /// the snapshot's prefix table when present and rebuilding it (with
-  /// `pool`) otherwise. Answers are bit-identical either way. Implemented
-  /// in storage/session_io.cc — the storage layer sits above query in the
-  /// dependency order.
-  static Result<PublishingSession> FromSnapshot(
-      storage::ReleaseSnapshot snapshot, common::ThreadPool* pool = nullptr);
-
-  /// Wraps a memory-mapped v2 snapshot as a zero-copy serving session:
-  /// when the mapping carries an adoptable prefix table, the evaluator
-  /// views the file's pages directly (no O(m) copy or rebuild — opening
-  /// is O(header + CRC)); otherwise the table is rebuilt from the mapped
-  /// matrix values, still without materializing a matrix copy. The
-  /// session shares ownership of the mapping, which therefore stays
-  /// alive until the last session (and evaluator) using it is gone.
-  /// Mapped sessions do not materialize the release matrix:
-  /// has_published() is false. Implemented in storage/session_io.cc.
+  /// Wraps a memory-mapped snapshot as a zero-copy serving session: the
+  /// evaluator views the file's table pages directly (no O(m) copy or
+  /// rebuild — opening is O(header + CRC)). The session shares ownership
+  /// of the mapping, which therefore stays alive until the last session
+  /// (and evaluator) using it is gone. Implemented in
+  /// storage/session_io.cc.
   static Result<PublishingSession> FromMapped(
       std::shared_ptr<const storage::MappedSnapshot> mapped,
       common::ThreadPool* pool = nullptr);
 
-  /// Deep-copies this session's release into an owning snapshot (schema,
-  /// metadata, matrix, prefix table). To persist without the copy, use
-  /// storage::SaveSession, which streams straight from the live session.
-  /// Requires has_published() (a mapped session is already a file).
-  /// Implemented in storage/session_io.cc.
-  storage::ReleaseSnapshot ToSnapshot() const;
-
   const data::Schema& schema() const { return *schema_; }
 
-  /// Whether this session materializes the release matrix. True for every
-  /// construction path except FromMapped.
-  bool has_published() const { return published_ != nullptr; }
-
-  /// The release matrix. PRIVELET_CHECKs has_published() — mapped
-  /// sessions serve from the snapshot's pages and hold no matrix object.
-  const matrix::FrequencyMatrix& published() const;
-
-  /// Provenance of the release (mechanism id, epsilon, seed).
+  /// Provenance of the release (mechanism id, epsilon, plan).
   const ReleaseMetadata& metadata() const { return metadata_; }
 
   /// Attaches the workload-planner decision behind this release to its
-  /// provenance. Call after Publish and before SaveSession/ToSnapshot so
-  /// the snapshot (PVLS v3) round-trips it.
+  /// provenance. Call after Publish and before SaveSession so the
+  /// snapshot's plan section round-trips it.
   void set_plan(PlanRecord plan) { metadata_.plan = std::move(plan); }
 
   /// The serving prefix-sum table (what snapshots persist). For mapped
@@ -176,30 +149,16 @@ class PublishingSession {
 
  private:
   PublishingSession(std::shared_ptr<const data::Schema> schema,
-                    std::shared_ptr<const matrix::FrequencyMatrix> published,
                     std::shared_ptr<const QueryEvaluator> evaluator,
                     ReleaseMetadata metadata, common::ThreadPool* pool,
                     std::shared_ptr<const void> mapping = nullptr);
 
-  /// Shared assembly behind every matrix-owning factory: heap-holds the
-  /// schema and matrix, builds the evaluator (adopting `table` when
-  /// present, else the O(m) build on `pool` under `options`). Dims have
-  /// already been validated by the caller. Takes the schema by value so
-  /// load paths that own one (FromSnapshot) move instead of copying.
-  static PublishingSession BuildOwned(
-      data::Schema schema, matrix::FrequencyMatrix published,
-      std::optional<matrix::PrefixSumTable<double>> table,
-      ReleaseMetadata metadata, common::ThreadPool* pool,
-      const matrix::EngineOptions& options);
-
-  // Heap-held so moves of the session never invalidate the references the
-  // evaluator keeps into schema and matrix. `published_` is null for
-  // mapped sessions; `mapping_` pins the MappedSnapshot (and with it the
-  // pages the evaluator's table views) for the session's lifetime —
-  // declared before `evaluator_` so destruction unmaps only after the
-  // evaluator (whose table may view the mapped pages) is gone.
+  // Heap-held so moves of the session never invalidate the reference the
+  // evaluator keeps into the schema. `mapping_` pins the MappedSnapshot
+  // (and with it the pages the evaluator's table views) of a mapped
+  // session — declared before `evaluator_` so destruction unmaps only
+  // after the evaluator is gone.
   std::shared_ptr<const data::Schema> schema_;
-  std::shared_ptr<const matrix::FrequencyMatrix> published_;
   std::shared_ptr<const void> mapping_;
   std::shared_ptr<const QueryEvaluator> evaluator_;
   ReleaseMetadata metadata_;

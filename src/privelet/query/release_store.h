@@ -4,7 +4,7 @@
 // releases — so the store maps release ids to snapshot paths and turns
 // them into live PublishingSessions lazily: a release costs nothing until
 // its first query, snapshots are memory-mapped in place (zero-copy,
-// O(header + CRC) open for v2/v3), and an optional LRU bound caps how
+// O(header + CRC) open), and an optional LRU bound caps how
 // many stay resident. Sessions are handed out as shared_ptrs, so eviction never
 // yanks a release out from under an in-flight batch — the mapping is
 // unmapped when the last borrower drops it.
@@ -43,8 +43,7 @@ class ReleaseStore {
     /// a load pushes the count past the bound, the least recently used
     /// resident releases are evicted (never the one just loaded).
     std::size_t max_resident = 0;
-    /// Pool for batched answering and for table rebuilds on snapshots
-    /// without an adoptable table. Not owned; may be nullptr (serial) and
+    /// Pool for batched answering. Not owned; may be nullptr (serial) and
     /// must outlive the store otherwise.
     common::ThreadPool* pool = nullptr;
   };

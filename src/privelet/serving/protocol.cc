@@ -316,6 +316,11 @@ Result<BinaryRequest> DecodeRequest(std::string_view payload) {
         PRIVELET_ASSIGN_OR_RETURN(
             std::uint16_t num_preds,
             reader.ReadLE<std::uint16_t>("predicate count"));
+        // Each predicate costs 19 payload bytes (u8 kind, u16 attr,
+        // u64 lo, u64 hi); reject counts the frame cannot hold likewise.
+        if (num_preds > reader.remaining() / 19) {
+          return reader.Truncated("predicate list");
+        }
         q.predicates.resize(num_preds);
         for (PredicateSpec& p : q.predicates) {
           PRIVELET_ASSIGN_OR_RETURN(p.kind,

@@ -977,8 +977,8 @@ std::string Server::RenderStatsText() {
     }
   }
   // Planner provenance of each resident release that was published under
-  // --auto-plan (PVLS v3). PeekResident only: STATS must not force loads
-  // or reshape the LRU order.
+  // --auto-plan (the snapshot's plan section). PeekResident only: STATS
+  // must not force loads or reshape the LRU order.
   for (const std::string& id : store_->ids()) {
     const auto session = store_->PeekResident(id);
     if (session == nullptr || !session->metadata().plan.has_value()) continue;

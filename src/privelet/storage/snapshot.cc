@@ -1,16 +1,14 @@
 #include "privelet/storage/snapshot.h"
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
-
-#include <atomic>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -25,13 +23,11 @@ namespace privelet::storage {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'V', 'L', 'S'};
-constexpr std::uint32_t kVersionLegacy = 1;  // double-double table encoding
-constexpr std::uint32_t kVersion = 2;        // aligned sections, raw accum
-constexpr std::uint32_t kVersionPlanned = 3;  // v2 + planner provenance
+constexpr std::uint32_t kVersion = 4;
 
-// Payload sections (matrix values, table entries) start on this file
-// offset multiple so a page-aligned memory mapping yields naturally
-// aligned arrays — the precondition for MappedSnapshot's zero-copy spans.
+// The table starts on this file offset multiple so a page-aligned memory
+// mapping yields a naturally aligned array — the precondition for
+// MappedSnapshot's zero-copy span.
 constexpr std::size_t kSectionAlignment = 64;
 
 // Structural limits. Generous against every real release, tight enough
@@ -41,11 +37,6 @@ constexpr std::size_t kSectionAlignment = 64;
 constexpr std::size_t kMaxNameLen = 4096;
 constexpr std::size_t kMaxAttributes = 256;
 constexpr std::size_t kMaxDims = 64;
-
-// The table-section header of the only accumulator written and adopted:
-// IEEE-754 binary64, (mant_dig, accum_bytes) = (53, 8).
-constexpr std::uint16_t kTableMantDig = std::numeric_limits<double>::digits;
-constexpr std::uint16_t kTableAccumBytes = sizeof(double);
 
 bool CheckedMul(std::size_t a, std::size_t b, std::size_t* out) {
   if (a != 0 && b > std::numeric_limits<std::size_t>::max() / a) return false;
@@ -70,17 +61,6 @@ std::string TempSnapshotPath(const std::string& path) {
          std::to_string(counter.fetch_add(1));
 }
 
-// Flushes a closed file's data to stable storage.
-Status SyncFile(const std::string& path) {
-  const int fd = common::OpenRetry(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IOError("cannot reopen '" + path + "' to sync it");
-  }
-  const Status synced = common::FsyncRetry(fd, path);
-  common::CloseFd(fd);
-  return synced;
-}
-
 // Makes the rename itself durable by syncing the containing directory.
 // Best effort: some filesystems refuse directory fsync; the file's data
 // is already durable by then.
@@ -97,87 +77,32 @@ void SyncParentDirectory(const std::string& path) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Streaming writer: every byte goes through the running CRC; Finish()
-// appends the checksum. No staging buffer exists anywhere — both payload
-// sections are written straight from the caller's memory.
-//
-// The stream targets a unique temp file next to `path` and Finish()
-// renames it into place: serving processes keep snapshots memory-mapped
-// for long periods, and truncating a live mapping's file in place would
-// SIGBUS its readers — the rename swaps the directory entry while
-// existing mappings keep the old inode. A failed write leaves the
-// previous snapshot untouched.
-class SnapshotWriter {
+// Everything ahead of the table is a few hundred bytes: the writer
+// assembles it here and hands it to the file in one write.
+class HeaderBuilder {
  public:
-  explicit SnapshotWriter(const std::string& path)
-      : path_(path),
-        tmp_path_(TempSnapshotPath(path)),
-        out_(tmp_path_, std::ios::binary | std::ios::trunc) {}
-
-  ~SnapshotWriter() {
-    // Finish() not reached (validation error in the caller) or failed:
-    // drop the partial temp file.
-    if (!finished_) {
-      out_.close();
-      std::remove(tmp_path_.c_str());
-    }
-  }
-
-  bool ok() const { return static_cast<bool>(out_); }
-  const std::string& tmp_path() const { return tmp_path_; }
-
-  void WriteRaw(const void* data, std::size_t len) {
-    crc_ = Crc32Update(crc_, data, len);
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(len));
-    offset_ += len;
-  }
-
   template <typename T>
   void WritePod(T value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    WriteRaw(&value, sizeof(value));
+    bytes_.append(reinterpret_cast<const char*>(&value), sizeof(value));
   }
 
   void WriteString(std::string_view s) {
+    too_long_ = too_long_ || s.size() > kMaxNameLen;
     WritePod(static_cast<std::uint16_t>(s.size()));
-    WriteRaw(s.data(), s.size());
+    bytes_.append(s);
   }
 
   /// Zero-fills up to the next kSectionAlignment file offset.
-  void PadToSectionAlignment() {
-    static constexpr char kZeros[kSectionAlignment] = {};
-    const std::size_t pad = PadBytes(offset_);
-    if (pad > 0) WriteRaw(kZeros, pad);
-  }
+  void PadToSectionAlignment() { bytes_.append(PadBytes(bytes_.size()), '\0'); }
 
-  Status Finish() {
-    const std::uint32_t crc = Crc32Finish(crc_);
-    out_.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    out_.flush();
-    if (!out_) return Status::IOError("write to '" + tmp_path_ + "' failed");
-    out_.close();
-    // Replace semantics must survive a crash: the temp file's data has to
-    // be durable before the rename may be, or a power cut can persist the
-    // rename over still-unwritten blocks and destroy the old snapshot.
-    PRIVELET_RETURN_IF_ERROR(SyncFile(tmp_path_));
-    if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-      return Status::IOError("cannot move '" + tmp_path_ +
-                             "' into place at '" + path_ + "'");
-    }
-    SyncParentDirectory(path_);  // best effort; the data itself is durable
-    finished_ = true;
-    return Status::OK();
-  }
+  /// Whether any string exceeded the readers' kMaxNameLen.
+  bool too_long() const { return too_long_; }
+  const std::string& bytes() const { return bytes_; }
 
  private:
-  std::string path_;
-  std::string tmp_path_;
-  std::ofstream out_;
-  bool finished_ = false;
-  std::uint64_t offset_ = 0;
-  std::uint32_t crc_ = kCrc32Init;
+  std::string bytes_;
+  bool too_long_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -198,12 +123,18 @@ class MemReader {
     return Status::InvalidArgument("snapshot '" + path_ + "': " + what);
   }
 
-  Status ReadRaw(void* dst, std::size_t len, const char* what) {
+  Status Skip(std::size_t len, const char* what) {
     if (len > remaining()) {
       return Corrupt(std::string("truncated while reading ") + what);
     }
-    std::memcpy(dst, payload_.data() + pos_, len);
     pos_ += len;
+    return Status::OK();
+  }
+
+  Status ReadRaw(void* dst, std::size_t len, const char* what) {
+    const std::byte* src = payload_.data() + pos_;
+    PRIVELET_RETURN_IF_ERROR(Skip(len, what));
+    std::memcpy(dst, src, len);
     return Status::OK();
   }
 
@@ -213,22 +144,15 @@ class MemReader {
     return ReadRaw(dst, sizeof(T), what);
   }
 
-  Status ReadString(std::string* dst, std::size_t max_len, const char* what) {
+  /// A u16-length-prefixed string of at most kMaxNameLen bytes.
+  Status ReadString(std::string* dst, const char* what) {
     std::uint16_t len = 0;
     PRIVELET_RETURN_IF_ERROR(ReadPod(&len, what));
-    if (len > max_len) {
+    if (len > kMaxNameLen) {
       return Corrupt(std::string(what) + " length out of bounds");
     }
     dst->resize(len);
     return ReadRaw(dst->data(), len, what);
-  }
-
-  Status Skip(std::size_t len, const char* what) {
-    if (len > remaining()) {
-      return Corrupt(std::string("truncated while reading ") + what);
-    }
-    pos_ += len;
-    return Status::OK();
   }
 
  private:
@@ -239,13 +163,6 @@ class MemReader {
 
 // ---------------------------------------------------------------------------
 // Schema section.
-
-void WriteHierarchy(SnapshotWriter& w, const data::Hierarchy& h) {
-  w.WritePod(static_cast<std::uint64_t>(h.num_nodes()));
-  for (std::size_t id = 0; id < h.num_nodes(); ++id) {
-    w.WritePod(static_cast<std::uint32_t>(h.fanout(id)));
-  }
-}
 
 // Rebuilds the recursive spec from BFS child counts: node ids are
 // assigned in BFS order, so node i's children are the next fanout(i)
@@ -297,16 +214,20 @@ Result<data::Hierarchy> ReadHierarchy(MemReader& r) {
   return hierarchy;
 }
 
-void WriteSchema(SnapshotWriter& w, const data::Schema& schema) {
+void WriteSchema(HeaderBuilder& w, const data::Schema& schema) {
   w.WritePod(static_cast<std::uint32_t>(schema.num_attributes()));
   for (std::size_t a = 0; a < schema.num_attributes(); ++a) {
     const data::Attribute& attr = schema.attribute(a);
     w.WriteString(attr.name());
     w.WritePod(static_cast<std::uint8_t>(attr.is_nominal() ? 1 : 0));
-    if (attr.is_nominal()) {
-      WriteHierarchy(w, attr.hierarchy());
-    } else {
+    if (!attr.is_nominal()) {
       w.WritePod(static_cast<std::uint64_t>(attr.domain_size()));
+      continue;
+    }
+    const data::Hierarchy& h = attr.hierarchy();
+    w.WritePod(static_cast<std::uint64_t>(h.num_nodes()));
+    for (std::size_t id = 0; id < h.num_nodes(); ++id) {
+      w.WritePod(static_cast<std::uint32_t>(h.fanout(id)));
     }
   }
 }
@@ -321,16 +242,16 @@ Result<data::Schema> ReadSchema(MemReader& r) {
   attrs.reserve(num_attributes);
   for (std::uint32_t a = 0; a < num_attributes; ++a) {
     std::string name;
-    PRIVELET_RETURN_IF_ERROR(r.ReadString(&name, kMaxNameLen, "attribute name"));
+    PRIVELET_RETURN_IF_ERROR(r.ReadString(&name, "attribute name"));
     if (name.empty()) return r.Corrupt("empty attribute name");
     std::uint8_t kind = 0;
     PRIVELET_RETURN_IF_ERROR(r.ReadPod(&kind, "attribute kind"));
     if (kind == 0) {
       std::uint64_t domain = 0;
       PRIVELET_RETURN_IF_ERROR(r.ReadPod(&domain, "ordinal domain size"));
-      // Even a legitimate domain is bounded by the matrix values stored
-      // inline later; per-attribute, the file must at least hold one f64
-      // per domain value.
+      // Even a legitimate domain is bounded by the table stored inline
+      // later; per-attribute, the file must at least hold one f64 per
+      // domain value.
       if (domain == 0 || domain > r.remaining() / sizeof(double)) {
         return r.Corrupt("ordinal domain size out of bounds");
       }
@@ -347,24 +268,7 @@ Result<data::Schema> ReadSchema(MemReader& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Reserved header fields (formerly the line engine and its panel width).
-
-void WriteReservedFields(SnapshotWriter& w) {
-  w.WritePod(std::uint8_t{0});
-  w.WritePod(std::uint64_t{64});
-}
-
-Status SkipReservedFields(MemReader& r) {
-  std::uint8_t engine = 0;
-  std::uint64_t panel_width = 0;
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&engine, "line engine"));
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&panel_width, "panel width"));
-  if (engine > 1) return r.Corrupt("unknown line engine");
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Matrix and table sections.
+// Dims, plan and table sections.
 
 Result<std::vector<std::size_t>> ReadDims(MemReader& r,
                                           const data::Schema& schema) {
@@ -380,132 +284,86 @@ Result<std::vector<std::size_t>> ReadDims(MemReader& r,
     PRIVELET_RETURN_IF_ERROR(r.ReadPod(&dim, "dimension"));
     if (dim == 0) return r.Corrupt("zero dimension");
     d = static_cast<std::size_t>(dim);
-    if (d != dim || !CheckedMul(cells, d, &cells)) {
+    // The table's byte length must be representable too.
+    std::size_t bytes = 0;
+    if (d != dim || !CheckedMul(cells, d, &cells) ||
+        !CheckedMul(cells, sizeof(double), &bytes)) {
       return r.Corrupt("dimension product overflows");
     }
   }
-  // The values follow inline, so a genuine snapshot can never claim more
-  // cells than the file has bytes for — reject before allocating.
-  std::size_t payload = 0;
-  if (!CheckedMul(cells, sizeof(double), &payload) ||
-      payload > r.remaining()) {
-    return r.Corrupt("matrix payload exceeds the file size");
-  }
   if (dims != schema.DomainSizes()) {
-    return r.Corrupt("matrix dims do not match the schema");
+    return r.Corrupt("table dims do not match the schema");
   }
   return dims;
 }
 
-/// v2+ only: consumes the zero padding bringing the reader to the next
-/// section-aligned offset. Nonzero padding is rejected so the byte format
-/// stays canonical (identical releases <=> identical files).
-Status ConsumeSectionPadding(MemReader& r) {
-  const std::size_t pad = PadBytes(r.offset());
-  if (pad == 0) return Status::OK();
-  unsigned char buf[kSectionAlignment];
-  PRIVELET_RETURN_IF_ERROR(r.ReadRaw(buf, pad, "section padding"));
-  for (std::size_t i = 0; i < pad; ++i) {
-    if (buf[i] != 0) return r.Corrupt("nonzero section padding");
-  }
-  return Status::OK();
+void WritePlan(HeaderBuilder& w, const query::PlanRecord* plan) {
+  w.WritePod(static_cast<std::uint8_t>(plan != nullptr ? 1 : 0));
+  if (plan == nullptr) return;
+  w.WriteString(plan->chosen);
+  w.WritePod(plan->predicted_variance);
+  w.WriteString(plan->runner_up);
+  w.WritePod(plan->runner_up_variance);
+  w.WritePod(plan->workload_queries);
 }
 
-// Everything between the version and the matrix section: provenance,
-// plan (v3), reserved fields, schema and dims. Identical in every version.
-Status ParseHeader(MemReader& r, SnapshotInfo* info) {
-  PRIVELET_RETURN_IF_ERROR(
-      r.ReadString(&info->mechanism, kMaxNameLen, "mechanism id"));
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&info->epsilon, "epsilon"));
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&info->seed, "seed"));
-  if (info->version >= kVersionPlanned) {
-    query::PlanRecord plan;
-    PRIVELET_RETURN_IF_ERROR(
-        r.ReadString(&plan.chosen, kMaxNameLen, "plan chosen id"));
-    if (plan.chosen.empty()) {
-      return r.Corrupt("planned snapshot without a chosen mechanism");
-    }
-    PRIVELET_RETURN_IF_ERROR(
-        r.ReadPod(&plan.predicted_variance, "plan predicted variance"));
-    PRIVELET_RETURN_IF_ERROR(
-        r.ReadString(&plan.runner_up, kMaxNameLen, "plan runner-up id"));
-    PRIVELET_RETURN_IF_ERROR(
-        r.ReadPod(&plan.runner_up_variance, "plan runner-up variance"));
-    PRIVELET_RETURN_IF_ERROR(
-        r.ReadPod(&plan.workload_queries, "plan workload size"));
-    info->plan = std::move(plan);
+Result<std::optional<query::PlanRecord>> ReadPlan(MemReader& r) {
+  std::uint8_t has_plan = 0;
+  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&has_plan, "plan flag"));
+  if (has_plan > 1) return r.Corrupt("bad plan flag");
+  if (has_plan == 0) return std::optional<query::PlanRecord>();
+  query::PlanRecord plan;
+  PRIVELET_RETURN_IF_ERROR(r.ReadString(&plan.chosen, "plan chosen id"));
+  if (plan.chosen.empty()) {
+    return r.Corrupt("planned snapshot without a chosen mechanism");
   }
-  PRIVELET_RETURN_IF_ERROR(SkipReservedFields(r));
+  PRIVELET_RETURN_IF_ERROR(
+      r.ReadPod(&plan.predicted_variance, "plan predicted variance"));
+  PRIVELET_RETURN_IF_ERROR(r.ReadString(&plan.runner_up, "plan runner-up id"));
+  PRIVELET_RETURN_IF_ERROR(
+      r.ReadPod(&plan.runner_up_variance, "plan runner-up variance"));
+  PRIVELET_RETURN_IF_ERROR(
+      r.ReadPod(&plan.workload_queries, "plan workload size"));
+  return std::optional<query::PlanRecord>(std::move(plan));
+}
+
+// Everything after the version: provenance, schema, dims, plan, padding,
+// and the table, which is located but not read. Nonzero padding is
+// rejected so the byte format stays canonical (identical releases <=>
+// identical files).
+Status ParseBody(MemReader& r, SnapshotInfo* info) {
+  PRIVELET_RETURN_IF_ERROR(r.ReadString(&info->mechanism, "mechanism id"));
+  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&info->epsilon, "epsilon"));
   PRIVELET_ASSIGN_OR_RETURN(info->schema, ReadSchema(r));
   PRIVELET_ASSIGN_OR_RETURN(info->dims, ReadDims(r, info->schema));
-  // Overflow-checked by ReadDims (and bounded by the file size).
+  // Overflow-checked by ReadDims.
   info->num_cells = 1;
   for (std::size_t d : info->dims) info->num_cells *= d;
-  return Status::OK();
-}
-
-// The payload sections after the header: v2+ padding, the matrix values,
-// then the optional table section, whose entries are adopted only when
-// they are binary64 — (mant_dig, accum_bytes) = (53, 8). The v1
-// double-double entries and the x87 (64, 16) entries written before the
-// table became double are located but left unused; loaders rebuild the
-// table from the matrix, which the determinism contract guarantees equals
-// a fresh build bit for bit.
-Status ParseSections(MemReader& r, SnapshotInfo* info) {
-  if (info->version >= kVersion) {
-    PRIVELET_RETURN_IF_ERROR(ConsumeSectionPadding(r));
-  }
-  info->values_offset = r.offset();
-  info->values_bytes = info->num_cells * sizeof(double);
-  PRIVELET_RETURN_IF_ERROR(r.Skip(info->values_bytes, "matrix values"));
-
-  std::uint8_t has_table = 0;
-  PRIVELET_RETURN_IF_ERROR(r.ReadPod(&has_table, "table flag"));
-  if (has_table > 1) return r.Corrupt("bad table flag");
-  info->has_prefix_table = has_table == 1;
-  if (!info->has_prefix_table) return Status::OK();
-  PRIVELET_RETURN_IF_ERROR(
-      r.ReadPod(&info->table_mant_dig, "table accumulator"));
-  if (info->version == kVersionLegacy) {
-    // v1: a u8 exactness flag, then unpadded (f64 hi, f64 lo) entries.
-    std::uint8_t exact = 0;
-    PRIVELET_RETURN_IF_ERROR(r.ReadPod(&exact, "table exactness"));
-    info->table_accum_bytes = 2 * sizeof(double);
-  } else {
-    PRIVELET_RETURN_IF_ERROR(
-        r.ReadPod(&info->table_accum_bytes, "table accumulator width"));
-    if (info->table_accum_bytes == 0 || info->table_accum_bytes > 64) {
-      return r.Corrupt("table accumulator width out of bounds");
-    }
-    PRIVELET_RETURN_IF_ERROR(ConsumeSectionPadding(r));
-  }
-  std::size_t table_bytes = 0;
-  if (!CheckedMul(info->num_cells, info->table_accum_bytes, &table_bytes) ||
-      table_bytes > r.remaining()) {
-    return r.Corrupt("prefix-table payload exceeds the file size");
+  PRIVELET_ASSIGN_OR_RETURN(info->plan, ReadPlan(r));
+  for (std::size_t pad = PadBytes(r.offset()); pad > 0; --pad) {
+    std::uint8_t byte = 0;
+    PRIVELET_RETURN_IF_ERROR(r.ReadPod(&byte, "section padding"));
+    if (byte != 0) return r.Corrupt("nonzero section padding");
   }
   info->table_offset = r.offset();
-  info->table_bytes = table_bytes;
-  info->table_adoptable = info->table_mant_dig == kTableMantDig &&
-                          info->table_accum_bytes == kTableAccumBytes;
-  return r.Skip(table_bytes, "prefix-table entries");
+  info->table_bytes = info->num_cells * sizeof(double);
+  PRIVELET_RETURN_IF_ERROR(r.Skip(info->table_bytes, "prefix-table entries"));
+  if (r.remaining() != 0) {
+    return r.Corrupt("trailing bytes after the table section");
+  }
+  return Status::OK();
 }
 
 // A snapshot file mapped read-only and parsed: the one read path behind
-// ReadSnapshot, InspectSnapshot and MappedSnapshot::Open.
+// InspectSnapshot and MappedSnapshot::Open.
 struct ParsedMapping {
   common::MappedFile file;
   SnapshotInfo info;
-
-  /// The mapped byte at file offset `offset`.
-  const std::byte* at(std::uint64_t offset) const {
-    return file.bytes().data() + offset;
-  }
 };
 
 // Maps `path`, checks the magic and version, checks the CRC once over the
-// whole mapping, then parses the header and locates the payload sections
-// without touching them — O(header) after the checksum pass.
+// whole mapping, then parses the header and locates the table without
+// touching it — O(header) after the checksum pass.
 Result<ParsedMapping> MapAndParse(const std::string& path) {
   PRIVELET_ASSIGN_OR_RETURN(common::MappedFile file,
                             common::MappedFile::Open(path));
@@ -524,8 +382,13 @@ Result<ParsedMapping> MapAndParse(const std::string& path) {
                                    "' is not a PVLS release snapshot");
   }
   PRIVELET_RETURN_IF_ERROR(r.ReadPod(&info.version, "version"));
-  if (info.version != kVersionLegacy && info.version != kVersion &&
-      info.version != kVersionPlanned) {
+  if (info.version >= 1 && info.version < kVersion) {
+    std::string message = "PVLS v";
+    message += std::to_string(info.version);
+    message += " is no longer supported; re-publish the release";
+    return r.Corrupt(message);
+  }
+  if (info.version != kVersion) {
     return r.Corrupt("unsupported snapshot version");
   }
   std::uint32_t stored = 0;
@@ -534,32 +397,53 @@ Result<ParsedMapping> MapAndParse(const std::string& path) {
   if (stored != Crc32(bytes.data(), bytes.size() - sizeof(stored))) {
     return r.Corrupt("CRC mismatch (file corrupted)");
   }
-  PRIVELET_RETURN_IF_ERROR(ParseHeader(r, &info));
-  PRIVELET_RETURN_IF_ERROR(ParseSections(r, &info));
-  if (r.remaining() != 0) {
-    return r.Corrupt("trailing bytes after the table section");
-  }
+  PRIVELET_RETURN_IF_ERROR(ParseBody(r, &info));
   return ParsedMapping{std::move(file), std::move(info)};
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SnapshotStreamWriter: the public incremental facade over SnapshotWriter.
-// The cell count is fixed by the schema at Begin; the state machine below
-// only enforces section ordering and completeness — every byte written
-// goes through the same SnapshotWriter helpers as the one-shot path, so
-// chunking cannot change the output.
+// SnapshotStreamWriter. Every byte goes through the running CRC; Finish()
+// appends the checksum. No staging buffer exists for the table — it is
+// written straight from the caller's memory, so chunking cannot change
+// the output.
+//
+// The stream targets a unique temp file next to `path` and Finish()
+// renames it into place: serving processes keep snapshots memory-mapped
+// for long periods, and truncating a live mapping's file in place would
+// SIGBUS its readers — the rename swaps the directory entry while
+// existing mappings keep the old inode. A failed write leaves the
+// previous snapshot untouched.
 
 struct SnapshotStreamWriter::Impl {
-  enum class State { kValues, kTable, kDone };
+  Impl(const std::string& dest, std::size_t cells)
+      : path(dest),
+        tmp_path(TempSnapshotPath(dest)),
+        fd(common::OpenRetry(tmp_path.c_str(),
+                             O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666)),
+        expected_cells(cells) {}
 
-  explicit Impl(const std::string& path) : writer(path) {}
+  ~Impl() {
+    // Finish() not reached (validation error in the caller) or failed:
+    // drop the partial temp file.
+    if (fd < 0) return;
+    common::CloseFd(fd);
+    if (!finished) std::remove(tmp_path.c_str());
+  }
 
-  SnapshotWriter writer;
-  State state = State::kValues;
-  std::size_t expected_cells = 0;
-  std::size_t appended = 0;  // values or table entries, per `state`
+  Status Write(const void* data, std::size_t len) {
+    crc = Crc32Update(crc, data, len);
+    return common::WriteFull(fd, data, len, tmp_path.c_str());
+  }
+
+  std::string path;
+  std::string tmp_path;
+  int fd;
+  bool finished = false;
+  std::uint32_t crc = kCrc32Init;
+  std::size_t expected_cells;
+  std::size_t appended = 0;
 };
 
 SnapshotStreamWriter::SnapshotStreamWriter() = default;
@@ -577,22 +461,8 @@ Status SnapshotStreamWriter::Begin(const std::string& path,
   if (header.schema == nullptr) {
     return Status::InvalidArgument("snapshot header missing schema");
   }
-  if (header.mechanism.size() > kMaxNameLen) {
-    return Status::InvalidArgument("mechanism id too long");
-  }
-  if (header.plan != nullptr) {
-    if (header.plan->chosen.empty()) {
-      return Status::InvalidArgument("plan record without a chosen mechanism");
-    }
-    if (header.plan->chosen.size() > kMaxNameLen ||
-        header.plan->runner_up.size() > kMaxNameLen) {
-      return Status::InvalidArgument("plan candidate id too long");
-    }
-  }
-  for (std::size_t a = 0; a < header.schema->num_attributes(); ++a) {
-    if (header.schema->attribute(a).name().size() > kMaxNameLen) {
-      return Status::InvalidArgument("attribute name too long");
-    }
+  if (header.plan != nullptr && header.plan->chosen.empty()) {
+    return Status::InvalidArgument("plan record without a chosen mechanism");
   }
   const std::vector<std::size_t> dims = header.schema->DomainSizes();
   std::size_t cells = 1;
@@ -602,183 +472,72 @@ Status SnapshotStreamWriter::Begin(const std::string& path,
     }
   }
 
-  auto impl = std::make_unique<Impl>(path);
-  SnapshotWriter& w = impl->writer;
-  if (!w.ok()) {
-    return Status::IOError("cannot open '" + w.tmp_path() + "' for writing");
-  }
-  w.WriteRaw(kMagic, sizeof(kMagic));
-  // Plan-less releases keep the v2 byte stream exactly; only a recorded
-  // plan opts the file into v3 (so pre-planner readers and byte-compare
-  // harnesses see no difference unless the new feature is used).
-  w.WritePod(header.plan != nullptr ? kVersionPlanned : kVersion);
+  HeaderBuilder w;
+  for (const char c : kMagic) w.WritePod(c);
+  w.WritePod(kVersion);
   w.WriteString(header.mechanism);
   w.WritePod(header.epsilon);
-  w.WritePod(header.seed);
-  if (header.plan != nullptr) {
-    w.WriteString(header.plan->chosen);
-    w.WritePod(header.plan->predicted_variance);
-    w.WriteString(header.plan->runner_up);
-    w.WritePod(header.plan->runner_up_variance);
-    w.WritePod(header.plan->workload_queries);
-  }
-  WriteReservedFields(w);
   WriteSchema(w, *header.schema);
   w.WritePod(static_cast<std::uint32_t>(dims.size()));
   for (const std::size_t d : dims) {
     w.WritePod(static_cast<std::uint64_t>(d));
   }
+  WritePlan(w, header.plan);
   w.PadToSectionAlignment();
-  if (!w.ok()) {
-    return Status::IOError("write to '" + w.tmp_path() + "' failed");
-  }
-  impl->expected_cells = cells;
-  impl_ = std::move(impl);
-  return Status::OK();
-}
-
-Status SnapshotStreamWriter::AppendValues(std::span<const double> values) {
-  if (impl_ == nullptr || impl_->state != Impl::State::kValues) {
-    return Status::FailedPrecondition(
-        "AppendValues outside the matrix section");
-  }
-  if (values.size() > impl_->expected_cells - impl_->appended) {
+  if (w.too_long()) {
     return Status::InvalidArgument(
-        "more matrix values than the schema's cell count");
+        "mechanism, attribute or plan id longer than 4096 bytes");
   }
-  impl_->writer.WriteRaw(values.data(), values.size() * sizeof(double));
-  impl_->appended += values.size();
-  if (!impl_->writer.ok()) {
-    return Status::IOError("write to '" + impl_->writer.tmp_path() +
-                           "' failed");
-  }
-  return Status::OK();
-}
 
-Status SnapshotStreamWriter::BeginPrefixTable() {
-  if (impl_ == nullptr || impl_->state != Impl::State::kValues) {
-    return Status::FailedPrecondition("prefix table already begun");
+  auto impl = std::make_unique<Impl>(path, cells);
+  if (impl->fd < 0) {
+    return Status::IOError("cannot open '" + impl->tmp_path +
+                           "' for writing: " + common::ErrnoMessage());
   }
-  if (impl_->appended != impl_->expected_cells) {
-    return Status::FailedPrecondition(
-        "prefix table begun before every matrix value was appended");
-  }
-  SnapshotWriter& w = impl_->writer;
-  w.WritePod(static_cast<std::uint8_t>(1));
-  w.WritePod(kTableMantDig);
-  w.WritePod(kTableAccumBytes);
-  w.PadToSectionAlignment();
-  impl_->state = Impl::State::kTable;
-  impl_->appended = 0;
-  if (!w.ok()) {
-    return Status::IOError("write to '" + w.tmp_path() + "' failed");
-  }
+  PRIVELET_RETURN_IF_ERROR(impl->Write(w.bytes().data(), w.bytes().size()));
+  impl_ = std::move(impl);
   return Status::OK();
 }
 
 Status SnapshotStreamWriter::AppendTableEntries(
     std::span<const double> entries) {
-  if (impl_ == nullptr || impl_->state != Impl::State::kTable) {
-    return Status::FailedPrecondition(
-        "AppendTableEntries outside the table section");
+  if (impl_ == nullptr) {
+    return Status::FailedPrecondition("snapshot stream not begun");
   }
   if (entries.size() > impl_->expected_cells - impl_->appended) {
     return Status::InvalidArgument(
         "more table entries than the schema's cell count");
   }
-  impl_->writer.WriteRaw(entries.data(), entries.size() * sizeof(double));
   impl_->appended += entries.size();
-  if (!impl_->writer.ok()) {
-    return Status::IOError("write to '" + impl_->writer.tmp_path() +
-                           "' failed");
-  }
-  return Status::OK();
+  const Status written =
+      impl_->Write(entries.data(), entries.size() * sizeof(double));
+  if (!written.ok()) impl_.reset();  // spent; drops the temp file
+  return written;
 }
 
 Status SnapshotStreamWriter::Finish() {
   if (impl_ == nullptr) {
     return Status::FailedPrecondition("snapshot stream not begun");
   }
-  if (impl_->state == Impl::State::kDone) {
-    return Status::FailedPrecondition("snapshot stream already finished");
+  // Spent either way; destroying `impl` drops the temp file on failure.
+  const std::unique_ptr<Impl> impl = std::move(impl_);
+  if (impl->appended != impl->expected_cells) {
+    return Status::InvalidArgument("prefix-table section incomplete at Finish");
   }
-  if (impl_->appended != impl_->expected_cells) {
-    return Status::InvalidArgument(
-        impl_->state == Impl::State::kValues
-            ? "matrix section incomplete at Finish"
-            : "prefix-table section incomplete at Finish");
+  const std::uint32_t crc = Crc32Finish(impl->crc);
+  PRIVELET_RETURN_IF_ERROR(
+      common::WriteFull(impl->fd, &crc, sizeof(crc), impl->tmp_path.c_str()));
+  // Replace semantics must survive a crash: the temp file's data has to be
+  // durable before the rename may be, or a power cut can persist the
+  // rename over still-unwritten blocks and destroy the old snapshot.
+  PRIVELET_RETURN_IF_ERROR(common::FsyncRetry(impl->fd, impl->tmp_path));
+  if (std::rename(impl->tmp_path.c_str(), impl->path.c_str()) != 0) {
+    return Status::IOError("cannot move '" + impl->tmp_path +
+                           "' into place at '" + impl->path + "'");
   }
-  if (impl_->state == Impl::State::kValues) {
-    impl_->writer.WritePod(static_cast<std::uint8_t>(0));  // no table
-  }
-  impl_->state = Impl::State::kDone;
-  const Status status = impl_->writer.Finish();
-  impl_.reset();  // drops the temp file when Finish failed
-  return status;
-}
-
-Status WriteSnapshot(const std::string& path,
-                     const ReleaseSnapshotView& view) {
-  if (view.schema == nullptr || view.published == nullptr) {
-    return Status::InvalidArgument("snapshot view missing schema or matrix");
-  }
-  if (view.published->dims() != view.schema->DomainSizes()) {
-    return Status::InvalidArgument(
-        "snapshot matrix dims do not match the schema");
-  }
-  if (view.prefix != nullptr && view.prefix->dims() != view.published->dims()) {
-    return Status::InvalidArgument(
-        "snapshot prefix-table dims do not match the matrix");
-  }
-
-  SnapshotStreamWriter w;
-  SnapshotStreamWriter::Header header;
-  header.schema = view.schema;
-  header.mechanism = view.mechanism;
-  header.epsilon = view.epsilon;
-  header.seed = view.seed;
-  header.plan = view.plan;
-  PRIVELET_RETURN_IF_ERROR(w.Begin(path, header));
-  PRIVELET_RETURN_IF_ERROR(w.AppendValues(view.published->values()));
-  if (view.prefix != nullptr) {
-    PRIVELET_RETURN_IF_ERROR(w.BeginPrefixTable());
-    PRIVELET_RETURN_IF_ERROR(w.AppendTableEntries(view.prefix->raw_sums()));
-  }
-  return w.Finish();
-}
-
-Status WriteSnapshot(const std::string& path, const ReleaseSnapshot& snapshot) {
-  ReleaseSnapshotView view;
-  view.schema = &snapshot.schema;
-  view.mechanism = snapshot.mechanism;
-  view.epsilon = snapshot.epsilon;
-  view.seed = snapshot.seed;
-  view.published = &snapshot.published;
-  view.prefix = snapshot.prefix.has_value() ? &*snapshot.prefix : nullptr;
-  view.plan = snapshot.plan.has_value() ? &*snapshot.plan : nullptr;
-  return WriteSnapshot(path, view);
-}
-
-Result<ReleaseSnapshot> ReadSnapshot(const std::string& path) {
-  PRIVELET_ASSIGN_OR_RETURN(ParsedMapping parsed, MapAndParse(path));
-  SnapshotInfo& info = parsed.info;
-  // Copied out, not viewed: the snapshot owns its payloads past the
-  // mapping, and v1 sections are unaligned.
-  ReleaseSnapshot snapshot;
-  snapshot.published = matrix::FrequencyMatrix(info.dims);
-  std::memcpy(snapshot.published.values().data(),
-              parsed.at(info.values_offset), info.values_bytes);
-  if (info.table_adoptable) {
-    auto sums = std::make_unique_for_overwrite<double[]>(info.num_cells);
-    std::memcpy(sums.get(), parsed.at(info.table_offset), info.table_bytes);
-    snapshot.prefix.emplace(info.dims, std::move(sums));
-  }
-  snapshot.schema = std::move(info.schema);
-  snapshot.mechanism = std::move(info.mechanism);
-  snapshot.epsilon = info.epsilon;
-  snapshot.seed = info.seed;
-  snapshot.plan = std::move(info.plan);
-  return snapshot;
+  impl->finished = true;
+  SyncParentDirectory(impl->path);  // best effort; the data itself is durable
+  return Status::OK();
 }
 
 Result<SnapshotInfo> InspectSnapshot(const std::string& path) {
@@ -790,30 +549,13 @@ Result<MappedSnapshot> MappedSnapshot::Open(const std::string& path) {
   PRIVELET_ASSIGN_OR_RETURN(ParsedMapping parsed, MapAndParse(path));
   SnapshotInfo& info = parsed.info;
   MappedSnapshot mapped;
-  const std::byte* values = parsed.at(info.values_offset);
-  if (reinterpret_cast<std::uintptr_t>(values) % alignof(double) == 0) {
-    mapped.values_ = {reinterpret_cast<const double*>(values),
-                      info.num_cells};
-  } else {
-    // A v1 file: no section padding, so the values are copied out once.
-    mapped.owned_values_ =
-        std::make_unique_for_overwrite<double[]>(info.num_cells);
-    std::memcpy(mapped.owned_values_.get(), values, info.values_bytes);
-    mapped.values_ = {mapped.owned_values_.get(), info.num_cells};
-  }
-  // Adoptable tables exist only in v2+, whose sections start on 64-byte
-  // file offsets. Any other table stays unused and the caller rebuilds it
-  // from matrix_values().
-  if (info.table_adoptable) {
-    mapped.table_ = {
-        reinterpret_cast<const double*>(parsed.at(info.table_offset)),
-        info.num_cells};
-  }
+  mapped.table_ = {reinterpret_cast<const double*>(parsed.file.bytes().data() +
+                                                   info.table_offset),
+                   info.num_cells};
   mapped.file_ = std::move(parsed.file);
   mapped.schema_ = std::move(info.schema);
   mapped.mechanism_ = std::move(info.mechanism);
   mapped.epsilon_ = info.epsilon;
-  mapped.seed_ = info.seed;
   mapped.plan_ = std::move(info.plan);
   mapped.dims_ = std::move(info.dims);
   return mapped;

@@ -23,18 +23,21 @@ echo "== publish (csv)"
 echo "== inspect"
 "$CLI" inspect "$TMP/release.pvls" | tee "$TMP/inspect.txt"
 grep -q "mechanism:    Privelet" "$TMP/inspect.txt"
-grep -q "prefix table: yes" "$TMP/inspect.txt"
 grep -q "CRC OK" "$TMP/inspect.txt"
-# A plan-less publish stays PVLS v2 with no plan section (backward
-# compatibility with pre-planner snapshots by construction).
-grep -q "PVLS v2" "$TMP/inspect.txt"
+# Every snapshot is PVLS v4; a plan-less one has no plan section.
+grep -q "PVLS v4" "$TMP/inspect.txt"
 grep -q "^plan:         none" "$TMP/inspect.txt"
-# Payload section geometry and the publish-mode note (the file cannot
-# record the mode: streamed and in-core snapshots are byte-identical).
-grep -q "^values:       offset " "$TMP/inspect.txt"
+# The table is the only payload section, and the publish-mode note (the
+# file cannot record the mode: streamed and in-core snapshots are
+# byte-identical). No matrix section, accumulator header or seed exists.
 grep -q "^table:        offset " "$TMP/inspect.txt"
-grep -q "^table accum:  f64 (mapped in place)" "$TMP/inspect.txt"
 grep -q "publish mode: not recorded" "$TMP/inspect.txt"
+for gone in "values:" "table accum:" "seed:"; do
+  if grep -q "^$gone" "$TMP/inspect.txt"; then
+    echo "FAIL: inspect still prints a '$gone' line" >&2
+    exit 1
+  fi
+done
 
 echo "== query (random workload, dumped, then replayed from file)"
 "$CLI" query "$TMP/release.pvls" --random 500 --workload-seed 3 \
@@ -88,7 +91,7 @@ awk '{printf "%s\r\n", $0}' "$TMP/table.csv" > "$TMP/table_crlf.csv"
        --output "$TMP/release_crlf.pvls"
 cmp "$TMP/release.pvls" "$TMP/release_crlf.pvls"
 
-echo "== plan + publish --auto-plan (workload-adaptive planner, PVLS v3)"
+echo "== plan + publish --auto-plan (workload-adaptive planner, plan section)"
 # plan is pure analysis: schema + workload in, ranked candidates out.
 "$CLI" plan --schema "$TMP/schema.txt" --workload "$TMP/workload.txt" \
        --epsilon 0.5 | tee "$TMP/plan.txt"
@@ -103,9 +106,9 @@ grep -q '^chosen: ' "$TMP/plan.txt"
 grep '^chosen: ' "$TMP/plan.txt" > "$TMP/chosen_plan.txt"
 grep '^chosen: ' "$TMP/publish_plan.txt" > "$TMP/chosen_publish.txt"
 cmp "$TMP/chosen_plan.txt" "$TMP/chosen_publish.txt"
-# The decision rides in the snapshot (v3) and survives the round trip.
+# The decision rides in the snapshot and survives the round trip.
 "$CLI" inspect "$TMP/planned.pvls" | tee "$TMP/inspect_plan.txt"
-grep -q "PVLS v3" "$TMP/inspect_plan.txt"
+grep -q "PVLS v4" "$TMP/inspect_plan.txt"
 grep -q "CRC OK" "$TMP/inspect_plan.txt"
 grep -q "^plan chosen:  " "$TMP/inspect_plan.txt"
 grep -q "^plan queries: 500" "$TMP/inspect_plan.txt"
@@ -246,15 +249,42 @@ if "$CLI" publish --synthetic 4096 --tuples 100 --seed=-3 \
   exit 1
 fi
 
+echo "== the noise seed appears in no output"
+# 81985529216486895 = 0x0123456789ABCDEF: its little-endian bytes must
+# occur nowhere in the snapshot, and inspect prints neither a seed line
+# nor the value.
+"$CLI" publish --synthetic 4096 --tuples 2000 --data-seed 5 \
+       --seed 81985529216486895 --threads 0 \
+       --output "$TMP/keyed.pvls" > "$TMP/publish_keyed.txt"
+od -An -v -tx1 "$TMP/keyed.pvls" | tr -s ' \n' '  ' > "$TMP/keyed_hex.txt"
+if grep -q " ef cd ab 89 67 45 23 01" "$TMP/keyed_hex.txt"; then
+  echo "FAIL: the seed's bytes occur in the snapshot" >&2
+  exit 1
+fi
+"$CLI" inspect "$TMP/keyed.pvls" > "$TMP/inspect_keyed.txt"
+if grep -q -e "seed" -e "81985529216486895" "$TMP/inspect_keyed.txt" \
+       "$TMP/publish_keyed.txt"; then
+  echo "FAIL: publish or inspect printed the seed" >&2
+  exit 1
+fi
+
+echo "== publish --no-table is an unknown flag"
+if "$CLI" publish --synthetic 4096 --tuples 100 --no-table \
+       --output "$TMP/bad.pvls" 2> "$TMP/no_table.err"; then
+  echo "FAIL: --no-table accepted" >&2
+  exit 1
+fi
+grep -q "unknown flag --no-table" "$TMP/no_table.err"
+
 echo "== corrupt snapshots are rejected"
 head -c 200 "$TMP/release.pvls" > "$TMP/truncated.pvls"
 if "$CLI" inspect "$TMP/truncated.pvls" 2>/dev/null; then
   echo "FAIL: truncated snapshot accepted" >&2
   exit 1
 fi
-# Flip a header byte (the seed field: magic 4 + version 4 + mech_len 2 +
-# "Privelet" 8 + epsilon 8 = offset 26); the parse survives but the CRC
-# must not.
+# Flip a header byte (the attribute count: magic 4 + version 4 +
+# mech_len 2 + "Privelet" 8 + epsilon 8 = offset 26); the CRC check must
+# reject the file before the parse reads it.
 cp "$TMP/release.pvls" "$TMP/flipped.pvls"
 printf '\377' | dd of="$TMP/flipped.pvls" bs=1 seek=26 conv=notrunc 2>/dev/null
 if "$CLI" query "$TMP/flipped.pvls" --random 5 2>/dev/null; then

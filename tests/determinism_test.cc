@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -188,6 +189,23 @@ std::string FileBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+// The bytes of a session's prefix table — what it serves from and what
+// its snapshot stores.
+std::string TableBytes(const query::PublishingSession& session) {
+  const std::span<const double> sums = session.prefix_table().raw_sums();
+  return std::string(reinterpret_cast<const char*>(sums.data()),
+                     sums.size() * sizeof(double));
+}
+
+// The prefix-table bytes of a release matrix, for comparison with
+// TableBytes.
+std::string TableBytes(const matrix::FrequencyMatrix& release) {
+  const matrix::PrefixSumTable<double> table(release);
+  const std::span<const double> sums = table.raw_sums();
+  return std::string(reinterpret_cast<const char*>(sums.data()),
+                     sums.size() * sizeof(double));
+}
+
 // Extends the sweep across the process boundary: a release published
 // under any thread count serializes to the byte-identical snapshot file
 // (CRC included), and the file loads back into a session holding the
@@ -220,9 +238,9 @@ TEST(PublishDeterminismTest, SnapshotFilesInvariantAcrossThreads) {
   common::ThreadPool pool(2);
   auto loaded = storage::LoadSession(ref_path, &pool);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(matrix::ValuesEqual(
-      reference::PublishPrivelet(schema, {"Nom"}, m, 0.8, 57).values(),
-      loaded->published().values()));
+  EXPECT_EQ(
+      TableBytes(reference::PublishPrivelet(schema, {"Nom"}, m, 0.8, 57)),
+      TableBytes(*loaded));
 }
 
 // The out-of-core contract: a streamed publish (panels staged through
@@ -272,9 +290,7 @@ TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreByteForByte) {
     mech.set_thread_pool(nullptr);
 
     EXPECT_EQ(FileBytes(in_path), FileBytes(out_path)) << tag;
-    EXPECT_TRUE(matrix::ValuesEqual(in_core->published().values(),
-                                    streamed->published().values()))
-        << tag;
+    EXPECT_EQ(TableBytes(*in_core), TableBytes(*streamed)) << tag;
     EXPECT_EQ(in_core->AnswerAll(*workload), streamed->AnswerAll(*workload))
         << tag;
   }
@@ -315,9 +331,7 @@ TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreOnEveryAxisKind) {
       auto in_core = query::PublishingSession::Publish(
           schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, p, in_core_options);
       ASSERT_TRUE(in_core.ok()) << in_core.status().ToString();
-      EXPECT_TRUE(matrix::ValuesEqual(per_line.values(),
-                                      in_core->published().values()))
-          << tag;
+      EXPECT_EQ(TableBytes(per_line), TableBytes(*in_core)) << tag;
       const std::string in_path = testing::TempDir() + "/det_routes.pvls";
       ASSERT_TRUE(storage::SaveSession(in_path, *in_core).ok());
 
@@ -402,8 +416,7 @@ TEST(PublishDeterminismTest, IsaSweepSnapshotsAndAnswersAreInvariant) {
         schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, pool, options);
     EXPECT_TRUE(session.ok()) << session.status().ToString();
     mech.set_thread_pool(nullptr);
-    EXPECT_TRUE(matrix::ValuesEqual(per_line.values(),
-                                    session->published().values()));
+    EXPECT_EQ(TableBytes(per_line), TableBytes(*session));
     const std::string path = testing::TempDir() + "/det_isa.pvls";
     EXPECT_TRUE(storage::SaveSession(path, *session).ok());
     if (answers != nullptr) *answers = session->AnswerAll(*workload);
@@ -445,7 +458,7 @@ TEST(PublishDeterminismTest, IsaSweepSnapshotsAndAnswersAreInvariant) {
 // The planner sweep: the mechanism decision is a pure function of
 // (schema, workload, ε) — replanning reproduces the ranking, ids, and
 // variances exactly — and an auto-planned release (plan attached, so the
-// snapshot is PVLS v3) stays byte-identical across thread counts and
+// snapshot has a plan section) stays byte-identical across thread counts and
 // forced ISA levels, exactly like plan-less releases. The plan section
 // is provenance, never noise input.
 TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossThreadsAndIsa) {
@@ -498,7 +511,7 @@ TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossThreadsAndIsa) {
   };
 
   // Reference: forced-scalar serial publish. The plan must be in the
-  // reference file (v3) for the byte comparisons to cover it.
+  // reference file's plan section for the byte comparisons to cover it.
   ASSERT_EQ(0, setenv("PRIVELET_ISA", "scalar", 1));
   const std::string reference_bytes = publish_bytes(nullptr);
   ASSERT_FALSE(reference_bytes.empty());
@@ -506,7 +519,7 @@ TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossThreadsAndIsa) {
     auto info =
         storage::InspectSnapshot(testing::TempDir() + "/det_autoplan.pvls");
     ASSERT_TRUE(info.ok());
-    EXPECT_EQ(info->version, 3u);
+    EXPECT_EQ(info->version, 4u);
     ASSERT_TRUE(info->plan.has_value());
     EXPECT_EQ(*info->plan, record);
   }

@@ -11,8 +11,8 @@
 // Beyond per-model accuracy, the planner's *decision* is validated: the
 // chosen mechanism's empirical error is never worse than the best
 // alternative's by more than the statistical margin, and the recorded
-// PlanRecord round-trips through the PVLS v3 snapshot (save, load, map,
-// inspect).
+// PlanRecord round-trips through the snapshot's plan section (save,
+// load, map, inspect).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -435,9 +435,10 @@ TEST(PlannerAccuracyTest, PlannerRejectsBadInputsWithStatusErrors) {
 }
 
 TEST(PlannerAccuracyTest, PlanRecordRoundTripsThroughSnapshot) {
-  // The decision must survive as provenance: session metadata -> PVLS v3
-  // -> copy load, mapped open, and inspect all reproduce the record, and
-  // a plan-less publish still writes (and loads from) a v2 file.
+  // The decision must survive as provenance: session metadata -> plan
+  // section -> copy load, mapped open, and inspect all reproduce the
+  // record, and a plan-less publish writes (and loads from) a file
+  // without one.
   constexpr double kEpsilon = 1.0;
   std::vector<data::Attribute> attrs;
   attrs.push_back(data::Attribute::Ordinal("A", 8));
@@ -479,19 +480,19 @@ TEST(PlannerAccuracyTest, PlanRecordRoundTripsThroughSnapshot) {
 
   auto info = storage::InspectSnapshot(planned);
   ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, 3u);
+  EXPECT_EQ(info->version, 4u);
   ASSERT_TRUE(info->plan.has_value());
   EXPECT_EQ(*info->plan, record);
 
-  // Plan-less control: same release without set_plan stays v2 and loads
-  // with no plan.
+  // Plan-less control: same release without set_plan has no plan section
+  // and loads with no plan.
   auto bare = query::PublishingSession::Publish(schema, *mech, zeros,
                                                 kEpsilon, /*seed=*/5);
   ASSERT_TRUE(bare.ok());
   ASSERT_TRUE(storage::SaveSession(planless, *bare).ok());
   auto bare_info = storage::InspectSnapshot(planless);
   ASSERT_TRUE(bare_info.ok());
-  EXPECT_EQ(bare_info->version, 2u);
+  EXPECT_EQ(bare_info->version, 4u);
   EXPECT_FALSE(bare_info->plan.has_value());
   auto bare_loaded = storage::LoadSession(planless);
   ASSERT_TRUE(bare_loaded.ok());

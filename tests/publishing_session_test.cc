@@ -88,17 +88,18 @@ TEST(PublishingSessionTest, PublishWrapsAMechanismRelease) {
       PublishingSession::Publish(schema, privelet, m, /*epsilon=*/1.0,
                                  /*seed=*/17);
   ASSERT_TRUE(session.ok());
-  // The wrapped release is exactly what the mechanism publishes for the
-  // same seed, and answers come from it.
+  // The wrapped table is exactly the prefix table of what the mechanism
+  // publishes for the same seed, and answers come from it.
   auto direct = privelet.Publish(schema, m, 1.0, 17);
   ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE(
-      matrix::ValuesEqual(session->published().values(), direct->values()));
+  const matrix::PrefixSumTable<double> direct_table(*direct);
+  EXPECT_TRUE(matrix::ValuesEqual(session->prefix_table().raw_sums(),
+                                  direct_table.raw_sums()));
   const auto queries = MakeQueries(schema, 10, 5);
   const auto answers = session->AnswerAll(queries);
   QueryEvaluator reference(schema, *direct);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_NEAR(answers[i], reference.Answer(queries[i]), 1e-9);
+    EXPECT_EQ(answers[i], reference.Answer(queries[i]));
   }
   EXPECT_FALSE(
       PublishingSession::Publish(schema, privelet, m, -1.0, 17).ok());

@@ -394,6 +394,22 @@ TEST(ProtocolTest, DecodeRejectsTruncatedAndTrailingBytes) {
   EXPECT_FALSE(DecodeRequest(lying).ok());
 }
 
+// A declared predicate count is bounded by the bytes left in the frame
+// before the predicate list is sized: a 9-byte payload claiming 65535
+// predicates (19 bytes each) fails up front instead of allocating ~1.5 MiB.
+TEST(ProtocolTest, DecodeRejectsPredicateCountBeyondTheFrame) {
+  std::string payload;
+  payload += '\x01';                    // verb: QUERY
+  payload.append("\x00\x00", 2);        // empty release id
+  payload.append("\x01\x00\x00\x00", 4);  // one query
+  payload.append("\xff\xff", 2);        // 65535 predicates, none present
+  const auto request = DecodeRequest(payload);
+  ASSERT_FALSE(request.ok());
+  EXPECT_NE(std::string::npos, request.status().message().find(
+                                   "frame truncated in predicate list"))
+      << request.status().ToString();
+}
+
 TEST(ProtocolTest, BuildQueryValidatesSpecs) {
   const data::Schema schema = TestSchema();
   QuerySpec ok_spec;

@@ -60,6 +60,37 @@ TEST(SimdKernelTest, TablesReportTheirLevel) {
             static_cast<int>(IsaLevel::kAvx512));
 }
 
+// A table can report its level and still carry scalar transform kernels:
+// every bit-identity test passes then, and only a timing gate would
+// notice. Each Haar and row entry of a vector level must be that level's
+// own function, not the scalar table's.
+TEST(SimdKernelTest, VectorTablesCarryTheirOwnTransformKernels) {
+  const KernelTable& scalar = simd::Kernels(IsaLevel::kScalar);
+  for (const IsaLevel level : HostLevels()) {
+    if (level == IsaLevel::kScalar) continue;
+    const KernelTable& k = simd::Kernels(level);
+    const std::string name(simd::IsaLevelName(level));
+    const auto expect_own = [&](auto entry, const char* entry_name) {
+      EXPECT_NE(scalar.*entry, k.*entry) << entry_name << " is scalar at "
+                                         << name;
+    };
+    expect_own(&KernelTable::haar_forward_step, "haar_forward_step");
+    expect_own(&KernelTable::haar_inverse_step, "haar_inverse_step");
+    expect_own(&KernelTable::haar_forward_level, "haar_forward_level");
+    expect_own(&KernelTable::haar_inverse_level, "haar_inverse_level");
+    expect_own(&KernelTable::haar_forward_level_split,
+               "haar_forward_level_split");
+    expect_own(&KernelTable::haar_inverse_level_expand,
+               "haar_inverse_level_expand");
+    expect_own(&KernelTable::row_add, "row_add");
+    expect_own(&KernelTable::row_sub, "row_sub");
+    expect_own(&KernelTable::row_div, "row_div");
+    expect_own(&KernelTable::row_add_div, "row_add_div");
+    expect_own(&KernelTable::row_sub_div, "row_sub_div");
+    expect_own(&KernelTable::row_add_scaled, "row_add_scaled");
+  }
+}
+
 TEST(SimdKernelTest, HaarStepKernelsMatchScalar) {
   const KernelTable& scalar = simd::Kernels(IsaLevel::kScalar);
   for (const IsaLevel level : HostLevels()) {

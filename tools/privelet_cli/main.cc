@@ -79,7 +79,7 @@ usage:
                        [--mechanism basic|privelet|privelet+|hay] [--sa A,B]
                        [--auto-plan (--workload FILE | --random N
                        [--workload-seed S])]
-                       [--epsilon E] [--seed S] [--threads N] [--no-table]
+                       [--epsilon E] [--seed S] [--threads N]
                        [--max-memory BYTES[K|M|G]] [--scratch-dir DIR]
                        --output FILE.pvls
   privelet_cli inspect FILE.pvls
@@ -117,8 +117,12 @@ by exact expected per-query noise variance — a closed-form, data-free
 computation that costs no privacy budget — and prints the ranking plus
 the chosen (cheapest publishable) candidate. publish --auto-plan runs
 the same planner, publishes under the winner, and records the decision
-in the snapshot (PVLS v3; inspect prints it, the daemon's STATS reports
-it). Plan-less publishes keep writing byte-identical v2 files.
+in the snapshot's plan section (inspect prints it, the daemon's STATS
+reports it).
+
+A snapshot (PVLS v4) holds the schema, epsilon, the optional plan and
+the release's prefix-sum table; neither the noisy matrix nor the noise
+seed is written. Files of PVLS v1-v3 are rejected; re-publish them.
 
 --max-memory B publishes out of core: panels are staged through unlinked
 mmap scratch files (--scratch-dir, default $TMPDIR) and streamed into the
@@ -144,8 +148,7 @@ struct Args {
 
 // Flags that never take a value.
 const std::set<std::string>& BooleanFlags() {
-  static const std::set<std::string> kBooleans = {"help", "no-table",
-                                                  "auto-plan"};
+  static const std::set<std::string> kBooleans = {"help", "auto-plan"};
   return kBooleans;
 }
 
@@ -500,9 +503,9 @@ int RunPlan(const Args& args) {
 int RunPublish(const Args& args) {
   Status flags = RejectUnknownFlags(
       args, {"csv", "schema", "synthetic", "census", "tuples", "data-seed",
-             "mechanism", "sa", "epsilon", "seed", "threads", "no-table",
-             "max-memory", "scratch-dir", "output", "auto-plan", "workload",
-             "random", "workload-seed"});
+             "mechanism", "sa", "epsilon", "seed", "threads", "max-memory",
+             "scratch-dir", "output", "auto-plan", "workload", "random",
+             "workload-seed"});
   if (!flags.ok()) return Fail(flags);
   if (!args.Has("output")) {
     return Fail(Status::InvalidArgument("publish needs --output FILE.pvls"));
@@ -544,7 +547,7 @@ int RunPublish(const Args& args) {
 
   // --auto-plan: score every applicable mechanism on the planning
   // workload and publish under the winner; the decision rides into the
-  // snapshot (PVLS v3) as provenance.
+  // snapshot's plan section as provenance.
   std::optional<analysis::MechanismPlan> plan;
   std::optional<query::PlanRecord> plan_record;
   if (auto_plan) {
@@ -558,65 +561,30 @@ int RunPublish(const Args& args) {
     *mech = MechanismForCandidate(plan->chosen);
   }
 
-  const bool streamed = options->out_of_core();
-  if (streamed && args.Has("no-table")) {
-    return Fail(Status::InvalidArgument(
-        "--no-table cannot be combined with --max-memory (the streamed "
-        "publish always persists the serving table)"));
-  }
-
   const matrix::FrequencyMatrix m = matrix::FrequencyMatrix::FromTable(*table);
   (*mech)->set_thread_pool(pool->get());
   (*mech)->set_engine_options(*options);
 
+  // One call in both modes: in core it publishes, builds the prefix table
+  // and writes it; out of core (--max-memory) the stages stream through
+  // scratch files into the snapshot.
   const std::string output = args.Get("output", "");
   Stopwatch publish_watch;
-  double publish_seconds = 0.0;
-  double save_seconds = 0.0;
-  if (streamed) {
-    // One fused pass: the publish streams panels into the snapshot as
-    // they materialize; there is no separate whole-release save step.
-    auto session = storage::PublishToFile(
-        output, table->schema(), **mech, m, *epsilon, *seed, pool->get(),
-        *options, plan_record.has_value() ? &*plan_record : nullptr);
-    if (!session.ok()) return Fail(session.status());
-    publish_seconds = publish_watch.ElapsedSeconds();
-  } else {
-    auto session = query::PublishingSession::Publish(
-        table->schema(), **mech, m, *epsilon, *seed, pool->get(), *options);
-    if (!session.ok()) return Fail(session.status());
-    if (plan_record.has_value()) session->set_plan(*plan_record);
-    publish_seconds = publish_watch.ElapsedSeconds();
-
-    Stopwatch save_watch;
-    Status st;
-    if (args.Has("no-table")) {
-      storage::ReleaseSnapshotView view;
-      view.schema = &session->schema();
-      view.mechanism = session->metadata().mechanism;
-      view.epsilon = session->metadata().epsilon;
-      view.seed = session->metadata().seed;
-      view.published = &session->published();
-      view.plan = plan_record.has_value() ? &*plan_record : nullptr;
-      st = storage::WriteSnapshot(output, view);
-    } else {
-      st = storage::SaveSession(output, *session);
-    }
-    if (!st.ok()) return Fail(st);
-    save_seconds = save_watch.ElapsedSeconds();
-  }
+  auto session = storage::PublishToFile(
+      output, table->schema(), **mech, m, *epsilon, *seed, pool->get(),
+      *options, plan_record.has_value() ? &*plan_record : nullptr);
+  if (!session.ok()) return Fail(session.status());
+  const double publish_seconds = publish_watch.ElapsedSeconds();
 
   std::error_code ec;
   const std::uintmax_t bytes = std::filesystem::file_size(output, ec);
   std::printf(
-      "published %s: n=%zu tuples, m=%zu cells, epsilon=%g, seed=%zu\n"
-      "snapshot %s: %ju bytes%s (publish %.3fs, save %.3fs)\n",
+      "published %s: n=%zu tuples, m=%zu cells, epsilon=%g\n"
+      "snapshot %s: %ju bytes (publish and save %.3fs)\n",
       std::string((*mech)->name()).c_str(), table->num_rows(), m.size(),
-      *epsilon, static_cast<std::size_t>(*seed), output.c_str(),
-      ec ? static_cast<std::uintmax_t>(0) : bytes,
-      args.Has("no-table") ? " (no prefix table)" : "", publish_seconds,
-      save_seconds);
-  if (streamed) {
+      *epsilon, output.c_str(), ec ? static_cast<std::uintmax_t>(0) : bytes,
+      publish_seconds);
+  if (options->out_of_core()) {
     std::printf("publish mode: streamed (max-memory %zu bytes)\n",
                 options->max_memory_bytes);
   } else {
@@ -627,29 +595,6 @@ int RunPublish(const Args& args) {
               std::string(simd::IsaLevelName(simd::DetectBestIsa())).c_str());
   if (plan.has_value()) PrintPlan(stdout, *plan);
   return 0;
-}
-
-// The stored table's accumulator and what loading does with it: a
-// binary64 table is served in place, anything else costs an O(m) rebuild
-// from the matrix at every load (daemon start, RELOAD).
-std::string TableAccumulator(const storage::SnapshotInfo& info) {
-  std::string name;
-  if (info.version == 1) {
-    name = "double-double";
-  } else if (info.table_mant_dig == 53 && info.table_accum_bytes == 8) {
-    name = "f64";
-  } else if (info.table_mant_dig == 64) {
-    name = "x87-80";
-  } else {
-    name = "mant_dig ";
-    name += std::to_string(info.table_mant_dig);
-    name += " in ";
-    name += std::to_string(info.table_accum_bytes);
-    name += " bytes";
-  }
-  name += info.table_adoptable ? " (mapped in place)"
-                               : " (not adoptable; rebuilt on load)";
-  return name;
 }
 
 int RunInspect(const Args& args) {
@@ -668,19 +613,10 @@ int RunInspect(const Args& args) {
                                         ? "(unknown)"
                                         : info->mechanism.c_str());
   std::printf("epsilon:      %g\n", info->epsilon);
-  std::printf("seed:         %llu\n",
-              static_cast<unsigned long long>(info->seed));
-  std::printf("prefix table: %s\n", info->has_prefix_table ? "yes" : "no");
   std::printf("cells:        %zu\n", info->num_cells);
-  std::printf("values:       offset %ju, %ju bytes\n",
-              static_cast<std::uintmax_t>(info->values_offset),
-              static_cast<std::uintmax_t>(info->values_bytes));
-  if (info->has_prefix_table) {
-    std::printf("table:        offset %ju, %ju bytes\n",
-                static_cast<std::uintmax_t>(info->table_offset),
-                static_cast<std::uintmax_t>(info->table_bytes));
-    std::printf("table accum:  %s\n", TableAccumulator(*info).c_str());
-  }
+  std::printf("table:        offset %ju, %ju bytes (f64 prefix sums)\n",
+              static_cast<std::uintmax_t>(info->table_offset),
+              static_cast<std::uintmax_t>(info->table_bytes));
   // Streamed (out-of-core) and in-core publishes of the same release
   // produce byte-identical snapshots, so the file cannot (and need not)
   // record which path wrote it — only the publishing process knows.
