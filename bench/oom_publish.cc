@@ -4,8 +4,9 @@
 // in-core path. Drops BENCH_oom_publish.json with one row per mode.
 //
 // The streamed publish stages every release-sized buffer — input matrix,
-// transform scratch, noisy matrix, prefix table — through unlinked mmap
-// scratch files and releases resident pages behind each pass, so its
+// transform scratch, and the noisy matrix, over whose mapping the prefix
+// table is built in place — through unlinked mmap scratch files and
+// releases resident pages behind each pass, so its
 // peak RSS is paced by the budget, not the cube. VmHWM is monotone over
 // the process lifetime, so the streamed run is measured FIRST; the
 // in-core run then inherits (and raises) the high-water mark.

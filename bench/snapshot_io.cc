@@ -8,7 +8,10 @@
 // save, copy load and mapped open pays, against memcpy over the same
 // buffer: crc_over_memcpy is scale-free, so CI gates it
 // (bench/baselines/manifest.json) and a byte-at-a-time CRC fails the
-// build. Emits BENCH_snapshot_io.json.
+// build. publish_minflt counts the minor page faults of the in-core
+// publish (getrusage, whole process): each release-sized buffer the
+// publish faults in fresh shows as cells * 8 / 4096 of them. It is
+// informational, not gated. Emits BENCH_snapshot_io.json.
 //
 //   build/bench/snapshot_io          # ~1M cells; PRIVELET_FULL=1 -> ~16M
 //   build/bench/snapshot_io --smoke  # ~1M cells always (the CI baseline)
@@ -18,6 +21,8 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_util.h"
 #include "privelet/common/stopwatch.h"
@@ -74,6 +79,13 @@ CrcThroughput MeasureCrcThroughput() {
   return {mb / best_crc, mb / best_copy};
 }
 
+/// Minor page faults of this process so far (all threads).
+double MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_minflt);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,11 +109,13 @@ int main(int argc, char** argv) {
   mechanism::PriveletMechanism mech;
   mech.set_thread_pool(&pool);
 
+  const double faults_before = MinorFaults();
   Stopwatch publish_watch;
   auto session = query::PublishingSession::Publish(
       *schema, mech, m, /*epsilon=*/1.0, /*seed=*/31, &pool);
   PRIVELET_CHECK(session.ok(), session.status().ToString());
   const double publish_s = publish_watch.ElapsedSeconds();
+  const double publish_minflt = MinorFaults() - faults_before;
 
   query::WorkloadOptions wopts;
   wopts.num_queries = 2'000;
@@ -137,6 +151,7 @@ int main(int argc, char** argv) {
               "(%.1fx publish -> load speedup)\n",
               m.size(), publish_s, save_s, load_s, map_s,
               publish_s / (load_s > 0 ? load_s : 1e-9));
+  std::printf("publish minor faults %.0f\n", publish_minflt);
   std::printf("crc32 %.0f MB/s, memcpy %.0f MB/s (crc/memcpy %.3f)\n",
               crc.crc_mb_per_s, crc.memcpy_mb_per_s,
               crc.crc_mb_per_s / crc.memcpy_mb_per_s);
@@ -144,6 +159,7 @@ int main(int argc, char** argv) {
   bench::BenchReport report("snapshot_io");
   report.AddRow({{"cells", static_cast<double>(m.size())},
                  {"publish_s", publish_s},
+                 {"publish_minflt", publish_minflt},
                  {"save_s", save_s},
                  {"load_s", load_s},
                  {"map_s", map_s},

@@ -34,12 +34,13 @@ inline constexpr std::size_t kTileLines = 64;
 struct EngineOptions {
   /// Out-of-core publish budget in bytes. 0 (the default) keeps every
   /// intermediate in owned vectors (the in-core engine). When > 0, publish
-  /// intermediates (transform scratch, prefix-sum accumulators) live in
-  /// unlinked mmap scratch files and the passes release residency as they
-  /// stream, bounding peak RSS by roughly this budget. Purely a memory
-  /// knob: the arithmetic is untouched, so published releases are
-  /// bit-identical to the in-core engine (see docs/DETERMINISM.md) — which
-  /// is also why this field is deliberately NOT serialized into snapshots.
+  /// intermediates (transform scratch, the release and the prefix table
+  /// built in place over it) live in unlinked mmap scratch files and the
+  /// passes release residency as they stream, bounding peak RSS by
+  /// roughly this budget. Purely a memory knob: the arithmetic is
+  /// untouched, so published releases are bit-identical to the in-core
+  /// engine (see docs/DETERMINISM.md) — which is also why this field is
+  /// deliberately NOT serialized into snapshots.
   std::size_t max_memory_bytes = 0;
   /// Directory for scratch files when max_memory_bytes > 0; empty means
   /// $TMPDIR (falling back to /tmp).

@@ -5,12 +5,15 @@
 // is answered with 2^d table lookups.
 //
 // Storage comes in three modes sharing one query path:
-//   owned   — the build and parts constructors materialize the entries in
-//     a private heap array (the classic mode);
-//   scratch — BuildScratch materializes them in an unlinked mmap scratch
-//     file instead, releasing residency as the build streams so the
-//     out-of-core publish path can build a table many times larger than
-//     the memory budget (same arithmetic, hence bit-identical entries);
+//   owned   — the const-source build and the parts constructor
+//     materialize the entries in a private heap array (the classic mode);
+//   adopted — the rvalue build takes over a release matrix's storage and
+//     running-sums it in place, so a publish needs no buffer beyond the
+//     release. A vector-backed release stays on the heap; a scratch-backed
+//     (out-of-core) one stays in its unlinked mmap scratch file, and the
+//     build releases residency as it streams so the table can be many
+//     times larger than the memory budget. Same arithmetic in both, hence
+//     bit-identical entries;
 //   view    — the View factory serves lookups straight out of caller-
 //     managed memory (the binary64 table section of a memory-mapped PVLS
 //     snapshot), so adopting a multi-GB table costs no copy at all.
@@ -31,9 +34,7 @@
 #include <vector>
 
 #include "privelet/common/check.h"
-#include "privelet/common/file_mapping.h"
 #include "privelet/common/residency.h"
-#include "privelet/common/result.h"
 #include "privelet/common/thread_pool.h"
 #include "privelet/matrix/engine.h"
 #include "privelet/matrix/frequency_matrix.h"
@@ -79,39 +80,25 @@ class PrefixSumTable {
     // Left uninitialized: the fused first pass writes every entry.
     owned_ = std::make_unique_for_overwrite<Accum[]>(source.size());
     data_ = {owned_.get(), source.size()};
-    BuildFrom(owned_.get(), source, pool, options,
-              /*residency_source=*/nullptr);
+    BuildFrom(owned_.get(), source.data(), pool, options);
   }
 
-  /// Out-of-core build: the entries live in an unlinked mmap scratch file
-  /// under options.scratch_dir and each build pass releases residency
-  /// (of the table and, when non-null, of `residency_source` — typically
-  /// the scratch-backed noisy matrix being summed) as it streams, pacing
-  /// peak RSS by options.max_memory_bytes. The additions are the exact
-  /// additions of the in-core build, so the resulting entries are
-  /// bit-identical. Fails with IOError when the scratch file cannot be
-  /// created or mapped.
-  static Result<PrefixSumTable> BuildScratch(
-      std::vector<std::size_t> dims, std::span<const double> source,
-      common::ThreadPool* pool, const EngineOptions& options,
-      const FrequencyMatrix* residency_source = nullptr) {
-    PrefixSumTable table;
-    table.dims_ = std::move(dims);
-    table.InitStrides();
-    PRIVELET_CHECK(!table.dims_.empty() && table.NumCells() == source.size(),
-                   "source values do not match the dims");
-    const std::size_t max_bytes = std::numeric_limits<std::size_t>::max();
-    PRIVELET_CHECK(source.size() <= max_bytes / sizeof(Accum),
-                   "dimension product overflow");
-    PRIVELET_ASSIGN_OR_RETURN(
-        table.scratch_,
-        common::MappedFile::CreateScratch(source.size() * sizeof(Accum),
-                                          options.scratch_dir));
-    Accum* slots =
-        reinterpret_cast<Accum*>(table.scratch_.mutable_bytes().data());
-    table.data_ = std::span<const Accum>(slots, source.size());
-    table.BuildFrom(slots, source, pool, options, residency_source);
-    return table;
+  /// The same build in place over `release`'s own storage, which the
+  /// table adopts: each entry is read before it is overwritten with its
+  /// prefix sum, so the additions (and the entries) are exactly the
+  /// const-source build's. A scratch-backed release keeps its mapping,
+  /// and the build then releases its residency as it streams, pacing
+  /// peak RSS by options.max_memory_bytes.
+  explicit PrefixSumTable(FrequencyMatrix&& release,
+                          common::ThreadPool* pool = nullptr,
+                          const EngineOptions& options = {})
+    requires std::is_same_v<Accum, double>
+      : dims_(release.dims()), adopted_(std::move(release)) {
+    InitStrides();
+    PRIVELET_CHECK(!dims_.empty(), "cannot adopt an empty matrix");
+    double* slots = adopted_.values().data();
+    data_ = {slots, adopted_.size()};
+    BuildFrom(slots, slots, pool, options);
   }
 
   /// Reassembles a table from its serialized parts: `sums` must hold the
@@ -145,10 +132,11 @@ class PrefixSumTable {
     return table;
   }
 
-  // A copied owned/scratch table owns a heap copy of the entries, while a
+  // A copied owned/adopted table owns a heap copy of the entries, while a
   // copied view table keeps aliasing the external storage (scratch-ness is
   // not copied). Moves hand the backing over unchanged — neither a heap
-  // array nor a mapping moves in memory — so `data_` carries over as is.
+  // array, a matrix's vector nor a mapping moves in memory — so `data_`
+  // carries over as is.
   PrefixSumTable(const PrefixSumTable& other)
       : dims_(other.dims_), strides_(other.strides_), data_(other.data_) {
     if (other.is_view()) return;
@@ -160,8 +148,8 @@ class PrefixSumTable {
       : dims_(std::move(other.dims_)),
         strides_(std::move(other.strides_)),
         owned_(std::move(other.owned_)),
-        scratch_(std::move(other.scratch_)),
-        data_(std::exchange(other.data_, {})) {}
+        data_(std::exchange(other.data_, {})),
+        adopted_(std::move(other.adopted_)) {}
   PrefixSumTable& operator=(const PrefixSumTable& other) {
     if (this != &other) *this = PrefixSumTable(other);
     return *this;
@@ -171,8 +159,8 @@ class PrefixSumTable {
       dims_ = std::move(other.dims_);
       strides_ = std::move(other.strides_);
       owned_ = std::move(other.owned_);
-      scratch_ = std::move(other.scratch_);
       data_ = std::exchange(other.data_, {});
+      adopted_ = std::move(other.adopted_);
     }
     return *this;
   }
@@ -217,15 +205,16 @@ class PrefixSumTable {
   /// True when the entries live in caller-managed storage (View) rather
   /// than in this table.
   bool is_view() const {
-    return owned_ == nullptr && scratch_.size() == 0 && !data_.empty();
+    return owned_ == nullptr && adopted_.size() == 0 && !data_.empty();
   }
 
-  /// True when the entries live in an mmap scratch file (BuildScratch).
-  bool is_scratch() const { return scratch_.size() > 0; }
+  /// True when the entries live in an mmap scratch file (an adopted
+  /// scratch-backed release).
+  bool is_scratch() const { return adopted_.is_scratch(); }
 
   /// Drops resident pages of a scratch-backed table (data preserved);
   /// no-op otherwise. See common::MappedFile::ReleaseResidency.
-  void ReleaseResidency() const { scratch_.ReleaseResidency(); }
+  void ReleaseResidency() const { adopted_.ReleaseResidency(); }
 
   /// The flat (row-major) table entries — entry at a coordinate is the
   /// inclusive prefix sum up to it. The serialization surface consumed by
@@ -260,33 +249,34 @@ class PrefixSumTable {
   /// first pass fuses the copy with the last (contiguous) axis: each line
   /// is read from `source` and running-summed straight into `slots`, so
   /// every entry is written before it is read and the table needs no
-  /// zero-fill or separate copy pass. Each remaining axis is then a pass
-  /// of element-wise `curr += prev` adds between adjacent hyperplanes.
-  void BuildFrom(Accum* slots, std::span<const double> source,
-                 common::ThreadPool* pool, const EngineOptions& options,
-                 const FrequencyMatrix* residency_source) {
+  /// zero-fill or separate copy pass. `source` may be `slots` itself (the
+  /// adopting build): each entry is then read just before it is
+  /// overwritten. Each remaining axis is a pass of element-wise
+  /// `curr += prev` adds between adjacent hyperplanes.
+  void BuildFrom(Accum* slots, const double* source, common::ThreadPool* pool,
+                 const EngineOptions& options) {
     common::ResidencyGovernor governor(
-        is_scratch() ? options.max_memory_bytes : 0, [&] {
-          ReleaseResidency();
-          if (residency_source != nullptr) residency_source->ReleaseResidency();
-        });
+        is_scratch() ? options.max_memory_bytes : 0,
+        [&] { ReleaseResidency(); });
+    const std::size_t cells = data_.size();
     const std::size_t line_len = dims_.back();
     common::ParallelFor(
-        pool, source.size() / line_len, /*grain=*/0,
+        pool, cells / line_len, /*grain=*/0,
         [&](std::size_t begin, std::size_t end) {
           // Charge in fixed sub-chunks: a single end-of-line charge would
           // let a long line (1-D tables are one line) dirty its whole
           // extent of table pages before release-behind could fire.
           constexpr std::size_t kPaceCells = std::size_t{1} << 16;
           for (std::size_t line = begin; line < end; ++line) {
-            const double* in = source.data() + line * line_len;
+            const double* in = source + line * line_len;
             Accum* out = slots + line * line_len;
             Accum run = 0;
             for (std::size_t i = 0; i < line_len; i += kPaceCells) {
               const std::size_t count = std::min(line_len - i, kPaceCells);
               run = ScanInto(in + i, out + i, count, run);
-              governor.OnBytesProcessed(count *
-                                        (sizeof(Accum) + sizeof(double)));
+              // Only an adopted scratch table paces, and it is built in
+              // place: the pass touches that one buffer.
+              governor.OnBytesProcessed(count * sizeof(Accum));
             }
           }
         });
@@ -297,14 +287,14 @@ class PrefixSumTable {
         simd::Kernels(simd::ResolveIsa(options.isa));
     for (std::size_t axis = 0; axis + 1 < dims_.size(); ++axis) {
       BuildAxis(slots, dims_[axis], strides_[axis],
-                source.size() / dims_[axis], pool, kernels, governor);
+                cells / dims_[axis], pool, kernels, governor);
     }
   }
 
-  /// Running sum of in[0, n) continued from `run`, written to out[0, n);
-  /// returns the last sum. A separate function so the sum stays in a
-  /// register: inlined into the pool lambda, GCC -O3 spills it to the
-  /// stack on every element, doubling the pass.
+  /// Running sum of in[0, n) continued from `run`, written to out[0, n)
+  /// (`in` may equal `out`); returns the last sum. A separate function so
+  /// the sum stays in a register: inlined into the pool lambda, GCC -O3
+  /// spills it to the stack on every element, doubling the pass.
   static Accum ScanInto(const double* in, Accum* out, std::size_t n,
                         Accum run) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -356,9 +346,10 @@ class PrefixSumTable {
 
   std::vector<std::size_t> dims_;
   std::vector<std::size_t> strides_;
-  std::unique_ptr<Accum[]> owned_;  ///< owned entries; null in scratch/view
-  common::MappedFile scratch_;      ///< scratch entries; empty otherwise
+  std::unique_ptr<Accum[]> owned_;  ///< owned entries; null otherwise
   std::span<const Accum> data_;  ///< what RangeSum reads: backing or the view
+  // Last, so the members every lookup reads share the first cache lines.
+  FrequencyMatrix adopted_;  ///< adopted release; empty otherwise
 };
 
 extern template class PrefixSumTable<double>;

@@ -24,9 +24,10 @@ Result<PublishingSession> PublishingSession::Publish(
                            options.out_of_core() ? PublishMode::kStreamed
                                                  : PublishMode::kInCore,
                            /*plan=*/std::nullopt};
-  return FromParts(schema,
-                   matrix::PrefixSumTable<double>(published, pool, options),
-                   std::move(metadata), pool);
+  return FromParts(
+      schema,
+      matrix::PrefixSumTable<double>(std::move(published), pool, options),
+      std::move(metadata), pool);
 }
 
 Result<PublishingSession> PublishingSession::FromMatrix(

@@ -8,8 +8,8 @@
 //
 // A session is a schema, the release's prefix-sum table, the release
 // metadata and, for a mapped session, the mapping that holds the table.
-// Every answer is a range sum over that table, so the noisy matrix a
-// publish produces is dropped once its table is built.
+// Every answer is a range sum over that table, so a publish builds the
+// table in place over the storage of the noisy matrix it produces.
 //
 // Releases outlive processes: storage/session_io.h saves a session's
 // table to a PVLS snapshot (SaveSession) and loads it back by copy
@@ -74,7 +74,9 @@ struct ReleaseMetadata {
 class PublishingSession {
  public:
   /// Publishes `m` under `mech` at (epsilon, seed) and wraps the release:
-  /// the noisy matrix is summed into the prefix table and then dropped.
+  /// the noisy matrix is summed in place into the prefix table, which
+  /// takes over its storage (the scratch mapping of an out-of-core
+  /// release included, so the build is paced by the memory budget).
   /// `pool` is used for batched answering and the prefix-sum build (and is
   /// handed to nothing else — configure parallel publishing on the
   /// mechanism via set_thread_pool). Not owned; may be nullptr (serial

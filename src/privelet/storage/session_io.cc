@@ -74,28 +74,15 @@ Result<query::PublishingSession> PublishToFile(
     const mechanism::Mechanism& mech, const matrix::FrequencyMatrix& m,
     double epsilon, std::uint64_t seed, common::ThreadPool* pool,
     const matrix::EngineOptions& options, const query::PlanRecord* plan) {
-  std::optional<matrix::PrefixSumTable<double>> table;
-  {
-    PRIVELET_ASSIGN_OR_RETURN(matrix::FrequencyMatrix published,
-                              mech.Publish(schema, m, epsilon, seed));
-    if (published.dims() != schema.DomainSizes()) {
-      return Status::InvalidArgument(
-          "published matrix dims do not match the schema");
-    }
-    // Serving table: scratch-backed when out of core, passing the noisy
-    // matrix along so the build's release-behind covers both mappings.
-    // The matrix itself goes out of scope here.
-    if (options.out_of_core()) {
-      PRIVELET_ASSIGN_OR_RETURN(
-          auto scratch_table,
-          matrix::PrefixSumTable<double>::BuildScratch(
-              published.dims(), published.values(), pool, options,
-              &published));
-      table.emplace(std::move(scratch_table));
-    } else {
-      table.emplace(published, pool, options);
-    }
+  PRIVELET_ASSIGN_OR_RETURN(matrix::FrequencyMatrix published,
+                            mech.Publish(schema, m, epsilon, seed));
+  if (published.dims() != schema.DomainSizes()) {
+    return Status::InvalidArgument(
+        "published matrix dims do not match the schema");
   }
+  // The serving table is built in place over the release, in its scratch
+  // mapping when out of core (the build then paces residency itself).
+  matrix::PrefixSumTable<double> table(std::move(published), pool, options);
   query::ReleaseMetadata metadata{
       std::string(mech.name()), epsilon,
       options.out_of_core() ? query::PublishMode::kStreamed
@@ -104,7 +91,7 @@ Result<query::PublishingSession> PublishToFile(
                       : std::nullopt};
   PRIVELET_ASSIGN_OR_RETURN(
       query::PublishingSession session,
-      query::PublishingSession::FromParts(schema, std::move(*table),
+      query::PublishingSession::FromParts(schema, std::move(table),
                                           std::move(metadata), pool));
   PRIVELET_RETURN_IF_ERROR(
       WriteRelease(path, session, options.max_memory_bytes));

@@ -38,12 +38,13 @@ Status SaveSession(const std::string& path,
 ///
 /// This is the out-of-core publish entry: with options.out_of_core()
 /// (and the same options set on `mech` via set_engine_options) every
-/// release-sized buffer — transform scratch, noisy matrix, prefix
-/// table — lives in unlinked mmap scratch files whose resident pages are
-/// released as each stage streams past them, so peak RSS is paced by
-/// options.max_memory_bytes rather than the release size. Without
-/// out_of_core() it is an ordinary in-core publish-and-save. The noisy
-/// matrix is dropped once its prefix table is built. The returned
+/// release-sized buffer — transform scratch and the noisy matrix, over
+/// which the prefix table is built in place — lives in unlinked mmap
+/// scratch files whose resident pages are released as each stage
+/// streams past them, so peak RSS is paced by options.max_memory_bytes
+/// rather than the release size. Without out_of_core() it is an ordinary
+/// in-core publish-and-save, its table built in place over the
+/// vector-backed release. The returned
 /// session's metadata records which mode ran (PublishMode); the file
 /// does not — see query::PublishMode.
 ///

@@ -2,11 +2,14 @@
 // tables, including randomized cross-checks against brute force.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "privelet/common/thread_pool.h"
 #include "privelet/data/attribute.h"
 #include "privelet/data/table.h"
 #include "privelet/matrix/frequency_matrix.h"
@@ -231,6 +234,96 @@ TEST_P(PrefixSumPropertyTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefixSumPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 16));
+
+// A table built from an rvalue matrix adopts its storage and sums it in
+// place; the entries must be those of the const-source build.
+FrequencyMatrix RandomRealMatrix(std::vector<std::size_t> dims,
+                                 std::uint64_t seed) {
+  FrequencyMatrix m(std::move(dims));
+  rng::Xoshiro256pp gen(seed);
+  // Fractional, signed values so every rounding of the running sums shows.
+  for (std::size_t i = 0; i < m.size(); ++i) m[i] = gen.NextDouble() * 9 - 4;
+  return m;
+}
+
+TEST(PrefixSumAdoptTest, AdoptedBuildIsBitIdenticalInTheReleaseStorage) {
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {1000}, {64, 48}, {9, 10, 11}, {1, 7, 1, 5}, {257, 3}, {3, 130}};
+  common::ThreadPool pool(3);
+  for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                &pool}) {
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
+      FrequencyMatrix m = RandomRealMatrix(shapes[s], 100 + s);
+      const PrefixSumTable<double> reference(m, p);
+      const double* storage = m.values().data();
+      const PrefixSumTable<double> adopted(std::move(m), p);
+      EXPECT_EQ(adopted.raw_sums().data(), storage) << "shape " << s;
+      EXPECT_FALSE(adopted.is_view());
+      EXPECT_FALSE(adopted.is_scratch());
+      EXPECT_EQ(adopted.dims(), shapes[s]);
+      EXPECT_TRUE(ValuesEqual(adopted.raw_sums(), reference.raw_sums()))
+          << "shape " << s << (p != nullptr ? " pooled" : " serial");
+    }
+  }
+}
+
+TEST(PrefixSumAdoptTest, CopyOfAnAdoptedTableIsDeepAndOutlivesIt) {
+  FrequencyMatrix m = RandomRealMatrix({33, 17}, 7);
+  const PrefixSumTable<double> reference(m);
+  std::optional<PrefixSumTable<double>> adopted;
+  adopted.emplace(std::move(m));
+  const PrefixSumTable<double> copy(*adopted);
+  PrefixSumTable<double> assigned(reference);
+  assigned = *adopted;
+  EXPECT_NE(copy.raw_sums().data(), adopted->raw_sums().data());
+  EXPECT_NE(assigned.raw_sums().data(), adopted->raw_sums().data());
+  EXPECT_FALSE(copy.is_view());
+  EXPECT_FALSE(assigned.is_view());
+  adopted.reset();  // frees the adopted storage
+  EXPECT_TRUE(ValuesEqual(copy.raw_sums(), reference.raw_sums()));
+  EXPECT_TRUE(ValuesEqual(assigned.raw_sums(), reference.raw_sums()));
+}
+
+TEST(PrefixSumAdoptTest, MovesKeepTheAdoptedStorage) {
+  FrequencyMatrix m = RandomRealMatrix({16, 20}, 9);
+  const PrefixSumTable<double> reference(m);
+  const double* storage = m.values().data();
+  PrefixSumTable<double> adopted(std::move(m));
+  PrefixSumTable<double> moved(std::move(adopted));
+  EXPECT_EQ(moved.raw_sums().data(), storage);
+  PrefixSumTable<double> assigned(reference);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.raw_sums().data(), storage);
+  EXPECT_FALSE(assigned.is_view());
+  EXPECT_TRUE(ValuesEqual(assigned.raw_sums(), reference.raw_sums()));
+  // A copy of the moved-to table is still deep.
+  const PrefixSumTable<double> copy(assigned);
+  EXPECT_NE(copy.raw_sums().data(), storage);
+  EXPECT_TRUE(ValuesEqual(copy.raw_sums(), reference.raw_sums()));
+}
+
+TEST(PrefixSumAdoptTest, ScratchBackedReleaseStaysInItsMapping) {
+  auto scratch = FrequencyMatrix::CreateScratch({96, 80});
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  const FrequencyMatrix values = RandomRealMatrix({96, 80}, 11);
+  std::copy(values.values().begin(), values.values().end(),
+            scratch->values().begin());
+  const PrefixSumTable<double> reference(values);
+  const double* storage = scratch->values().data();
+  EngineOptions options;
+  options.max_memory_bytes = 16 * 1024;  // release many times per pass
+  common::ThreadPool pool(2);
+  const PrefixSumTable<double> adopted(std::move(*scratch), &pool, options);
+  EXPECT_TRUE(adopted.is_scratch());
+  EXPECT_FALSE(adopted.is_view());
+  EXPECT_EQ(adopted.raw_sums().data(), storage);
+  EXPECT_TRUE(ValuesEqual(adopted.raw_sums(), reference.raw_sums()));
+  adopted.ReleaseResidency();  // evicts pages; the entries survive
+  EXPECT_TRUE(ValuesEqual(adopted.raw_sums(), reference.raw_sums()));
+  const PrefixSumTable<double> copy(adopted);  // lands on the heap
+  EXPECT_FALSE(copy.is_scratch());
+  EXPECT_TRUE(ValuesEqual(copy.raw_sums(), reference.raw_sums()));
+}
 
 }  // namespace
 }  // namespace privelet::matrix

@@ -105,6 +105,33 @@ TEST(PublishingSessionTest, PublishWrapsAMechanismRelease) {
       PublishingSession::Publish(schema, privelet, m, -1.0, 17).ok());
 }
 
+TEST(PublishingSessionTest, StreamedPublishBuildsItsTableInTheScratchRelease) {
+  // Under a memory budget the release is scratch-backed; the session's
+  // table must stay in that mapping (not land on the heap) and still be
+  // the in-core publish's, bit for bit.
+  const data::Schema schema = MixedSchema();
+  const matrix::FrequencyMatrix m = RandomMatrix(schema, 12);
+  mechanism::PriveletMechanism in_core;
+  auto expected = PublishingSession::Publish(schema, in_core, m, 1.0, 29);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_FALSE(expected->prefix_table().is_scratch());
+
+  matrix::EngineOptions options;
+  options.max_memory_bytes = 16 * 1024;
+  mechanism::PriveletMechanism streamed;
+  streamed.set_engine_options(options);
+  common::ThreadPool pool(2);
+  auto session = PublishingSession::Publish(schema, streamed, m, 1.0, 29,
+                                            &pool, options);
+  ASSERT_TRUE(session.ok());
+  EXPECT_TRUE(session->prefix_table().is_scratch());
+  EXPECT_EQ(session->metadata().publish_mode, PublishMode::kStreamed);
+  EXPECT_TRUE(matrix::ValuesEqual(session->prefix_table().raw_sums(),
+                                  expected->prefix_table().raw_sums()));
+  const auto queries = MakeQueries(schema, 60, 31);
+  EXPECT_EQ(session->AnswerAll(queries), expected->AnswerAll(queries));
+}
+
 TEST(PublishingSessionTest, PooledAnswerAllMatchesSerial) {
   const data::Schema schema = MixedSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 6);
