@@ -7,6 +7,27 @@
 
 namespace privelet::serving {
 
+namespace {
+
+std::uint64_t QuantileOf(const std::uint64_t* counts, std::uint64_t mass,
+                         std::uint64_t max, double q) {
+  if (mass == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  const std::uint64_t target = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::ceil(q * static_cast<double>(mass))));
+  std::uint64_t cumulative = 0;
+  for (std::size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
+    cumulative += counts[i];
+    if (cumulative >= target) {
+      return std::min(LatencyHistogram::BucketUpperBound(i), max);
+    }
+  }
+  return max;
+}
+
+}  // namespace
+
 std::size_t LatencyHistogram::BucketIndex(std::uint64_t value) {
   constexpr std::uint64_t kSubCount = std::uint64_t{1} << kSubBits;
   if (value < kSubCount) return static_cast<std::size_t>(value);
@@ -28,65 +49,65 @@ std::uint64_t LatencyHistogram::BucketUpperBound(std::size_t index) {
 }
 
 void LatencyHistogram::Record(std::uint64_t value) {
-  ++buckets_[BucketIndex(value)];
-  ++count_;
-  sum_ += value;
-  max_ = std::max(max_, value);
+  buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  RaiseMax(value);
+}
+
+void LatencyHistogram::RaiseMax(std::uint64_t value) {
+  std::uint64_t seen = max_.load(std::memory_order_relaxed);
+  while (value > seen &&
+         !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+std::uint64_t LatencyHistogram::LoadBuckets(Counts* counts) const {
+  std::uint64_t mass = 0;
+  for (std::size_t i = 0; i < kNumBuckets; ++i) {
+    (*counts)[i] = buckets_[i].load(std::memory_order_relaxed);
+    mass += (*counts)[i];
+  }
+  return mass;
+}
+
+std::uint64_t LatencyHistogram::count() const {
+  Counts counts;
+  return LoadBuckets(&counts);
 }
 
 std::uint64_t LatencyHistogram::Quantile(double q) const {
-  if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const std::uint64_t target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             std::ceil(q * static_cast<double>(count_))));
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    cumulative += buckets_[i];
-    if (cumulative >= target) {
-      return std::min(BucketUpperBound(i), max_);
-    }
-  }
-  return max_;
+  Counts counts;
+  const std::uint64_t mass = LoadBuckets(&counts);
+  return QuantileOf(counts.data(), mass, max(), q);
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
   for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    buckets_[i] += other.buckets_[i];
+    const std::uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
+    if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
   }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  max_ = std::max(max_, other.max_);
-}
-
-void LatencyHistogram::AccumulateBuckets(
-    std::span<const std::uint64_t> bucket_counts, std::uint64_t sum,
-    std::uint64_t max) {
-  std::uint64_t mass = 0;
-  const std::size_t n = std::min(bucket_counts.size(), kNumBuckets);
-  for (std::size_t i = 0; i < n; ++i) {
-    buckets_[i] += bucket_counts[i];
-    mass += bucket_counts[i];
-  }
-  count_ += mass;
-  sum_ += sum;
-  max_ = std::max(max_, max);
+  sum_.fetch_add(other.sum(), std::memory_order_relaxed);
+  RaiseMax(other.max());
 }
 
 std::string LatencyHistogram::SummaryMicros() const {
   const auto micros = [](std::uint64_t nanos) {
     return static_cast<double>(nanos) * 1e-3;
   };
+  Counts counts;
+  const std::uint64_t mass = LoadBuckets(&counts);
+  const std::uint64_t top = max();
+  const auto quantile = [&](double q) {
+    return micros(QuantileOf(counts.data(), mass, top, q));
+  };
   const double mean =
-      count_ == 0 ? 0.0
-                  : static_cast<double>(sum_) / static_cast<double>(count_);
+      mass == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(mass);
   char buf[192];
   std::snprintf(buf, sizeof(buf),
                 "count=%llu mean_us=%.1f p50_us=%.1f p99_us=%.1f "
                 "p999_us=%.1f max_us=%.1f",
-                static_cast<unsigned long long>(count_), mean * 1e-3,
-                micros(Quantile(0.50)), micros(Quantile(0.99)),
-                micros(Quantile(0.999)), micros(max_));
+                static_cast<unsigned long long>(mass), mean * 1e-3,
+                quantile(0.50), quantile(0.99), quantile(0.999), micros(top));
   return buf;
 }
 

@@ -6,26 +6,39 @@
 // few hundred fixed-size counters and O(1) recording — the event loop
 // records one sample per request on its hot path.
 //
-// Not thread-safe: the daemon's event loop owns its histograms; clients
-// that aggregate across threads Merge() thread-local instances.
+// Thread-safe and lock-free: buckets, sum and max are relaxed atomics.
+// Each daemon loop records into its own instance (no contention on the
+// hot path); the STATS renderer, on any loop, Merges them into a local
+// one while they keep recording. Every reader loads each bucket exactly
+// once and takes the sample count as the mass of those loads, so the
+// quantiles always see a self-consistent distribution even when a Record
+// lands mid-read. `sum` and `max` are loaded separately and may trail the
+// buckets by in-flight samples; they feed only the mean and max display.
 #ifndef PRIVELET_SERVING_LATENCY_HISTOGRAM_H_
 #define PRIVELET_SERVING_LATENCY_HISTOGRAM_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
-#include <span>
 #include <string>
 
 namespace privelet::serving {
 
 class LatencyHistogram {
  public:
+  LatencyHistogram() = default;
+  LatencyHistogram(const LatencyHistogram&) = delete;
+  LatencyHistogram& operator=(const LatencyHistogram&) = delete;
+
   /// Adds one sample (any unit; the daemon records nanoseconds).
+  /// Wait-free apart from the max CAS, which retries only while another
+  /// thread is publishing a larger maximum.
   void Record(std::uint64_t value);
 
-  std::uint64_t count() const { return count_; }
-  std::uint64_t max() const { return max_; }
-  std::uint64_t sum() const { return sum_; }
+  /// The bucket mass.
+  std::uint64_t count() const;
+  std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
+  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
 
   /// Smallest recorded-bucket upper bound below which at least a `q`
   /// fraction of samples fall (0 < q <= 1). Exact for values < 2^kSubBits;
@@ -33,23 +46,14 @@ class LatencyHistogram {
   /// 0 on an empty histogram.
   std::uint64_t Quantile(double q) const;
 
-  /// Element-wise accumulation of another histogram's samples.
+  /// Element-wise accumulation of another histogram's samples; either
+  /// side may be recording concurrently.
   void Merge(const LatencyHistogram& other);
-
-  /// Raw accumulation of pre-bucketed samples: `bucket_counts` must have
-  /// kNumBuckets entries (one count per bucket, in BucketIndex order);
-  /// `sum` and `max` are the totals of the underlying samples. The sample
-  /// count is derived from the bucket mass so count and bucket totals can
-  /// never disagree. This is the landing pad for
-  /// ConcurrentHistogram::SnapshotInto — a lock-free per-loop histogram
-  /// drains into a plain one here, then the loops' plain histograms
-  /// combine via Merge().
-  void AccumulateBuckets(std::span<const std::uint64_t> bucket_counts,
-                         std::uint64_t sum, std::uint64_t max);
 
   /// One-line "count=N mean_us=... p50_us=... p99_us=... p999_us=...
   /// max_us=..." rendering, interpreting samples as nanoseconds (the
-  /// daemon's unit). Used verbatim by the STATS verb.
+  /// daemon's unit), all from one read of the buckets. Used verbatim by
+  /// the STATS verb.
   std::string SummaryMicros() const;
 
   static constexpr int kSubBits = 4;
@@ -64,10 +68,15 @@ class LatencyHistogram {
   static std::uint64_t BucketUpperBound(std::size_t index);
 
  private:
-  std::array<std::uint64_t, kNumBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t max_ = 0;
+  using Counts = std::array<std::uint64_t, kNumBuckets>;
+
+  /// One relaxed load of every bucket; returns their mass.
+  std::uint64_t LoadBuckets(Counts* counts) const;
+  void RaiseMax(std::uint64_t value);
+
+  std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> max_{0};
 };
 
 }  // namespace privelet::serving

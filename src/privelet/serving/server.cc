@@ -19,7 +19,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -78,13 +77,10 @@ Server::~Server() {
     if (loop == nullptr) continue;
     for (auto& [fd, conn] : loop->connections) common::CloseFd(fd);
     loop->connections.clear();
-    for (const int fd : loop->handoff_queue) common::CloseFd(fd);
-    loop->handoff_queue.clear();
     if (loop->listen_fd >= 0) common::CloseFd(loop->listen_fd);
     if (loop->epoll_fd >= 0) common::CloseFd(loop->epoll_fd);
     if (loop->wake_read_fd >= 0) common::CloseFd(loop->wake_read_fd);
     if (loop->wake_write_fd >= 0) common::CloseFd(loop->wake_write_fd);
-    if (loop->handoff_fd >= 0) common::CloseFd(loop->handoff_fd);
   }
 #endif
 }
@@ -143,34 +139,6 @@ Status Server::Start() {
                          1, std::thread::hardware_concurrency());
   num_loops_ = std::min(num_loops_, kMaxLoops);
 
-  switch (options_.accept_mode) {
-    case ServerOptions::AcceptMode::kHandoff:
-      handoff_ = num_loops_ > 1;
-      break;
-    case ServerOptions::AcceptMode::kReusePort:
-    case ServerOptions::AcceptMode::kAuto: {
-      handoff_ = false;
-      if (num_loops_ > 1) {
-        // Probe SO_REUSEPORT on a scratch socket; every modern Linux has
-        // it, but the fallback keeps the daemon multi-loop regardless.
-        const int probe =
-            ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        const int one = 1;
-        const bool supported =
-            probe >= 0 && ::setsockopt(probe, SOL_SOCKET, SO_REUSEPORT, &one,
-                                       sizeof(one)) == 0;
-        if (probe >= 0) common::CloseFd(probe);
-        if (!supported) {
-          if (options_.accept_mode == ServerOptions::AcceptMode::kReusePort) {
-            return Status::IOError("SO_REUSEPORT is not supported here");
-          }
-          handoff_ = true;
-        }
-      }
-      break;
-    }
-  }
-
   loops_.clear();
   loops_.reserve(num_loops_);
   for (std::size_t i = 0; i < num_loops_; ++i) {
@@ -178,42 +146,19 @@ Status Server::Start() {
     loop->index = i;
     loops_.push_back(std::move(loop));
   }
+  // One listener per loop, with SO_REUSEPORT when there are several; the
+  // first bind resolves an ephemeral port for the rest of the group.
   for (const auto& loop : loops_) {
     PRIVELET_RETURN_IF_ERROR(SetupLoop(*loop));
-  }
-
-  // Listeners. Sharded mode: one SO_REUSEPORT listener per loop, the
-  // first bind resolving an ephemeral port for the rest of the group.
-  // Handoff mode (and num_loops == 1): a single listener on loop 0, plus
-  // an eventfd per other loop for the fd handover.
-  const std::size_t listeners = handoff_ ? 1 : num_loops_;
-  for (std::size_t i = 0; i < listeners; ++i) {
     PRIVELET_RETURN_IF_ERROR(
-        SetupListener(*loops_[i], /*reuse_port=*/!handoff_ && num_loops_ > 1));
+        SetupListener(*loop, /*reuse_port=*/num_loops_ > 1));
     struct epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = loops_[i]->listen_fd;
-    if (::epoll_ctl(loops_[i]->epoll_fd, EPOLL_CTL_ADD, loops_[i]->listen_fd,
-                    &ev) != 0) {
+    ev.data.fd = loop->listen_fd;
+    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->listen_fd, &ev) !=
+        0) {
       return Status::IOError("epoll_ctl(listener) failed: " +
                              common::ErrnoMessage());
-    }
-  }
-  if (handoff_) {
-    for (std::size_t i = 1; i < num_loops_; ++i) {
-      EventLoop& loop = *loops_[i];
-      loop.handoff_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-      if (loop.handoff_fd < 0) {
-        return Status::IOError("eventfd failed: " + common::ErrnoMessage());
-      }
-      struct epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = loop.handoff_fd;
-      if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.handoff_fd, &ev) !=
-          0) {
-        return Status::IOError("epoll_ctl(handoff eventfd) failed: " +
-                               common::ErrnoMessage());
-      }
     }
   }
   uptime_.Restart();
@@ -321,11 +266,6 @@ Status Server::Run() {
       open_connections_.fetch_sub(1, std::memory_order_relaxed);
     }
     loop->connections.clear();
-    for (const int fd : loop->handoff_queue) {
-      common::CloseFd(fd);
-      open_connections_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    loop->handoff_queue.clear();
   }
   for (const Status& status : statuses) {
     if (!status.ok()) return status;
@@ -353,13 +293,6 @@ Status Server::RunLoop(EventLoop& loop) {
         char drain[64];
         while (::read(loop.wake_read_fd, drain, sizeof(drain)) > 0) {
         }
-        continue;
-      }
-      if (fd == loop.handoff_fd) {
-        std::uint64_t drain = 0;
-        [[maybe_unused]] ssize_t rc =
-            ::read(loop.handoff_fd, &drain, sizeof(drain));
-        AdoptHandoff(loop);
         continue;
       }
       const auto it = loop.connections.find(fd);
@@ -426,45 +359,18 @@ void Server::AcceptPending(EventLoop& loop) {
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     loop.counters.connections_accepted.fetch_add(1,
                                                  std::memory_order_relaxed);
-    if (handoff_ && num_loops_ > 1) {
-      // Round-robin over all loops, including the acceptor itself.
-      EventLoop& target = *loops_[accept_rr_++ % num_loops_];
-      if (target.index != loop.index) {
-        {
-          std::lock_guard<std::mutex> lock(target.handoff_mu);
-          target.handoff_queue.push_back(fd);
-        }
-        const std::uint64_t ping = 1;
-        [[maybe_unused]] ssize_t rc =
-            ::write(target.handoff_fd, &ping, sizeof(ping));
-        continue;
-      }
+    struct epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      common::CloseFd(fd);
+      open_connections_.fetch_sub(1, std::memory_order_relaxed);
+      continue;
     }
-    AdoptConnection(loop, fd);
+    auto conn = std::make_unique<Connection>();
+    conn->fd = fd;
+    loop.connections.emplace(fd, std::move(conn));
   }
-}
-
-void Server::AdoptConnection(EventLoop& loop, int fd) {
-  auto conn = std::make_unique<Connection>();
-  conn->fd = fd;
-  struct epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = fd;
-  if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    common::CloseFd(fd);
-    open_connections_.fetch_sub(1, std::memory_order_relaxed);
-    return;
-  }
-  loop.connections.emplace(fd, std::move(conn));
-}
-
-void Server::AdoptHandoff(EventLoop& loop) {
-  std::vector<int> fds;
-  {
-    std::lock_guard<std::mutex> lock(loop.handoff_mu);
-    fds.swap(loop.handoff_queue);
-  }
-  for (const int fd : fds) AdoptConnection(loop, fd);
 }
 
 void Server::CloseConnection(EventLoop& loop, int fd) {
@@ -533,24 +439,10 @@ void Server::ProcessConnection(EventLoop& loop, Connection& conn) {
     conn.in_head = 0;
   }
 
-  // Oversized single request (no line/frame boundary within the cap):
-  // the stream cannot resynchronize — report and close.
+  // Oversized single request (no line/frame boundary within the cap).
   if (!conn.want_close &&
       conn.in.size() - conn.in_head > options_.max_request_bytes) {
-    const Status err = Status::InvalidArgument(
-        "request exceeds " + std::to_string(options_.max_request_bytes) +
-        " bytes");
-    if (conn.mode == Mode::kBinary) {
-      EncodeErrorResponse(&conn.out, err);
-    } else {
-      conn.out += "error: ";
-      conn.out += err.ToString();
-      conn.out += '\n';
-    }
-    conn.in.clear();
-    conn.in_head = 0;
-    conn.want_close = true;
-    loop.counters.connections_dropped.fetch_add(1, std::memory_order_relaxed);
+    RejectOversized(loop, conn);
   }
 
   FlushConnection(conn);
@@ -575,14 +467,19 @@ bool Server::ProcessText(EventLoop& loop, Connection& conn,
     if (OutPending(conn) > options_.max_buffered_bytes / 2) break;
     const std::size_t nl = conn.in.find('\n', conn.in_head);
     if (nl == std::string::npos) return false;
-    std::string line = conn.in.substr(conn.in_head, nl - conn.in_head);
+    std::string_view line(conn.in.data() + conn.in_head, nl - conn.in_head);
     conn.in_head = nl + 1;
     // CRLF clients (nc -C, telnet, Windows edits) terminate with \r\n.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
 
     if (conn.batch_expected > 0) {
-      conn.batch_lines.push_back(std::move(line));
-      if (conn.batch_lines.size() == conn.batch_expected) {
+      conn.batch_lines += line;
+      conn.batch_lines += '\n';
+      if (conn.batch_lines.size() > options_.max_request_bytes) {
+        RejectOversized(loop, conn);
+        return false;
+      }
+      if (++conn.batch_received == conn.batch_expected) {
         FinishTextBatch(loop, conn);
         --*budget;
       }
@@ -651,8 +548,7 @@ void Server::HandleTextLine(EventLoop& loop, Connection& conn,
           "name=lo:hi, name@node)"));
       return;
     }
-    const std::string pred_line(rest.substr(preds));
-    auto answers = AnswerTextQueries(loop, id, std::span(&pred_line, 1));
+    auto answers = AnswerTextQueries(loop, id, rest.substr(preds));
     if (!answers.ok()) {
       fail(answers.status());
       return;
@@ -677,6 +573,7 @@ void Server::HandleTextLine(EventLoop& loop, Connection& conn,
     }
     conn.batch_id = id;
     conn.batch_expected = static_cast<std::size_t>(*count);
+    conn.batch_received = 0;
     conn.batch_lines.clear();
     return;  // the response follows the n-th predicate line
   }
@@ -729,19 +626,35 @@ void Server::HandleTextLine(EventLoop& loop, Connection& conn,
 }
 
 void Server::FinishTextBatch(EventLoop& loop, Connection& conn) {
-  const std::string id = std::move(conn.batch_id);
-  std::vector<std::string> lines = std::move(conn.batch_lines);
-  conn.batch_id.clear();
   conn.batch_expected = 0;
-  conn.batch_lines.clear();
   // The BATCH header line already counted this request.
-  auto answers = AnswerTextQueries(loop, id, lines);
+  auto answers = AnswerTextQueries(loop, conn.batch_id, conn.batch_lines);
+  conn.batch_lines.clear();
   if (!answers.ok()) {
     AppendTextError(loop, conn, answers.status());
     return;
   }
   AppendTextHeader(conn, answers->size());
   AppendTextAnswers(conn, *answers);
+}
+
+void Server::RejectOversized(EventLoop& loop, Connection& conn) {
+  const Status err = Status::InvalidArgument(
+      "request exceeds " + std::to_string(options_.max_request_bytes) +
+      " bytes");
+  if (conn.mode == Mode::kBinary) {
+    EncodeErrorResponse(&conn.out, err);
+  } else {
+    conn.out += "error: ";
+    conn.out += err.ToString();
+    conn.out += '\n';
+  }
+  conn.in.clear();
+  conn.in_head = 0;
+  conn.batch_expected = 0;
+  conn.batch_lines.clear();
+  conn.want_close = true;
+  loop.counters.connections_dropped.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Server::HandleBinaryRequest(EventLoop& loop, Connection& conn,
@@ -791,19 +704,19 @@ std::vector<double> Server::Evaluate(
   return session.AnswerAll(queries);
 }
 
-ConcurrentHistogram* Server::LatencySlot(EventLoop& loop,
-                                         const std::string& id) {
+LatencyHistogram* Server::LatencySlot(EventLoop& loop,
+                                      const std::string& id) {
   const auto cached = loop.latency_slots.find(id);
   if (cached != loop.latency_slots.end()) return cached->second;
-  std::unique_ptr<ConcurrentHistogram[]>* slots = nullptr;
+  std::unique_ptr<LatencyHistogram[]>* slots = nullptr;
   {
     std::lock_guard<std::mutex> lock(release_latency_mu_);
     slots = &release_latency_[id];
     if (*slots == nullptr) {
-      *slots = std::make_unique<ConcurrentHistogram[]>(num_loops_);
+      *slots = std::make_unique<LatencyHistogram[]>(num_loops_);
     }
   }
-  ConcurrentHistogram* slot = &(*slots)[loop.index];
+  LatencyHistogram* slot = &(*slots)[loop.index];
   loop.latency_slots.emplace(id, slot);
   return slot;
 }
@@ -878,19 +791,26 @@ Result<std::vector<double>> Server::AnswerTimed(EventLoop& loop,
   return answers;
 }
 
-Result<std::vector<double>> Server::AnswerTextQueries(
-    EventLoop& loop, const std::string& id,
-    std::span<const std::string> lines) {
+Result<std::vector<double>> Server::AnswerTextQueries(EventLoop& loop,
+                                                      const std::string& id,
+                                                      std::string_view lines) {
   return AnswerTimed(
       loop, id,
       [&](const data::Schema& schema)
           -> Result<std::vector<query::RangeQuery>> {
         std::vector<query::RangeQuery> queries;
-        queries.reserve(lines.size());
-        for (const std::string& line : lines) {
-          PRIVELET_ASSIGN_OR_RETURN(query::RangeQuery query,
-                                    ParseQueryLine(schema, line));
+        queries.reserve(
+            static_cast<std::size_t>(
+                std::count(lines.begin(), lines.end(), '\n')) +
+            1);
+        for (std::size_t pos = 0; pos < lines.size();) {
+          const std::size_t end = std::min(lines.find('\n', pos),
+                                           lines.size());
+          PRIVELET_ASSIGN_OR_RETURN(
+              query::RangeQuery query,
+              ParseQueryLine(schema, lines.substr(pos, end - pos)));
           queries.push_back(std::move(query));
+          pos = end + 1;
         }
         return queries;
       });
@@ -961,17 +881,17 @@ std::string Server::RenderStatsText() {
          "\n";
   out += "isa_best " +
          std::string(simd::IsaLevelName(simd::DetectBestIsa())) + "\n";
-  // Histograms: per-loop lock-free snapshots combined via Merge. The
-  // render may run on any loop while others keep recording.
+  // Histograms: the per-loop ones combined via Merge. The render may run
+  // on any loop while others keep recording.
   LatencyHistogram all;
-  for (const auto& loop : loops_) loop->all_latency.SnapshotInto(&all);
+  for (const auto& loop : loops_) all.Merge(loop->all_latency);
   out += "latency _all " + all.SummaryMicros() + "\n";
   {
     std::lock_guard<std::mutex> lock(release_latency_mu_);
     for (const auto& [id, slots] : release_latency_) {
       LatencyHistogram merged;
       for (std::size_t i = 0; i < num_loops_; ++i) {
-        slots[i].SnapshotInto(&merged);
+        merged.Merge(slots[i]);
       }
       out += "latency " + id + " " + merged.SummaryMicros() + "\n";
     }

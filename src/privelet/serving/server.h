@@ -1,18 +1,15 @@
 // The network serving daemon: a sharded epoll TCP front end over
 // query::ReleaseStore, speaking the protocol in protocol.h (text and
-// length-prefixed binary framings on one port). This is the ROADMAP's
-// "real server" over the zero-copy serving tip — `privelet_cli daemon`
-// is a thin wrapper around this class.
+// length-prefixed binary framings on one port). `privelet_cli daemon` is
+// a thin wrapper around this class and `privelet_cli client` its line
+// client.
 //
 // Threading model: `num_loops` event loops (default: one per hardware
-// thread; 1 reproduces the old single-loop daemon exactly), each owning
-// its own epoll instance and its accepted connections — connection state
-// is never shared, so request handling needs no locks. Connections reach
-// the loops through per-loop SO_REUSEPORT listeners (the kernel spreads
-// accepts across the listen sockets); where REUSEPORT is unavailable —
-// or when ServerOptions::accept_mode forces it — loop 0 is the single
-// acceptor and hands accepted fds to the other loops round-robin over a
-// per-loop eventfd. A request's AnswerAll still fans its batch across
+// thread; 1 is a single loop with a plain listener), each owning its own
+// epoll instance, listener and accepted connections — connection state
+// is never shared, so request handling needs no locks. With more than
+// one loop every listener sets SO_REUSEPORT and the kernel spreads
+// accepts across them. A request's AnswerAll still fans its batch across
 // the store's worker pool; batches past `compile_batch_threshold` are
 // pre-resolved into a query::CompiledWorkload and folded straight from
 // the table (bit-identical to the per-query walk — docs/DETERMINISM.md).
@@ -24,16 +21,18 @@
 // its other connections get a turn.
 //
 // Observability: per-loop counters are plain relaxed atomics and latency
-// histograms are lock-free ConcurrentHistograms; stats() and the STATS
-// verb merge them (LatencyHistogram::Merge) without stopping any loop.
+// histograms are lock-free LatencyHistograms; stats() and the STATS verb
+// merge them (LatencyHistogram::Merge) without stopping any loop.
 //
-// Admission control / backpressure: a connection's unparsed input is
-// capped at `max_request_bytes` (a line or frame larger than that poisons
-// the connection); buffered responses are capped at
-// `max_buffered_bytes` — a slow client that lets half the cap accumulate
-// stops being *read* (requests queue in its socket, then in its sender)
-// until the buffer drains, and one that exceeds the full cap is dropped.
-// `max_connections` caps the open connections across all loops.
+// Admission control / backpressure: a connection's unparsed input — a
+// line or frame not yet complete, or the predicate lines of a text BATCH
+// collected so far — is capped at `max_request_bytes` (past it the
+// request is refused and the connection closed); buffered responses are
+// capped at `max_buffered_bytes` — a slow client that lets half the cap
+// accumulate stops being *read* (requests queue in its socket, then in
+// its sender) until the buffer drains, and one that exceeds the full cap
+// is dropped. `max_connections` caps the open connections across all
+// loops.
 //
 // Shutdown: Shutdown() is async-signal-safe (one write to each loop's
 // wake pipe), so SIGINT/SIGTERM handlers may call it directly; Run()
@@ -61,20 +60,12 @@
 #include "privelet/common/stopwatch.h"
 #include "privelet/query/release_store.h"
 #include "privelet/serving/answer_cache.h"
-#include "privelet/serving/concurrent_histogram.h"
 #include "privelet/serving/latency_histogram.h"
 #include "privelet/serving/protocol.h"
 
 namespace privelet::serving {
 
 struct ServerOptions {
-  /// How accepted connections are distributed across the event loops.
-  /// kAuto uses per-loop SO_REUSEPORT listeners when the platform has
-  /// them and falls back to the single-acceptor eventfd handoff
-  /// otherwise; the explicit modes force one path (kReusePort fails
-  /// Start() where unsupported). Irrelevant at num_loops = 1.
-  enum class AcceptMode { kAuto, kReusePort, kHandoff };
-
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read the bound port with port()
   int backlog = 128;
@@ -82,15 +73,14 @@ struct ServerOptions {
   /// Pipelined requests answered per connection per event-loop cycle
   /// before other connections are serviced.
   std::size_t max_pipeline = 64;
-  /// Cap on one connection's unparsed input bytes.
+  /// Cap on one connection's unparsed input bytes, a text BATCH's
+  /// predicate lines included.
   std::size_t max_request_bytes = std::size_t{1} << 20;
   /// Cap on one connection's buffered response bytes; reads pause at half
   /// of this, the connection is dropped when it is exceeded.
   std::size_t max_buffered_bytes = std::size_t{4} << 20;
-  /// Sharded event loops; 0 = one per hardware thread. 1 preserves the
-  /// single-loop daemon exactly.
+  /// Sharded event loops; 0 = one per hardware thread.
   std::size_t num_loops = 0;
-  AcceptMode accept_mode = AcceptMode::kAuto;
   /// Per-release, per-loop bound on the repeated-query answer cache;
   /// 0 disables caching.
   std::size_t answer_cache_entries = 1024;
@@ -155,10 +145,12 @@ class Server {
     bool want_close = false;   ///< close once out drains
     bool reading = true;       ///< EPOLLIN armed
     bool writing = false;      ///< EPOLLOUT armed
-    // Text BATCH in progress: id + predicate lines collected so far.
+    // Text BATCH in progress: id + predicate lines collected so far,
+    // each '\n'-terminated (their bytes count against max_request_bytes).
     std::string batch_id;
     std::size_t batch_expected = 0;
-    std::vector<std::string> batch_lines;
+    std::size_t batch_received = 0;
+    std::string batch_lines;
   };
 
   /// One loop's counters: relaxed atomics, written only by the owning
@@ -176,24 +168,20 @@ class Server {
   /// Everything one event loop owns. Connection state, ready list,
   /// answer caches, and the latency-slot cache are touched only by the
   /// owning loop thread; the counters/histograms are lock-free for
-  /// cross-thread readers; the handoff queue is the one mutex-guarded
-  /// hand-over point (single-acceptor mode only).
+  /// cross-thread readers.
   struct EventLoop {
     std::size_t index = 0;
     int epoll_fd = -1;
-    int listen_fd = -1;   ///< per-loop listener; -1 on loops >0 in handoff
+    int listen_fd = -1;
     int wake_read_fd = -1;
     int wake_write_fd = -1;
-    int handoff_fd = -1;  ///< eventfd pinged by the acceptor (handoff mode)
-    std::mutex handoff_mu;
-    std::vector<int> handoff_queue;  ///< accepted fds parked for this loop
     std::map<int, std::unique_ptr<Connection>> connections;
     std::vector<int> ready;  ///< fds with buffered complete requests
     LoopCounters counters;
-    ConcurrentHistogram all_latency;
+    LatencyHistogram all_latency;
     /// Loop-local pointer cache into release_latency_ (one find-or-create
     /// lock per release per loop; the hot path is lock-free after that).
-    std::map<std::string, ConcurrentHistogram*> latency_slots;
+    std::map<std::string, LatencyHistogram*> latency_slots;
     /// Loop-local per-release answer caches.
     std::map<std::string, AnswerCache> caches;
   };
@@ -202,8 +190,6 @@ class Server {
   Status SetupListener(EventLoop& loop, bool reuse_port);
   Status RunLoop(EventLoop& loop);
   void AcceptPending(EventLoop& loop);
-  void AdoptConnection(EventLoop& loop, int fd);
-  void AdoptHandoff(EventLoop& loop);
   void OnReadable(EventLoop& loop, Connection& conn);
   void ProcessConnection(EventLoop& loop, Connection& conn);
   bool ProcessText(EventLoop& loop, Connection& conn, std::size_t* budget);
@@ -211,12 +197,17 @@ class Server {
   void HandleTextLine(EventLoop& loop, Connection& conn,
                       std::string_view line);
   void FinishTextBatch(EventLoop& loop, Connection& conn);
+  /// Answers "request exceeds max_request_bytes" and closes: the stream
+  /// cannot resynchronize.
+  void RejectOversized(EventLoop& loop, Connection& conn);
   void HandleBinaryRequest(EventLoop& loop, Connection& conn,
                            const BinaryRequest& request);
   /// Acquire + answer one batch, recording latency and counters.
-  Result<std::vector<double>> AnswerTextQueries(
-      EventLoop& loop, const std::string& id,
-      std::span<const std::string> lines);
+  /// `lines` holds predicate lines separated by '\n' (the last one may
+  /// omit it).
+  Result<std::vector<double>> AnswerTextQueries(EventLoop& loop,
+                                                const std::string& id,
+                                                std::string_view lines);
   Result<std::vector<double>> AnswerSpecQueries(
       EventLoop& loop, const std::string& id,
       std::span<const QuerySpec> specs);
@@ -228,7 +219,7 @@ class Server {
   /// evaluation at or above it.
   std::vector<double> Evaluate(const query::PublishingSession& session,
                                std::span<const query::RangeQuery> queries);
-  ConcurrentHistogram* LatencySlot(EventLoop& loop, const std::string& id);
+  LatencyHistogram* LatencySlot(EventLoop& loop, const std::string& id);
   Result<std::string> DoReload(EventLoop& loop, const std::string& id,
                                const std::string& path);
   std::string RenderStatsText();
@@ -250,7 +241,6 @@ class Server {
   const ServerOptions options_;
 
   std::size_t num_loops_ = 1;  ///< resolved by Start()
-  bool handoff_ = false;       ///< single-acceptor fd handoff in effect
   /// Loop slots are allocated and wired in Start() and structurally
   /// immutable afterwards — Shutdown() (possibly from a signal handler)
   /// only reads wake fds written before Run() began.
@@ -258,14 +248,13 @@ class Server {
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> open_connections_{0};
-  std::size_t accept_rr_ = 0;  ///< handoff round-robin; acceptor loop only
   Stopwatch uptime_;
 
-  /// id -> one ConcurrentHistogram per loop (index-aligned with loops_).
+  /// id -> one LatencyHistogram per loop (index-aligned with loops_).
   /// The mutex guards only the map structure; recording goes through the
   /// per-loop slots without it.
   mutable std::mutex release_latency_mu_;
-  std::map<std::string, std::unique_ptr<ConcurrentHistogram[]>>
+  std::map<std::string, std::unique_ptr<LatencyHistogram[]>>
       release_latency_;
 };
 

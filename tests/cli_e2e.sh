@@ -67,23 +67,6 @@ if "$CLI" publish --synthetic 4096 --tuples 100 --scratch-dir "$TMP" \
   exit 1
 fi
 
-echo "== serve (multi-release batch front end over the ReleaseStore)"
-cat > "$TMP/requests.txt" <<EOF
-# one request per line: <release-id> <workload-file>
-main $TMP/workload.txt
-main $TMP/workload.txt
-ghost $TMP/workload.txt
-EOF
-"$CLI" serve "main=$TMP/release.pvls" --max-resident 1 \
-       --requests "$TMP/requests.txt" --output "$TMP/served.txt"
-# Two successful batches, bit-identical to the query subcommand's
-# answers (the serve path memory-maps the snapshot; answers must not
-# depend on the serving mode), and the unknown id reported inline.
-[ "$(grep -c '^ok 500$' "$TMP/served.txt")" -eq 2 ]
-grep -q "^error: NotFound" "$TMP/served.txt"
-sed -n '2,501p' "$TMP/served.txt" > "$TMP/served_first.txt"
-cmp "$TMP/served_first.txt" "$TMP/answers1.txt"
-
 echo "== CRLF CSV parses and publishes byte-identically"
 awk '{printf "%s\r\n", $0}' "$TMP/table.csv" > "$TMP/table_crlf.csv"
 "$CLI" publish --csv "$TMP/table_crlf.csv" --schema "$TMP/schema.txt" \
@@ -137,9 +120,11 @@ if "$CLI" publish --synthetic 4096 --tuples 100 --auto-plan \
 fi
 
 echo "== daemon + client (text protocol over TCP; same answers as query)"
+# --max-resident 1: the store keeps one release mapped, so alternating
+# between ids evicts (LRU) and re-maps them; answers must not change.
 rm -f "$TMP/port.txt"
 "$CLI" daemon "main=$TMP/release.pvls" "planned=$TMP/planned.pvls" --port 0 \
-       --port-file "$TMP/port.txt" \
+       --max-resident 1 --port-file "$TMP/port.txt" \
        > "$TMP/daemon.log" 2> "$TMP/daemon.err" &
 DAEMON_PID=$!
 tries=0
@@ -151,13 +136,18 @@ done
 DPORT=$(cat "$TMP/port.txt")
 
 # One session: liveness, a 500-query batch (bit-identical to the query
-# subcommand), a hot RELOAD registering a second id, an intentional
-# unknown-id error (the client exits 3 when any request failed), STATS.
+# subcommand), the two ids queried alternately, a hot RELOAD registering
+# a third id, an intentional unknown-id error (the client exits 3 when
+# any request failed), STATS.
 grep -v '^#' "$TMP/workload.txt" > "$TMP/predicates.txt"
 {
   echo "PING"
   echo "BATCH main 500"
   cat "$TMP/predicates.txt"
+  echo "QUERY planned *"
+  echo "QUERY main *"
+  echo "QUERY planned *"
+  echo "QUERY main *"
   echo "RELOAD spare $TMP/release2.pvls"
   echo "QUERY spare *"
   echo "QUERY planned *"
@@ -174,6 +164,11 @@ grep -q '^ok 500$' "$TMP/daemon_out.txt"
 grep -q '^reloaded spare$' "$TMP/daemon_out.txt"
 grep -q '^error: ' "$TMP/daemon_out.txt"
 grep -q '^uptime_s' "$TMP/daemon_out.txt"
+evictions=$(awk '$1 == "store_evictions" { print $2 }' "$TMP/daemon_out.txt")
+if [ "${evictions:-0}" -lt 1 ]; then
+  echo "FAIL: --max-resident 1 evicted nothing (store_evictions ${evictions:-?})" >&2
+  exit 1
+fi
 # STATS reports the resident planned release's recorded decision; the
 # plan-less release contributes no plan line.
 grep -q '^plan planned chosen=' "$TMP/daemon_out.txt"

@@ -593,6 +593,47 @@ TEST_F(DaemonTest, OversizedRequestLineDropsTheConnection) {
   EXPECT_EQ(server_->stats().connections_dropped, 1u);
 }
 
+TEST_F(DaemonTest, TextBatchCountsAgainstTheRequestCap) {
+  // A text BATCH is one request: its predicate lines' bytes (newlines
+  // included) count against max_request_bytes even though no single line
+  // comes near the cap. Past it the batch is refused and its connection
+  // closed, like any oversized request; other connections carry on.
+  ServerOptions options;
+  options.max_request_bytes = 256;
+  StartServer(options);
+  TestClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+  TestClient other;
+  ASSERT_TRUE(other.Connect(server_->port()));
+  std::string header;
+  std::vector<std::string> payload;
+
+  // 3 lines, 25 bytes: under the cap, answered.
+  const std::vector<std::string> lines = {"*", "A=0:31", "A=3:9 B=1:30"};
+  std::string batch = "BATCH r0 3\n";
+  for (const std::string& line : lines) batch += line + "\n";
+  ASSERT_TRUE(client.Send(batch));
+  ASSERT_TRUE(client.ReadResponse(&header, &payload));
+  EXPECT_EQ(header, "ok 3");
+  EXPECT_EQ(payload, DirectAnswers(paths_[0], lines));
+
+  // 64 lines of 13 bytes (832 in all): refused.
+  std::string big = "BATCH r0 64\n";
+  for (int i = 0; i < 64; ++i) big += "A=3:9 B=1:30\n";
+  ASSERT_TRUE(client.Send(big));
+  ASSERT_TRUE(client.ReadResponse(&header, &payload));
+  ASSERT_EQ(header.rfind("error:", 0), 0u) << header;
+  EXPECT_NE(header.find("request exceeds 256 bytes"), std::string::npos)
+      << header;
+  EXPECT_TRUE(client.AtEof());
+  EXPECT_EQ(server_->stats().connections_dropped, 1u);
+
+  ASSERT_TRUE(other.Send("QUERY r0 *\n"));
+  ASSERT_TRUE(other.ReadResponse(&header, &payload));
+  EXPECT_EQ(header, "ok 1");
+  EXPECT_EQ(payload, DirectAnswers(paths_[0], std::span(&lines[0], 1)));
+}
+
 TEST_F(DaemonTest, ResponsesAreByteIdenticalAcrossLoopCounts) {
   // The sharding contract: num_loops is a pure throughput knob. The same
   // request stream must produce byte-identical responses at 1, 2, and 8
@@ -658,35 +699,6 @@ TEST_F(DaemonTest, ResponsesAreByteIdenticalAcrossLoopCounts) {
     }
     StopServer();
   }
-}
-
-TEST_F(DaemonTest, HandoffAcceptModeServesAllConnections) {
-  // Force the single-acceptor eventfd handoff (the non-REUSEPORT
-  // fallback): connections land round-robin on both loops and every one
-  // must be fully served.
-  ServerOptions options;
-  options.num_loops = 2;
-  options.accept_mode = ServerOptions::AcceptMode::kHandoff;
-  StartServer(options);
-
-  const std::string line = "A=1:20";
-  const std::vector<std::string> expected =
-      DirectAnswers(paths_[0], std::span(&line, 1));
-  constexpr std::size_t kClients = 8;
-  std::vector<std::unique_ptr<TestClient>> clients;
-  for (std::size_t i = 0; i < kClients; ++i) {
-    clients.push_back(std::make_unique<TestClient>());
-    ASSERT_TRUE(clients.back()->Connect(server_->port())) << i;
-  }
-  std::string header;
-  std::vector<std::string> payload;
-  for (std::size_t i = 0; i < kClients; ++i) {
-    ASSERT_TRUE(clients[i]->Send("QUERY r0 " + line + "\n")) << i;
-    ASSERT_TRUE(clients[i]->ReadResponse(&header, &payload)) << i;
-    EXPECT_EQ(header, "ok 1") << i;
-    EXPECT_EQ(payload[0], expected[0]) << i;
-  }
-  EXPECT_EQ(server_->stats().connections_accepted, kClients);
 }
 
 TEST_F(DaemonTest, ReloadInvalidatesTheAnswerCache) {

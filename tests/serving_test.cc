@@ -1,12 +1,13 @@
 // Serving-layer units: the log-linear latency histogram's bucket math,
-// quantiles, and merge exactness (single-loop vs per-loop-then-merged
-// recording must agree bucket for bucket), the lock-free
-// ConcurrentHistogram the sharded daemon records into, the per-release
-// answer cache, and the wire protocol's encode/decode round-trips plus
-// its rejection of malformed frames (the daemon feeds it raw network
-// bytes).
+// quantiles, merge exactness (single-loop vs per-loop-then-merged
+// recording must agree bucket for bucket) and lock-free recording from
+// several threads (runs under TSan with the concurrency label), the
+// per-release answer cache, and the wire protocol's encode/decode
+// round-trips plus its rejection of malformed frames (the daemon feeds
+// it raw network bytes).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -20,7 +21,6 @@
 #include "privelet/data/schema.h"
 #include "privelet/query/range_query.h"
 #include "privelet/serving/answer_cache.h"
-#include "privelet/serving/concurrent_histogram.h"
 #include "privelet/serving/latency_histogram.h"
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/serving/protocol.h"
@@ -115,45 +115,8 @@ TEST(LatencyHistogramTest, MergeIsBucketExact) {
   }
 }
 
-// --- ConcurrentHistogram ---------------------------------------------------
-
-TEST(ConcurrentHistogramTest, SnapshotMatchesDirectRecording) {
-  ConcurrentHistogram concurrent;
-  LatencyHistogram direct;
-  for (std::uint64_t v = 1; v < (std::uint64_t{1} << 50); v = v * 5 + 11) {
-    concurrent.Record(v);
-    direct.Record(v);
-  }
-  concurrent.Record(std::numeric_limits<std::uint64_t>::max());
-  direct.Record(std::numeric_limits<std::uint64_t>::max());
-
-  const LatencyHistogram snapshot = concurrent.Snapshot();
-  EXPECT_EQ(snapshot.count(), direct.count());
-  EXPECT_EQ(snapshot.max(), direct.max());
-  EXPECT_EQ(snapshot.SummaryMicros(), direct.SummaryMicros());
-  for (double q = 0.0; q <= 1.0; q += 0.05) {
-    EXPECT_EQ(snapshot.Quantile(q), direct.Quantile(q));
-  }
-}
-
-TEST(ConcurrentHistogramTest, SnapshotIntoAccumulatesLikeMerge) {
-  // SnapshotInto on top of existing contents behaves like Merge: the
-  // daemon's STATS render folds every loop's histogram into one.
-  ConcurrentHistogram loops[3];
-  LatencyHistogram expected;
-  std::uint64_t v = 1;
-  for (std::size_t i = 0; i < 300; ++i, v = v * 7 + 3) {
-    loops[i % 3].Record(v);
-    expected.Record(v);
-  }
-  LatencyHistogram combined;
-  for (ConcurrentHistogram& loop : loops) loop.SnapshotInto(&combined);
-  EXPECT_EQ(combined.count(), expected.count());
-  EXPECT_EQ(combined.SummaryMicros(), expected.SummaryMicros());
-}
-
-TEST(ConcurrentHistogramTest, ParallelRecordersLoseNothing) {
-  ConcurrentHistogram h;
+TEST(LatencyHistogramTest, ParallelRecordersLoseNothing) {
+  LatencyHistogram h;
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 20000;
   std::vector<std::thread> threads;
@@ -165,9 +128,43 @@ TEST(ConcurrentHistogramTest, ParallelRecordersLoseNothing) {
     });
   }
   for (std::thread& t : threads) t.join();
-  const LatencyHistogram snapshot = h.Snapshot();
-  EXPECT_EQ(snapshot.count(), kThreads * kPerThread);
-  EXPECT_EQ(snapshot.max(), kThreads * kPerThread);
+  EXPECT_EQ(h.count(), kThreads * kPerThread);
+  EXPECT_EQ(h.max(), kThreads * kPerThread);
+}
+
+TEST(LatencyHistogramTest, MergeWhileRecording) {
+  // The STATS render: one thread merges a loop's histogram into a fresh
+  // one while the loop keeps recording. No merge may see more samples
+  // than end up recorded (nor fewer than an earlier merge), and a merge
+  // after the recorder stops is exact.
+  LatencyHistogram live;
+  constexpr std::uint64_t kSamples = 50000;
+  std::atomic<bool> done{false};
+  std::thread recorder([&] {
+    for (std::uint64_t i = 1; i <= kSamples; ++i) live.Record(i * 37);
+    done.store(true, std::memory_order_release);
+  });
+  std::vector<std::uint64_t> seen;
+  while (!done.load(std::memory_order_acquire)) {
+    LatencyHistogram merged;
+    merged.Merge(live);
+    seen.push_back(merged.count());
+    EXPECT_EQ(merged.SummaryMicros().rfind("count=", 0), 0u);
+  }
+  recorder.join();
+  std::uint64_t previous = 0;
+  for (const std::uint64_t count : seen) {
+    EXPECT_LE(previous, count);
+    EXPECT_LE(count, kSamples);
+    previous = count;
+  }
+
+  LatencyHistogram last;
+  last.Merge(live);
+  EXPECT_EQ(last.count(), kSamples);
+  EXPECT_EQ(last.sum(), live.sum());
+  EXPECT_EQ(last.max(), kSamples * 37);
+  EXPECT_EQ(last.SummaryMicros(), live.SummaryMicros());
 }
 
 // --- AnswerCache -----------------------------------------------------------

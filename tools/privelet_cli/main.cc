@@ -10,7 +10,6 @@
 //   privelet_cli publish  CSV or generated table -> snapshot (.pvls)
 //   privelet_cli inspect  snapshot -> metadata summary (validates CRC)
 //   privelet_cli query    snapshot + workload -> one answer per line
-//   privelet_cli serve    multi-release batch front end over a ReleaseStore
 //   privelet_cli daemon   TCP serving daemon over a ReleaseStore
 //   privelet_cli client   line client for the daemon's text protocol
 #include <atomic>
@@ -86,8 +85,6 @@ usage:
   privelet_cli query   FILE.pvls (--workload FILE | --random N
                        [--workload-seed S] [--dump-workload FILE])
                        [--threads N] [--output FILE]
-  privelet_cli serve   ID=FILE.pvls [ID=FILE.pvls ...] [--threads N]
-                       [--max-resident K] [--requests FILE] [--output FILE]
   privelet_cli daemon  ID=FILE.pvls [ID=FILE.pvls ...] [--host H] [--port P]
                        [--port-file FILE] [--threads N] [--loops N]
                        [--backlog K] [--max-resident K]
@@ -95,22 +92,17 @@ usage:
   privelet_cli client  --port P [--host H] [--requests FILE]
                        [--connections N]
 
-serve reads one request per line — `<release-id> <workload-file>` — from
-stdin (or --requests), lazily memory-maps the named release, and answers
-the workload in one pooled batch: `ok <n>` then n answers, or
-`error: <message>`. --max-resident K keeps at most K releases resident
-(LRU).
-
-daemon serves the same releases over TCP (text + binary protocol, see
+daemon serves the named releases over TCP (text + binary protocol, see
 src/privelet/serving/protocol.h): verbs QUERY/BATCH/RELOAD/STATS/IDS/
-PING/QUIT, one `ok <n>`-or-`error:` response per request. --port 0 (the
-default) binds an ephemeral port; the bound port is printed as
-`listening on H:P` and written to --port-file when given. --loops N runs
-N sharded event loops (0, the default, means one per hardware thread; 1
-reproduces the single-loop daemon). SIGINT/SIGTERM shut the daemon down
-cleanly. client connects to a daemon, forwards stdin (or --requests)
-lines, and prints each response; --connections N spreads the requests
-round-robin over N connections (responses stay in request order).
+PING/QUIT, one `ok <n>`-or-`error:` response per request. Releases are
+memory-mapped lazily on first use; --max-resident K keeps at most K
+resident (LRU). --port 0 (the default) binds an ephemeral port; the bound
+port is printed as `listening on H:P` and written to --port-file when
+given. --loops N runs N sharded event loops (0, the default, means one
+per hardware thread). SIGINT/SIGTERM shut the daemon down cleanly.
+client connects to a daemon, forwards stdin (or --requests) lines, and
+prints each response; --connections N spreads the requests round-robin
+over N connections (responses stay in request order).
 
 plan scores every applicable mechanism against a representative workload
 by exact expected per-query noise variance — a closed-form, data-free
@@ -132,7 +124,7 @@ snapshot bytes are identical to an in-core publish of the same release.
 defaults: --tuples 100000, --data-seed 42, --mechanism privelet,
           --epsilon 1.0, --seed 7, --threads <hardware> (0 = serial),
           --workload-seed 7, --max-resident 0 (unbounded),
-          --max-memory 0 (in-core), --output - (stdout for query/serve)
+          --max-memory 0 (in-core), --output - (stdout for query)
 )";
 
 struct Args {
@@ -429,7 +421,7 @@ void PrintPlan(std::FILE* out, const analysis::MechanismPlan& plan) {
                plan.workload_queries);
 }
 
-// ID=FILE.pvls release specs (shared by serve and daemon).
+// ID=FILE.pvls release specs for the daemon.
 Status RegisterReleases(const std::vector<std::string>& specs,
                         query::ReleaseStore* store) {
   for (const std::string& spec : specs) {
@@ -725,119 +717,10 @@ int RunQuery(const Args& args) {
   return 0;
 }
 
-// Batch serving front end over query::ReleaseStore: releases are named
-// on the command line as ID=FILE.pvls pairs, requests arrive one per
-// line as `<release-id> <workload-file>`, and each workload is answered
-// in one pooled AnswerAll against the (lazily memory-mapped, LRU-bounded)
-// release. Request failures are reported inline and do not stop the loop
-// — a long-running front end must survive a bad request.
-int RunServe(const Args& args) {
-  Status flags = RejectUnknownFlags(
-      args, {"threads", "max-resident", "requests", "output"});
-  if (!flags.ok()) return Fail(flags);
-  if (args.positional.empty()) {
-    return Fail(Status::InvalidArgument(
-        "serve needs at least one ID=FILE.pvls release"));
-  }
-  auto pool = GetPool(args);
-  if (!pool.ok()) return Fail(pool.status());
-  auto max_resident = GetCount(args, "max-resident", 0);
-  if (!max_resident.ok()) return Fail(max_resident.status());
-
-  query::ReleaseStore::Options store_options;
-  store_options.max_resident = *max_resident;
-  store_options.pool = pool->get();
-  query::ReleaseStore store(store_options);
-  Status registered = RegisterReleases(args.positional, &store);
-  if (!registered.ok()) return Fail(registered);
-
-  std::ifstream request_file;
-  std::istream* in = &std::cin;
-  if (args.Has("requests")) {
-    request_file.open(args.Get("requests", ""));
-    if (!request_file) {
-      return Fail(Status::IOError("cannot open requests file '" +
-                                  args.Get("requests", "") + "'"));
-    }
-    in = &request_file;
-  }
-  const std::string output = args.Get("output", "-");
-  std::FILE* out = stdout;
-  if (output != "-") {
-    out = std::fopen(output.c_str(), "w");
-    if (out == nullptr) {
-      return Fail(Status::IOError("cannot open '" + output + "' for writing"));
-    }
-  }
-
-  Stopwatch serve_watch;
-  std::size_t requests = 0, failures = 0, total_queries = 0;
-  std::string line;
-  while (std::getline(*in, line)) {
-    // Requests may come from CRLF sources (nc -C, Windows-edited files).
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    ++requests;
-    std::istringstream fields(line);
-    std::string id, workload_path, extra;
-    const bool parsed =
-        static_cast<bool>(fields >> id >> workload_path) && !(fields >> extra);
-    const auto respond_error = [&](const Status& status) {
-      ++failures;
-      std::fprintf(out, "error: %s\n", status.ToString().c_str());
-    };
-    if (!parsed) {
-      respond_error(Status::InvalidArgument(
-          "request must be `<release-id> <workload-file>`"));
-    } else {
-      auto session = store.Acquire(id);
-      if (!session.ok()) {
-        respond_error(session.status());
-      } else {
-        auto queries = ReadWorkloadFile(workload_path, (*session)->schema());
-        if (!queries.ok()) {
-          respond_error(queries.status());
-        } else {
-          const std::vector<double> answers = (*session)->AnswerAll(*queries);
-          total_queries += answers.size();
-          // %.17g lines (same contract as query).
-          std::string text = "ok ";
-          text += std::to_string(answers.size());
-          text += '\n';
-          for (const double a : answers) serving::AppendAnswerLine(&text, a);
-          std::fwrite(text.data(), 1, text.size(), out);
-        }
-      }
-    }
-    // A batch front end is consumed by another process: every response
-    // must be visible as soon as it is complete.
-    if (std::fflush(out) != 0 || std::ferror(out) != 0) {
-      if (out != stdout) std::fclose(out);
-      return Fail(Status::IOError("writing answers to '" + output +
-                                  "' failed"));
-    }
-  }
-  const double seconds = serve_watch.ElapsedSeconds();
-  if (out != stdout && std::fclose(out) != 0) {
-    return Fail(Status::IOError("writing answers to '" + output + "' failed"));
-  }
-
-  const query::ReleaseStore::Stats stats = store.stats();
-  std::fprintf(stderr,
-               "served %zu requests (%zu failed), %zu queries in %.3fs "
-               "(%.0f queries/s); %llu loads, %llu hits, %llu evictions\n",
-               requests, failures, total_queries, seconds,
-               seconds > 0 ? static_cast<double>(total_queries) / seconds : 0.0,
-               static_cast<unsigned long long>(stats.loads),
-               static_cast<unsigned long long>(stats.hits),
-               static_cast<unsigned long long>(stats.evictions));
-  return 0;
-}
-
 // ---------------------------------------------------------------------------
-// daemon: the epoll TCP server (src/privelet/serving/server.h) over the
-// same ID=FILE.pvls catalog as serve. Shutdown() is async-signal-safe,
-// so SIGINT/SIGTERM handlers call it directly.
+// daemon: the epoll TCP server (src/privelet/serving/server.h) over an
+// ID=FILE.pvls catalog. Shutdown() is async-signal-safe, so SIGINT/SIGTERM
+// handlers call it directly.
 
 serving::Server* g_daemon = nullptr;
 
@@ -1194,7 +1077,6 @@ int Run(int argc, char** argv) {
   if (command == "publish") return RunPublish(*args);
   if (command == "inspect") return RunInspect(*args);
   if (command == "query") return RunQuery(*args);
-  if (command == "serve") return RunServe(*args);
   if (command == "daemon") return RunDaemon(*args);
   if (command == "client") return RunClient(*args);
   std::fprintf(stderr, "privelet_cli: unknown command '%s'\n\n%s",
