@@ -32,6 +32,7 @@
 #include "privelet/simd/kernels.h"
 #include "privelet/wavelet/hn_transform.h"
 #include "reference/per_line_engine.h"
+#include "scoped_isa.h"
 
 namespace privelet::bench {
 namespace {
@@ -226,9 +227,9 @@ int Run(bool smoke) {
     }
 
     // Dispatch sweep: one row per kernel level the host runs, each forced
-    // through EngineOptions::isa. Level 0 is the honest scalar baseline
-    // (the kernel table reproduces the pre-dispatch blocked loops
-    // verbatim); speedup_vs_scalar, the forward+inverse ratio, is the
+    // through PRIVELET_ISA. Level 0 is the honest scalar baseline
+    // (the one kernel source built at the baseline flags);
+    // speedup_vs_scalar, the forward+inverse ratio, is the
     // within-run ratio the compare_bench gate guards, and laplace_ms the
     // level's draws for this cube, which the smoke tripwire reads. Every
     // level's publish is checked bitwise against the reference release —
@@ -237,8 +238,8 @@ int Run(bool smoke) {
     double scalar_total = 0.0;
     double scalar_draws = 0.0;
     for (int lvl = 0; lvl <= static_cast<int>(best_isa); ++lvl) {
-      matrix::EngineOptions iso;
-      iso.isa = static_cast<simd::IsaChoice>(lvl);
+      const testutil::ScopedIsa forced(static_cast<simd::IsaLevel>(lvl));
+      const matrix::EngineOptions iso;
       matrix::FrequencyMatrix release;
       const Timing t = Measure(c.schema, m, &iso, reps, &release);
       PRIVELET_CHECK(

@@ -21,8 +21,6 @@
 #include <cstddef>
 #include <string>
 
-#include "privelet/simd/dispatch.h"
-
 namespace privelet::matrix {
 
 /// Panel width B of the contiguous-axis walk and the gathered out-of-core
@@ -45,11 +43,6 @@ struct EngineOptions {
   /// Directory for scratch files when max_memory_bytes > 0; empty means
   /// $TMPDIR (falling back to /tmp).
   std::string scratch_dir;
-  /// Kernel instruction-set level for the hot loops (see simd/dispatch.h).
-  /// kAuto defers to the PRIVELET_ISA environment variable, else the best
-  /// level the host supports; every level is bit-identical, so this is
-  /// purely a performance knob.
-  simd::IsaChoice isa = simd::IsaChoice::kAuto;
 
   bool out_of_core() const { return max_memory_bytes > 0; }
 };

@@ -283,8 +283,7 @@ class PrefixSumTable {
     // The remaining passes add whole runs of independent lines at once
     // (vertical adds), so the dispatched vector kernels are bit-identical
     // to scalar at every level for double as well as int64.
-    const simd::KernelTable& kernels =
-        simd::Kernels(simd::ResolveIsa(options.isa));
+    const simd::KernelTable& kernels = simd::Kernels(simd::ResolveIsa());
     for (std::size_t axis = 0; axis + 1 < dims_.size(); ++axis) {
       BuildAxis(slots, dims_[axis], strides_[axis],
                 cells / dims_[axis], pool, kernels, governor);

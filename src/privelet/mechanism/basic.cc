@@ -35,7 +35,7 @@ Result<matrix::FrequencyMatrix> BasicMechanism::Publish(
   matrix::FrequencyMatrix noisy = m;
   AddLaplaceNoise(noisy.values(), lambda,
                   rng::NoiseKey::FromSeed(rng::DeriveSeed(seed, 0xBA51C)),
-                  thread_pool(), engine_options().isa);
+                  thread_pool());
   return noisy;
 }
 

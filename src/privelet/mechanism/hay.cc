@@ -48,7 +48,7 @@ Result<matrix::FrequencyMatrix> HayHierarchicalMechanism::Publish(
   noisy[0] = 0.0;
   AddLaplaceNoise(std::span<double>(noisy).subspan(1), lambda,
                   rng::NoiseKey::FromSeed(rng::DeriveSeed(seed, 0x4A7)),
-                  thread_pool(), engine_options().isa);
+                  thread_pool());
 
   // Consistency, pass 1 (bottom-up): z[v] is the best subtree-local
   // estimate. For a node whose subtree has k levels:

@@ -9,11 +9,10 @@
 namespace privelet::mechanism {
 
 void AddLaplaceNoise(std::span<double> values, double magnitude,
-                     const rng::NoiseKey& key, common::ThreadPool* pool,
-                     simd::IsaChoice isa) {
+                     const rng::NoiseKey& key, common::ThreadPool* pool) {
   PRIVELET_CHECK(std::isfinite(magnitude) && magnitude > 0.0,
                  "Laplace magnitude must be finite and > 0");
-  const simd::KernelTable& kernels = simd::Kernels(simd::ResolveIsa(isa));
+  const simd::KernelTable& kernels = simd::Kernels(simd::ResolveIsa());
   // Chunks and blocks are whole 128-draw groups, so laplace_units never
   // computes a draw it discards except at the end of `values`.
   common::ParallelFor(

@@ -9,9 +9,10 @@
 // same bits.
 //
 // The key is expanded from the publish seed (rng::NoiseKey::FromSeed of a
-// per-mechanism derived seed), and that seed is persisted in every
-// snapshot: anyone holding a release can regenerate its noise. ROADMAP
-// item 1 replaces it with a secret key.
+// per-mechanism derived seed). Since PVLS v4 the seed is no longer
+// persisted in a snapshot, but it is still the user-chosen `--seed`
+// (default 7), so the key is not secret: anyone who guesses the seed can
+// regenerate the noise. ROADMAP item 1 replaces it with a secret key.
 #ifndef PRIVELET_MECHANISM_NOISE_H_
 #define PRIVELET_MECHANISM_NOISE_H_
 
@@ -19,18 +20,15 @@
 
 #include "privelet/common/thread_pool.h"
 #include "privelet/rng/laplace.h"
-#include "privelet/simd/dispatch.h"
 
 namespace privelet::mechanism {
 
 /// values[i] += magnitude * unit(key, i) — the whole noise step of the
 /// Basic and Hay mechanisms, fanned across `pool` (nullptr runs serially,
 /// with identical bits). `magnitude` must be finite and > 0; the draws
-/// and the scaling run through the kernel table selected by `isa` (see
-/// simd::ResolveIsa).
+/// and the scaling run through the kernel table of simd::ResolveIsa().
 void AddLaplaceNoise(std::span<double> values, double magnitude,
-                     const rng::NoiseKey& key, common::ThreadPool* pool,
-                     simd::IsaChoice isa = simd::IsaChoice::kAuto);
+                     const rng::NoiseKey& key, common::ThreadPool* pool);
 
 }  // namespace privelet::mechanism
 

@@ -82,8 +82,7 @@ Result<matrix::FrequencyMatrix> PriveletPlusMechanism::Publish(
   // cache-hot. The coefficients are moved into Inverse, which recycles
   // their storage once that pass has consumed them, so the closure reads
   // only what it copied out of them here.
-  const simd::KernelTable& kernels =
-      simd::Kernels(simd::ResolveIsa(options.isa));
+  const simd::KernelTable& kernels = simd::Kernels(simd::ResolveIsa());
   const std::size_t total = coefficients.coeffs.size();
   const std::size_t line_len = coefficients.coeffs.dims().back();
   const std::vector<double>& last_weights = *coefficients.axis_weights.back();

@@ -11,8 +11,9 @@
 //   unit(i) = (u >= 0 ? -1 : 1) * Log(tail)                 ~ Laplace(1)
 //
 // Every step before Log is exact in binary64, and Log is one fixed
-// sequence of correctly rounded operations (no FMA, no libm), so the
-// scalar, AVX2 and AVX-512 kernels agree bit-for-bit.
+// sequence of correctly rounded operations (no FMA, no libm), so every
+// compiled copy of these steps (rng/laplace_stages.h, built once per ISA
+// level) agrees bit-for-bit.
 #ifndef PRIVELET_RNG_LAPLACE_H_
 #define PRIVELET_RNG_LAPLACE_H_
 
@@ -31,8 +32,9 @@ struct NoiseKey {
   std::array<std::uint32_t, 2> nonce{};
 
   /// Expands a 64-bit seed into the key words with SplitMix64 (nonce 0).
-  /// The seed is written into every release today, so this key is not
-  /// secret: see ROADMAP item 1.
+  /// The seed is no longer written into a release, but it is still the
+  /// user-chosen `--seed` (default 7), so this key is not secret: see
+  /// ROADMAP item 1.
   static NoiseKey FromSeed(std::uint64_t seed) {
     NoiseKey k;
     SplitMix64 sm(seed);
@@ -45,24 +47,6 @@ struct NoiseKey {
   }
 };
 
-/// fdlibm's e_log.c constants, shared by Log and its vector copies:
-/// ln 2 split so that k * kLn2Hi is exact, and the minimax polynomial
-/// R(z) = kLg1 z + ... + kLg7 z^7 ~ (log(1 + f) - 2s) / s in z = s^2.
-namespace log_coeffs {
-inline constexpr double kLn2Hi = 0x1.62e42feep-1;
-inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
-inline constexpr double kLg1 = 0x1.5555555555593p-1;
-inline constexpr double kLg2 = 0x1.999999997fa04p-2;
-inline constexpr double kLg3 = 0x1.2492494229359p-2;
-inline constexpr double kLg4 = 0x1.c71c51d8e78afp-3;
-inline constexpr double kLg5 = 0x1.7466496cb03dep-3;
-inline constexpr double kLg6 = 0x1.39a09d078c69fp-3;
-inline constexpr double kLg7 = 0x1.2f112df3e5244p-3;
-// Added to the mantissa bits, this carries into bit 52 exactly when the
-// mantissa is >= sqrt(2)'s (top 20 bits 0x6a09c): fdlibm's 0x95f64 trick.
-inline constexpr std::uint64_t kSqrt2Carry = std::uint64_t{0x95f64} << 32;
-}  // namespace log_coeffs
-
 /// The ChaCha20 block function (RFC 8439 §2.3) with the 64-bit counter in
 /// state words 12 (low) and 13 (high): out[0..16) = the 16 keystream words.
 void ChaCha20Block(const NoiseKey& key, std::uint64_t counter,
@@ -71,8 +55,7 @@ void ChaCha20Block(const NoiseKey& key, std::uint64_t counter,
 /// ln(x) for a positive normal double: fdlibm's reduction to
 /// x = 2^k * m with m in [sqrt(1/2), sqrt(2)), s = f / (2 + f) with
 /// f = m - 1, and its degree-7 polynomial in s^2. Within 1 ulp of a
-/// correctly rounded log; the vector kernels repeat its operations
-/// exactly.
+/// correctly rounded log.
 double Log(double x);
 
 /// out[i] = the unit draw of raw 64-bit draw raw[i] (the steps after

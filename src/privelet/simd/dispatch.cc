@@ -55,18 +55,14 @@ IsaLevel DetectBestIsa() {
   return best;
 }
 
-IsaLevel ResolveIsa(IsaChoice choice) {
+IsaLevel ResolveIsa() {
+  // Re-read the environment on every call: a getenv is a few tens of
+  // nanoseconds, paid once per pass, and it lets the determinism tests
+  // flip PRIVELET_ISA between publishes within one process.
+  const char* env = std::getenv("PRIVELET_ISA");
   IsaLevel requested;
-  if (choice == IsaChoice::kAuto) {
-    // Re-read the environment on every call: a getenv is a few tens of
-    // nanoseconds, paid once per pass, and it lets the determinism tests
-    // flip PRIVELET_ISA between publishes within one process.
-    const char* env = std::getenv("PRIVELET_ISA");
-    if (env == nullptr || !ParseIsaLevel(env, &requested)) {
-      return DetectBestIsa();
-    }
-  } else {
-    requested = static_cast<IsaLevel>(choice);
+  if (env == nullptr || !ParseIsaLevel(env, &requested)) {
+    return DetectBestIsa();
   }
   const IsaLevel best = DetectBestIsa();
   return requested <= best ? requested : best;

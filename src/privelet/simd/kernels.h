@@ -1,18 +1,16 @@
 // The dispatched kernel table: one set of function pointers per IsaLevel
 // covering the library's hot inner loops. Selection happens through
-// simd::Kernels(ResolveIsa(...)); the callers (haar.cc, nominal.cc,
-// the mechanisms' noise, prefix_sum.h) never test CPU features
-// themselves.
+// simd::Kernels(ResolveIsa()); the callers (haar.cc, nominal.cc, the
+// mechanisms' noise, prefix_sum.h) never test CPU features themselves.
 //
-// Bit-identity by construction: every entry performs, per output element,
-// exactly the floating-point operations of the scalar kernel. The lanes of
-// each kernel are independent data items — panel lines, butterflies of one
-// level, or ChaCha20 blocks and their draws — so vectorizing across them
-// never reorders any per-item operation sequence. No entry calls libm: the
-// Laplace draws use the project's own rng::Log, whose operation sequence
-// every level repeats. Running sums along a line (the prefix table's
-// last-axis scan, a serial dependency) are not in the table and stay
-// scalar at every level.
+// Every table is the same C++ source (portable_kernels.h) built at its
+// level's target flags, so the levels are bit-identical by construction:
+// each element goes through the same expression, without FMA contraction
+// or fast-math, and the loops run over independent items (panel lines,
+// butterflies of one level, ChaCha20 blocks and their draws) that the
+// vectorizer never reassociates. No entry calls libm: the Laplace draws
+// use the project's own rng::Log. Running sums along a line (the prefix
+// table's last-axis scan, a serial dependency) are not in the table.
 #ifndef PRIVELET_SIMD_KERNELS_H_
 #define PRIVELET_SIMD_KERNELS_H_
 
@@ -42,16 +40,12 @@ struct KernelTable {
                             double* left, double* right, std::size_t count);
 
   // ---- Haar butterflies within one line (lane i = butterfly i) ----------
-  // One forward level, in place over `line`:
+  // One forward level, in place over `line` (every read sees the input):
   //   detail[i] = (line[2i] - line[2i+1]) / 2
   //   line[i]   = (line[2i] + line[2i+1]) / 2        for i in [0, half)
-  // Ascending blocks are safe: block writes at [i, i+w) never reach the
-  // pending reads at [2i', 2i'+2w) of later blocks.
   void (*haar_forward_level)(double* line, double* detail, std::size_t half);
-  // One inverse level, expanding in place:
+  // One inverse level, expanding in place (every read sees the input):
   //   line[2i] = line[i] + detail[i]; line[2i+1] = line[i] - detail[i]
-  // Processed i = half-1 .. 0 (descending) so the expansion never clobbers
-  // a pending read.
   void (*haar_inverse_level)(double* line, const double* detail,
                              std::size_t half);
   // Out-of-place variants for the fused first forward / last inverse level
@@ -77,22 +71,19 @@ struct KernelTable {
   // out[b] = a[b] - b_[b] / divisor  (the nominal forward detail)
   void (*row_sub_div)(double* out, const double* a, const double* b_,
                       double divisor, std::size_t count);
-  // acc[b] += scale * row[b], rounded like the scalar expression (separate
-  // multiply and add — never an FMA, which would round once instead of
-  // twice and change bits).
+  // acc[b] += scale * row[b]: a separate multiply and add (never an FMA,
+  // which would round once instead of twice and change bits).
   void (*row_add_scaled)(double* acc, const double* row, double scale,
                          std::size_t count);
 
   // ---- Counter-based Laplace draws ------------------------------------
   // out[j] = rng::LaplaceUnitAt(key, first + j) for j in [0, n): the
-  // ChaCha20 blocks of 8 draws each run 8 (AVX2) or 16 (scalar, AVX-512)
-  // at a time, one block per lane, and the front half and rng::Log run
-  // across draws. A group of blocks only partly inside [first, first + n)
-  // is computed whole and trimmed, so a run of whole 128-draw groups from
-  // a multiple of 8 wastes nothing. Every level gives the bits of the
-  // per-index definition: the block function is integer arithmetic, and
-  // the front half and Log are the same correctly rounded operations in
-  // the same order.
+  // ChaCha20 blocks of 8 draws each run 16 at a time, one block per lane,
+  // and the front half and rng::Log run across draws. A group of blocks
+  // only partly inside [first, first + n) is computed whole and trimmed,
+  // so a run of whole 128-draw groups from a multiple of 8 wastes
+  // nothing. Every level compiles the per-index definition's own stages
+  // (rng/laplace_stages.h), so it gives the same bits.
   void (*laplace_units)(const rng::NoiseKey& key, std::uint64_t first,
                         std::size_t n, double* out);
 
@@ -107,9 +98,10 @@ struct KernelTable {
 /// fall back to the next lower compiled level.
 const KernelTable& Kernels(IsaLevel level);
 
-// Per-TU table factories; return nullptr when that ISA path was compiled
-// out (missing compiler flag support or non-x86 target). Internal to
-// dispatch.cc.
+// Per-level table factories (table_scalar.cc, table_avx2.cc,
+// table_avx512.cc), the only external symbols of those objects; return
+// nullptr when that level was compiled out (missing compiler flag support
+// or non-x86 target). Internal to dispatch.cc.
 const KernelTable* ScalarKernels();
 const KernelTable* Avx2Kernels();
 const KernelTable* Avx512Kernels();

@@ -62,10 +62,10 @@ void RunAxisPass(const matrix::FrequencyMatrix& src,
     src.ReleaseResidency();
     dst.ReleaseResidency();
   });
-  // Resolve the kernel level once per pass (options.isa, then the
-  // PRIVELET_ISA environment, then the best the host supports) so every
-  // worker of the pass dispatches to the same table.
-  const simd::IsaLevel isa = simd::ResolveIsa(options.isa);
+  // Resolve the kernel level once per pass (the PRIVELET_ISA environment,
+  // then the best the host supports) so every worker of the pass
+  // dispatches to the same table.
+  const simd::IsaLevel isa = simd::ResolveIsa();
   const std::size_t lines = src.NumLines(axis);
   constexpr std::size_t tile = matrix::kTileLines;
   const std::size_t panels = (lines + tile - 1) / tile;

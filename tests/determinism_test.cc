@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -37,6 +36,7 @@
 #include "privelet/storage/snapshot.h"
 #include "privelet/wavelet/hn_transform.h"
 #include "reference/per_line_engine.h"
+#include "scoped_isa.h"
 
 namespace privelet {
 namespace {
@@ -324,8 +324,8 @@ TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreOnEveryAxisKind) {
                                   &pool}) {
       const std::string tag =
           "isa " + name + (p == nullptr ? ", serial" : ", 2 threads");
-      matrix::EngineOptions in_core_options;
-      in_core_options.isa = static_cast<simd::IsaChoice>(lvl);
+      const testutil::ScopedIsa forced(static_cast<simd::IsaLevel>(lvl));
+      const matrix::EngineOptions in_core_options;
       mech.set_thread_pool(p);
       mech.set_engine_options(in_core_options);
       auto in_core = query::PublishingSession::Publish(
@@ -407,13 +407,11 @@ TEST(PublishDeterminismTest, IsaSweepSnapshotsAndAnswersAreInvariant) {
 
   const matrix::FrequencyMatrix per_line =
       reference::PublishPrivelet(schema, {"Nom"}, m, 0.8, 57);
-  const auto publish_bytes = [&](const matrix::EngineOptions& options,
-                                 common::ThreadPool* pool,
+  const auto publish_bytes = [&](common::ThreadPool* pool,
                                  std::vector<double>* answers) {
     mech.set_thread_pool(pool);
-    mech.set_engine_options(options);
     auto session = query::PublishingSession::Publish(
-        schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, pool, options);
+        schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, pool);
     EXPECT_TRUE(session.ok()) << session.status().ToString();
     mech.set_thread_pool(nullptr);
     EXPECT_EQ(TableBytes(per_line), TableBytes(*session));
@@ -424,35 +422,28 @@ TEST(PublishDeterminismTest, IsaSweepSnapshotsAndAnswersAreInvariant) {
   };
 
   // Reference: forced-scalar serial publish.
-  ASSERT_EQ(0, setenv("PRIVELET_ISA", "scalar", 1));
   std::vector<double> expected;
-  const std::string reference_bytes = publish_bytes({}, nullptr, &expected);
+  std::string reference_bytes;
+  {
+    const testutil::ScopedIsa forced(simd::IsaLevel::kScalar);
+    reference_bytes = publish_bytes(nullptr, &expected);
+  }
   ASSERT_FALSE(reference_bytes.empty());
 
   for (int lvl = 0; lvl <= static_cast<int>(simd::DetectBestIsa()); ++lvl) {
-    const std::string name(
-        simd::IsaLevelName(static_cast<simd::IsaLevel>(lvl)));
-    ASSERT_EQ(0, setenv("PRIVELET_ISA", name.c_str(), 1));
+    const auto level = static_cast<simd::IsaLevel>(lvl);
+    const std::string name(simd::IsaLevelName(level));
+    const testutil::ScopedIsa forced(level);
     std::vector<double> answers;
-    EXPECT_EQ(reference_bytes, publish_bytes({}, nullptr, &answers))
+    EXPECT_EQ(reference_bytes, publish_bytes(nullptr, &answers))
         << "serial, isa " << name;
     EXPECT_EQ(expected, answers) << "isa " << name;
     for (const std::size_t threads : kPoolSizes) {
       common::ThreadPool pool(threads);
-      EXPECT_EQ(reference_bytes, publish_bytes({}, &pool, nullptr))
+      EXPECT_EQ(reference_bytes, publish_bytes(&pool, nullptr))
           << threads << " threads, isa " << name;
     }
   }
-  ASSERT_EQ(0, unsetenv("PRIVELET_ISA"));
-
-  // EngineOptions::isa overrides the environment the same way.
-  matrix::EngineOptions forced;
-  forced.isa = simd::IsaChoice::kScalar;
-  EXPECT_EQ(reference_bytes, publish_bytes(forced, nullptr, nullptr))
-      << "options-forced scalar";
-  forced.isa = simd::IsaChoice::kAvx512;  // clamps to the host's best
-  EXPECT_EQ(reference_bytes, publish_bytes(forced, nullptr, nullptr))
-      << "options-forced best";
 }
 
 // The planner sweep: the mechanism decision is a pure function of
@@ -512,8 +503,11 @@ TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossThreadsAndIsa) {
 
   // Reference: forced-scalar serial publish. The plan must be in the
   // reference file's plan section for the byte comparisons to cover it.
-  ASSERT_EQ(0, setenv("PRIVELET_ISA", "scalar", 1));
-  const std::string reference_bytes = publish_bytes(nullptr);
+  std::string reference_bytes;
+  {
+    const testutil::ScopedIsa forced(simd::IsaLevel::kScalar);
+    reference_bytes = publish_bytes(nullptr);
+  }
   ASSERT_FALSE(reference_bytes.empty());
   {
     auto info =
@@ -525,9 +519,9 @@ TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossThreadsAndIsa) {
   }
 
   for (int lvl = 0; lvl <= static_cast<int>(simd::DetectBestIsa()); ++lvl) {
-    const std::string name(
-        simd::IsaLevelName(static_cast<simd::IsaLevel>(lvl)));
-    ASSERT_EQ(0, setenv("PRIVELET_ISA", name.c_str(), 1));
+    const auto level = static_cast<simd::IsaLevel>(lvl);
+    const std::string name(simd::IsaLevelName(level));
+    const testutil::ScopedIsa forced(level);
     EXPECT_EQ(reference_bytes, publish_bytes(nullptr))
         << "serial, isa " << name;
     for (const std::size_t threads : kPoolSizes) {
@@ -536,7 +530,6 @@ TEST(PublishDeterminismTest, AutoPlannedReleasesInvariantAcrossThreadsAndIsa) {
           << threads << " threads, isa " << name;
     }
   }
-  ASSERT_EQ(0, unsetenv("PRIVELET_ISA"));
 }
 
 TEST(NoiseDeterminismTest, DrawsDependOnlyOnIndex) {

@@ -20,6 +20,7 @@
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/simd/dispatch.h"
 #include "privelet/wavelet/hn_transform.h"
+#include "scoped_isa.h"
 
 namespace privelet::wavelet {
 namespace {
@@ -268,8 +269,8 @@ void ExpectRecyclingInverseMatches(std::vector<data::Attribute> attrs,
   for (common::ThreadPool* pool : {static_cast<common::ThreadPool*>(nullptr),
                                    &four}) {
     for (const simd::IsaLevel level : HostLevels()) {
-      matrix::EngineOptions options;
-      options.isa = static_cast<simd::IsaChoice>(level);
+      const testutil::ScopedIsa forced(level);
+      const matrix::EngineOptions options;
       const std::string where = std::string(simd::IsaLevelName(level)) +
                                 (pool != nullptr ? ", 4 threads" : ", serial");
       auto coeffs = transform->Forward(m, pool, options);

@@ -1,8 +1,9 @@
 // The vector kernel layer's contract: every kernel at every compiled ISA
 // level reproduces the scalar kernel bit-for-bit, on every count
-// (including the scalar tails past the last full vector), and the
-// dispatcher resolves requests by the documented rules — env var
-// vocabulary, clamping to host capability, options override. Also pins
+// (including the scalar tails past the last full vector), also through
+// every pointer aliasing its contract allows, and the dispatcher resolves
+// PRIVELET_ISA by the documented rules — vocabulary, clamping to host
+// capability. Also pins
 // every transform's batched line kernel (which runs on matrix storage at
 // a row pitch) against the single-line transform, and the batched
 // counter-based Laplace draws against their per-index definition
@@ -25,6 +26,7 @@
 #include "privelet/wavelet/haar.h"
 #include "privelet/wavelet/identity.h"
 #include "privelet/wavelet/nominal.h"
+#include "scoped_isa.h"
 
 namespace privelet {
 namespace {
@@ -201,6 +203,66 @@ TEST(SimdKernelTest, RowCombineKernelsMatchScalar) {
   }
 }
 
+// Every aliasing a kernels.h contract allows, called directly: each level
+// must give the scalar table's non-aliased results bit for bit. A
+// __restrict on one of these pointers would break exactly this.
+TEST(SimdKernelTest, AliasedCallsMatchScalar) {
+  const KernelTable& scalar = simd::Kernels(IsaLevel::kScalar);
+  for (const IsaLevel level : HostLevels()) {
+    const KernelTable& k = simd::Kernels(level);
+    const std::string name(simd::IsaLevelName(level));
+    for (const std::size_t n : kCounts) {
+      const std::vector<double> a = RandomDoubles(n, 7);
+      const std::vector<double> b = RandomDoubles(n, 8);
+
+      // haar_forward_step with avg == left.
+      std::vector<double> det0(n), avg0(n), det1(n);
+      scalar.haar_forward_step(a.data(), b.data(), det0.data(), avg0.data(),
+                               n);
+      std::vector<double> avg_in_left = a;
+      k.haar_forward_step(avg_in_left.data(), b.data(), det1.data(),
+                          avg_in_left.data(), n);
+      EXPECT_EQ(det0, det1) << "forward step detail, avg == left, " << name
+                            << ", count " << n;
+      EXPECT_EQ(avg0, avg_in_left) << "forward step avg == left, " << name
+                                   << ", count " << n;
+
+      // haar_inverse_step with left == avg.
+      std::vector<double> l0(n), r0(n), r1(n);
+      scalar.haar_inverse_step(a.data(), b.data(), l0.data(), r0.data(), n);
+      std::vector<double> left_in_avg = a;
+      k.haar_inverse_step(left_in_avg.data(), b.data(), left_in_avg.data(),
+                          r1.data(), n);
+      EXPECT_EQ(l0, left_in_avg) << "inverse step left == avg, " << name
+                                 << ", count " << n;
+      EXPECT_EQ(r0, r1) << "inverse step right, left == avg, " << name
+                        << ", count " << n;
+
+      // haar_inverse_step with left == right: both outputs are discarded,
+      // so each lane need only hold one of its two results, and the
+      // inputs must be untouched.
+      std::vector<double> both(n), avg_copy = a, detail_copy = b;
+      k.haar_inverse_step(avg_copy.data(), detail_copy.data(), both.data(),
+                          both.data(), n);
+      EXPECT_EQ(a, avg_copy) << name << ", count " << n;
+      EXPECT_EQ(b, detail_copy) << name << ", count " << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(both[i] == l0[i] || both[i] == r0[i])
+            << "inverse step left == right, " << name << ", count " << n
+            << ", lane " << i;
+      }
+
+      // row_add_div with out == a.
+      std::vector<double> sum0(n);
+      scalar.row_add_div(sum0.data(), a.data(), b.data(), 3.7, n);
+      std::vector<double> out_in_a = a;
+      k.row_add_div(out_in_a.data(), out_in_a.data(), b.data(), 3.7, n);
+      EXPECT_EQ(sum0, out_in_a) << "row_add_div out == a, " << name
+                                << ", count " << n;
+    }
+  }
+}
+
 TEST(SimdKernelTest, PrefixKernelsMatchScalar) {
   const KernelTable& scalar = simd::Kernels(IsaLevel::kScalar);
   rng::Xoshiro256pp gen(6);
@@ -303,27 +365,23 @@ TEST(SimdDispatchTest, NamesRoundTripAndUnknownsAreRejected) {
   EXPECT_EQ(IsaLevel::kAvx2, untouched);
 }
 
-TEST(SimdDispatchTest, ResolveClampsToHostAndHonorsOverrides) {
+TEST(SimdDispatchTest, ResolveReadsTheEnvironmentAndClampsToHost) {
   const IsaLevel best = simd::DetectBestIsa();
-  // A concrete request never resolves above the host's capability and
-  // never rejects: over-asking clamps down to the best the host runs.
-  EXPECT_EQ(best, simd::ResolveIsa(simd::IsaChoice::kAvx512));
-  EXPECT_LE(static_cast<int>(simd::ResolveIsa(simd::IsaChoice::kAvx2)),
-            static_cast<int>(best));
-  EXPECT_EQ(IsaLevel::kScalar, simd::ResolveIsa(simd::IsaChoice::kScalar));
-
-  // kAuto re-reads PRIVELET_ISA per call; unknown values are ignored.
+  // Restores the caller's PRIVELET_ISA when the test ends.
+  const testutil::ScopedIsa restore(IsaLevel::kScalar);
+  // ResolveIsa re-reads PRIVELET_ISA per call; unknown values are ignored.
   ASSERT_EQ(0, setenv("PRIVELET_ISA", "scalar", 1));
   EXPECT_EQ(IsaLevel::kScalar, simd::ResolveIsa());
   ASSERT_EQ(0, setenv("PRIVELET_ISA", "not-an-isa", 1));
   EXPECT_EQ(best, simd::ResolveIsa());
+  // A request never resolves above the host's capability and never
+  // rejects: over-asking clamps down to the best the host runs.
+  ASSERT_EQ(0, setenv("PRIVELET_ISA", "avx512", 1));
+  EXPECT_EQ(best, simd::ResolveIsa());
+  ASSERT_EQ(0, setenv("PRIVELET_ISA", "avx2", 1));
+  EXPECT_LE(static_cast<int>(simd::ResolveIsa()), static_cast<int>(best));
   ASSERT_EQ(0, unsetenv("PRIVELET_ISA"));
   EXPECT_EQ(best, simd::ResolveIsa());
-
-  // An explicit choice beats the environment.
-  ASSERT_EQ(0, setenv("PRIVELET_ISA", simd::IsaLevelName(best).data(), 1));
-  EXPECT_EQ(IsaLevel::kScalar, simd::ResolveIsa(simd::IsaChoice::kScalar));
-  ASSERT_EQ(0, unsetenv("PRIVELET_ISA"));
 }
 
 // The batched kernel reads and writes lines at a row pitch (element k of

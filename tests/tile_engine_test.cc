@@ -27,20 +27,19 @@
 #include "privelet/simd/dispatch.h"
 #include "privelet/wavelet/hn_transform.h"
 #include "reference/per_line_engine.h"
+#include "scoped_isa.h"
 
 namespace privelet {
 namespace {
 
-// One EngineOptions per kernel level the host runs; every level runs the
-// strided axes through the batched kernel on the matrices themselves.
-std::vector<matrix::EngineOptions> IsaOptions() {
-  std::vector<matrix::EngineOptions> all;
+// Every kernel level the host runs; every level runs the strided axes
+// through the batched kernel on the matrices themselves.
+std::vector<simd::IsaLevel> HostLevels() {
+  std::vector<simd::IsaLevel> levels;
   for (int lvl = 0; lvl <= static_cast<int>(simd::DetectBestIsa()); ++lvl) {
-    matrix::EngineOptions options;
-    options.isa = static_cast<simd::IsaChoice>(lvl);
-    all.push_back(options);
+    levels.push_back(static_cast<simd::IsaLevel>(lvl));
   }
-  return all;
+  return levels;
 }
 
 matrix::FrequencyMatrix RandomMatrix(std::vector<std::size_t> dims,
@@ -126,14 +125,15 @@ void ExpectTransformsMatchReference(
   const matrix::FrequencyMatrix ref_inv =
       reference::Inverse(*transform, ref_fwd.coeffs);
 
-  for (const matrix::EngineOptions& options : IsaOptions()) {
-    const int isa = static_cast<int>(options.isa);
-    auto fwd = transform->Forward(m, nullptr, options);
+  for (const simd::IsaLevel level : HostLevels()) {
+    const testutil::ScopedIsa forced(level);
+    const int isa = static_cast<int>(level);
+    auto fwd = transform->Forward(m, nullptr);
     ASSERT_TRUE(fwd.ok());
     EXPECT_TRUE(
         matrix::ValuesEqual(ref_fwd.coeffs.values(), fwd->coeffs.values()))
         << "forward, isa " << isa;
-    auto inv = transform->Inverse(*fwd, nullptr, options);
+    auto inv = transform->Inverse(*fwd, nullptr);
     ASSERT_TRUE(inv.ok());
     EXPECT_TRUE(matrix::ValuesEqual(ref_inv.values(), inv->values()))
         << "inverse, isa " << isa;
@@ -166,12 +166,12 @@ void ExpectPublishMatchesReference(const data::Schema& schema,
   const matrix::FrequencyMatrix expected = reference::PublishPrivelet(
       schema, sa_names, m, /*epsilon=*/0.9, /*seed=*/41);
   mechanism::PriveletPlusMechanism mech(sa_names);
-  for (const matrix::EngineOptions& options : IsaOptions()) {
-    mech.set_engine_options(options);
+  for (const simd::IsaLevel level : HostLevels()) {
+    const testutil::ScopedIsa forced(level);
     auto release = mech.Publish(schema, m, 0.9, 41);
     ASSERT_TRUE(release.ok()) << release.status().ToString();
     EXPECT_TRUE(matrix::ValuesEqual(expected.values(), release->values()))
-        << "isa " << static_cast<int>(options.isa);
+        << "isa " << static_cast<int>(level);
   }
 }
 
@@ -216,12 +216,13 @@ TEST(TileEngineTest, PrefixSumsMatchPerLineReference) {
            {1}, {37}, {1, 13, 1}, {5, 1, 9}, {12, 150}, {16, 6, 21, 11}}) {
     const matrix::FrequencyMatrix m = RandomMatrix(dims, 7);
     const std::vector<double> expected = reference::PrefixSums(m);
-    for (const matrix::EngineOptions& options : IsaOptions()) {
-      const matrix::PrefixSumTable<double> table(m, nullptr, options);
+    for (const simd::IsaLevel level : HostLevels()) {
+      const testutil::ScopedIsa forced(level);
+      const matrix::PrefixSumTable<double> table(m, nullptr);
       ASSERT_EQ(expected.size(), table.raw_sums().size());
       ASSERT_EQ(0, std::memcmp(expected.data(), table.raw_sums().data(),
                                table.raw_sums().size_bytes()))
-          << "isa " << static_cast<int>(options.isa);
+          << "isa " << static_cast<int>(level);
     }
   }
 }
