@@ -3,9 +3,9 @@
 //   1. load microdata (CSV),
 //   2. plan the Privelet+ SA set against the expected query workload
 //      (workload-aware planner; costs no privacy budget),
-//   3. publish under ε-DP,
-//   4. post-process (integer counts; DP-preserving),
-//   5. persist the release as a PVLS snapshot (storage/snapshot.h) with
+//   3. publish under ε-DP into a serving session
+//      (PublishingSession::Publish),
+//   4. persist the release as a PVLS snapshot (storage/snapshot.h) with
 //      its provenance recorded,
 // and then, acting as the analyst in a separate serving step, memory-map
 // the snapshot into a zero-copy PublishingSession (storage::MapSession)
@@ -25,8 +25,6 @@
 #include "privelet/data/census_generator.h"
 #include "privelet/data/csv.h"
 #include "privelet/matrix/frequency_matrix.h"
-#include "privelet/matrix/prefix_sum.h"
-#include "privelet/mechanism/postprocess.h"
 #include "privelet/mechanism/privelet_mechanism.h"
 #include "privelet/query/evaluator.h"
 #include "privelet/query/publishing_session.h"
@@ -77,30 +75,21 @@ int main() {
   }
   std::printf("} (expected variance %.3e)\n", plan->expected_variance);
 
-  // Publish, post-process, serialize. We round to integer counts
-  // (symmetric, negligible aggregate effect) but deliberately do NOT
-  // clamp negatives: on a sparse matrix (m >> n) clamping adds a positive
-  // bias of Theta(covered cells), which would dwarf every wide range
-  // count — see the warning on ClampNonNegative.
+  // Publish and persist. The noisy counts are served as released:
+  // negatives are deliberately NOT clamped, since on a sparse matrix
+  // (m >> n) clamping adds a positive bias of Theta(covered cells) that
+  // would dwarf every wide range count. The session records the
+  // mechanism and epsilon, and the snapshot carries them; the seed stays
+  // out of the file, since whoever holds it can regenerate the noise.
   common::ThreadPool pool(common::ThreadPool::DefaultThreadCount());
   mechanism::PriveletPlusMechanism mech(plan->sa_names);
   mech.set_thread_pool(&pool);  // parallel transform + sharded noise
-  auto noisy = mech.Publish(schema, m, epsilon, /*seed=*/2026);
-  if (!noisy.ok()) return 1;
-  mechanism::RoundToIntegers(&*noisy);
-  // Persist as a PVLS snapshot with provenance. Post-processing happened
-  // between Publish and here, so wrap the rounded release's prefix table
-  // in a session explicitly and save that. The seed stays out of the
-  // file: whoever holds it can regenerate the noise.
-  auto release = query::PublishingSession::FromParts(
-      schema, matrix::PrefixSumTable<double>(*noisy, &pool),
-      {std::string(mech.name()), epsilon, query::PublishMode::kInCore,
-       /*plan=*/std::nullopt},
-      &pool);
+  auto release = query::PublishingSession::Publish(
+      schema, mech, m, epsilon, /*seed=*/2026, &pool);
   if (!release.ok()) return 1;
   if (!storage::SaveSession(release_path, *release).ok()) return 1;
   std::printf("release snapshot written to %s (%.1f MB)\n\n", release_path,
-              static_cast<double>(noisy->size() * sizeof(double)) / 1e6);
+              static_cast<double>(m.size() * sizeof(double)) / 1e6);
 
   // --- analyst side -----------------------------------------------------
   // Serve the snapshot in place: MapSession memory-maps the file, checks
@@ -139,10 +128,9 @@ int main() {
 
   std::printf("\nnotes: private answers should sit within ~3 predicted "
               "stddevs of the truth.\n");
-  std::printf("post-processing preserves DP; rounding is safe, but clamping "
-              "negatives would bias wide queries upward by Theta(covered "
-              "cells) on this sparse matrix — try it and watch the answers "
-              "explode.\n");
+  std::printf("the release keeps its negative noisy counts: clamping them "
+              "would bias wide queries upward by Theta(covered cells) on "
+              "this sparse matrix.\n");
   std::remove(csv_path);
   std::remove(release_path);
   return 0;

@@ -130,9 +130,9 @@ class FrequencyMatrix {
   double operator[](std::size_t flat) const { return data_[flat]; }
   double& operator[](std::size_t flat) { return data_[flat]; }
 
-  /// The flat row-major storage; mutable access is how transforms and
-  /// deserializers write in place. Spans stay valid until the matrix is
-  /// destroyed, moved from, or assigned over.
+  /// The flat row-major storage; mutable access is how the transforms,
+  /// the noise pass and the in-place prefix-sum build write. Spans stay
+  /// valid until the matrix is destroyed, moved from, or assigned over.
   std::span<const double> values() const { return {data_, size_}; }
   std::span<double> values() { return {data_, size_}; }
 

@@ -20,6 +20,16 @@ Status BadToken(std::string_view token, std::string_view detail) {
   return Status::InvalidArgument(std::move(message));
 }
 
+// RangeQuery::SetRange silently overwrites; at the request boundary a
+// repeated attribute is almost certainly a mistake, so both framings
+// reject it instead of keeping whichever predicate came last.
+Status DuplicatePredicate(std::string_view name) {
+  std::string message = "duplicate predicate on attribute '";
+  message += name;
+  message += '\'';
+  return Status::InvalidArgument(std::move(message));
+}
+
 // --- strict numeric parsing -----------------------------------------------
 // std::stoull-style parsing silently accepts (and wraps) signed input like
 // "-1"; protocol indices are exact client inputs, so only plain digit
@@ -137,13 +147,7 @@ Status ApplyPredicateToken(const data::Schema& schema, std::string_view token,
       return BadToken(token, ": expected name=lo:hi");
     }
     PRIVELET_ASSIGN_OR_RETURN(std::size_t attr, schema.FindAttribute(name));
-    // RangeQuery::SetRange silently overwrites; at the text-grammar
-    // boundary a repeated attribute is almost certainly a typo, so reject
-    // it instead of keeping whichever predicate came last.
-    if (query->range(attr).has_value()) {
-      return Status::InvalidArgument("duplicate predicate on attribute '" +
-                                     std::string(name) + "'");
-    }
+    if (query->range(attr).has_value()) return DuplicatePredicate(name);
     PRIVELET_ASSIGN_OR_RETURN(std::uint64_t lo,
                               ParseIndex(bounds.substr(0, colon)));
     PRIVELET_ASSIGN_OR_RETURN(std::uint64_t hi,
@@ -154,10 +158,7 @@ Status ApplyPredicateToken(const data::Schema& schema, std::string_view token,
   if (at != std::string_view::npos) {
     const std::string_view name = token.substr(0, at);
     PRIVELET_ASSIGN_OR_RETURN(std::size_t attr, schema.FindAttribute(name));
-    if (query->range(attr).has_value()) {
-      return Status::InvalidArgument("duplicate predicate on attribute '" +
-                                     std::string(name) + "'");
-    }
+    if (query->range(attr).has_value()) return DuplicatePredicate(name);
     PRIVELET_ASSIGN_OR_RETURN(std::uint64_t node,
                               ParseIndex(token.substr(at + 1)));
     return query->SetHierarchyNode(schema, attr,
@@ -199,6 +200,10 @@ Result<query::RangeQuery> BuildQuery(const data::Schema& schema,
                                      const QuerySpec& spec) {
   query::RangeQuery query(schema.num_attributes());
   for (const PredicateSpec& pred : spec.predicates) {
+    if (pred.attr < schema.num_attributes() &&
+        query.range(pred.attr).has_value()) {
+      return DuplicatePredicate(schema.attribute(pred.attr).name());
+    }
     if (pred.kind == 0) {
       PRIVELET_RETURN_IF_ERROR(query.SetRange(
           schema, pred.attr, static_cast<std::size_t>(pred.lo),

@@ -106,7 +106,8 @@ struct QuerySpec {
 };
 
 /// Builds a validated RangeQuery from a spec (bounds and node ids checked
-/// against the schema's domains).
+/// against the schema's domains). A second predicate on one attribute is
+/// rejected, as in the text grammar.
 Result<query::RangeQuery> BuildQuery(const data::Schema& schema,
                                      const QuerySpec& spec);
 

@@ -7,10 +7,10 @@
 
 #include <vector>
 
-#include "privelet/analysis/sensitivity.h"
 #include "privelet/data/attribute.h"
 #include "privelet/data/schema.h"
 #include "privelet/wavelet/hn_transform.h"
+#include "reference/sensitivity_probe.h"
 
 namespace privelet::analysis {
 namespace {

@@ -421,6 +421,22 @@ TEST(ProtocolTest, BuildQueryValidatesSpecs) {
   QuerySpec bad_range;
   bad_range.predicates.push_back({0, 0, 5, 99});
   EXPECT_FALSE(BuildQuery(schema, bad_range).ok());
+  // A repeated attribute is rejected, as the text grammar rejects
+  // "Age=0:1 Age=2:3", instead of keeping the last predicate.
+  QuerySpec repeated_range;
+  repeated_range.predicates.push_back({0, 0, 0, 1});
+  repeated_range.predicates.push_back({0, 0, 2, 3});
+  const auto repeated = BuildQuery(schema, repeated_range);
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.status().message(),
+            "duplicate predicate on attribute 'Age'");
+  QuerySpec range_then_node;
+  range_then_node.predicates.push_back({0, 1, 0, 1});
+  range_then_node.predicates.push_back({1, 1, 1, 0});
+  const auto mixed = BuildQuery(schema, range_then_node);
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_EQ(mixed.status().message(),
+            "duplicate predicate on attribute 'Region'");
 }
 
 }  // namespace
