@@ -14,7 +14,7 @@
 #include "privelet/mechanism/basic.h"
 #include "privelet/mechanism/fourier_marginals.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/rng/distributions.h"
 #include "privelet/rng/xoshiro256pp.h"
 
@@ -86,9 +86,9 @@ int main() {
   auto measure_matrix_mechanism = [&](const mechanism::Mechanism& mech) {
     double total_sq = 0.0;
     for (std::size_t seed = 0; seed < kSeeds; ++seed) {
-      auto noisy = mech.Publish(schema, m, kEpsilon, seed);
-      PRIVELET_CHECK(noisy.ok(), noisy.status().ToString());
-      query::QueryEvaluator eval(schema, *noisy);
+      auto release =
+          query::PublishingSession::Publish(schema, mech, m, kEpsilon, seed);
+      PRIVELET_CHECK(release.ok(), release.status().ToString());
       for (std::size_t i = 0; i < entries.size(); ++i) {
         query::RangeQuery q(kDims);
         PRIVELET_CHECK(
@@ -97,7 +97,7 @@ int main() {
         PRIVELET_CHECK(
             q.SetRange(schema, entries[i].b, entries[i].vb, entries[i].vb)
                 .ok());
-        const double diff = eval.Answer(q) - truths[i];
+        const double diff = release->Answer(q) - truths[i];
         total_sq += diff * diff;
       }
     }

@@ -13,8 +13,8 @@
 #include "privelet/mechanism/basic.h"
 #include "privelet/mechanism/hay.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
 #include "privelet/query/metrics.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 #include "privelet/rng/distributions.h"
 #include "privelet/rng/xoshiro256pp.h"
@@ -31,11 +31,12 @@ double AverageSquareError(const mechanism::Mechanism& mech,
   double total = 0.0;
   constexpr std::size_t kSeeds = 20;
   for (std::size_t seed = 0; seed < kSeeds; ++seed) {
-    auto noisy = mech.Publish(schema, m, epsilon, seed);
-    PRIVELET_CHECK(noisy.ok(), noisy.status().ToString());
-    query::QueryEvaluator eval(schema, *noisy);
+    auto release =
+        query::PublishingSession::Publish(schema, mech, m, epsilon, seed);
+    PRIVELET_CHECK(release.ok(), release.status().ToString());
+    const std::vector<double> answers = release->AnswerAll(workload);
     for (std::size_t i = 0; i < workload.size(); ++i) {
-      total += query::SquareError(eval.Answer(workload[i]), acts[i]);
+      total += query::SquareError(answers[i], acts[i]);
     }
   }
   return total / static_cast<double>(kSeeds * workload.size());
@@ -64,9 +65,9 @@ int main() {
     wopts.num_queries = 400;
     auto workload = query::GenerateWorkload(schema, wopts);
     PRIVELET_CHECK(workload.ok(), workload.status().ToString());
-    query::QueryEvaluator truth(schema, m);
-    std::vector<double> acts;
-    for (const auto& q : *workload) acts.push_back(truth.Answer(q));
+    auto truth = query::PublishingSession::FromMatrix(schema, m);
+    PRIVELET_CHECK(truth.ok(), truth.status().ToString());
+    const std::vector<double> acts = truth->AnswerAll(*workload);
 
     const double basic = AverageSquareError(mechanism::BasicMechanism(),
                                             schema, m, *workload, acts,

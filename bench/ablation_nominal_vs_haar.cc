@@ -12,7 +12,7 @@
 #include "privelet/data/attribute.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/range_query.h"
 #include "privelet/rng/distributions.h"
 #include "privelet/rng/xoshiro256pp.h"
@@ -52,18 +52,19 @@ double MeasureSubtreeQueryVariance(const data::Schema& schema,
                        .ok());
     queries.push_back(std::move(q));
   }
-  query::QueryEvaluator truth(schema, m);
-  std::vector<double> truths;
-  for (const auto& q : queries) truths.push_back(truth.Answer(q));
+  auto truth = query::PublishingSession::FromMatrix(schema, m);
+  PRIVELET_CHECK(truth.ok(), truth.status().ToString());
+  const std::vector<double> truths = truth->AnswerAll(queries);
 
   // Per-query noise samples across seeds -> mean variance across queries.
   std::vector<std::vector<double>> noise(queries.size());
   for (std::size_t seed = 0; seed < kSeeds; ++seed) {
-    auto noisy = mech.Publish(schema, m, kEpsilon, seed);
-    PRIVELET_CHECK(noisy.ok(), noisy.status().ToString());
-    query::QueryEvaluator eval(schema, *noisy);
+    auto release =
+        query::PublishingSession::Publish(schema, mech, m, kEpsilon, seed);
+    PRIVELET_CHECK(release.ok(), release.status().ToString());
+    const std::vector<double> answers = release->AnswerAll(queries);
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      noise[i].push_back(eval.Answer(queries[i]) - truths[i]);
+      noise[i].push_back(answers[i] - truths[i]);
     }
   }
   double total = 0.0;

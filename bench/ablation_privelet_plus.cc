@@ -13,8 +13,8 @@
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/basic.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
 #include "privelet/query/metrics.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 
 namespace {
@@ -63,9 +63,9 @@ int main() {
   wopts.num_queries = 2'000;
   auto workload = query::GenerateWorkload(schema, wopts);
   PRIVELET_CHECK(workload.ok(), workload.status().ToString());
-  query::QueryEvaluator truth(schema, m);
-  std::vector<double> acts;
-  for (const auto& q : *workload) acts.push_back(truth.Answer(q));
+  auto truth = query::PublishingSession::FromMatrix(schema, m);
+  PRIVELET_CHECK(truth.ok(), truth.status().ToString());
+  const std::vector<double> acts = truth->AnswerAll(*workload);
 
   const std::vector<std::vector<std::string>> sa_choices = {
       {},
@@ -86,12 +86,13 @@ int main() {
     const double bound =
         analysis::PriveletPlusVarianceBound(schema, sa, epsilon).value();
     const mechanism::PriveletPlusMechanism mech(sa);
-    auto noisy = mech.Publish(schema, m, epsilon, /*seed=*/77);
-    PRIVELET_CHECK(noisy.ok(), noisy.status().ToString());
-    query::QueryEvaluator eval(schema, *noisy);
+    auto release = query::PublishingSession::Publish(schema, mech, m, epsilon,
+                                                     /*seed=*/77);
+    PRIVELET_CHECK(release.ok(), release.status().ToString());
+    const std::vector<double> answers = release->AnswerAll(*workload);
     double total_sq = 0.0;
     for (std::size_t i = 0; i < workload->size(); ++i) {
-      total_sq += query::SquareError(eval.Answer((*workload)[i]), acts[i]);
+      total_sq += query::SquareError(answers[i], acts[i]);
     }
     std::printf("%-36s %16.3e %18.4e\n", JoinNames(sa).c_str(), bound,
                 total_sq / static_cast<double>(workload->size()));

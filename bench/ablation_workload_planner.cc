@@ -35,7 +35,7 @@
 #include "privelet/mechanism/hay.h"
 #include "privelet/mechanism/mechanism.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 #include "privelet/rng/xoshiro256pp.h"
 
@@ -91,13 +91,10 @@ double MeasuredMse(const data::Schema& schema, const mechanism::Mechanism& mech,
   const matrix::FrequencyMatrix zeros(schema.DomainSizes());
   double total = 0.0;
   for (std::uint64_t seed = 0; seed < trials; ++seed) {
-    auto noisy = mech.Publish(schema, zeros, epsilon, seed);
-    PRIVELET_CHECK(noisy.ok(), noisy.status().ToString());
-    const query::QueryEvaluator eval(schema, *noisy);
-    for (const query::RangeQuery& q : workload) {
-      const double x = eval.Answer(q);
-      total += x * x;
-    }
+    auto release =
+        query::PublishingSession::Publish(schema, mech, zeros, epsilon, seed);
+    PRIVELET_CHECK(release.ok(), release.status().ToString());
+    for (const double x : release->AnswerAll(workload)) total += x * x;
   }
   return total / static_cast<double>(trials * workload.size());
 }
@@ -332,11 +329,12 @@ double Measured(const std::vector<std::string>& sa, const data::Schema& schema,
   double total = 0.0;
   constexpr std::size_t kSeeds = 25;
   for (std::size_t seed = 0; seed < kSeeds; ++seed) {
-    auto noisy = mech.Publish(schema, m, epsilon, seed);
-    PRIVELET_CHECK(noisy.ok(), noisy.status().ToString());
-    query::QueryEvaluator eval(schema, *noisy);
+    auto release =
+        query::PublishingSession::Publish(schema, mech, m, epsilon, seed);
+    PRIVELET_CHECK(release.ok(), release.status().ToString());
+    const std::vector<double> answers = release->AnswerAll(workload);
     for (std::size_t i = 0; i < workload.size(); ++i) {
-      const double diff = eval.Answer(workload[i]) - acts[i];
+      const double diff = answers[i] - acts[i];
       total += diff * diff;
     }
   }
@@ -405,9 +403,9 @@ void RunSaPlanning() {
   for (const Scenario& scenario : scenarios) {
     auto workload = query::GenerateWorkload(schema, scenario.options);
     PRIVELET_CHECK(workload.ok(), workload.status().ToString());
-    query::QueryEvaluator truth(schema, m);
-    std::vector<double> acts;
-    for (const auto& q : *workload) acts.push_back(truth.Answer(q));
+    auto truth = query::PublishingSession::FromMatrix(schema, m);
+    PRIVELET_CHECK(truth.ok(), truth.status().ToString());
+    const std::vector<double> acts = truth->AnswerAll(*workload);
 
     auto plan = analysis::PlanSaForWorkload(schema, *workload, epsilon);
     PRIVELET_CHECK(plan.ok(), plan.status().ToString());

@@ -135,16 +135,14 @@ void RunErrorExperiment(const ErrorExperimentConfig& config,
 
   // True answers, coverages, selectivities — computed once.
   const double n = static_cast<double>(table->num_rows());
-  std::vector<double> acts, keys;
-  acts.reserve(workload->size());
+  auto truth = query::PublishingSession::FromMatrix(schema, m);
+  PRIVELET_CHECK(truth.ok(), truth.status().ToString());
+  const std::vector<double> acts = truth->AnswerAll(*workload);
+  std::vector<double> keys;
   keys.reserve(workload->size());
-  {
-    query::QueryEvaluator truth(schema, m);
-    for (const auto& q : *workload) {
-      const double act = truth.Answer(q);
-      acts.push_back(act);
-      keys.push_back(config.bucket_by_coverage ? q.Coverage(schema) : act / n);
-    }
+  for (std::size_t i = 0; i < workload->size(); ++i) {
+    keys.push_back(config.bucket_by_coverage ? (*workload)[i].Coverage(schema)
+                                             : acts[i] / n);
   }
   const double sanity = 0.001 * n;
 
@@ -166,16 +164,17 @@ void RunErrorExperiment(const ErrorExperimentConfig& config,
     // bucket averages over the shared workload.
     std::vector<std::vector<query::BucketStat>> columns;
     for (const auto* mech : mechanisms) {
-      auto noisy = mech->Publish(schema, m, epsilon, /*seed=*/2010);
-      PRIVELET_CHECK(noisy.ok(), noisy.status().ToString());
-      query::QueryEvaluator eval(schema, *noisy);
+      auto release = query::PublishingSession::Publish(schema, *mech, m,
+                                                       epsilon, /*seed=*/2010);
+      PRIVELET_CHECK(release.ok(), release.status().ToString());
+      const std::vector<double> approx = release->AnswerAll(*workload);
       std::vector<double> errors;
       errors.reserve(workload->size());
       for (std::size_t i = 0; i < workload->size(); ++i) {
-        const double approx = eval.Answer((*workload)[i]);
-        errors.push_back(config.bucket_by_coverage
-                             ? query::SquareError(approx, acts[i])
-                             : query::RelativeError(approx, acts[i], sanity));
+        errors.push_back(
+            config.bucket_by_coverage
+                ? query::SquareError(approx[i], acts[i])
+                : query::RelativeError(approx[i], acts[i], sanity));
       }
       columns.push_back(
           query::EqualCountBuckets(keys, errors, config.num_buckets));

@@ -21,8 +21,8 @@
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/basic.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
 #include "privelet/query/metrics.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 
 namespace privelet::bench {

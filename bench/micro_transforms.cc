@@ -206,7 +206,7 @@ void BM_PrefixSumBuild(benchmark::State& state) {
   rng::Xoshiro256pp gen(6);
   for (std::size_t i = 0; i < m.size(); ++i) m[i] = gen.NextDouble();
   for (auto _ : state) {
-    matrix::PrefixSumTable<double> table(m);
+    matrix::PrefixSumTable table(m);
     benchmark::DoNotOptimize(&table);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(m.size()));

@@ -261,8 +261,7 @@ int Run(bool smoke) {
   // resolve once, then every rep is a pooled signed fold over the table's
   // entries, over the same grain as the uncompiled AnswerAll above — and
   // asserted bit-identical to it.
-  const matrix::PrefixSumTable<double>& table =
-      mapped_session->prefix_table();
+  const matrix::PrefixSumTable& table = mapped_session->prefix_table();
   Stopwatch compile_watch;
   const query::CompiledWorkload compiled =
       query::CompiledWorkload::Compile(*workload, table.dims());

@@ -14,8 +14,8 @@
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/basic.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
 #include "privelet/query/metrics.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 
 using namespace privelet;
@@ -54,22 +54,24 @@ int main(int argc, char** argv) {
               std::string(mechanism.name()).c_str(), epsilon,
               mechanism.NoiseVarianceBound(schema, epsilon).value(),
               analysis::BasicVarianceBound(schema, epsilon));
-  auto noisy = mechanism.Publish(schema, m, epsilon, /*seed=*/1);
-  if (!noisy.ok()) {
-    std::fprintf(stderr, "%s\n", noisy.status().ToString().c_str());
+  auto released = query::PublishingSession::Publish(schema, mechanism, m,
+                                                    epsilon, /*seed=*/1);
+  if (!released.ok()) {
+    std::fprintf(stderr, "%s\n", released.status().ToString().c_str());
     return 1;
   }
 
-  // The analyst runs OLAP-style drill-downs against the release.
-  query::QueryEvaluator truth(schema, m);
-  query::QueryEvaluator released(schema, *noisy);
+  // The analyst runs OLAP-style drill-downs against the release. The
+  // true counts come from a session over the exact matrix.
+  auto truth = query::PublishingSession::FromMatrix(schema, m);
+  if (!truth.ok()) return 1;
   const data::Hierarchy& occupation = schema.attribute(2).hierarchy();
 
   std::printf("%-58s %10s %10s %8s\n", "query", "true", "private", "relerr");
   const double sanity = 0.001 * static_cast<double>(table->num_rows());
   auto report = [&](const char* label, const query::RangeQuery& q) {
-    const double act = truth.Answer(q);
-    const double approx = released.Answer(q);
+    const double act = truth->Answer(q);
+    const double approx = released->Answer(q);
     std::printf("%-58s %10.0f %10.1f %7.1f%%\n", label, act, approx,
                 100.0 * query::RelativeError(approx, act, sanity));
   };
@@ -104,15 +106,14 @@ int main(int argc, char** argv) {
   wopts.num_queries = 1'000;
   auto workload = query::GenerateWorkload(schema, wopts);
   if (!workload.ok()) return 1;
-  auto basic_noisy =
-      mechanism::BasicMechanism().Publish(schema, m, epsilon, 1);
-  if (!basic_noisy.ok()) return 1;
-  query::QueryEvaluator basic_eval(schema, *basic_noisy);
+  auto basic = query::PublishingSession::Publish(
+      schema, mechanism::BasicMechanism(), m, epsilon, 1);
+  if (!basic.ok()) return 1;
   double plus_sq = 0.0, basic_sq = 0.0;
   for (const auto& q : *workload) {
-    const double act = truth.Answer(q);
-    plus_sq += query::SquareError(released.Answer(q), act);
-    basic_sq += query::SquareError(basic_eval.Answer(q), act);
+    const double act = truth->Answer(q);
+    plus_sq += query::SquareError(released->Answer(q), act);
+    basic_sq += query::SquareError(basic->Answer(q), act);
   }
   const auto n_queries = static_cast<double>(workload->size());
   std::printf("\nrandom workload (%zu queries): avg square error %s = %.3e, "

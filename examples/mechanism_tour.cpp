@@ -17,7 +17,7 @@
 #include "privelet/mechanism/basic.h"
 #include "privelet/mechanism/hay.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 #include "privelet/rng/distributions.h"
 #include "privelet/rng/xoshiro256pp.h"
@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
   wopts.num_queries = 500;
   auto workload = query::GenerateWorkload(schema, wopts);
   if (!workload.ok()) return 1;
-  query::QueryEvaluator truth(schema, m);
-  std::vector<double> acts;
-  for (const auto& q : *workload) acts.push_back(truth.Answer(q));
+  auto truth = query::PublishingSession::FromMatrix(schema, m);
+  if (!truth.ok()) return 1;
+  const std::vector<double> acts = truth->AnswerAll(*workload);
 
   const mechanism::BasicMechanism basic;
   const mechanism::PriveletMechanism privelet;
@@ -70,11 +70,12 @@ int main(int argc, char** argv) {
       double total_sq = 0.0;
       constexpr std::size_t kSeeds = 10;
       for (std::size_t seed = 0; seed < kSeeds; ++seed) {
-        auto noisy = mech->Publish(schema, m, epsilon, seed);
-        if (!noisy.ok()) return 1;
-        query::QueryEvaluator eval(schema, *noisy);
+        auto release =
+            query::PublishingSession::Publish(schema, *mech, m, epsilon, seed);
+        if (!release.ok()) return 1;
+        const std::vector<double> answers = release->AnswerAll(*workload);
         for (std::size_t i = 0; i < workload->size(); ++i) {
-          const double diff = eval.Answer((*workload)[i]) - acts[i];
+          const double diff = answers[i] - acts[i];
           total_sq += diff * diff;
         }
       }

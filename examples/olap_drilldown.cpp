@@ -14,7 +14,7 @@
 #include "privelet/data/attribute.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/range_query.h"
 #include "privelet/rng/distributions.h"
 #include "privelet/rng/xoshiro256pp.h"
@@ -47,23 +47,25 @@ int main() {
 
   const double epsilon = 0.75;
   const mechanism::PriveletMechanism privelet;
-  auto noisy = privelet.Publish(schema, m, epsilon, /*seed=*/3);
-  if (!noisy.ok()) {
-    std::fprintf(stderr, "%s\n", noisy.status().ToString().c_str());
+  auto released =
+      query::PublishingSession::Publish(schema, privelet, m, epsilon,
+                                        /*seed=*/3);
+  if (!released.ok()) {
+    std::fprintf(stderr, "%s\n", released.status().ToString().c_str());
     return 1;
   }
   std::printf("published %zu orders over %zu countries at epsilon=%.2f\n\n",
               kOrders, num_countries, epsilon);
 
-  query::QueryEvaluator truth(schema, m);
-  query::QueryEvaluator released(schema, *noisy);
+  auto truth = query::PublishingSession::FromMatrix(schema, m);
+  if (!truth.ok()) return 1;
   const data::Hierarchy& h = schema.attribute(0).hierarchy();
 
   auto report = [&](const std::string& label, std::size_t node) {
     query::RangeQuery q(2);
     (void)q.SetHierarchyNode(schema, 0, node);
-    const double act = truth.Answer(q);
-    const double priv = released.Answer(q);
+    const double act = truth->Answer(q);
+    const double priv = released->Answer(q);
     std::printf("  %-24s true=%8.0f  private=%9.1f  (err %+7.1f)\n",
                 label.c_str(), act, priv, priv - act);
   };
@@ -86,8 +88,8 @@ int main() {
   query::RangeQuery q(2);
   (void)q.SetHierarchyNode(schema, 0, regions[0]);
   (void)q.SetRange(schema, 1, 16, 31);
-  std::printf("  true=%8.0f  private=%9.1f\n", truth.Answer(q),
-              released.Answer(q));
+  std::printf("  true=%8.0f  private=%9.1f\n", truth->Answer(q),
+              released->Answer(q));
 
   std::printf("\nnoise variance bound for every query above: %.0f "
               "(stddev ~%.0f orders of %zu)\n",

@@ -26,7 +26,6 @@
 #include "privelet/data/csv.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
 #include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 #include "privelet/storage/session_io.h"
@@ -93,8 +92,8 @@ int main() {
 
   // --- analyst side -----------------------------------------------------
   // Serve the snapshot in place: MapSession memory-maps the file, checks
-  // the CRC once, and the session's evaluator reads the prefix table
-  // straight from the mapped pages — zero copies, no O(m) load work. The
+  // the CRC once, and the session reads the prefix table straight
+  // from the mapped pages — zero copies, no O(m) load work. The
   // session carries the release provenance, answers batches across the
   // pool, and is safe to share between serving threads.
   auto session = storage::MapSession(release_path, &pool);
@@ -102,7 +101,9 @@ int main() {
   std::printf("mapped release: mechanism=%s epsilon=%g\n",
               session->metadata().mechanism.c_str(),
               session->metadata().epsilon);
-  query::QueryEvaluator truth(schema, m);  // for demonstration only
+  // For demonstration only: a session over the exact counts.
+  auto truth = query::PublishingSession::FromMatrix(schema, m);
+  if (!truth.ok()) return 1;
 
   std::printf("%-44s %10s %10s %12s\n", "query", "true", "private",
               "pred stddev");
@@ -122,7 +123,7 @@ int main() {
     char label[64];
     std::snprintf(label, sizeof(label), "workload query #%zu (%zu preds)",
                   i + 1, q.NumPredicates());
-    std::printf("%-44s %10.0f %10.0f %12.1f\n", label, truth.Answer(q),
+    std::printf("%-44s %10.0f %10.0f %12.1f\n", label, truth->Answer(q),
                 answers[i], std::sqrt(predicted_var));
   }
 

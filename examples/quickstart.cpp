@@ -13,7 +13,7 @@
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/basic.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/range_query.h"
 #include "privelet/rng/distributions.h"
 #include "privelet/rng/xoshiro256pp.h"
@@ -60,10 +60,12 @@ int main() {
   //    — see the ablation bench — but this is the API tour.)
   const mechanism::PriveletMechanism privelet;
   const double epsilon = 1.0;
-  auto noisy = privelet.Publish(schema, m, epsilon, /*seed=*/42);
-  if (!noisy.ok()) {
+  auto release =
+      query::PublishingSession::Publish(schema, privelet, m, epsilon,
+                                        /*seed=*/42);
+  if (!release.ok()) {
     std::fprintf(stderr, "publish failed: %s\n",
-                 noisy.status().ToString().c_str());
+                 release.status().ToString().c_str());
     return 1;
   }
   std::printf("published a noisy matrix satisfying %.1f-differential "
@@ -76,9 +78,9 @@ int main() {
   (void)q.SetHierarchyNode(
       schema, 1, schema.attribute(1).hierarchy().leaf_node(kYes));
 
-  const double truth = query::QueryEvaluator(schema, m).Answer(q);
-  const double private_answer =
-      query::QueryEvaluator(schema, *noisy).Answer(q);
+  const double truth =
+      query::PublishingSession::FromMatrix(schema, m)->Answer(q);
+  const double private_answer = release->Answer(q);
   std::printf("COUNT(*) WHERE Age < 50 AND HasDiabetes = yes\n");
   std::printf("  true answer:    %.0f\n", truth);
   std::printf("  private answer: %.2f\n", private_answer);

@@ -61,7 +61,7 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
 #if defined(POSIX_MADV_WILLNEED)
   (void)::posix_madvise(addr, size, POSIX_MADV_WILLNEED);
 #endif
-  return MappedFile(addr, size, /*writable=*/false, /*release_safe=*/false);
+  return MappedFile(addr, size, /*writable=*/false);
 }
 
 Result<MappedFile> MappedFile::CreateScratch(std::size_t size,
@@ -109,24 +109,7 @@ Result<MappedFile> MappedFile::CreateScratch(std::size_t size,
 #if defined(POSIX_MADV_RANDOM)
   (void)::posix_madvise(addr, size, POSIX_MADV_RANDOM);
 #endif
-  return MappedFile(addr, size, /*writable=*/true, /*release_safe=*/true);
-}
-
-Result<MappedFile> MappedFile::CreateAnonymous(std::size_t size) {
-  if (size == 0) {
-    MappedFile empty;
-    empty.writable_ = true;
-    return empty;
-  }
-  void* addr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (addr == MAP_FAILED) {
-    return Status::IOError("cannot map " + std::to_string(size) +
-                           " anonymous bytes: " + ErrnoMessage());
-  }
-  // Anonymous pages must never be MADV_DONTNEED'ed: the kernel would
-  // replace them with zero pages, destroying the contents.
-  return MappedFile(addr, size, /*writable=*/true, /*release_safe=*/false);
+  return MappedFile(addr, size, /*writable=*/true);
 }
 
 std::span<std::byte> MappedFile::mutable_bytes() const {
@@ -135,7 +118,9 @@ std::span<std::byte> MappedFile::mutable_bytes() const {
 }
 
 void MappedFile::ReleaseResidency() const {
-  if (release_safe_ && addr_ != nullptr) {
+  // Only scratch mappings are writable, and their file backing keeps the
+  // dropped pages' contents.
+  if (writable_ && addr_ != nullptr) {
     (void)::madvise(addr_, size_, MADV_DONTNEED);
   }
 }
@@ -147,7 +132,6 @@ void MappedFile::Reset() {
   addr_ = nullptr;
   size_ = 0;
   writable_ = false;
-  release_safe_ = false;
 }
 
 MappedFile::~MappedFile() { Reset(); }
@@ -155,8 +139,7 @@ MappedFile::~MappedFile() { Reset(); }
 MappedFile::MappedFile(MappedFile&& other) noexcept
     : addr_(std::exchange(other.addr_, nullptr)),
       size_(std::exchange(other.size_, 0)),
-      writable_(std::exchange(other.writable_, false)),
-      release_safe_(std::exchange(other.release_safe_, false)) {}
+      writable_(std::exchange(other.writable_, false)) {}
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
@@ -164,7 +147,6 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     addr_ = std::exchange(other.addr_, nullptr);
     size_ = std::exchange(other.size_, 0);
     writable_ = std::exchange(other.writable_, false);
-    release_safe_ = std::exchange(other.release_safe_, false);
   }
   return *this;
 }

@@ -8,7 +8,7 @@
 //    share one set of physical pages.
 //
 //  * Writable scratch backing for the out-of-core publish path
-//    (CreateScratch / CreateAnonymous). A scratch mapping behaves like a
+//    (CreateScratch). A scratch mapping behaves like a
 //    zero-initialized array that the kernel may spill to disk: the
 //    streaming transform writes panels through it and periodically calls
 //    ReleaseResidency() so peak RSS stays bounded by the panel budget even
@@ -24,7 +24,7 @@
 
 namespace privelet::common {
 
-/// RAII mapping of one file (or of anonymous memory). Move-only; the
+/// RAII mapping of one file. Move-only; the
 /// mapping (and the validity of every span derived from bytes() /
 /// mutable_bytes()) ends when the owning object is destroyed. The mapped
 /// base address is page-aligned, so a payload section placed at a
@@ -47,13 +47,6 @@ class MappedFile {
   static Result<MappedFile> CreateScratch(std::size_t size,
                                           const std::string& dir = "");
 
-  /// Creates a writable zero-filled anonymous mapping of `size` bytes.
-  /// Unlike CreateScratch the pages have no file backing, so
-  /// ReleaseResidency() is a no-op (discarding anonymous pages would
-  /// zero-fill them). Useful where a plain allocation is wanted but the
-  /// mapping interface must stay uniform.
-  static Result<MappedFile> CreateAnonymous(std::size_t size);
-
   /// An empty mapping (bytes() is an empty span).
   MappedFile() = default;
   ~MappedFile();
@@ -69,38 +62,33 @@ class MappedFile {
     return {static_cast<const std::byte*>(addr_), size_};
   }
 
-  /// Writable view of a scratch/anonymous mapping. CHECK-fails on
+  /// Writable view of a scratch mapping. CHECK-fails on
   /// read-only mappings.
   std::span<std::byte> mutable_bytes() const;
 
   std::size_t size() const { return size_; }
 
-  /// True for CreateScratch / CreateAnonymous mappings.
+  /// True for CreateScratch mappings.
   bool writable() const { return writable_; }
 
   /// Drops the mapping's resident pages (MADV_DONTNEED) so they stop
-  /// counting against the process RSS. Only file-backed scratch mappings
-  /// honor this — their dirty pages survive in the page cache and fault
-  /// back in on next access, so contents are unaffected. For read-only
-  /// and anonymous mappings this is a no-op (discarding an anonymous
-  /// page would destroy its contents). Safe to call concurrently with
+  /// counting against the process RSS. Only scratch mappings honor this —
+  /// their dirty pages survive in the page cache and fault back in on
+  /// next access, so contents are unaffected. For read-only mappings this
+  /// is a no-op. Safe to call concurrently with
   /// readers/writers of the same mapping: they take minor faults and see
   /// the stored data.
   void ReleaseResidency() const;
 
  private:
-  MappedFile(void* addr, std::size_t size, bool writable, bool release_safe)
-      : addr_(addr),
-        size_(size),
-        writable_(writable),
-        release_safe_(release_safe) {}
+  MappedFile(void* addr, std::size_t size, bool writable)
+      : addr_(addr), size_(size), writable_(writable) {}
 
   void Reset();
 
   void* addr_ = nullptr;
   std::size_t size_ = 0;
   bool writable_ = false;
-  bool release_safe_ = false;
 };
 
 }  // namespace privelet::common

@@ -25,11 +25,9 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,18 +41,16 @@
 
 namespace privelet::matrix {
 
-/// Prefix-sum table with accumulator type Accum: double for noisy
-/// (real-valued) matrices, std::int64_t for exact integer count matrices.
-/// Binary64 is enough for the noisy table: recursive summation's rounding
-/// error grows like (adds per entry) x 2^-53 x sum|x|, orders of magnitude
-/// below the Laplace noise every answer already carries
+/// Binary64 prefix-sum table: the one table every answer reads. Over a
+/// noisy release, recursive summation's rounding error grows like
+/// (adds per entry) x 2^-53 x sum|x|, orders of magnitude below the
+/// Laplace noise every answer already carries
 /// (tests/query_variance_test.cc pins the margin on a 1e9-total cube).
-template <typename Accum>
+/// Over integer counts whose total is below 2^53 every entry is an
+/// integer binary64 represents exactly, so the table is exact, and so is
+/// every answer whose corner sum stays below 2^53 in magnitude
+/// (tests/matrix_test.cc pins this with 2^40-sized entries).
 class PrefixSumTable {
-  static_assert(std::is_same_v<Accum, double> ||
-                    std::is_same_v<Accum, std::int64_t>,
-                "PrefixSumTable accumulates in double or int64");
-
  public:
   /// Builds the table in O(m) per axis. A non-null `pool` fans each axis
   /// pass's independent lines across its workers; each line is a serial
@@ -66,21 +62,13 @@ class PrefixSumTable {
   explicit PrefixSumTable(const FrequencyMatrix& source,
                           common::ThreadPool* pool = nullptr,
                           const EngineOptions& options = {})
-      : PrefixSumTable(source.dims(), source.values(), pool, options) {}
-
-  /// Same build over raw row-major values with the given dims (the
-  /// product of `dims` must equal source.size()).
-  PrefixSumTable(std::vector<std::size_t> dims, std::span<const double> source,
-                 common::ThreadPool* pool = nullptr,
-                 const EngineOptions& options = {})
-      : dims_(std::move(dims)) {
+      : dims_(source.dims()) {
     InitStrides();
-    PRIVELET_CHECK(!dims_.empty() && NumCells() == source.size(),
-                   "source values do not match the dims");
+    PRIVELET_CHECK(!dims_.empty(), "cannot build a table over an empty matrix");
     // Left uninitialized: the fused first pass writes every entry.
-    owned_ = std::make_unique_for_overwrite<Accum[]>(source.size());
+    owned_ = std::make_unique_for_overwrite<double[]>(source.size());
     data_ = {owned_.get(), source.size()};
-    BuildFrom(owned_.get(), source.data(), pool, options);
+    BuildFrom(owned_.get(), source.values().data(), pool, options);
   }
 
   /// The same build in place over `release`'s own storage, which the
@@ -92,7 +80,6 @@ class PrefixSumTable {
   explicit PrefixSumTable(FrequencyMatrix&& release,
                           common::ThreadPool* pool = nullptr,
                           const EngineOptions& options = {})
-    requires std::is_same_v<Accum, double>
       : dims_(release.dims()), adopted_(std::move(release)) {
     InitStrides();
     PRIVELET_CHECK(!dims_.empty(), "cannot adopt an empty matrix");
@@ -108,7 +95,7 @@ class PrefixSumTable {
   /// Used by storage::LoadSession to own a copy of a snapshot's table;
   /// the entries themselves are trusted — integrity is the snapshot
   /// CRC's job.
-  PrefixSumTable(std::vector<std::size_t> dims, std::unique_ptr<Accum[]> sums)
+  PrefixSumTable(std::vector<std::size_t> dims, std::unique_ptr<double[]> sums)
       : dims_(std::move(dims)), owned_(std::move(sums)) {
     InitStrides();
     PRIVELET_CHECK(!dims_.empty() && owned_ != nullptr,
@@ -122,7 +109,7 @@ class PrefixSumTable {
   /// constructor's; the backing storage must outlive this table and every
   /// table copied from it.
   static PrefixSumTable View(std::vector<std::size_t> dims,
-                             std::span<const Accum> view) {
+                             std::span<const double> view) {
     PrefixSumTable table;
     table.dims_ = std::move(dims);
     table.InitStrides();
@@ -140,7 +127,7 @@ class PrefixSumTable {
   PrefixSumTable(const PrefixSumTable& other)
       : dims_(other.dims_), strides_(other.strides_), data_(other.data_) {
     if (other.is_view()) return;
-    owned_ = std::make_unique_for_overwrite<Accum[]>(data_.size());
+    owned_ = std::make_unique_for_overwrite<double[]>(data_.size());
     std::copy(data_.begin(), data_.end(), owned_.get());
     data_ = {owned_.get(), data_.size()};
   }
@@ -166,8 +153,8 @@ class PrefixSumTable {
   }
 
   /// Sum of all entries with lo[i] <= coord[i] <= hi[i] (inclusive bounds).
-  Accum RangeSum(std::span<const std::size_t> lo,
-                 std::span<const std::size_t> hi) const {
+  double RangeSum(std::span<const std::size_t> lo,
+                  std::span<const std::size_t> hi) const {
     const std::size_t d = dims_.size();
     PRIVELET_DCHECK(lo.size() == d && hi.size() == d, "bound arity mismatch");
     for (std::size_t axis = 0; axis < d; ++axis) {
@@ -176,7 +163,7 @@ class PrefixSumTable {
     }
     // Inclusion-exclusion over the 2^d box corners. Corner bit = 1 picks
     // hi[axis]; bit = 0 picks lo[axis]-1 (empty => the term vanishes).
-    Accum total = 0;
+    double total = 0;
     const std::size_t corners = std::size_t{1} << d;
     for (std::size_t corner = 0; corner < corners; ++corner) {
       std::size_t flat = 0;
@@ -219,7 +206,7 @@ class PrefixSumTable {
   /// The flat (row-major) table entries — entry at a coordinate is the
   /// inclusive prefix sum up to it. The serialization surface consumed by
   /// storage/snapshot.cc and accepted back by the parts constructor.
-  std::span<const Accum> raw_sums() const { return data_; }
+  std::span<const double> raw_sums() const { return data_; }
 
  private:
   PrefixSumTable() = default;
@@ -253,7 +240,7 @@ class PrefixSumTable {
   /// adopting build): each entry is then read just before it is
   /// overwritten. Each remaining axis is a pass of element-wise
   /// `curr += prev` adds between adjacent hyperplanes.
-  void BuildFrom(Accum* slots, const double* source, common::ThreadPool* pool,
+  void BuildFrom(double* slots, const double* source, common::ThreadPool* pool,
                  const EngineOptions& options) {
     common::ResidencyGovernor governor(
         is_scratch() ? options.max_memory_bytes : 0,
@@ -269,20 +256,20 @@ class PrefixSumTable {
           constexpr std::size_t kPaceCells = std::size_t{1} << 16;
           for (std::size_t line = begin; line < end; ++line) {
             const double* in = source + line * line_len;
-            Accum* out = slots + line * line_len;
-            Accum run = 0;
+            double* out = slots + line * line_len;
+            double run = 0;
             for (std::size_t i = 0; i < line_len; i += kPaceCells) {
               const std::size_t count = std::min(line_len - i, kPaceCells);
               run = ScanInto(in + i, out + i, count, run);
               // Only an adopted scratch table paces, and it is built in
               // place: the pass touches that one buffer.
-              governor.OnBytesProcessed(count * sizeof(Accum));
+              governor.OnBytesProcessed(count * sizeof(double));
             }
           }
         });
     // The remaining passes add whole runs of independent lines at once
     // (vertical adds), so the dispatched vector kernels are bit-identical
-    // to scalar at every level for double as well as int64.
+    // to scalar at every level.
     const simd::KernelTable& kernels = simd::Kernels(simd::ResolveIsa());
     for (std::size_t axis = 0; axis + 1 < dims_.size(); ++axis) {
       BuildAxis(slots, dims_[axis], strides_[axis],
@@ -294,10 +281,10 @@ class PrefixSumTable {
   /// (`in` may equal `out`); returns the last sum. A separate function so
   /// the sum stays in a register: inlined into the pool lambda, GCC -O3
   /// spills it to the stack on every element, doubling the pass.
-  static Accum ScanInto(const double* in, Accum* out, std::size_t n,
-                        Accum run) {
+  static double ScanInto(const double* in, double* out, std::size_t n,
+                         double run) {
     for (std::size_t j = 0; j < n; ++j) {
-      run += static_cast<Accum>(in[j]);
+      run += in[j];
       out[j] = run;
     }
     return run;
@@ -308,7 +295,7 @@ class PrefixSumTable {
   /// contiguous run of elements into the contiguous run one axis-stride
   /// later. Per line the additions are those of a per-line walk (same
   /// operands, same order), hence bit-identical tables.
-  void BuildAxis(Accum* slots, std::size_t axis_dim, std::size_t stride,
+  void BuildAxis(double* slots, std::size_t axis_dim, std::size_t stride,
                  std::size_t lines, common::ThreadPool* pool,
                  const simd::KernelTable& kernels,
                  common::ResidencyGovernor& governor) {
@@ -327,15 +314,11 @@ class PrefixSumTable {
                   // table per step, which can dwarf the byte budget long
                   // before an end-of-panel charge would fire.
                   const std::size_t step_touched = common::PageTouchedBytes(
-                      1, stride, run, sizeof(Accum));
+                      1, stride, run, sizeof(double));
                   for (std::size_t k = 1; k < axis_dim; ++k) {
-                    Accum* curr = slots + base + k * stride;
-                    const Accum* prev = curr - stride;
-                    if constexpr (std::is_same_v<Accum, std::int64_t>) {
-                      kernels.prefix_rows_add_i64(curr, prev, run);
-                    } else {
-                      kernels.row_add(curr, prev, run);
-                    }
+                    double* curr = slots + base + k * stride;
+                    const double* prev = curr - stride;
+                    kernels.row_add(curr, prev, run);
                     governor.OnBytesProcessed(step_touched);
                   }
                 });
@@ -345,14 +328,11 @@ class PrefixSumTable {
 
   std::vector<std::size_t> dims_;
   std::vector<std::size_t> strides_;
-  std::unique_ptr<Accum[]> owned_;  ///< owned entries; null otherwise
-  std::span<const Accum> data_;  ///< what RangeSum reads: backing or the view
+  std::unique_ptr<double[]> owned_;  ///< owned entries; null otherwise
+  std::span<const double> data_;  ///< what RangeSum reads: backing or the view
   // Last, so the members every lookup reads share the first cache lines.
   FrequencyMatrix adopted_;  ///< adopted release; empty otherwise
 };
-
-extern template class PrefixSumTable<double>;
-extern template class PrefixSumTable<std::int64_t>;
 
 }  // namespace privelet::matrix
 

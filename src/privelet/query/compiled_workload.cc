@@ -62,7 +62,7 @@ CompiledWorkload CompiledWorkload::Compile(
   return compiled;
 }
 
-void CompiledWorkload::AnswerInto(const matrix::PrefixSumTable<double>& table,
+void CompiledWorkload::AnswerInto(const matrix::PrefixSumTable& table,
                                   std::size_t begin, std::size_t end,
                                   double* out) const {
   PRIVELET_CHECK(table.dims() == dims_,
@@ -82,7 +82,7 @@ void CompiledWorkload::AnswerInto(const matrix::PrefixSumTable<double>& table,
 }
 
 std::vector<double> CompiledWorkload::AnswerAll(
-    const matrix::PrefixSumTable<double>& table) const {
+    const matrix::PrefixSumTable& table) const {
   std::vector<double> answers(num_queries_);
   AnswerInto(table, 0, num_queries_, answers.data());
   return answers;

@@ -1,6 +1,6 @@
 // CompiledWorkload: a batch of range-count queries pre-resolved against
 // one prefix-sum table shape. Answering a query the direct way
-// (QueryEvaluator::Answer) re-derives everything per call: predicate
+// (PublishingSession::Answer) re-derives everything per call: predicate
 // bounds, then 2^d inclusion-exclusion corners, each a d-term
 // stride-multiply plus an empty-side branch. Compiling does that work
 // once — every query flattens into a run of (table offset, sign) corner
@@ -32,7 +32,7 @@ class CompiledWorkload {
   /// Resolves every query's bounds against per-attribute domain sizes
   /// (the table's dims) and flattens its inclusion-exclusion corners.
   /// Each query's arity must equal dims.size() (PRIVELET_CHECKed, same
-  /// contract as QueryEvaluator).
+  /// contract as PublishingSession::Answer).
   static CompiledWorkload Compile(std::span<const RangeQuery> queries,
                                   std::span<const std::size_t> dims);
 
@@ -44,12 +44,12 @@ class CompiledWorkload {
   /// have the dims this workload was compiled against (PRIVELET_CHECKed).
   /// Thread-safe and re-entrant: disjoint ranges may be answered
   /// concurrently.
-  void AnswerInto(const matrix::PrefixSumTable<double>& table,
+  void AnswerInto(const matrix::PrefixSumTable& table,
                   std::size_t begin, std::size_t end, double* out) const;
 
   /// All answers, in query order.
   std::vector<double> AnswerAll(
-      const matrix::PrefixSumTable<double>& table) const;
+      const matrix::PrefixSumTable& table) const;
 
  private:
   std::vector<std::size_t> dims_;

@@ -6,11 +6,12 @@ namespace privelet::query {
 
 PublishingSession::PublishingSession(
     std::shared_ptr<const data::Schema> schema,
-    std::shared_ptr<const QueryEvaluator> evaluator, ReleaseMetadata metadata,
-    common::ThreadPool* pool, std::shared_ptr<const void> mapping)
+    std::shared_ptr<const matrix::PrefixSumTable> table,
+    ReleaseMetadata metadata, common::ThreadPool* pool,
+    std::shared_ptr<const void> mapping)
     : schema_(std::move(schema)),
       mapping_(std::move(mapping)),
-      evaluator_(std::move(evaluator)),
+      table_(std::move(table)),
       metadata_(std::move(metadata)),
       pool_(pool) {}
 
@@ -26,7 +27,7 @@ Result<PublishingSession> PublishingSession::Publish(
                            /*plan=*/std::nullopt};
   return FromParts(
       schema,
-      matrix::PrefixSumTable<double>(std::move(published), pool, options),
+      matrix::PrefixSumTable(std::move(published), pool, options),
       std::move(metadata), pool);
 }
 
@@ -38,26 +39,43 @@ Result<PublishingSession> PublishingSession::FromMatrix(
         "published matrix dims do not match the schema");
   }
   return FromParts(schema,
-                   matrix::PrefixSumTable<double>(published, pool, options),
+                   matrix::PrefixSumTable(published, pool, options),
                    ReleaseMetadata{}, pool);
 }
 
 Result<PublishingSession> PublishingSession::FromParts(
-    const data::Schema& schema, matrix::PrefixSumTable<double> table,
+    const data::Schema& schema, matrix::PrefixSumTable table,
     ReleaseMetadata metadata, common::ThreadPool* pool) {
   if (table.dims() != schema.DomainSizes()) {
     return Status::InvalidArgument(
         "prefix-sum table dims do not match the schema");
   }
-  auto schema_ptr = std::make_shared<const data::Schema>(schema);
-  auto evaluator =
-      std::make_shared<const QueryEvaluator>(*schema_ptr, std::move(table));
-  return PublishingSession(std::move(schema_ptr), std::move(evaluator),
-                           std::move(metadata), pool);
+  return PublishingSession(
+      std::make_shared<const data::Schema>(schema),
+      std::make_shared<const matrix::PrefixSumTable>(std::move(table)),
+      std::move(metadata), pool);
 }
 
+namespace {
+
+// Per-thread bound scratch for the single-query entry point: keeps it
+// allocation-free (after each thread's first call) without shared
+// mutable state, so concurrent Answer calls do not race.
+struct BoundScratch {
+  std::vector<std::size_t> lo, hi;
+};
+
+BoundScratch& ThreadBoundScratch() {
+  static thread_local BoundScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 double PublishingSession::Answer(const RangeQuery& query) const {
-  return evaluator_->Answer(query);
+  BoundScratch& scratch = ThreadBoundScratch();
+  query.ResolveBounds(table_->dims(), &scratch.lo, &scratch.hi);
+  return table_->RangeSum(scratch.lo, scratch.hi);
 }
 
 std::vector<double> PublishingSession::AnswerAll(
@@ -67,7 +85,8 @@ std::vector<double> PublishingSession::AnswerAll(
                       [&](std::size_t begin, std::size_t end) {
                         std::vector<std::size_t> lo, hi;
                         for (std::size_t i = begin; i < end; ++i) {
-                          answers[i] = evaluator_->Answer(queries[i], &lo, &hi);
+                          queries[i].ResolveBounds(table_->dims(), &lo, &hi);
+                          answers[i] = table_->RangeSum(lo, hi);
                         }
                       });
   return answers;
@@ -75,7 +94,7 @@ std::vector<double> PublishingSession::AnswerAll(
 
 CompiledWorkload PublishingSession::Compile(
     std::span<const RangeQuery> queries) const {
-  return CompiledWorkload::Compile(queries, evaluator_->table().dims());
+  return CompiledWorkload::Compile(queries, table_->dims());
 }
 
 std::vector<double> PublishingSession::AnswerCompiled(
@@ -83,7 +102,7 @@ std::vector<double> PublishingSession::AnswerCompiled(
   std::vector<double> answers(workload.num_queries());
   common::ParallelFor(pool_, workload.num_queries(), /*grain=*/0,
                       [&](std::size_t begin, std::size_t end) {
-                        workload.AnswerInto(evaluator_->table(), begin, end,
+                        workload.AnswerInto(*table_, begin, end,
                                             answers.data() + begin);
                       });
   return answers;

@@ -1,5 +1,5 @@
 // PublishingSession: the serving-side facade over one published release.
-// It owns (or maps) the release's prefix-sum evaluator and answers
+// It owns (or maps) the release's prefix-sum table and answers
 // range-count queries from it — one object to hand to a query-serving
 // frontend. All answering entry points are const and thread-safe: any
 // number of threads may call Answer / AnswerAll on a shared session
@@ -14,8 +14,8 @@
 // Releases outlive processes: storage/session_io.h saves a session's
 // table to a PVLS snapshot (SaveSession) and loads it back by copy
 // (LoadSession) or in place (MapSession → FromMapped, where the
-// evaluator's table is a span view into the file's pages, kept alive by
-// the session). See docs/ARCHITECTURE.md for the publish → snapshot →
+// table is a span view into the file's pages, kept alive by the
+// session). See docs/ARCHITECTURE.md for the publish → snapshot →
 // serve dataflow.
 #ifndef PRIVELET_QUERY_PUBLISHING_SESSION_H_
 #define PRIVELET_QUERY_PUBLISHING_SESSION_H_
@@ -35,7 +35,6 @@
 #include "privelet/matrix/prefix_sum.h"
 #include "privelet/mechanism/mechanism.h"
 #include "privelet/query/compiled_workload.h"
-#include "privelet/query/evaluator.h"
 #include "privelet/query/plan_record.h"
 #include "privelet/query/range_query.h"
 
@@ -103,14 +102,14 @@ class PublishingSession {
   /// schema's domain sizes — the path behind LoadSession and
   /// PublishToFile. The entries are trusted to be a release's prefix sums.
   static Result<PublishingSession> FromParts(
-      const data::Schema& schema, matrix::PrefixSumTable<double> table,
+      const data::Schema& schema, matrix::PrefixSumTable table,
       ReleaseMetadata metadata, common::ThreadPool* pool = nullptr);
 
   /// Wraps a memory-mapped snapshot as a zero-copy serving session: the
-  /// evaluator views the file's table pages directly (no O(m) copy or
-  /// rebuild — opening is O(header + CRC)). The session shares ownership
-  /// of the mapping, which therefore stays alive until the last session
-  /// (and evaluator) using it is gone. Implemented in
+  /// table views the file's pages directly (no O(m) copy or rebuild —
+  /// opening is O(header + CRC)). The session shares ownership of the
+  /// mapping, which therefore stays alive until the last session using
+  /// it is gone. Implemented in
   /// storage/session_io.cc.
   static Result<PublishingSession> FromMapped(
       std::shared_ptr<const storage::MappedSnapshot> mapped,
@@ -127,12 +126,12 @@ class PublishingSession {
   void set_plan(PlanRecord plan) { metadata_.plan = std::move(plan); }
 
   /// The serving prefix-sum table (what snapshots persist). For mapped
-  /// sessions this is a non-owning view into the snapshot file.
-  const matrix::PrefixSumTable<double>& prefix_table() const {
-    return evaluator_->table();
-  }
+  /// sessions this is a non-owning view into the snapshot file. Copies
+  /// of a session share it.
+  const matrix::PrefixSumTable& prefix_table() const { return *table_; }
 
-  /// Answer of one query against the release. Thread-safe.
+  /// Answer of one query against the release: one range sum over the
+  /// table. Thread-safe.
   double Answer(const RangeQuery& query) const;
 
   /// Answers of a whole batch, in input order, fanned across the session
@@ -151,18 +150,17 @@ class PublishingSession {
 
  private:
   PublishingSession(std::shared_ptr<const data::Schema> schema,
-                    std::shared_ptr<const QueryEvaluator> evaluator,
+                    std::shared_ptr<const matrix::PrefixSumTable> table,
                     ReleaseMetadata metadata, common::ThreadPool* pool,
                     std::shared_ptr<const void> mapping = nullptr);
 
-  // Heap-held so moves of the session never invalidate the reference the
-  // evaluator keeps into the schema. `mapping_` pins the MappedSnapshot
-  // (and with it the pages the evaluator's table views) of a mapped
-  // session — declared before `evaluator_` so destruction unmaps only
-  // after the evaluator is gone.
+  // Shared, not copied, by copies of the session: copying a table is
+  // deep. `mapping_` pins the MappedSnapshot (and with it the pages a
+  // mapped session's table views) — declared before `table_` so
+  // destruction unmaps only after the table is gone.
   std::shared_ptr<const data::Schema> schema_;
   std::shared_ptr<const void> mapping_;
-  std::shared_ptr<const QueryEvaluator> evaluator_;
+  std::shared_ptr<const matrix::PrefixSumTable> table_;
   ReleaseMetadata metadata_;
   common::ThreadPool* pool_;
 };

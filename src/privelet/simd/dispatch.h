@@ -1,9 +1,9 @@
 // Runtime CPU dispatch for the vector kernel layer (privelet/simd). The
 // hot inner loops of the library — Haar butterfly levels, the
-// counter-based Laplace draws, int64 prefix sums, and the nominal
-// transform's row combines — are one C++ source built at up to three
-// levels (scalar, AVX2, AVX-512), selected at runtime from one function
-// table per level (see simd/kernels.h).
+// counter-based Laplace draws, and the row combines of the nominal
+// transform and the prefix-table build — are one C++ source built at
+// up to three levels (scalar, AVX2, AVX-512), selected at runtime from
+// one function table per level (see simd/kernels.h).
 //
 // Determinism contract (docs/DETERMINISM.md, "ISA levels"): every level's
 // kernels reproduce the scalar fold bit-for-bit, so the level — like the

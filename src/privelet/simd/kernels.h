@@ -86,11 +86,6 @@ struct KernelTable {
   // (rng/laplace_stages.h), so it gives the same bits.
   void (*laplace_units)(const rng::NoiseKey& key, std::uint64_t first,
                         std::size_t n, double* out);
-
-  // ---- int64 prefix-sum kernel ------------------------------------------
-  // Integer addition is associative, so any lane split is bit-identical.
-  void (*prefix_rows_add_i64)(std::int64_t* curr, const std::int64_t* prev,
-                              std::size_t run);  // curr[b] += prev[b]
 };
 
 /// The kernel table for an already-resolved level (see ResolveIsa). Always

@@ -141,12 +141,6 @@ void RowAddScaled(double* acc, const double* row, double scale,
   for (std::size_t b = 0; b < count; ++b) acc[b] += scale * row[b];
 }
 
-void PrefixRowsAddI64(std::int64_t* curr, const std::int64_t* prev,
-                      std::size_t run) {
-  PRIVELET_IVDEP
-  for (std::size_t b = 0; b < run; ++b) curr[b] += prev[b];
-}
-
 // ---- laplace_units ------------------------------------------------------
 // ChaCha20 lane-major over 16 blocks: x[w][b] is word w of block b, and
 // every quarter round loops over the blocks, so each round is a handful
@@ -249,7 +243,7 @@ constexpr KernelTable MakeKernelTable(IsaLevel level) {
           HaarForwardLevel, HaarInverseLevel, HaarForwardLevelSplit,
           HaarInverseLevelExpand, RowAdd, RowSub,
           RowDiv,      RowAddDiv,       RowSubDiv,
-          RowAddScaled, LaplaceUnits,   PrefixRowsAddI64};
+          RowAddScaled, LaplaceUnits};
 }
 
 }  // namespace

@@ -24,10 +24,9 @@ Result<PublishingSession> PublishingSession::FromMapped(
   // The schema lives inside the mapped snapshot; the aliasing constructor
   // shares its lifetime without a copy.
   std::shared_ptr<const data::Schema> schema(mapped, &mapped->schema());
-  auto evaluator = std::make_shared<const QueryEvaluator>(
-      *schema, matrix::PrefixSumTable<double>::View(mapped->dims(),
-                                                    mapped->prefix_table()));
-  return PublishingSession(std::move(schema), std::move(evaluator),
+  auto table = std::make_shared<const matrix::PrefixSumTable>(
+      matrix::PrefixSumTable::View(mapped->dims(), mapped->prefix_table()));
+  return PublishingSession(std::move(schema), std::move(table),
                            std::move(metadata), pool, std::move(mapped));
 }
 
@@ -49,7 +48,7 @@ Status WriteRelease(const std::string& path,
   PRIVELET_RETURN_IF_ERROR(writer.Begin(
       path, {&session.schema(), metadata.mechanism, metadata.epsilon,
              metadata.plan.has_value() ? &*metadata.plan : nullptr}));
-  const matrix::PrefixSumTable<double>& table = session.prefix_table();
+  const matrix::PrefixSumTable& table = session.prefix_table();
   const std::span<const double> sums = table.raw_sums();
   constexpr std::size_t kStreamChunkCells = std::size_t{1} << 16;
   common::ResidencyGovernor governor(max_memory_bytes,
@@ -82,7 +81,7 @@ Result<query::PublishingSession> PublishToFile(
   }
   // The serving table is built in place over the release, in its scratch
   // mapping when out of core (the build then paces residency itself).
-  matrix::PrefixSumTable<double> table(std::move(published), pool, options);
+  matrix::PrefixSumTable table(std::move(published), pool, options);
   query::ReleaseMetadata metadata{
       std::string(mech.name()), epsilon,
       options.out_of_core() ? query::PublishMode::kStreamed
@@ -107,7 +106,7 @@ Result<query::PublishingSession> LoadSession(const std::string& path,
   std::copy(entries.begin(), entries.end(), sums.get());
   return query::PublishingSession::FromParts(
       mapped.schema(),
-      matrix::PrefixSumTable<double>(mapped.dims(), std::move(sums)),
+      matrix::PrefixSumTable(mapped.dims(), std::move(sums)),
       {mapped.mechanism(), mapped.epsilon(), query::PublishMode::kUnknown,
        mapped.plan()},
       pool);

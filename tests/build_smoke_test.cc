@@ -42,8 +42,10 @@ TEST(BuildSmokeTest, UmbrellaHeaderPipelineEndToEnd) {
   // the mechanism's (generous) worst-case noise envelope.
   query::RangeQuery q(schema.num_attributes());
   ASSERT_TRUE(q.SetRange(schema, 0, 0, 7).ok());
-  const double truth = query::QueryEvaluator(schema, m).Answer(q);
-  const double answer = query::QueryEvaluator(schema, *noisy).Answer(q);
+  const double truth =
+      query::PublishingSession::FromMatrix(schema, m)->Answer(q);
+  const double answer =
+      query::PublishingSession::FromMatrix(schema, *noisy)->Answer(q);
   const double bound = mech.NoiseVarianceBound(schema, 1.0).value();
   EXPECT_NEAR(answer, truth, 20.0 * std::sqrt(bound));
 }

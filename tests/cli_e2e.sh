@@ -119,6 +119,24 @@ if "$CLI" publish --synthetic 4096 --tuples 100 --auto-plan \
   exit 1
 fi
 
+echo "== --threads above 1024 is rejected before any pool starts"
+# Only the rejection path runs at this value: the check precedes the pool.
+for cmd in publish daemon; do
+  rc=0
+  if [ "$cmd" = publish ]; then
+    "$CLI" publish --synthetic 4096 --tuples 100 --threads 1025 \
+           --output "$TMP/bad.pvls" 2> "$TMP/threads.err" || rc=$?
+  else
+    "$CLI" daemon "main=$TMP/release.pvls" --port 0 --threads 1025 \
+           > /dev/null 2> "$TMP/threads.err" || rc=$?
+  fi
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: $cmd --threads 1025 exited $rc, want 2" >&2
+    exit 1
+  fi
+  grep -q -- "--threads must be in \[0, 1024\]" "$TMP/threads.err"
+done
+
 echo "== daemon + client (text protocol over TCP; same answers as query)"
 # --max-resident 1: the store keeps one release mapped, so alternating
 # between ids evicts (LRU) and re-maps them; answers must not change.

@@ -1,6 +1,6 @@
 // CompiledWorkload's contract is bit-identity: for any workload, AnswerAll
 // must return exactly the doubles the per-query path
-// (QueryEvaluator::Answer) produces — compiling is a pure layout and
+// (PublishingSession::Answer) produces — compiling is a pure layout and
 // performance move. These tests sweep random workloads over 1-3
 // dimensional tables, the empty-corner edge cases (predicates touching
 // the domain edge drop corners), and split AnswerInto ranges.
@@ -13,7 +13,7 @@
 #include "privelet/data/schema.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/query/compiled_workload.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/range_query.h"
 #include "privelet/rng/xoshiro256pp.h"
 
@@ -76,19 +76,21 @@ TEST(CompiledWorkloadTest, BitIdenticalToPerQueryAnswers) {
   for (const auto& shape : shapes) {
     const data::Schema schema = MakeSchema(shape);
     const matrix::FrequencyMatrix m = NoisyMatrix(schema, 7 + shape.size());
-    const QueryEvaluator evaluator(schema, m);
+    const PublishingSession session =
+        PublishingSession::FromMatrix(schema, m).value();
+    const matrix::PrefixSumTable& table = session.prefix_table();
     const std::vector<RangeQuery> queries =
         RandomQueries(schema, 100, 11 * shape.size());
 
     std::vector<double> direct;
     for (const RangeQuery& query : queries) {
-      direct.push_back(evaluator.Answer(query));
+      direct.push_back(session.Answer(query));
     }
 
     const CompiledWorkload workload =
-        CompiledWorkload::Compile(queries, evaluator.table().dims());
+        CompiledWorkload::Compile(queries, table.dims());
     EXPECT_EQ(workload.num_queries(), queries.size());
-    const std::vector<double> compiled = workload.AnswerAll(evaluator.table());
+    const std::vector<double> compiled = workload.AnswerAll(table);
     ASSERT_EQ(compiled.size(), direct.size());
     for (std::size_t i = 0; i < direct.size(); ++i) {
       EXPECT_EQ(compiled[i], direct[i])
@@ -102,7 +104,9 @@ TEST(CompiledWorkloadTest, EdgePredicatesDropCorners) {
   // the all-cells query keeps 1; a general query keeps all 4.
   const data::Schema schema = MakeSchema({8, 8});
   const matrix::FrequencyMatrix m = NoisyMatrix(schema, 3);
-  const QueryEvaluator evaluator(schema, m);
+  const PublishingSession session =
+      PublishingSession::FromMatrix(schema, m).value();
+  const matrix::PrefixSumTable& table = session.prefix_table();
 
   RangeQuery both_edges(2);
   ASSERT_TRUE(both_edges.SetRange(schema, 0, 0, 3).ok());
@@ -114,24 +118,26 @@ TEST(CompiledWorkloadTest, EdgePredicatesDropCorners) {
 
   const std::vector<RangeQuery> queries = {both_edges, all_cells, interior};
   const CompiledWorkload workload =
-      CompiledWorkload::Compile(queries, evaluator.table().dims());
+      CompiledWorkload::Compile(queries, table.dims());
   EXPECT_EQ(workload.num_corners(), 1u + 1u + 4u);
 
-  const std::vector<double> answers = workload.AnswerAll(evaluator.table());
+  const std::vector<double> answers = workload.AnswerAll(table);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(answers[i], evaluator.Answer(queries[i])) << "query " << i;
+    EXPECT_EQ(answers[i], session.Answer(queries[i])) << "query " << i;
   }
 }
 
 TEST(CompiledWorkloadTest, EmptyWorkloadAndZeroCornerTail) {
   const data::Schema schema = MakeSchema({16, 16});
   const matrix::FrequencyMatrix m = NoisyMatrix(schema, 5);
-  const QueryEvaluator evaluator(schema, m);
+  const PublishingSession session =
+      PublishingSession::FromMatrix(schema, m).value();
+  const matrix::PrefixSumTable& table = session.prefix_table();
 
   const CompiledWorkload empty =
-      CompiledWorkload::Compile({}, evaluator.table().dims());
+      CompiledWorkload::Compile({}, table.dims());
   EXPECT_EQ(empty.num_queries(), 0u);
-  EXPECT_TRUE(empty.AnswerAll(evaluator.table()).empty());
+  EXPECT_TRUE(empty.AnswerAll(table).empty());
 
   // A workload ending in single-corner queries: the last queries' corner
   // runs are one entry long.
@@ -142,11 +148,11 @@ TEST(CompiledWorkloadTest, EmptyWorkloadAndZeroCornerTail) {
   queries.push_back(RangeQuery(2));  // all-cells
   queries.push_back(RangeQuery(2));
   const CompiledWorkload workload =
-      CompiledWorkload::Compile(queries, evaluator.table().dims());
-  const std::vector<double> answers = workload.AnswerAll(evaluator.table());
+      CompiledWorkload::Compile(queries, table.dims());
+  const std::vector<double> answers = workload.AnswerAll(table);
   ASSERT_EQ(answers.size(), 3u);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(answers[i], evaluator.Answer(queries[i]));
+    EXPECT_EQ(answers[i], session.Answer(queries[i]));
   }
 }
 
@@ -155,16 +161,18 @@ TEST(CompiledWorkloadTest, SplitAnswerIntoRangesMatchFullEvaluation) {
   // batch across the pool) must equal one full AnswerAll.
   const data::Schema schema = MakeSchema({32, 24});
   const matrix::FrequencyMatrix m = NoisyMatrix(schema, 9);
-  const QueryEvaluator evaluator(schema, m);
+  const PublishingSession session =
+      PublishingSession::FromMatrix(schema, m).value();
+  const matrix::PrefixSumTable& table = session.prefix_table();
   const std::vector<RangeQuery> queries = RandomQueries(schema, 77, 13);
   const CompiledWorkload workload =
-      CompiledWorkload::Compile(queries, evaluator.table().dims());
+      CompiledWorkload::Compile(queries, table.dims());
 
-  const std::vector<double> whole = workload.AnswerAll(evaluator.table());
+  const std::vector<double> whole = workload.AnswerAll(table);
   std::vector<double> pieces(queries.size());
   for (std::size_t begin = 0; begin < queries.size(); begin += 10) {
     const std::size_t end = std::min(begin + 10, queries.size());
-    workload.AnswerInto(evaluator.table(), begin, end, pieces.data() + begin);
+    workload.AnswerInto(table, begin, end, pieces.data() + begin);
   }
   EXPECT_EQ(pieces, whole);
 }
@@ -174,15 +182,17 @@ TEST(CompiledWorkloadTest, LargeThreeDimensionalWorkloadFoldsExactly) {
   // edge case mixed in.
   const data::Schema schema = MakeSchema({40, 40, 5});
   const matrix::FrequencyMatrix m = NoisyMatrix(schema, 21);
-  const QueryEvaluator evaluator(schema, m);
+  const PublishingSession session =
+      PublishingSession::FromMatrix(schema, m).value();
+  const matrix::PrefixSumTable& table = session.prefix_table();
   const std::vector<RangeQuery> queries = RandomQueries(schema, 900, 17);
   const CompiledWorkload workload =
-      CompiledWorkload::Compile(queries, evaluator.table().dims());
+      CompiledWorkload::Compile(queries, table.dims());
   ASSERT_GT(workload.num_corners(), 2048u);
 
-  const std::vector<double> compiled = workload.AnswerAll(evaluator.table());
+  const std::vector<double> compiled = workload.AnswerAll(table);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(compiled[i], evaluator.Answer(queries[i])) << "query " << i;
+    EXPECT_EQ(compiled[i], session.Answer(queries[i])) << "query " << i;
   }
 }
 

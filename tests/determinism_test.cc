@@ -174,10 +174,10 @@ TEST(HnTransformDeterminismTest, ForwardAndInverseAcrossThreadCounts) {
 TEST(PrefixSumDeterminismTest, PooledBuildMatchesSerial) {
   const data::Schema schema = MultiChunkSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 6);
-  const matrix::PrefixSumTable<double> serial(m);
+  const matrix::PrefixSumTable serial(m);
   for (const std::size_t threads : kPoolSizes) {
     common::ThreadPool pool(threads);
-    const matrix::PrefixSumTable<double> pooled(m, &pool);
+    const matrix::PrefixSumTable pooled(m, &pool);
     ASSERT_EQ(0, std::memcmp(serial.raw_sums().data(),
                              pooled.raw_sums().data(),
                              serial.raw_sums().size_bytes()))
@@ -202,7 +202,7 @@ std::string TableBytes(const query::PublishingSession& session) {
 // The prefix-table bytes of a release matrix, for comparison with
 // TableBytes.
 std::string TableBytes(const matrix::FrequencyMatrix& release) {
-  const matrix::PrefixSumTable<double> table(release);
+  const matrix::PrefixSumTable table(release);
   const std::span<const double> sums = table.raw_sums();
   return std::string(reinterpret_cast<const char*>(sums.data()),
                      sums.size() * sizeof(double));

@@ -1,7 +1,7 @@
-// Tests for common::MappedFile's three roles — read-only file mapping,
-// file-backed writable scratch, anonymous writable mapping — with the
-// error paths of each creation mode (missing/empty files, paths that are
-// not regular files, unusable scratch directories) and the residency-release contract the
+// Tests for common::MappedFile's two roles — read-only file mapping and
+// file-backed writable scratch — with the error paths of each creation
+// mode (missing/empty files, paths that are not regular files, unusable
+// scratch directories) and the residency-release contract the
 // out-of-core publish path depends on: dropping resident pages of a
 // file-backed scratch mapping must never lose data.
 #include "privelet/common/file_mapping.h"
@@ -121,23 +121,6 @@ TEST(MappedFileTest, ScratchUnderAFileIsAnIOError) {
   auto scratch = MappedFile::CreateScratch(4096, blocker);
   ASSERT_FALSE(scratch.ok());
   EXPECT_EQ(StatusCode::kIOError, scratch.status().code());
-}
-
-TEST(MappedFileTest, AnonymousMappingHoldsDataAcrossRelease) {
-  auto anon = MappedFile::CreateAnonymous(1 << 16);
-  ASSERT_TRUE(anon.ok()) << anon.status().ToString();
-  EXPECT_TRUE(anon->writable());
-  std::span<std::byte> bytes = anon->mutable_bytes();
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<std::byte>(i ^ 0x5a);
-  }
-  // Anonymous pages have no file backing, so ReleaseResidency must be a
-  // no-op — MADV_DONTNEED would zero the contents.
-  anon->ReleaseResidency();
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    ASSERT_EQ(static_cast<std::byte>(i ^ 0x5a), bytes[i])
-        << "anonymous data lost after ReleaseResidency at " << i;
-  }
 }
 
 TEST(MappedFileTest, MoveTransfersTheMapping) {

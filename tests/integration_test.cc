@@ -16,8 +16,8 @@
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/basic.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
 #include "privelet/query/metrics.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 
 namespace privelet {
@@ -58,20 +58,19 @@ TEST(IntegrationTest, EndToEndErrorShapesMatchPaper) {
 
   mechanism::BasicMechanism basic;
   mechanism::PriveletPlusMechanism plus(analysis::AdviseSa(fixture.schema));
-  auto basic_noisy = basic.Publish(fixture.schema, fixture.m, epsilon, 1);
-  auto plus_noisy = plus.Publish(fixture.schema, fixture.m, epsilon, 1);
-  ASSERT_TRUE(basic_noisy.ok() && plus_noisy.ok());
-
-  query::QueryEvaluator truth(fixture.schema, fixture.m);
-  query::QueryEvaluator basic_eval(fixture.schema, *basic_noisy);
-  query::QueryEvaluator plus_eval(fixture.schema, *plus_noisy);
+  auto basic_release = query::PublishingSession::Publish(
+      fixture.schema, basic, fixture.m, epsilon, 1);
+  auto plus_release = query::PublishingSession::Publish(
+      fixture.schema, plus, fixture.m, epsilon, 1);
+  auto truth = query::PublishingSession::FromMatrix(fixture.schema, fixture.m);
+  ASSERT_TRUE(basic_release.ok() && plus_release.ok() && truth.ok());
 
   std::vector<double> coverages, basic_sq, plus_sq;
   for (const auto& q : *workload) {
-    const double act = truth.Answer(q);
+    const double act = truth->Answer(q);
     coverages.push_back(q.Coverage(fixture.schema));
-    basic_sq.push_back(query::SquareError(basic_eval.Answer(q), act));
-    plus_sq.push_back(query::SquareError(plus_eval.Answer(q), act));
+    basic_sq.push_back(query::SquareError(basic_release->Answer(q), act));
+    plus_sq.push_back(query::SquareError(plus_release->Answer(q), act));
   }
 
   const auto basic_buckets = query::EqualCountBuckets(coverages, basic_sq, 5);
@@ -105,16 +104,16 @@ TEST(IntegrationTest, RelativeErrorStaysModestOnSelectiveQueries) {
   ASSERT_TRUE(workload.ok());
 
   mechanism::PriveletPlusMechanism plus(analysis::AdviseSa(fixture.schema));
-  auto noisy = plus.Publish(fixture.schema, fixture.m, epsilon, 5);
-  ASSERT_TRUE(noisy.ok());
+  auto release = query::PublishingSession::Publish(fixture.schema, plus,
+                                                   fixture.m, epsilon, 5);
+  auto truth = query::PublishingSession::FromMatrix(fixture.schema, fixture.m);
+  ASSERT_TRUE(release.ok() && truth.ok());
 
-  query::QueryEvaluator truth(fixture.schema, fixture.m);
-  query::QueryEvaluator eval(fixture.schema, *noisy);
   std::vector<double> selectivities, rel_errors;
   for (const auto& q : *workload) {
-    const double act = truth.Answer(q);
+    const double act = truth->Answer(q);
     selectivities.push_back(act / static_cast<double>(fixture.n));
-    rel_errors.push_back(query::RelativeError(eval.Answer(q), act, sanity));
+    rel_errors.push_back(query::RelativeError(release->Answer(q), act, sanity));
   }
   const auto buckets = query::EqualCountBuckets(selectivities, rel_errors, 5);
   EXPECT_LT(buckets[4].avg_value, 0.25);
@@ -155,11 +154,13 @@ TEST(IntegrationTest, PriveletNeighborDistributionsOverlap) {
 
   std::vector<double> answers1, answers2;
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
-    auto noisy1 = privelet.Publish(schema, m1, epsilon, seed);
-    auto noisy2 = privelet.Publish(schema, m2, epsilon, seed + 100000);
-    ASSERT_TRUE(noisy1.ok() && noisy2.ok());
-    answers1.push_back(query::QueryEvaluator(schema, *noisy1).Answer(q));
-    answers2.push_back(query::QueryEvaluator(schema, *noisy2).Answer(q));
+    auto release1 =
+        query::PublishingSession::Publish(schema, privelet, m1, epsilon, seed);
+    auto release2 = query::PublishingSession::Publish(schema, privelet, m2,
+                                                      epsilon, seed + 100000);
+    ASSERT_TRUE(release1.ok() && release2.ok());
+    answers1.push_back(release1->Answer(q));
+    answers2.push_back(release2->Answer(q));
   }
   // Means differ by at most the true gap (1) plus noise; spreads are wide
   // and of similar magnitude.

@@ -1,9 +1,11 @@
 // Tests for the dense frequency matrix and the d-dimensional prefix-sum
-// tables, including randomized cross-checks against brute force.
+// table, including randomized cross-checks against brute force and the
+// exactness of the binary64 table over integer counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -165,11 +167,11 @@ TEST(FrequencyMatrixTest, FromTableCountsTuples) {
 TEST(PrefixSumTest, OneDimensional) {
   FrequencyMatrix m({5});
   for (std::size_t i = 0; i < 5; ++i) m[i] = static_cast<double>(i + 1);
-  PrefixSumTable<std::int64_t> table(m);
+  PrefixSumTable table(m);
   const std::array<std::size_t, 1> lo0 = {0}, hi4 = {4}, lo2 = {2}, hi2 = {2};
-  EXPECT_EQ(table.RangeSum(lo0, hi4), 15);
-  EXPECT_EQ(table.RangeSum(lo2, hi2), 3);
-  EXPECT_EQ(table.RangeSum(lo2, hi4), 12);
+  EXPECT_EQ(table.RangeSum(lo0, hi4), 15.0);
+  EXPECT_EQ(table.RangeSum(lo2, hi2), 3.0);
+  EXPECT_EQ(table.RangeSum(lo2, hi4), 12.0);
 }
 
 TEST(PrefixSumTest, TwoDimensionalCorners) {
@@ -178,16 +180,16 @@ TEST(PrefixSumTest, TwoDimensionalCorners) {
   m.At(std::array<std::size_t, 2>{0, 1}) = 2.0;
   m.At(std::array<std::size_t, 2>{1, 0}) = 3.0;
   m.At(std::array<std::size_t, 2>{1, 1}) = 4.0;
-  PrefixSumTable<std::int64_t> table(m);
+  PrefixSumTable table(m);
   const std::array<std::size_t, 2> zz = {0, 0}, oo = {1, 1}, oz = {1, 0};
-  EXPECT_EQ(table.RangeSum(zz, oo), 10);
-  EXPECT_EQ(table.RangeSum(oz, oo), 7);   // bottom row
-  EXPECT_EQ(table.RangeSum(zz, oz), 4);   // left column
-  EXPECT_EQ(table.RangeSum(oz, oz), 3);   // single cell
+  EXPECT_EQ(table.RangeSum(zz, oo), 10.0);
+  EXPECT_EQ(table.RangeSum(oz, oo), 7.0);   // bottom row
+  EXPECT_EQ(table.RangeSum(zz, oz), 4.0);   // left column
+  EXPECT_EQ(table.RangeSum(oz, oz), 3.0);   // single cell
 }
 
 // Property sweep: random matrices of random dimensionality; every random
-// box's prefix-sum answer equals brute force, for both accumulators.
+// box's prefix-sum answer equals the integer brute-force sum exactly.
 class PrefixSumPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -200,8 +202,7 @@ TEST_P(PrefixSumPropertyTest, MatchesBruteForce) {
   for (std::size_t i = 0; i < m.size(); ++i) {
     m[i] = static_cast<double>(gen.NextUint64InRange(0, 9));
   }
-  PrefixSumTable<std::int64_t> exact(m);
-  PrefixSumTable<double> real(m);
+  PrefixSumTable table(m);
 
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<std::size_t> lo(d), hi(d);
@@ -226,14 +227,48 @@ TEST_P(PrefixSumPropertyTest, MatchesBruteForce) {
       }
       if (done) break;
     }
-    EXPECT_EQ(exact.RangeSum(lo, hi), expected);
-    EXPECT_NEAR(static_cast<double>(real.RangeSum(lo, hi)),
-                static_cast<double>(expected), 1e-9);
+    EXPECT_EQ(table.RangeSum(lo, hi), static_cast<double>(expected));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefixSumPropertyTest,
                          ::testing::Range<std::uint64_t>(0, 16));
+
+// The binary64 table is exact over integer counts whose total is below
+// 2^53: here each entry is 2^40 + k, so the total sits just above 2^52
+// and every partial sum keeps all its low bits. Random boxes must equal
+// an int64 brute-force sum exactly.
+TEST(PrefixSumTest, IntegerCountsBelowTwoTo53AreExact) {
+  constexpr std::int64_t kBase = std::int64_t{1} << 40;
+  rng::Xoshiro256pp gen(53);
+  FrequencyMatrix m({64, 64});
+  std::vector<std::int64_t> counts(m.size());
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    counts[i] =
+        kBase + static_cast<std::int64_t>(gen.NextUint64InRange(0, 999));
+    m[i] = static_cast<double>(counts[i]);
+  }
+  std::int64_t total = 0;
+  for (const std::int64_t c : counts) total += c;
+  ASSERT_LT(total, std::int64_t{1} << 53);
+  const PrefixSumTable table(m);
+
+  for (int trial = 0; trial < 200; ++trial) {
+    std::array<std::size_t, 2> lo, hi;
+    for (std::size_t a = 0; a < 2; ++a) {
+      lo[a] = gen.NextUint64InRange(0, 63);
+      hi[a] = gen.NextUint64InRange(lo[a], 63);
+    }
+    std::int64_t expected = 0;
+    for (std::size_t r = lo[0]; r <= hi[0]; ++r) {
+      for (std::size_t c = lo[1]; c <= hi[1]; ++c) {
+        expected += counts[r * 64 + c];
+      }
+    }
+    EXPECT_EQ(table.RangeSum(lo, hi), static_cast<double>(expected))
+        << "trial " << trial;
+  }
+}
 
 // A table built from an rvalue matrix adopts its storage and sums it in
 // place; the entries must be those of the const-source build.
@@ -254,9 +289,9 @@ TEST(PrefixSumAdoptTest, AdoptedBuildIsBitIdenticalInTheReleaseStorage) {
                                 &pool}) {
     for (std::size_t s = 0; s < shapes.size(); ++s) {
       FrequencyMatrix m = RandomRealMatrix(shapes[s], 100 + s);
-      const PrefixSumTable<double> reference(m, p);
+      const PrefixSumTable reference(m, p);
       const double* storage = m.values().data();
-      const PrefixSumTable<double> adopted(std::move(m), p);
+      const PrefixSumTable adopted(std::move(m), p);
       EXPECT_EQ(adopted.raw_sums().data(), storage) << "shape " << s;
       EXPECT_FALSE(adopted.is_view());
       EXPECT_FALSE(adopted.is_scratch());
@@ -269,11 +304,11 @@ TEST(PrefixSumAdoptTest, AdoptedBuildIsBitIdenticalInTheReleaseStorage) {
 
 TEST(PrefixSumAdoptTest, CopyOfAnAdoptedTableIsDeepAndOutlivesIt) {
   FrequencyMatrix m = RandomRealMatrix({33, 17}, 7);
-  const PrefixSumTable<double> reference(m);
-  std::optional<PrefixSumTable<double>> adopted;
+  const PrefixSumTable reference(m);
+  std::optional<PrefixSumTable> adopted;
   adopted.emplace(std::move(m));
-  const PrefixSumTable<double> copy(*adopted);
-  PrefixSumTable<double> assigned(reference);
+  const PrefixSumTable copy(*adopted);
+  PrefixSumTable assigned(reference);
   assigned = *adopted;
   EXPECT_NE(copy.raw_sums().data(), adopted->raw_sums().data());
   EXPECT_NE(assigned.raw_sums().data(), adopted->raw_sums().data());
@@ -286,18 +321,18 @@ TEST(PrefixSumAdoptTest, CopyOfAnAdoptedTableIsDeepAndOutlivesIt) {
 
 TEST(PrefixSumAdoptTest, MovesKeepTheAdoptedStorage) {
   FrequencyMatrix m = RandomRealMatrix({16, 20}, 9);
-  const PrefixSumTable<double> reference(m);
+  const PrefixSumTable reference(m);
   const double* storage = m.values().data();
-  PrefixSumTable<double> adopted(std::move(m));
-  PrefixSumTable<double> moved(std::move(adopted));
+  PrefixSumTable adopted(std::move(m));
+  PrefixSumTable moved(std::move(adopted));
   EXPECT_EQ(moved.raw_sums().data(), storage);
-  PrefixSumTable<double> assigned(reference);
+  PrefixSumTable assigned(reference);
   assigned = std::move(moved);
   EXPECT_EQ(assigned.raw_sums().data(), storage);
   EXPECT_FALSE(assigned.is_view());
   EXPECT_TRUE(ValuesEqual(assigned.raw_sums(), reference.raw_sums()));
   // A copy of the moved-to table is still deep.
-  const PrefixSumTable<double> copy(assigned);
+  const PrefixSumTable copy(assigned);
   EXPECT_NE(copy.raw_sums().data(), storage);
   EXPECT_TRUE(ValuesEqual(copy.raw_sums(), reference.raw_sums()));
 }
@@ -308,19 +343,19 @@ TEST(PrefixSumAdoptTest, ScratchBackedReleaseStaysInItsMapping) {
   const FrequencyMatrix values = RandomRealMatrix({96, 80}, 11);
   std::copy(values.values().begin(), values.values().end(),
             scratch->values().begin());
-  const PrefixSumTable<double> reference(values);
+  const PrefixSumTable reference(values);
   const double* storage = scratch->values().data();
   EngineOptions options;
   options.max_memory_bytes = 16 * 1024;  // release many times per pass
   common::ThreadPool pool(2);
-  const PrefixSumTable<double> adopted(std::move(*scratch), &pool, options);
+  const PrefixSumTable adopted(std::move(*scratch), &pool, options);
   EXPECT_TRUE(adopted.is_scratch());
   EXPECT_FALSE(adopted.is_view());
   EXPECT_EQ(adopted.raw_sums().data(), storage);
   EXPECT_TRUE(ValuesEqual(adopted.raw_sums(), reference.raw_sums()));
   adopted.ReleaseResidency();  // evicts pages; the entries survive
   EXPECT_TRUE(ValuesEqual(adopted.raw_sums(), reference.raw_sums()));
-  const PrefixSumTable<double> copy(adopted);  // lands on the heap
+  const PrefixSumTable copy(adopted);  // lands on the heap
   EXPECT_FALSE(copy.is_scratch());
   EXPECT_TRUE(ValuesEqual(copy.raw_sums(), reference.raw_sums()));
 }

@@ -25,7 +25,7 @@
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/noise.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/range_query.h"
 #include "privelet/rng/laplace.h"
 #include "privelet/simd/dispatch.h"
@@ -221,11 +221,11 @@ TEST(NoiseStatisticsTest, QueryNoiseMatchesExactVarianceOnMixedSchema) {
 
   std::vector<std::vector<double>> noise(queries.size());
   for (std::uint64_t seed = 0; seed < kTrials; ++seed) {
-    auto published = privelet.Publish(schema, zeros, kEpsilon, seed);
-    ASSERT_TRUE(published.ok());
-    const query::QueryEvaluator evaluator(schema, *published);
+    auto release = query::PublishingSession::Publish(schema, privelet, zeros,
+                                                     kEpsilon, seed);
+    ASSERT_TRUE(release.ok());
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      noise[q].push_back(evaluator.Answer(queries[q]));
+      noise[q].push_back(release->Answer(queries[q]));
     }
   }
   for (std::size_t q = 0; q < queries.size(); ++q) {

@@ -37,7 +37,6 @@
 #include "privelet/mechanism/hay.h"
 #include "privelet/mechanism/mechanism.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
 #include "privelet/query/plan_record.h"
 #include "privelet/query/publishing_session.h"
 #include "privelet/query/range_query.h"
@@ -89,12 +88,13 @@ std::vector<std::vector<double>> EmpiricalNoise(
   const matrix::FrequencyMatrix zeros(schema.DomainSizes());
   std::vector<std::vector<double>> noise(queries.size());
   for (std::uint64_t seed = 0; seed < trials; ++seed) {
-    auto published = mech.Publish(schema, zeros, epsilon, seed);
-    EXPECT_TRUE(published.ok()) << published.status().ToString();
-    if (!published.ok()) return noise;
-    const query::QueryEvaluator evaluator(schema, *published);
+    auto release =
+        query::PublishingSession::Publish(schema, mech, zeros, epsilon, seed);
+    EXPECT_TRUE(release.ok()) << release.status().ToString();
+    if (!release.ok()) return noise;
+    const std::vector<double> answers = release->AnswerAll(queries);
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      noise[q].push_back(evaluator.Answer(queries[q]));
+      noise[q].push_back(answers[q]);
     }
   }
   return noise;

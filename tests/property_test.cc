@@ -1,8 +1,8 @@
 // Seeded randomized property tests: random schemas, matrices, and query
 // batches, cross-checked against BruteForceAnswer (the O(m) oracle) —
-// QueryEvaluator, ExactEvaluator, and PublishingSession::AnswerAll must
-// all agree with it — plus HN forward/inverse round-trips, serial vs
-// pooled, on every generated schema.
+// PublishingSession::Answer and AnswerAll must both agree with it to the
+// last bit — plus HN forward/inverse round-trips, serial vs pooled, on
+// every generated schema.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,11 +16,11 @@
 #include "privelet/data/hierarchy.h"
 #include "privelet/data/schema.h"
 #include "privelet/matrix/frequency_matrix.h"
-#include "privelet/query/evaluator.h"
 #include "privelet/query/publishing_session.h"
 #include "privelet/query/range_query.h"
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/wavelet/hn_transform.h"
+#include "reference/brute_force.h"
 
 namespace privelet {
 namespace {
@@ -74,14 +74,12 @@ query::RangeQuery RandomQuery(const data::Schema& schema,
   return q;
 }
 
-TEST(PropertyTest, EvaluatorsAgreeWithBruteForceOracle) {
+TEST(PropertyTest, SessionAgreesWithBruteForceOracle) {
   rng::Xoshiro256pp gen(20260729);
   common::ThreadPool pool(2);
   for (int iter = 0; iter < 40; ++iter) {
     const data::Schema schema = RandomSchema(gen);
     const matrix::FrequencyMatrix m = RandomMatrix(schema, gen);
-    const query::QueryEvaluator noisy_eval(schema, m);
-    const query::ExactEvaluator exact_eval(schema, m);
     auto session = query::PublishingSession::FromMatrix(schema, m, &pool);
     ASSERT_TRUE(session.ok());
 
@@ -90,15 +88,13 @@ TEST(PropertyTest, EvaluatorsAgreeWithBruteForceOracle) {
     const std::vector<double> batch = session->AnswerAll(queries);
 
     for (std::size_t k = 0; k < queries.size(); ++k) {
-      const double oracle = query::BruteForceAnswer(schema, m, queries[k]);
-      ASSERT_NEAR(noisy_eval.Answer(queries[k]), oracle, 1e-9)
+      const double oracle =
+          reference::BruteForceAnswer(schema, m, queries[k]);
+      // Entries are small integers, so the binary64 table is exact and
+      // both entry points must agree with the oracle to the last bit.
+      ASSERT_EQ(session->Answer(queries[k]), oracle)
           << "iter " << iter << " query " << k;
-      // Entries are small integers, so the exact evaluator must agree
-      // with the oracle to the last bit.
-      ASSERT_EQ(static_cast<double>(exact_eval.Answer(queries[k])), oracle)
-          << "iter " << iter << " query " << k;
-      ASSERT_NEAR(batch[k], oracle, 1e-9)
-          << "iter " << iter << " query " << k;
+      ASSERT_EQ(batch[k], oracle) << "iter " << iter << " query " << k;
     }
   }
 }

@@ -1,10 +1,12 @@
 // PublishingSession: batched answering matches single-query answering and
-// the brute-force oracle, error paths surface as Status, and a shared
-// session stays consistent under concurrent AnswerAll callers (the tsan
-// job runs this suite).
+// the brute-force oracle, error paths surface as Status, copies share one
+// table, and a shared session stays consistent under concurrent AnswerAll
+// callers (the tsan job runs this suite).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,9 +16,10 @@
 #include "privelet/data/schema.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
 #include "privelet/query/publishing_session.h"
 #include "privelet/rng/xoshiro256pp.h"
+#include "privelet/storage/session_io.h"
+#include "reference/brute_force.h"
 
 namespace privelet::query {
 namespace {
@@ -68,9 +71,10 @@ TEST(PublishingSessionTest, FromMatrixAnswersMatchOracle) {
   const std::vector<double> batch = session->AnswerAll(queries);
   ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const double oracle = BruteForceAnswer(schema, m, queries[i]);
-    EXPECT_NEAR(batch[i], oracle, 1e-9) << "query " << i;
-    EXPECT_NEAR(session->Answer(queries[i]), oracle, 1e-9) << "query " << i;
+    // Small integer entries: the binary64 table is exact.
+    const double oracle = reference::BruteForceAnswer(schema, m, queries[i]);
+    EXPECT_EQ(batch[i], oracle) << "query " << i;
+    EXPECT_EQ(session->Answer(queries[i]), oracle) << "query " << i;
   }
 }
 
@@ -92,14 +96,15 @@ TEST(PublishingSessionTest, PublishWrapsAMechanismRelease) {
   // publishes for the same seed, and answers come from it.
   auto direct = privelet.Publish(schema, m, 1.0, 17);
   ASSERT_TRUE(direct.ok());
-  const matrix::PrefixSumTable<double> direct_table(*direct);
+  const matrix::PrefixSumTable direct_table(*direct);
   EXPECT_TRUE(matrix::ValuesEqual(session->prefix_table().raw_sums(),
                                   direct_table.raw_sums()));
   const auto queries = MakeQueries(schema, 10, 5);
   const auto answers = session->AnswerAll(queries);
-  QueryEvaluator reference(schema, *direct);
+  auto reference = PublishingSession::FromMatrix(schema, *direct);
+  ASSERT_TRUE(reference.ok());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(answers[i], reference.Answer(queries[i]));
+    EXPECT_EQ(answers[i], reference->Answer(queries[i]));
   }
   EXPECT_FALSE(
       PublishingSession::Publish(schema, privelet, m, -1.0, 17).ok());
@@ -130,6 +135,36 @@ TEST(PublishingSessionTest, StreamedPublishBuildsItsTableInTheScratchRelease) {
                                   expected->prefix_table().raw_sums()));
   const auto queries = MakeQueries(schema, 60, 31);
   EXPECT_EQ(session->AnswerAll(queries), expected->AnswerAll(queries));
+}
+
+TEST(PublishingSessionTest, CopiesShareOneTableInMemoryAndMapped) {
+  // Copying a table is deep, so a session copy shares its original's:
+  // in memory and mapped, the copy reads the same entries and answers
+  // bit for bit like the original (and the mapped session like the
+  // in-memory one it was saved from).
+  const data::Schema schema = MixedSchema();
+  const matrix::FrequencyMatrix m = RandomMatrix(schema, 21);
+  mechanism::PriveletMechanism privelet;
+  auto in_memory = PublishingSession::Publish(schema, privelet, m, 1.0, 23);
+  ASSERT_TRUE(in_memory.ok());
+  const std::string path = testing::TempDir() + "/session_copy.pvls";
+  ASSERT_TRUE(storage::SaveSession(path, *in_memory).ok());
+  auto mapped = storage::MapSession(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  std::remove(path.c_str());  // the mapping keeps the pages alive
+
+  const auto queries = MakeQueries(schema, 50, 37);
+  const std::vector<double> want = in_memory->AnswerAll(queries);
+  for (const PublishingSession* original : {&*in_memory, &*mapped}) {
+    const PublishingSession copy = *original;
+    EXPECT_EQ(copy.prefix_table().raw_sums().data(),
+              original->prefix_table().raw_sums().data());
+    EXPECT_TRUE(matrix::ValuesEqual(copy.AnswerAll(queries), want));
+    EXPECT_TRUE(matrix::ValuesEqual(original->AnswerAll(queries), want));
+    std::vector<double> single;
+    for (const RangeQuery& q : queries) single.push_back(copy.Answer(q));
+    EXPECT_TRUE(matrix::ValuesEqual(single, want));
+  }
 }
 
 TEST(PublishingSessionTest, PooledAnswerAllMatchesSerial) {

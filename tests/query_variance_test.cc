@@ -15,7 +15,7 @@
 #include "privelet/data/attribute.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/wavelet/haar.h"
@@ -229,13 +229,15 @@ TEST_P(ExactVarianceMeasurementTest, MatchesMeasuredVariance) {
   auto predicted = ExactQueryNoiseVariance(*transform, schema, lambda, q);
   ASSERT_TRUE(predicted.ok());
 
-  const double truth = query::QueryEvaluator(schema, m).Answer(q);
+  const double truth =
+      query::PublishingSession::FromMatrix(schema, m)->Answer(q);
   std::vector<double> noise;
   constexpr std::size_t kTrials = 1200;
   for (std::size_t seed = 0; seed < kTrials; ++seed) {
-    auto noisy = privelet.Publish(schema, m, epsilon, seed);
-    ASSERT_TRUE(noisy.ok());
-    noise.push_back(query::QueryEvaluator(schema, *noisy).Answer(q) - truth);
+    auto release =
+        query::PublishingSession::Publish(schema, privelet, m, epsilon, seed);
+    ASSERT_TRUE(release.ok());
+    noise.push_back(release->Answer(q) - truth);
   }
   const double measured = SampleVariance(noise);
   // 1200 samples of (sums of) Laplace noise: sample variance concentrates
@@ -272,7 +274,8 @@ TEST(ExactVarianceTest, DoubleTableErrorIsNegligibleAgainstNoise) {
   auto transform = wavelet::HnTransform::Create(schema);
   ASSERT_TRUE(transform.ok());
   const double lambda = 2.0 * transform->GeneralizedSensitivity() / epsilon;
-  const query::QueryEvaluator evaluator(schema, *noisy);
+  auto session = query::PublishingSession::FromMatrix(schema, *noisy);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
 
   query::WorkloadOptions wopts;
   wopts.num_queries = 200;
@@ -300,7 +303,7 @@ TEST(ExactVarianceTest, DoubleTableErrorIsNegligibleAgainstNoise) {
     auto variance = ExactQueryNoiseVariance(*transform, schema, lambda, q);
     ASSERT_TRUE(variance.ok());
     const double error = static_cast<double>(
-        std::fabs(static_cast<long double>(evaluator.Answer(q)) - direct));
+        std::fabs(static_cast<long double>(session->Answer(q)) - direct));
     worst = std::max(worst, error / std::sqrt(*variance));
   }
   EXPECT_LE(worst, 1e-4) << "worst |table - direct| / sigma";

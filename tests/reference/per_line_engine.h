@@ -102,7 +102,7 @@ inline matrix::FrequencyMatrix PublishPrivelet(
   return Inverse(transform, std::move(c.coeffs));
 }
 
-/// PrefixSumTable<double>'s entries: running sums along the last axis
+/// PrefixSumTable's entries: running sums along the last axis
 /// first, then along axes 0..d-2, each one line at a time.
 inline std::vector<double> PrefixSums(const matrix::FrequencyMatrix& m) {
   std::vector<double> sums(m.size());

@@ -263,25 +263,6 @@ TEST(SimdKernelTest, AliasedCallsMatchScalar) {
   }
 }
 
-TEST(SimdKernelTest, PrefixKernelsMatchScalar) {
-  const KernelTable& scalar = simd::Kernels(IsaLevel::kScalar);
-  rng::Xoshiro256pp gen(6);
-  for (const IsaLevel level : HostLevels()) {
-    const KernelTable& k = simd::Kernels(level);
-    for (const std::size_t n : kCounts) {
-      std::vector<std::int64_t> prev(n), base(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        prev[i] = static_cast<std::int64_t>(gen.Next() >> 20) - (1 << 22);
-        base[i] = static_cast<std::int64_t>(gen.Next() >> 20) - (1 << 22);
-      }
-      std::vector<std::int64_t> c0 = base, c1 = base;
-      scalar.prefix_rows_add_i64(c0.data(), prev.data(), n);
-      k.prefix_rows_add_i64(c1.data(), prev.data(), n);
-      EXPECT_EQ(c0, c1) << "prefix_rows_add_i64, count " << n;
-    }
-  }
-}
-
 TEST(SimdKernelTest, LaplaceUnitsMatchPerIndexDefinitionOnUnalignedRuns) {
   // Starts off the 8-draw block and 128-draw group grids, and runs shorter
   // than, equal to and just past one block or group: every level must

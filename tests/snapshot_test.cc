@@ -90,8 +90,8 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out) << path;
 }
 
-void ExpectSameTable(const matrix::PrefixSumTable<double>& want,
-                     const matrix::PrefixSumTable<double>& got) {
+void ExpectSameTable(const matrix::PrefixSumTable& want,
+                     const matrix::PrefixSumTable& got) {
   ASSERT_EQ(want.dims(), got.dims());
   const auto w = want.raw_sums();
   const auto g = got.raw_sums();
@@ -636,7 +636,7 @@ TEST(SnapshotTest, RewritingASnapshotDoesNotDisturbLiveMappings) {
 TEST(SnapshotTest, FromPartsRejectsMismatchedDims) {
   matrix::FrequencyMatrix m(std::vector<std::size_t>{2, 2});
   auto session = query::PublishingSession::FromParts(
-      TestSchema(), matrix::PrefixSumTable<double>(m), {});
+      TestSchema(), matrix::PrefixSumTable(m), {});
   EXPECT_FALSE(session.ok());
 }
 

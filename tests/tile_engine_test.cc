@@ -218,7 +218,7 @@ TEST(TileEngineTest, PrefixSumsMatchPerLineReference) {
     const std::vector<double> expected = reference::PrefixSums(m);
     for (const simd::IsaLevel level : HostLevels()) {
       const testutil::ScopedIsa forced(level);
-      const matrix::PrefixSumTable<double> table(m, nullptr);
+      const matrix::PrefixSumTable table(m, nullptr);
       ASSERT_EQ(expected.size(), table.raw_sums().size());
       ASSERT_EQ(0, std::memcmp(expected.data(), table.raw_sums().data(),
                                table.raw_sums().size_bytes()))

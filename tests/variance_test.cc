@@ -13,7 +13,7 @@
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/basic.h"
 #include "privelet/mechanism/privelet_mechanism.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/range_query.h"
 #include "privelet/rng/xoshiro256pp.h"
 
@@ -30,13 +30,14 @@ double MeasureQueryNoiseVariance(const Mechanism& mechanism,
                                  const matrix::FrequencyMatrix& m,
                                  const query::RangeQuery& q) {
   const double truth =
-      query::QueryEvaluator(schema, m).Answer(q);
+      query::PublishingSession::FromMatrix(schema, m)->Answer(q);
   std::vector<double> noise;
   noise.reserve(kTrials);
   for (std::size_t seed = 0; seed < kTrials; ++seed) {
-    auto noisy = mechanism.Publish(schema, m, kEpsilon, seed);
-    EXPECT_TRUE(noisy.ok());
-    noise.push_back(query::QueryEvaluator(schema, *noisy).Answer(q) - truth);
+    auto release = query::PublishingSession::Publish(schema, mechanism, m,
+                                                     kEpsilon, seed);
+    EXPECT_TRUE(release.ok());
+    noise.push_back(release->Answer(q) - truth);
   }
   return SampleVariance(noise);
 }

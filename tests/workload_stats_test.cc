@@ -8,7 +8,7 @@
 
 #include "privelet/data/census_generator.h"
 #include "privelet/matrix/frequency_matrix.h"
-#include "privelet/query/evaluator.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/query/workload.h"
 
 namespace privelet::query {
@@ -99,9 +99,10 @@ TEST(WorkloadStatsTest, CoverageAndSelectivityAgreeOnUniformData) {
   options.num_queries = 500;
   auto workload = GenerateWorkload(schema, options);
   ASSERT_TRUE(workload.ok());
-  QueryEvaluator eval(schema, m);
+  auto session = PublishingSession::FromMatrix(schema, m);
+  ASSERT_TRUE(session.ok());
   for (const RangeQuery& q : *workload) {
-    const double selectivity = eval.Answer(q) / n;
+    const double selectivity = session->Answer(q) / n;
     EXPECT_NEAR(selectivity, q.Coverage(schema), 1e-9);
   }
 }

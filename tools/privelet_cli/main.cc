@@ -122,7 +122,8 @@ snapshot so peak memory is paced by B instead of the release size. The
 snapshot bytes are identical to an in-core publish of the same release.
 
 defaults: --tuples 100000, --data-seed 42, --mechanism privelet,
-          --epsilon 1.0, --seed 7, --threads <hardware> (0 = serial),
+          --epsilon 1.0, --seed 7, --threads <hardware> (0 = serial,
+          at most 1024),
           --workload-seed 7, --max-resident 0 (unbounded),
           --max-memory 0 (in-core), --output - (stdout for query)
 )";
@@ -282,11 +283,15 @@ Result<matrix::EngineOptions> GetEngineOptions(const Args& args) {
   return options;
 }
 
-// nullptr (serial) when --threads 0.
+// nullptr (serial) when --threads 0. The bound is checked before the pool
+// starts any thread: a mistyped count must not start millions of them.
 Result<std::unique_ptr<common::ThreadPool>> GetPool(const Args& args) {
   PRIVELET_ASSIGN_OR_RETURN(
       std::size_t threads,
       GetCount(args, "threads", common::ThreadPool::DefaultThreadCount()));
+  if (threads > 1024) {
+    return Status::InvalidArgument("--threads must be in [0, 1024]");
+  }
   if (threads == 0) return std::unique_ptr<common::ThreadPool>();
   return std::make_unique<common::ThreadPool>(threads);
 }
