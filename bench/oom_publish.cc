@@ -3,10 +3,11 @@
 // time for the streamed (bounded-memory) path against the ordinary
 // in-core path. Drops BENCH_oom_publish.json with one row per mode.
 //
-// The streamed publish stages every release-sized buffer — input matrix,
-// transform scratch, and the noisy matrix, over whose mapping the prefix
-// table is built in place — through unlinked mmap scratch files and
-// releases resident pages behind each pass, so its
+// The streamed publish starts from a scratch-backed input that records the
+// budget; every later release-sized buffer — transform scratch, and the
+// noisy matrix, over whose mapping the prefix table is built in place —
+// follows it into unlinked mmap scratch files, and every pass (the
+// snapshot save included) releases resident pages behind itself, so its
 // peak RSS is paced by the budget, not the cube. VmHWM is monotone over
 // the process lifetime, so the streamed run is measured FIRST; the
 // in-core run then inherits (and raises) the high-water mark.
@@ -32,6 +33,7 @@
 #include "privelet/matrix/engine.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/mechanism/privelet_mechanism.h"
+#include "privelet/query/publishing_session.h"
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/storage/session_io.h"
 
@@ -77,7 +79,10 @@ matrix::FrequencyMatrix MakeInCoreCube(const data::Schema& schema) {
 
 matrix::FrequencyMatrix MakeScratchCube(const data::Schema& schema,
                                         std::size_t budget_bytes) {
-  auto m = matrix::FrequencyMatrix::CreateScratch(schema.DomainSizes());
+  matrix::EngineOptions options;
+  options.max_memory_bytes = budget_bytes;
+  auto m = matrix::FrequencyMatrix::CreateScratch(schema.DomainSizes(),
+                                                  options);
   PRIVELET_CHECK(m.ok(), m.status().ToString());
   std::span<double> values = m->values();
   rng::Xoshiro256pp gen(5);
@@ -123,45 +128,31 @@ int Run(bool smoke) {
   constexpr double kEpsilon = 1.0;
   constexpr std::uint64_t kSeed = 7;
 
+  // Publishes `m` and saves the release to `path`; returns the wall time
+  // of both. The release stays where `m` lives: in scratch files under
+  // its budget, or in core.
+  const auto publish_and_save = [&](const matrix::FrequencyMatrix& m,
+                                    const std::string& path) {
+    mechanism::PriveletMechanism mech;
+    mech.set_thread_pool(&pool);
+    Stopwatch watch;
+    auto session = query::PublishingSession::Publish(schema, mech, m, kEpsilon,
+                                                     kSeed, &pool);
+    PRIVELET_CHECK(session.ok(), session.status().ToString());
+    PRIVELET_CHECK(session->prefix_table().is_scratch() == m.is_scratch(),
+                   "the release left its input's storage");
+    const Status saved = storage::SaveSession(path, *session);
+    PRIVELET_CHECK(saved.ok(), saved.ToString());
+    return watch.ElapsedSeconds();
+  };
+
   // Streamed first: VmHWM is monotone, so this phase owns the process
   // high-water mark it reports.
-  matrix::EngineOptions streamed_options;
-  streamed_options.max_memory_bytes = budget;
-  double streamed_s = 0.0;
-  std::size_t streamed_rss = 0;
-  {
-    mechanism::PriveletMechanism mech;
-    mech.set_thread_pool(&pool);
-    mech.set_engine_options(streamed_options);
-    const matrix::FrequencyMatrix m = MakeScratchCube(schema, budget);
-    Stopwatch watch;
-    auto session =
-        storage::PublishToFile(streamed_path, schema, mech, m, kEpsilon, kSeed,
-                               &pool, streamed_options);
-    streamed_s = watch.ElapsedSeconds();
-    PRIVELET_CHECK(session.ok(), session.status().ToString());
-    PRIVELET_CHECK(session->metadata().publish_mode ==
-                       query::PublishMode::kStreamed,
-                   "expected a streamed publish");
-    streamed_rss = PeakRssBytes();
-  }
-
-  double incore_s = 0.0;
-  std::size_t incore_rss = 0;
-  {
-    mechanism::PriveletMechanism mech;
-    mech.set_thread_pool(&pool);
-    const matrix::FrequencyMatrix m = MakeInCoreCube(schema);
-    Stopwatch watch;
-    auto session = storage::PublishToFile(incore_path, schema, mech, m,
-                                          kEpsilon, kSeed, &pool, {});
-    incore_s = watch.ElapsedSeconds();
-    PRIVELET_CHECK(session.ok(), session.status().ToString());
-    PRIVELET_CHECK(session->metadata().publish_mode ==
-                       query::PublishMode::kInCore,
-                   "expected an in-core publish");
-    incore_rss = PeakRssBytes();
-  }
+  const double streamed_s =
+      publish_and_save(MakeScratchCube(schema, budget), streamed_path);
+  const std::size_t streamed_rss = PeakRssBytes();
+  const double incore_s = publish_and_save(MakeInCoreCube(schema), incore_path);
+  const std::size_t incore_rss = PeakRssBytes();
 
   // The two files must be bitwise indistinguishable — the determinism
   // contract's streamed ≡ in-core clause, on a release-sized cube.

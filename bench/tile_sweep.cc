@@ -74,16 +74,16 @@ struct Timing {
 };
 
 // One forward, inverse and publish, timed per stage: through the line
-// engine under `options`, or through the per-line reference when
-// `options` is null. The release lands in `release`.
+// engine, or through the per-line reference when `per_line` is set. The
+// release lands in `release`.
 Timing RunOnce(const data::Schema& schema,
                const wavelet::HnTransform& transform,
                const matrix::FrequencyMatrix& m,
-               const matrix::EngineOptions* options,
+               bool per_line,
                matrix::FrequencyMatrix* release) {
   Timing t;
   Stopwatch watch;
-  if (options == nullptr) {
+  if (per_line) {
     wavelet::HnCoefficients coeffs = reference::Forward(transform, m);
     t.forward_s = watch.ElapsedSeconds();
     watch.Restart();
@@ -95,15 +95,14 @@ Timing RunOnce(const data::Schema& schema,
     t.publish_s = watch.ElapsedSeconds();
     return t;
   }
-  auto coeffs = transform.Forward(m, nullptr, *options);
+  auto coeffs = transform.Forward(m, nullptr);
   PRIVELET_CHECK(coeffs.ok(), "forward failed");
   t.forward_s = watch.ElapsedSeconds();
   watch.Restart();
-  auto back = transform.Inverse(*coeffs, nullptr, *options);
+  auto back = transform.Inverse(*coeffs, nullptr);
   PRIVELET_CHECK(back.ok(), "inverse failed");
   t.inverse_s = watch.ElapsedSeconds();
   mechanism::PriveletMechanism mech;
-  mech.set_engine_options(*options);
   watch.Restart();
   auto published = mech.Publish(schema, m, /*epsilon=*/1.0, /*seed=*/1);
   PRIVELET_CHECK(published.ok(), "publish failed");
@@ -115,14 +114,14 @@ Timing RunOnce(const data::Schema& schema,
 // Best-of-`reps` wall time per stage; the release of the first rep is
 // returned through `release` for the bitwise comparison.
 Timing Measure(const data::Schema& schema, const matrix::FrequencyMatrix& m,
-               const matrix::EngineOptions* options, int reps,
+               bool per_line, int reps,
                matrix::FrequencyMatrix* release) {
   auto transform = wavelet::HnTransform::Create(schema);
   PRIVELET_CHECK(transform.ok(), "transform creation failed");
   Timing best;
   for (int rep = 0; rep < reps; ++rep) {
     matrix::FrequencyMatrix rep_release;
-    const Timing t = RunOnce(schema, *transform, m, options, &rep_release);
+    const Timing t = RunOnce(schema, *transform, m, per_line, &rep_release);
     if (rep == 0) {
       best = t;
       *release = std::move(rep_release);
@@ -188,7 +187,7 @@ int Run(bool smoke) {
     // is the per-line reference.
     matrix::FrequencyMatrix reference_release;
     const Timing per_line =
-        Measure(c.schema, m, nullptr, reps, &reference_release);
+        Measure(c.schema, m, /*per_line=*/true, reps, &reference_release);
     const double per_line_total = per_line.forward_s + per_line.inverse_s;
     std::printf("%s (m = %zu)\n", c.name.c_str(), m.size());
     std::printf("  %-10s %10s %10s %10s %9s\n", "engine", "fwd ms", "inv ms",
@@ -204,9 +203,8 @@ int Run(bool smoke) {
                    {"speedup_vs_naive", 1.0}});
 
     {
-      const matrix::EngineOptions options;
       matrix::FrequencyMatrix release;
-      const Timing t = Measure(c.schema, m, &options, reps, &release);
+      const Timing t = Measure(c.schema, m, /*per_line=*/false, reps, &release);
       PRIVELET_CHECK(
           matrix::ValuesEqual(release.values(), reference_release.values()),
           "release differs from the per-line reference");
@@ -239,9 +237,8 @@ int Run(bool smoke) {
     double scalar_draws = 0.0;
     for (int lvl = 0; lvl <= static_cast<int>(best_isa); ++lvl) {
       const testutil::ScopedIsa forced(static_cast<simd::IsaLevel>(lvl));
-      const matrix::EngineOptions iso;
       matrix::FrequencyMatrix release;
-      const Timing t = Measure(c.schema, m, &iso, reps, &release);
+      const Timing t = Measure(c.schema, m, /*per_line=*/false, reps, &release);
       PRIVELET_CHECK(
           matrix::ValuesEqual(release.values(), reference_release.values()),
           "dispatched release differs from the per-line reference");

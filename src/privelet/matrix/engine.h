@@ -29,16 +29,22 @@ namespace privelet::matrix {
 /// axis still fits in L2.
 inline constexpr std::size_t kTileLines = 64;
 
+/// The out-of-core memory budget. It is a property of where the data
+/// lives: FrequencyMatrix::CreateScratch and FromTable(table, options)
+/// record it in the scratch-backed matrix they return, and everything
+/// downstream follows its input — HN passes over a scratch matrix write
+/// scratch intermediates under the same budget and directory, a
+/// PrefixSumTable adopting a scratch release paces its build by it, and
+/// storage::SaveSession paces the write of such a table. A vector-backed
+/// matrix carries the default (no budget).
 struct EngineOptions {
-  /// Out-of-core publish budget in bytes. 0 (the default) keeps every
-  /// intermediate in owned vectors (the in-core engine). When > 0, publish
-  /// intermediates (transform scratch, the release and the prefix table
-  /// built in place over it) live in unlinked mmap scratch files and the
-  /// passes release residency as they stream, bounding peak RSS by
-  /// roughly this budget. Purely a memory knob: the arithmetic is
-  /// untouched, so published releases are bit-identical to the in-core
-  /// engine (see docs/DETERMINISM.md) — which is also why this field is
-  /// deliberately NOT serialized into snapshots.
+  /// Out-of-core budget in bytes. 0 (the default) keeps every matrix in
+  /// an owned vector (the in-core engine). When > 0, matrices live in
+  /// unlinked mmap scratch files and each streaming pass releases
+  /// residency behind itself, bounding peak RSS by roughly this budget.
+  /// Purely a memory knob: the arithmetic is untouched, so releases are
+  /// bit-identical to the in-core engine (see docs/DETERMINISM.md) —
+  /// which is also why it is deliberately NOT serialized into snapshots.
   std::size_t max_memory_bytes = 0;
   /// Directory for scratch files when max_memory_bytes > 0; empty means
   /// $TMPDIR (falling back to /tmp).

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "privelet/common/math_util.h"
+#include "privelet/common/residency.h"
 
 namespace privelet::matrix {
 
@@ -63,13 +64,19 @@ FrequencyMatrix FrequencyMatrix::Uninitialized(std::vector<std::size_t> dims,
 }
 
 Result<FrequencyMatrix> FrequencyMatrix::CreateScratch(
-    std::vector<std::size_t> dims, const std::string& scratch_dir) {
+    std::vector<std::size_t> dims, const EngineOptions& options) {
+  if (!options.out_of_core()) {
+    return Status::InvalidArgument(
+        "a scratch-backed matrix needs a memory budget");
+  }
   FrequencyMatrix m;
   m.dims_ = std::move(dims);
   m.InitStrides();
   const std::size_t bytes = CheckedMul(m.size_, sizeof(double));
   PRIVELET_ASSIGN_OR_RETURN(
-      m.scratch_, common::MappedFile::CreateScratch(bytes, scratch_dir));
+      m.scratch_,
+      common::MappedFile::CreateScratch(bytes, options.scratch_dir));
+  m.budget_ = options;
   // ftruncate guarantees zero-filled pages, matching the owned constructor.
   m.data_ = reinterpret_cast<double*>(m.scratch_.mutable_bytes().data());
   return m;
@@ -88,6 +95,7 @@ FrequencyMatrix& FrequencyMatrix::operator=(const FrequencyMatrix& other) {
     strides_ = other.strides_;
     owned_.assign(other.data_, other.data_ + other.size_);
     scratch_ = common::MappedFile();
+    budget_ = EngineOptions();
     data_ = owned_.data();
     size_ = other.size_;
   }
@@ -99,6 +107,7 @@ FrequencyMatrix::FrequencyMatrix(FrequencyMatrix&& other) noexcept
       strides_(std::move(other.strides_)),
       owned_(std::move(other.owned_)),
       scratch_(std::move(other.scratch_)),
+      budget_(std::exchange(other.budget_, EngineOptions())),
       data_(std::exchange(other.data_, nullptr)),
       size_(std::exchange(other.size_, 0)) {
   other.dims_.clear();
@@ -112,6 +121,7 @@ FrequencyMatrix& FrequencyMatrix::operator=(FrequencyMatrix&& other) noexcept {
     strides_ = std::move(other.strides_);
     owned_ = std::move(other.owned_);
     scratch_ = std::move(other.scratch_);
+    budget_ = std::exchange(other.budget_, EngineOptions());
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
     other.dims_.clear();
@@ -191,12 +201,17 @@ Result<FrequencyMatrix> FrequencyMatrix::FromTable(
   if (!options.out_of_core()) return FromTable(table);
   PRIVELET_ASSIGN_OR_RETURN(
       FrequencyMatrix m,
-      CreateScratch(table.schema().DomainSizes(), options.scratch_dir));
+      CreateScratch(table.schema().DomainSizes(), options));
   const std::size_t num_attrs = table.schema().num_attributes();
   // Counting touches one cell per row at an arbitrary position, so pace
-  // releases by rows: one row dirties at most one page.
+  // releases by rows. The increment reads before it writes, and a read
+  // fault on a file mapping maps the whole fault-around window of cached
+  // pages, not one page (common::PageTouchedBytes), so charge each row
+  // that window.
+  const std::size_t row_touched =
+      common::PageTouchedBytes(1, m.size_, 1, sizeof(double));
   const std::size_t rows_per_release =
-      std::max<std::size_t>(1, options.max_memory_bytes / 2 / 4096);
+      std::max<std::size_t>(1, options.max_memory_bytes / 2 / row_touched);
   for (std::size_t row = 0; row < table.num_rows(); ++row) {
     std::size_t flat = 0;
     for (std::size_t a = 0; a < num_attrs; ++a) {

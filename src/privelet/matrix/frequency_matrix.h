@@ -9,16 +9,17 @@
 //   * owned   — a std::vector<double> (the default; in-core publish path).
 //   * scratch — a writable common::MappedFile over an unlinked temp file
 //     (CreateScratch; out-of-core publish path). Same layout, same
-//     arithmetic; the only extra capability is ReleaseResidency(), which
-//     lets streaming passes evict already-processed pages so peak RSS
-//     stays bounded by the memory budget instead of the domain size.
+//     arithmetic; the extra capability is ReleaseResidency(), which lets
+//     streaming passes evict already-processed pages so peak RSS stays
+//     bounded by the memory budget instead of the domain size. A scratch
+//     matrix records that budget (budget()), and every stage that reads
+//     it paces itself by it (matrix/engine.h).
 #ifndef PRIVELET_MATRIX_FREQUENCY_MATRIX_H_
 #define PRIVELET_MATRIX_FREQUENCY_MATRIX_H_
 
 #include <algorithm>
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "privelet/common/check.h"
@@ -93,16 +94,17 @@ class FrequencyMatrix {
                                        FrequencyMatrix&& reuse);
 
   /// Zero-filled matrix backed by an unlinked mmap scratch file under
-  /// `scratch_dir` (empty -> $TMPDIR, then /tmp). Identical semantics to
-  /// the vector-backed constructor; additionally supports
-  /// ReleaseResidency(). Fails with IOError when the scratch file cannot
-  /// be created or mapped.
-  static Result<FrequencyMatrix> CreateScratch(
-      std::vector<std::size_t> dims, const std::string& scratch_dir = "");
+  /// options.scratch_dir (empty -> $TMPDIR, then /tmp), recording
+  /// `options` as its budget(). Identical semantics to the vector-backed
+  /// constructor; additionally supports ReleaseResidency(). Fails with
+  /// InvalidArgument without a budget (options.out_of_core() false) and
+  /// with IOError when the scratch file cannot be created or mapped.
+  static Result<FrequencyMatrix> CreateScratch(std::vector<std::size_t> dims,
+                                               const EngineOptions& options);
 
-  /// Copying always lands in an owned vector (scratch-ness is a property
-  /// of how a matrix was created, not of its values). Moves transfer the
-  /// backing as-is.
+  /// Copying always lands in an owned vector (scratch-ness and the budget
+  /// are properties of how a matrix was created, not of its values).
+  /// Moves transfer the backing and the budget as-is.
   FrequencyMatrix(const FrequencyMatrix& other);
   FrequencyMatrix& operator=(const FrequencyMatrix& other);
   FrequencyMatrix(FrequencyMatrix&& other) noexcept;
@@ -138,6 +140,10 @@ class FrequencyMatrix {
 
   /// True when the entries live in an mmap scratch file (CreateScratch).
   bool is_scratch() const { return scratch_.size() > 0; }
+
+  /// The memory budget a scratch matrix was created under; the default
+  /// (no budget) for a vector-backed one.
+  const EngineOptions& budget() const { return budget_; }
 
   /// Asks the kernel to drop resident pages of a scratch-backed matrix
   /// (data is preserved; see common::MappedFile::ReleaseResidency). No-op
@@ -181,8 +187,9 @@ class FrequencyMatrix {
   static FrequencyMatrix FromTable(const data::Table& table);
 
   /// FromTable honoring `options`: with options.out_of_core() the counts
-  /// land in a scratch-backed matrix and residency is released as rows
-  /// stream in; otherwise identical to the in-core FromTable.
+  /// land in a scratch-backed matrix that records `options` as its
+  /// budget, and residency is released as rows stream in; otherwise
+  /// identical to the in-core FromTable.
   static Result<FrequencyMatrix> FromTable(
       const data::Table& table, const EngineOptions& options);
 
@@ -200,6 +207,7 @@ class FrequencyMatrix {
   // TileBuffer panels.
   std::vector<double, detail::MatrixAllocator<double>> owned_;
   common::MappedFile scratch_;
+  EngineOptions budget_;  ///< set only with scratch_
   double* data_ = nullptr;
   std::size_t size_ = 0;
 };

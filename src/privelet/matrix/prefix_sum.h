@@ -11,9 +11,9 @@
 //     running-sums it in place, so a publish needs no buffer beyond the
 //     release. A vector-backed release stays on the heap; a scratch-backed
 //     (out-of-core) one stays in its unlinked mmap scratch file, and the
-//     build releases residency as it streams so the table can be many
-//     times larger than the memory budget. Same arithmetic in both, hence
-//     bit-identical entries;
+//     build releases residency as it streams, paced by the budget the
+//     release records, so the table can be many times larger than that
+//     budget. Same arithmetic in both, hence bit-identical entries;
 //   view    — the View factory serves lookups straight out of caller-
 //     managed memory (the binary64 table section of a memory-mapped PVLS
 //     snapshot), so adopting a multi-GB table costs no copy at all.
@@ -60,15 +60,14 @@ class PrefixSumTable {
   /// at a time so the inner accumulation runs unit-stride over the panel
   /// (in place — the running sum needs no transpose).
   explicit PrefixSumTable(const FrequencyMatrix& source,
-                          common::ThreadPool* pool = nullptr,
-                          const EngineOptions& options = {})
+                          common::ThreadPool* pool = nullptr)
       : dims_(source.dims()) {
     InitStrides();
     PRIVELET_CHECK(!dims_.empty(), "cannot build a table over an empty matrix");
     // Left uninitialized: the fused first pass writes every entry.
     owned_ = std::make_unique_for_overwrite<double[]>(source.size());
     data_ = {owned_.get(), source.size()};
-    BuildFrom(owned_.get(), source.values().data(), pool, options);
+    BuildFrom(owned_.get(), source.values().data(), pool);
   }
 
   /// The same build in place over `release`'s own storage, which the
@@ -76,16 +75,15 @@ class PrefixSumTable {
   /// prefix sum, so the additions (and the entries) are exactly the
   /// const-source build's. A scratch-backed release keeps its mapping,
   /// and the build then releases its residency as it streams, pacing
-  /// peak RSS by options.max_memory_bytes.
+  /// peak RSS by the release's budget().
   explicit PrefixSumTable(FrequencyMatrix&& release,
-                          common::ThreadPool* pool = nullptr,
-                          const EngineOptions& options = {})
+                          common::ThreadPool* pool = nullptr)
       : dims_(release.dims()), adopted_(std::move(release)) {
     InitStrides();
     PRIVELET_CHECK(!dims_.empty(), "cannot adopt an empty matrix");
     double* slots = adopted_.values().data();
     data_ = {slots, adopted_.size()};
-    BuildFrom(slots, slots, pool, options);
+    BuildFrom(slots, slots, pool);
   }
 
   /// Reassembles a table from its serialized parts: `sums` must hold the
@@ -199,6 +197,11 @@ class PrefixSumTable {
   /// scratch-backed release).
   bool is_scratch() const { return adopted_.is_scratch(); }
 
+  /// The memory budget of an adopted scratch-backed release, which
+  /// readers streaming the table pace themselves by; the default (no
+  /// budget) otherwise.
+  const EngineOptions& budget() const { return adopted_.budget(); }
+
   /// Drops resident pages of a scratch-backed table (data preserved);
   /// no-op otherwise. See common::MappedFile::ReleaseResidency.
   void ReleaseResidency() const { adopted_.ReleaseResidency(); }
@@ -240,11 +243,10 @@ class PrefixSumTable {
   /// adopting build): each entry is then read just before it is
   /// overwritten. Each remaining axis is a pass of element-wise
   /// `curr += prev` adds between adjacent hyperplanes.
-  void BuildFrom(double* slots, const double* source, common::ThreadPool* pool,
-                 const EngineOptions& options) {
-    common::ResidencyGovernor governor(
-        is_scratch() ? options.max_memory_bytes : 0,
-        [&] { ReleaseResidency(); });
+  void BuildFrom(double* slots, const double* source,
+                 common::ThreadPool* pool) {
+    common::ResidencyGovernor governor(budget().max_memory_bytes,
+                                       [&] { ReleaseResidency(); });
     const std::size_t cells = data_.size();
     const std::size_t line_len = dims_.back();
     common::ParallelFor(

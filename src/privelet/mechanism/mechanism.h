@@ -10,7 +10,6 @@
 
 #include "privelet/common/result.h"
 #include "privelet/data/schema.h"
-#include "privelet/matrix/engine.h"
 #include "privelet/matrix/frequency_matrix.h"
 
 namespace privelet::common {
@@ -20,9 +19,8 @@ class ThreadPool;
 namespace privelet::mechanism {
 
 /// Interface of a publishing mechanism. Implementations are stateless
-/// apart from the two performance knobs below (pool, engine options);
-/// Publish is const and may be called concurrently (see README,
-/// "Threading model").
+/// apart from the thread pool below; Publish is const and may be called
+/// concurrently (see README, "Threading model").
 class Mechanism {
  public:
   virtual ~Mechanism() = default;
@@ -40,20 +38,13 @@ class Mechanism {
   void set_thread_pool(common::ThreadPool* pool) { thread_pool_ = pool; }
   common::ThreadPool* thread_pool() const { return thread_pool_; }
 
-  /// Memory budget and kernel ISA level for the passes inside Publish
-  /// (see matrix/engine.h). Like the thread pool, purely a performance
-  /// knob: for a given seed the published matrix is bit-identical for
-  /// every value. Basic and Hay read only the ISA level.
-  void set_engine_options(const matrix::EngineOptions& options) {
-    engine_options_ = options;
-  }
-  const matrix::EngineOptions& engine_options() const {
-    return engine_options_;
-  }
-
   /// Publishes a noisy version of `m` (dims must equal the schema's domain
   /// sizes) satisfying `epsilon`-differential privacy. Deterministic in
-  /// `seed`. epsilon must pass CheckEpsilon.
+  /// `seed`. epsilon must pass CheckEpsilon. The Privelet family follows
+  /// the storage of `m`: over a scratch-backed `m` every working matrix
+  /// and the release are scratch-backed under m.budget() (matrix/
+  /// engine.h); Basic and Hay always release an owned matrix. The
+  /// published values do not depend on the storage.
   virtual Result<matrix::FrequencyMatrix> Publish(
       const data::Schema& schema, const matrix::FrequencyMatrix& m,
       double epsilon, std::uint64_t seed) const = 0;
@@ -66,7 +57,6 @@ class Mechanism {
 
  private:
   common::ThreadPool* thread_pool_ = nullptr;
-  matrix::EngineOptions engine_options_;
 };
 
 /// InvalidArgument unless `epsilon` is finite and > 0: an infinite budget

@@ -64,13 +64,12 @@ Result<matrix::FrequencyMatrix> PriveletPlusMechanism::Publish(
       2.0 * transform.GeneralizedSensitivity() / epsilon;
 
   common::ThreadPool* pool = thread_pool();
-  const matrix::EngineOptions& options = engine_options();
   const rng::NoiseKey key =
       rng::NoiseKey::FromSeed(rng::DeriveSeed(seed, 0x9121E7));
 
   // Step 1: wavelet transform.
   PRIVELET_ASSIGN_OR_RETURN(wavelet::HnCoefficients coefficients,
-                            transform.Forward(m, pool, options));
+                            transform.Forward(m, pool));
 
   // Steps 2+3: Laplace noise of magnitude λ / WHN(c) per coefficient,
   // then refine (mean subtraction on nominal axes, inside Inverse) and
@@ -115,8 +114,7 @@ Result<matrix::FrequencyMatrix> PriveletPlusMechanism::Publish(
       }
     };
   };
-  return transform.Inverse(std::move(coefficients), pool, options,
-                           noise_factory);
+  return transform.Inverse(std::move(coefficients), pool, noise_factory);
 }
 
 Result<double> PriveletPlusMechanism::NoiseVarianceBound(

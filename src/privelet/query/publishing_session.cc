@@ -18,28 +18,23 @@ PublishingSession::PublishingSession(
 Result<PublishingSession> PublishingSession::Publish(
     const data::Schema& schema, const mechanism::Mechanism& mech,
     const matrix::FrequencyMatrix& m, double epsilon, std::uint64_t seed,
-    common::ThreadPool* pool, const matrix::EngineOptions& options) {
+    common::ThreadPool* pool) {
   PRIVELET_ASSIGN_OR_RETURN(matrix::FrequencyMatrix published,
                             mech.Publish(schema, m, epsilon, seed));
   ReleaseMetadata metadata{std::string(mech.name()), epsilon,
-                           options.out_of_core() ? PublishMode::kStreamed
-                                                 : PublishMode::kInCore,
                            /*plan=*/std::nullopt};
-  return FromParts(
-      schema,
-      matrix::PrefixSumTable(std::move(published), pool, options),
-      std::move(metadata), pool);
+  return FromParts(schema, matrix::PrefixSumTable(std::move(published), pool),
+                   std::move(metadata), pool);
 }
 
 Result<PublishingSession> PublishingSession::FromMatrix(
     const data::Schema& schema, const matrix::FrequencyMatrix& published,
-    common::ThreadPool* pool, const matrix::EngineOptions& options) {
+    common::ThreadPool* pool) {
   if (published.dims() != schema.DomainSizes()) {
     return Status::InvalidArgument(
         "published matrix dims do not match the schema");
   }
-  return FromParts(schema,
-                   matrix::PrefixSumTable(published, pool, options),
+  return FromParts(schema, matrix::PrefixSumTable(published, pool),
                    ReleaseMetadata{}, pool);
 }
 

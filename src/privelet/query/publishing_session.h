@@ -30,7 +30,6 @@
 #include "privelet/common/result.h"
 #include "privelet/common/thread_pool.h"
 #include "privelet/data/schema.h"
-#include "privelet/matrix/engine.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/matrix/prefix_sum.h"
 #include "privelet/mechanism/mechanism.h"
@@ -44,26 +43,17 @@ class MappedSnapshot;
 
 namespace privelet::query {
 
-/// How a release's publish ran. Deliberately NOT persisted in snapshots:
-/// streamed and in-core publishes of the same release produce
-/// byte-identical PVLS files (docs/DETERMINISM.md), so the mode exists
-/// only in the memory of the process that ran the publish — sessions
-/// loaded from a file report kUnknown.
-enum class PublishMode {
-  kUnknown,  ///< not published by this process (loaded / wrapped matrix)
-  kInCore,   ///< whole release resident during the publish
-  kStreamed  ///< out-of-core: panels staged through mmap scratch files
-};
-
 /// Provenance of a published release, carried by the session and
-/// persisted in its snapshot (publish_mode excepted — see PublishMode).
-/// Publish() records the real values; sessions wrapped around a bare
-/// matrix (FromMatrix) report the defaults below. The noise seed is not
-/// part of it: whoever holds the seed can regenerate the noise.
+/// persisted in its snapshot. Publish() records the real values; sessions
+/// wrapped around a bare matrix (FromMatrix) report the defaults below.
+/// The noise seed is not part of it: whoever holds the seed can
+/// regenerate the noise. Neither is how the publish ran: streamed and
+/// in-core publishes of a release are byte-identical
+/// (docs/DETERMINISM.md); prefix_table().is_scratch() tells a live
+/// session's storage.
 struct ReleaseMetadata {
   std::string mechanism;   ///< Mechanism::name() of the publisher; "" unknown
   double epsilon = 0.0;    ///< privacy budget; 0 unknown
-  PublishMode publish_mode = PublishMode::kUnknown;  ///< in-memory only
   /// Workload-adaptive planner decision behind this release (nullopt for
   /// releases published without --auto-plan); persisted in the
   /// snapshot's plan section.
@@ -74,20 +64,17 @@ class PublishingSession {
  public:
   /// Publishes `m` under `mech` at (epsilon, seed) and wraps the release:
   /// the noisy matrix is summed in place into the prefix table, which
-  /// takes over its storage (the scratch mapping of an out-of-core
-  /// release included, so the build is paced by the memory budget).
+  /// takes over its storage. A scratch-backed `m` publishes out of core
+  /// (Mechanism::Publish), and the table then stays in the release's
+  /// scratch mapping, its build paced by the budget the release records.
   /// `pool` is used for batched answering and the prefix-sum build (and is
   /// handed to nothing else — configure parallel publishing on the
   /// mechanism via set_thread_pool). Not owned; may be nullptr (serial
-  /// serving) and must outlive the session otherwise. `options` carries
-  /// the prefix-sum build's memory budget and ISA level
-  /// (matrix/engine.h); the mechanism's own are set via
-  /// set_engine_options.
+  /// serving) and must outlive the session otherwise.
   static Result<PublishingSession> Publish(
       const data::Schema& schema, const mechanism::Mechanism& mech,
       const matrix::FrequencyMatrix& m, double epsilon, std::uint64_t seed,
-      common::ThreadPool* pool = nullptr,
-      const matrix::EngineOptions& options = {});
+      common::ThreadPool* pool = nullptr);
 
   /// Wraps an already-published release matrix by building its prefix
   /// table (the matrix is not kept). The matrix dims must match the
@@ -95,12 +82,11 @@ class PublishingSession {
   /// ReleaseMetadata).
   static Result<PublishingSession> FromMatrix(
       const data::Schema& schema, const matrix::FrequencyMatrix& published,
-      common::ThreadPool* pool = nullptr,
-      const matrix::EngineOptions& options = {});
+      common::ThreadPool* pool = nullptr);
 
   /// Wraps an already-built prefix-sum table, whose dims must match the
-  /// schema's domain sizes — the path behind LoadSession and
-  /// PublishToFile. The entries are trusted to be a release's prefix sums.
+  /// schema's domain sizes — the path behind Publish, FromMatrix and
+  /// LoadSession. The entries are trusted to be a release's prefix sums.
   static Result<PublishingSession> FromParts(
       const data::Schema& schema, matrix::PrefixSumTable table,
       ReleaseMetadata metadata, common::ThreadPool* pool = nullptr);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -20,7 +19,7 @@ Result<PublishingSession> PublishingSession::FromMapped(
     return Status::InvalidArgument("FromMapped requires a mapped snapshot");
   }
   ReleaseMetadata metadata{mapped->mechanism(), mapped->epsilon(),
-                           PublishMode::kUnknown, mapped->plan()};
+                           mapped->plan()};
   // The schema lives inside the mapped snapshot; the aliasing constructor
   // shares its lifetime without a copy.
   std::shared_ptr<const data::Schema> schema(mapped, &mapped->schema());
@@ -34,24 +33,21 @@ Result<PublishingSession> PublishingSession::FromMapped(
 
 namespace privelet::storage {
 
-namespace {
-
-// Streams `session`'s table into a snapshot at `path` in fixed chunks.
-// Under a memory budget the pages already written are released behind
-// the cursor (a scratch-backed table's residency). Chunking cannot change
-// the file bytes (SnapshotStreamWriter's contract).
-Status WriteRelease(const std::string& path,
-                    const query::PublishingSession& session,
-                    std::size_t max_memory_bytes) {
+Status SaveSession(const std::string& path,
+                   const query::PublishingSession& session) {
   const query::ReleaseMetadata& metadata = session.metadata();
   SnapshotStreamWriter writer;
   PRIVELET_RETURN_IF_ERROR(writer.Begin(
       path, {&session.schema(), metadata.mechanism, metadata.epsilon,
              metadata.plan.has_value() ? &*metadata.plan : nullptr}));
+  // Streamed in fixed chunks. Under a scratch table's budget the pages
+  // already written are released behind the cursor; an in-core table has
+  // no budget, so nothing is released. Chunking cannot change the file
+  // bytes (SnapshotStreamWriter's contract).
   const matrix::PrefixSumTable& table = session.prefix_table();
   const std::span<const double> sums = table.raw_sums();
   constexpr std::size_t kStreamChunkCells = std::size_t{1} << 16;
-  common::ResidencyGovernor governor(max_memory_bytes,
+  common::ResidencyGovernor governor(table.budget().max_memory_bytes,
                                      [&] { table.ReleaseResidency(); });
   for (std::size_t i = 0; i < sums.size(); i += kStreamChunkCells) {
     const std::size_t count = std::min(kStreamChunkCells, sums.size() - i);
@@ -59,42 +55,6 @@ Status WriteRelease(const std::string& path,
     governor.OnBytesProcessed(count * sizeof(double));
   }
   return writer.Finish();
-}
-
-}  // namespace
-
-Status SaveSession(const std::string& path,
-                   const query::PublishingSession& session) {
-  return WriteRelease(path, session, /*max_memory_bytes=*/0);
-}
-
-Result<query::PublishingSession> PublishToFile(
-    const std::string& path, const data::Schema& schema,
-    const mechanism::Mechanism& mech, const matrix::FrequencyMatrix& m,
-    double epsilon, std::uint64_t seed, common::ThreadPool* pool,
-    const matrix::EngineOptions& options, const query::PlanRecord* plan) {
-  PRIVELET_ASSIGN_OR_RETURN(matrix::FrequencyMatrix published,
-                            mech.Publish(schema, m, epsilon, seed));
-  if (published.dims() != schema.DomainSizes()) {
-    return Status::InvalidArgument(
-        "published matrix dims do not match the schema");
-  }
-  // The serving table is built in place over the release, in its scratch
-  // mapping when out of core (the build then paces residency itself).
-  matrix::PrefixSumTable table(std::move(published), pool, options);
-  query::ReleaseMetadata metadata{
-      std::string(mech.name()), epsilon,
-      options.out_of_core() ? query::PublishMode::kStreamed
-                            : query::PublishMode::kInCore,
-      plan != nullptr ? std::optional<query::PlanRecord>(*plan)
-                      : std::nullopt};
-  PRIVELET_ASSIGN_OR_RETURN(
-      query::PublishingSession session,
-      query::PublishingSession::FromParts(schema, std::move(table),
-                                          std::move(metadata), pool));
-  PRIVELET_RETURN_IF_ERROR(
-      WriteRelease(path, session, options.max_memory_bytes));
-  return session;
 }
 
 Result<query::PublishingSession> LoadSession(const std::string& path,
@@ -107,8 +67,7 @@ Result<query::PublishingSession> LoadSession(const std::string& path,
   return query::PublishingSession::FromParts(
       mapped.schema(),
       matrix::PrefixSumTable(mapped.dims(), std::move(sums)),
-      {mapped.mechanism(), mapped.epsilon(), query::PublishMode::kUnknown,
-       mapped.plan()},
+      {mapped.mechanism(), mapped.epsilon(), mapped.plan()},
       pool);
 }
 

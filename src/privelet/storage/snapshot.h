@@ -68,17 +68,17 @@
 namespace privelet::storage {
 
 /// The PVLS writer. It accepts the table entries in caller-chosen chunks,
-/// so a streamed publish can drain each chunk to disk and release its
-/// pages before producing the next:
+/// so a save of a scratch-backed table can drain each chunk to disk and
+/// release its pages before producing the next:
 ///
 ///   SnapshotStreamWriter w;
 ///   w.Begin(path, header);          // writes magic..plan + padding
 ///   w.AppendTableEntries(chunk);    // repeat until all cells written
 ///   w.Finish();                     // CRC, fsync, atomic rename
 ///
-/// Every writer of the library (storage::SaveSession, PublishToFile) goes
-/// through this class, and chunking cannot change the bytes, so equal
-/// releases give equal files by construction (docs/DETERMINISM.md).
+/// The library's one writer, storage::SaveSession, goes through this
+/// class, and chunking cannot change the bytes, so equal releases give
+/// equal files by construction (docs/DETERMINISM.md).
 /// Until Finish succeeds everything lands in a unique temp file next to
 /// `path`; dropping the writer early (or a failed Finish) removes it and
 /// leaves any previous snapshot untouched.

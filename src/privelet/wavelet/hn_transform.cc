@@ -50,18 +50,18 @@ void RunAxisPass(const matrix::FrequencyMatrix& src,
                  matrix::FrequencyMatrix& dst, std::size_t axis,
                  const Transform1D& t, Direction dir,
                  common::ThreadPool* pool, WorkspacePool& workspaces,
-                 const matrix::EngineOptions& options,
                  const PanelNoiseFactory* noise_factory) {
   // Release-behind for the out-of-core engine: evict already-processed
   // pages of both matrices each time a quota of bytes has streamed by, so
-  // the pass's resident set tracks options.max_memory_bytes, not the
-  // matrix sizes. ReleaseResidency is a no-op on vector-backed matrices
-  // and never alters values, so the pass's arithmetic (and thus the
-  // published bytes) is unchanged.
-  common::ResidencyGovernor governor(options.max_memory_bytes, [&src, &dst] {
-    src.ReleaseResidency();
-    dst.ReleaseResidency();
-  });
+  // the pass's resident set tracks the budget `src` records, not the
+  // matrix sizes. `dst` is scratch exactly when `src` is (RunPasses).
+  // ReleaseResidency never alters values, so the pass's arithmetic (and
+  // thus the published bytes) is unchanged.
+  common::ResidencyGovernor governor(
+      src.budget().max_memory_bytes, [&src, &dst] {
+        src.ReleaseResidency();
+        dst.ReleaseResidency();
+      });
   // Resolve the kernel level once per pass (the PRIVELET_ISA environment,
   // then the best the host supports) so every worker of the pass
   // dispatches to the same table.
@@ -77,8 +77,7 @@ void RunAxisPass(const matrix::FrequencyMatrix& src,
   // charge would fire. The slab path charges per line below; the
   // gathered path hands the governor to Gather/Scatter, which charge per
   // axis step.
-  common::ResidencyGovernor* paced =
-      options.out_of_core() ? &governor : nullptr;
+  common::ResidencyGovernor* paced = src.is_scratch() ? &governor : nullptr;
   // Slab lines are contiguous, so the bytes a line touches are the bytes
   // it processes.
   const std::size_t slab_line_bytes = (in_len + out_len) * sizeof(double);
@@ -216,13 +215,13 @@ void RunAxisPass(const matrix::FrequencyMatrix& src,
 // last pass, the release, only on an exact fit so it pins no slack), and
 // the matrix the pass consumed becomes the next dead buffer; so the
 // passes alternate between two working matrices when the dims allow.
-// Out-of-core passes write fresh scratch matrices, which are never
-// recycled. `noise` (inverse only) rides the first pass.
+// Over a scratch-backed `*src` every pass writes a fresh scratch matrix
+// under the same budget, and none is recycled. `noise` (inverse only)
+// rides the first pass.
 Status RunPasses(const std::vector<std::unique_ptr<Transform1D>>& transforms,
                  Direction dir, const matrix::FrequencyMatrix* src,
                  matrix::FrequencyMatrix& current,
                  matrix::FrequencyMatrix& idle, common::ThreadPool* pool,
-                 const matrix::EngineOptions& options,
                  const PanelNoiseFactory& noise) {
   WorkspacePool workspaces;
   const std::size_t d = transforms.size();
@@ -233,13 +232,13 @@ Status RunPasses(const std::vector<std::unique_ptr<Transform1D>>& transforms,
     next_dims[axis] = dir == Direction::kForward ? t.coefficient_count()
                                                  : t.input_size();
     matrix::FrequencyMatrix next;
-    if (options.out_of_core()) {
+    if (src->is_scratch()) {
       // Each intermediate lives in an mmap scratch file so the pass can
       // release residency behind itself (the previous intermediate's
       // pages are freed wholesale when `current` is reassigned below).
       PRIVELET_ASSIGN_OR_RETURN(next, matrix::FrequencyMatrix::CreateScratch(
                                           std::move(next_dims),
-                                          options.scratch_dir));
+                                          src->budget()));
     } else {
       const bool release = dir == Direction::kInverse && k + 1 == d;
       const std::size_t cells = src->NumLines(axis) * next_dims[axis];
@@ -256,8 +255,7 @@ Status RunPasses(const std::vector<std::unique_ptr<Transform1D>>& transforms,
     // touches every coefficient exactly once) carries the noise hook.
     const PanelNoiseFactory* noise_factory =
         (k == 0 && noise != nullptr) ? &noise : nullptr;
-    RunAxisPass(*src, next, axis, t, dir, pool, workspaces, options,
-                noise_factory);
+    RunAxisPass(*src, next, axis, t, dir, pool, workspaces, noise_factory);
     if (!current.is_scratch()) idle = std::move(current);
     current = std::move(next);
     src = &current;
@@ -338,9 +336,8 @@ Result<HnTransform> HnTransform::Create(
   return HnTransform(std::move(transforms));
 }
 
-Result<HnCoefficients> HnTransform::Forward(
-    const matrix::FrequencyMatrix& m, common::ThreadPool* pool,
-    const matrix::EngineOptions& options) const {
+Result<HnCoefficients> HnTransform::Forward(const matrix::FrequencyMatrix& m,
+                                            common::ThreadPool* pool) const {
   if (m.dims() != input_dims_) {
     return Status::InvalidArgument("matrix dims do not match the transform");
   }
@@ -349,7 +346,7 @@ Result<HnCoefficients> HnTransform::Forward(
   HnCoefficients result;
   PRIVELET_RETURN_IF_ERROR(RunPasses(transforms_, Direction::kForward, &m,
                                      result.coeffs, result.workspace, pool,
-                                     options, /*noise=*/{}));
+                                     /*noise=*/{}));
   result.axis_weights.reserve(transforms_.size());
   for (const auto& t : transforms_) result.axis_weights.push_back(&t->weights());
   return result;
@@ -357,7 +354,6 @@ Result<HnCoefficients> HnTransform::Forward(
 
 Result<matrix::FrequencyMatrix> HnTransform::Inverse(
     const HnCoefficients& c, common::ThreadPool* pool,
-    const matrix::EngineOptions& options,
     const PanelNoiseFactory& noise) const {
   if (c.coeffs.dims() != output_dims_) {
     return Status::InvalidArgument(
@@ -369,14 +365,12 @@ Result<matrix::FrequencyMatrix> HnTransform::Inverse(
   matrix::FrequencyMatrix current;
   matrix::FrequencyMatrix idle;
   PRIVELET_RETURN_IF_ERROR(RunPasses(transforms_, Direction::kInverse,
-                                     &c.coeffs, current, idle, pool, options,
-                                     noise));
+                                     &c.coeffs, current, idle, pool, noise));
   return current;
 }
 
 Result<matrix::FrequencyMatrix> HnTransform::Inverse(
     HnCoefficients&& c, common::ThreadPool* pool,
-    const matrix::EngineOptions& options,
     const PanelNoiseFactory& noise) const {
   if (c.coeffs.dims() != output_dims_) {
     return Status::InvalidArgument(
@@ -385,8 +379,7 @@ Result<matrix::FrequencyMatrix> HnTransform::Inverse(
   matrix::FrequencyMatrix current = std::move(c.coeffs);
   matrix::FrequencyMatrix idle = std::move(c.workspace);
   PRIVELET_RETURN_IF_ERROR(RunPasses(transforms_, Direction::kInverse,
-                                     &current, current, idle, pool, options,
-                                     noise));
+                                     &current, current, idle, pool, noise));
   return current;
 }
 

@@ -8,7 +8,9 @@
 //
 // Each axis pass streams panels of adjacent lines through the batched
 // Transform1D kernels (matrix/engine.h), with results bit-identical for
-// every thread count and ISA level.
+// every thread count, ISA level and memory budget. The passes follow
+// their input: over a scratch-backed matrix every intermediate is a
+// scratch matrix under the input's budget, otherwise an owned vector.
 #ifndef PRIVELET_WAVELET_HN_TRANSFORM_H_
 #define PRIVELET_WAVELET_HN_TRANSFORM_H_
 
@@ -19,7 +21,6 @@
 
 #include "privelet/common/result.h"
 #include "privelet/data/schema.h"
-#include "privelet/matrix/engine.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/wavelet/transform.h"
 
@@ -115,22 +116,22 @@ class HnTransform {
 
   /// Applies the 1-D transforms along axes 0..d-1 in turn. A non-null
   /// `pool` fans the independent line transforms of each axis pass across
-  /// its workers; `options` carries the memory budget and ISA level. The
-  /// result is bit-identical for any pool size and options (each line is
-  /// an independent computation undergoing identical floating-point
-  /// operations on every path).
+  /// its workers. The result is bit-identical for any pool size and
+  /// storage of `m` (each line is an independent computation undergoing
+  /// identical floating-point operations on every path).
   ///
   /// In core, the passes alternate between two working matrices (the
   /// first pass reads `m`); the idle one is returned as the result's
-  /// workspace.
-  Result<HnCoefficients> Forward(
-      const matrix::FrequencyMatrix& m, common::ThreadPool* pool = nullptr,
-      const matrix::EngineOptions& options = {}) const;
+  /// workspace. A scratch-backed `m` makes every pass out of core: each
+  /// writes a fresh scratch matrix under m.budget() and releases
+  /// residency behind itself.
+  Result<HnCoefficients> Forward(const matrix::FrequencyMatrix& m,
+                                 common::ThreadPool* pool = nullptr) const;
 
   /// Inverts along axes d-1..0. On each axis the 1-D transform's Refine()
   /// runs on every coefficient line before inversion (for noise-free
-  /// coefficients this is a no-op by construction). Parallel and
-  /// deterministic across pool sizes and options like Forward.
+  /// coefficients this is a no-op by construction). Parallel, out of core
+  /// over scratch-backed coefficients, and deterministic like Forward.
   ///
   /// `noise` is applied to each coefficient panel of the first axis pass
   /// before refinement — the mechanisms fuse their Laplace injection here
@@ -138,7 +139,6 @@ class HnTransform {
   /// coefficients are not modified.
   Result<matrix::FrequencyMatrix> Inverse(
       const HnCoefficients& c, common::ThreadPool* pool = nullptr,
-      const matrix::EngineOptions& options = {},
       const PanelNoiseFactory& noise = {}) const;
 
   /// Inverse that recycles the coefficients' storage: the first pass
@@ -149,7 +149,6 @@ class HnTransform {
   /// overload: the same passes run on the same values.
   Result<matrix::FrequencyMatrix> Inverse(
       HnCoefficients&& c, common::ThreadPool* pool = nullptr,
-      const matrix::EngineOptions& options = {},
       const PanelNoiseFactory& noise = {}) const;
 
   /// Generalized sensitivity of the transform w.r.t. WHN:

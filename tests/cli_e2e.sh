@@ -60,6 +60,21 @@ echo "== publish (streamed, 64K budget) must produce identical bytes"
        --output "$TMP/release3.pvls" | tee "$TMP/publish3.txt"
 grep -q "publish mode: streamed" "$TMP/publish3.txt"
 cmp "$TMP/release.pvls" "$TMP/release3.pvls"
+# The printed mode is the one that ran: basic and hay release in core
+# even from the budgeted (scratch-backed) input cube. Hay takes exactly
+# one ordinal attribute, so it publishes the first column alone.
+"$CLI" publish --synthetic 4096 --tuples 20000 --data-seed 5 \
+       --mechanism basic --epsilon 0.5 --seed 11 --threads 2 \
+       --max-memory 64K --scratch-dir "$TMP" \
+       --output "$TMP/release_basic.pvls" > "$TMP/publish_basic.txt"
+grep -q "publish mode: in-core" "$TMP/publish_basic.txt"
+cut -d, -f1 "$TMP/table.csv" > "$TMP/o1.csv"
+printf 'ordinal O1 8\n' > "$TMP/o1_schema.txt"
+"$CLI" publish --csv "$TMP/o1.csv" --schema "$TMP/o1_schema.txt" \
+       --mechanism hay --epsilon 0.5 --seed 11 --threads 2 \
+       --max-memory 64K --scratch-dir "$TMP" \
+       --output "$TMP/release_hay.pvls" > "$TMP/publish_hay.txt"
+grep -q "publish mode: in-core" "$TMP/publish_hay.txt"
 # --scratch-dir without a memory budget makes no sense; rejected.
 if "$CLI" publish --synthetic 4096 --tuples 100 --scratch-dir "$TMP" \
        --output "$TMP/bad.pvls" 2>/dev/null; then

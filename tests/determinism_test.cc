@@ -39,6 +39,7 @@
 #include "privelet/wavelet/hn_transform.h"
 #include "reference/per_line_engine.h"
 #include "scoped_isa.h"
+#include "scratch_copy.h"
 
 namespace privelet {
 namespace {
@@ -245,12 +246,12 @@ TEST(PublishDeterminismTest, SnapshotFilesInvariantAcrossThreads) {
       TableBytes(*loaded));
 }
 
-// The out-of-core contract: a streamed publish (panels staged through
-// mmap scratch files under a memory budget far below the release size)
-// must produce the byte-identical PVLS file of the in-core publish
-// across thread counts, and the returned session must answer the same
-// workload bit-identically. The budget is a pure operational knob, like
-// the pool.
+// The out-of-core contract: a streamed publish (a scratch-backed input,
+// so every stage runs through mmap scratch files under a memory budget
+// far below the release size) must produce the byte-identical PVLS file
+// of the in-core publish across thread counts, and its session must
+// answer the same workload bit-identically. The budget is a pure
+// operational knob, like the pool.
 TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreByteForByte) {
   const data::Schema schema = MultiChunkSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 21);
@@ -265,6 +266,7 @@ TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreByteForByte) {
   // budget forces genuine out-of-core staging in every stage.
   constexpr std::size_t kBudget = std::size_t{1} << 16;
   constexpr std::size_t kThreadCounts[] = {0, 2, 8};  // 0 = serial
+  const matrix::FrequencyMatrix scratch_m = testutil::ScratchCopy(m, kBudget);
 
   for (const std::size_t threads : kThreadCounts) {
     std::unique_ptr<common::ThreadPool> pool;
@@ -272,23 +274,19 @@ TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreByteForByte) {
     const std::string tag = std::to_string(threads) + " threads";
 
     mech.set_thread_pool(pool.get());
-    mech.set_engine_options({});
     auto in_core = query::PublishingSession::Publish(
         schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, pool.get());
     ASSERT_TRUE(in_core.ok()) << in_core.status().ToString();
-    EXPECT_EQ(query::PublishMode::kInCore, in_core->metadata().publish_mode);
+    EXPECT_FALSE(in_core->prefix_table().is_scratch());
     const std::string in_path = testing::TempDir() + "/det_incore.pvls";
     ASSERT_TRUE(storage::SaveSession(in_path, *in_core).ok());
 
-    matrix::EngineOptions streamed_options;
-    streamed_options.max_memory_bytes = kBudget;
-    mech.set_engine_options(streamed_options);
     const std::string out_path = testing::TempDir() + "/det_streamed.pvls";
-    auto streamed = storage::PublishToFile(out_path, schema, mech, m, 0.8, 57,
-                                           pool.get(), streamed_options);
+    auto streamed = query::PublishingSession::Publish(schema, mech, scratch_m,
+                                                      0.8, 57, pool.get());
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString() << " " << tag;
-    EXPECT_EQ(query::PublishMode::kStreamed,
-              streamed->metadata().publish_mode);
+    EXPECT_TRUE(streamed->prefix_table().is_scratch());
+    ASSERT_TRUE(storage::SaveSession(out_path, *streamed).ok()) << tag;
     mech.set_thread_pool(nullptr);
 
     EXPECT_EQ(FileBytes(in_path), FileBytes(out_path)) << tag;
@@ -317,6 +315,7 @@ TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreOnEveryAxisKind) {
 
   // 24240 cells = 189 KiB of doubles: a 64 KiB budget streams every pass.
   constexpr std::size_t kBudget = std::size_t{1} << 16;
+  const matrix::FrequencyMatrix scratch_m = testutil::ScratchCopy(m, kBudget);
   common::ThreadPool pool(2);
   std::string reference_bytes;
   for (int lvl = 0; lvl <= static_cast<int>(simd::DetectBestIsa()); ++lvl) {
@@ -327,24 +326,20 @@ TEST(PublishDeterminismTest, StreamedPublishMatchesInCoreOnEveryAxisKind) {
       const std::string tag =
           "isa " + name + (p == nullptr ? ", serial" : ", 2 threads");
       const testutil::ScopedIsa forced(static_cast<simd::IsaLevel>(lvl));
-      const matrix::EngineOptions in_core_options;
       mech.set_thread_pool(p);
-      mech.set_engine_options(in_core_options);
       auto in_core = query::PublishingSession::Publish(
-          schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, p, in_core_options);
+          schema, mech, m, /*epsilon=*/0.8, /*seed=*/57, p);
       ASSERT_TRUE(in_core.ok()) << in_core.status().ToString();
       EXPECT_EQ(TableBytes(per_line), TableBytes(*in_core)) << tag;
       const std::string in_path = testing::TempDir() + "/det_routes.pvls";
       ASSERT_TRUE(storage::SaveSession(in_path, *in_core).ok());
 
-      matrix::EngineOptions streamed_options = in_core_options;
-      streamed_options.max_memory_bytes = kBudget;
-      mech.set_engine_options(streamed_options);
       const std::string out_path =
           testing::TempDir() + "/det_routes_streamed.pvls";
-      auto streamed = storage::PublishToFile(out_path, schema, mech, m, 0.8,
-                                             57, p, streamed_options);
+      auto streamed = query::PublishingSession::Publish(schema, mech,
+                                                        scratch_m, 0.8, 57, p);
       ASSERT_TRUE(streamed.ok()) << streamed.status().ToString() << " " << tag;
+      ASSERT_TRUE(storage::SaveSession(out_path, *streamed).ok()) << tag;
       mech.set_thread_pool(nullptr);
 
       if (reference_bytes.empty()) reference_bytes = FileBytes(in_path);

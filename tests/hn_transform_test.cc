@@ -270,14 +270,12 @@ void ExpectRecyclingInverseMatches(std::vector<data::Attribute> attrs,
                                    &four}) {
     for (const simd::IsaLevel level : HostLevels()) {
       const testutil::ScopedIsa forced(level);
-      const matrix::EngineOptions options;
       const std::string where = std::string(simd::IsaLevelName(level)) +
                                 (pool != nullptr ? ", 4 threads" : ", serial");
-      auto coeffs = transform->Forward(m, pool, options);
+      auto coeffs = transform->Forward(m, pool);
       ASSERT_TRUE(coeffs.ok()) << where;
-      auto kept = transform->Inverse(*coeffs, pool, options, noise);
-      auto recycled =
-          transform->Inverse(std::move(*coeffs), pool, options, noise);
+      auto kept = transform->Inverse(*coeffs, pool, noise);
+      auto recycled = transform->Inverse(std::move(*coeffs), pool, noise);
       ASSERT_TRUE(kept.ok() && recycled.ok()) << where;
       ASSERT_EQ(kept->dims(), m.dims()) << where;
       ASSERT_EQ(recycled->dims(), m.dims()) << where;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,13 @@
 
 namespace privelet::matrix {
 namespace {
+
+EngineOptions Budget(std::size_t bytes, std::string scratch_dir = "") {
+  EngineOptions options;
+  options.max_memory_bytes = bytes;
+  options.scratch_dir = std::move(scratch_dir);
+  return options;
+}
 
 TEST(FrequencyMatrixTest, ConstructionZeroFills) {
   FrequencyMatrix m({3, 4});
@@ -36,9 +44,10 @@ TEST(FrequencyMatrixDeathTest, DimensionProductOverflowAborts) {
 }
 
 TEST(FrequencyMatrixTest, ScratchBackedMatrixRoundTrips) {
-  auto scratch = FrequencyMatrix::CreateScratch({16, 8});
+  auto scratch = FrequencyMatrix::CreateScratch({16, 8}, Budget(4096));
   ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
   EXPECT_TRUE(scratch->is_scratch());
+  EXPECT_EQ(scratch->budget().max_memory_bytes, 4096u);
   ASSERT_EQ(scratch->size(), 128u);
   for (std::size_t i = 0; i < scratch->size(); ++i) {
     ASSERT_EQ((*scratch)[i], 0.0) << "scratch not zero-filled at " << i;
@@ -52,24 +61,61 @@ TEST(FrequencyMatrixTest, ScratchBackedMatrixRoundTrips) {
 }
 
 TEST(FrequencyMatrixTest, ScratchCopiesLandOwned) {
-  auto scratch = FrequencyMatrix::CreateScratch({4, 4});
+  auto scratch = FrequencyMatrix::CreateScratch({4, 4}, Budget(4096));
   ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
   for (std::size_t i = 0; i < scratch->size(); ++i) {
     (*scratch)[i] = static_cast<double>(i);
   }
   const FrequencyMatrix copy(*scratch);
   EXPECT_FALSE(copy.is_scratch());
+  EXPECT_FALSE(copy.budget().out_of_core());
   EXPECT_TRUE(ValuesEqual(copy.values(), scratch->values()));
-  // Moves transfer the scratch backing as-is.
+  // Moves transfer the scratch backing and its budget as-is.
   const FrequencyMatrix moved(std::move(*scratch));
   EXPECT_TRUE(moved.is_scratch());
+  EXPECT_EQ(moved.budget().max_memory_bytes, 4096u);
+  EXPECT_FALSE(scratch->budget().out_of_core());
   EXPECT_TRUE(ValuesEqual(copy.values(), moved.values()));
 }
 
 TEST(FrequencyMatrixTest, ScratchInMissingDirectoryFails) {
   auto scratch = FrequencyMatrix::CreateScratch(
-      {4, 4}, testing::TempDir() + "/no_such_scratch_dir/deeper");
+      {4, 4}, Budget(4096, testing::TempDir() + "/no_such_scratch_dir/deeper"));
   ASSERT_FALSE(scratch.ok());
+}
+
+TEST(FrequencyMatrixTest, ScratchWithoutBudgetIsRejected) {
+  // A scratch matrix always carries the budget its readers pace by.
+  auto scratch = FrequencyMatrix::CreateScratch({4, 4}, EngineOptions());
+  ASSERT_FALSE(scratch.ok());
+  EXPECT_EQ(scratch.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(FrequencyMatrixTest, FromTableWithBudgetIsScratchBackedAndEqual) {
+  std::vector<data::Attribute> attrs;
+  attrs.push_back(data::Attribute::Ordinal("A", 64));
+  attrs.push_back(data::Attribute::Ordinal("B", 40));
+  data::Table table((data::Schema(std::move(attrs))));
+  rng::Xoshiro256pp gen(23);
+  for (int row = 0; row < 3000; ++row) {
+    const auto a = static_cast<std::uint32_t>(gen.NextUint64InRange(0, 63));
+    const auto b = static_cast<std::uint32_t>(gen.NextUint64InRange(0, 39));
+    ASSERT_TRUE(table.AppendRow({a, b}).ok());
+  }
+  const FrequencyMatrix in_core = FrequencyMatrix::FromTable(table);
+  // An 8 KiB budget releases residency after every row.
+  const EngineOptions options = Budget(8192, testing::TempDir());
+  auto scratch = FrequencyMatrix::FromTable(table, options);
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  EXPECT_TRUE(scratch->is_scratch());
+  EXPECT_EQ(scratch->budget().max_memory_bytes, options.max_memory_bytes);
+  EXPECT_EQ(scratch->budget().scratch_dir, options.scratch_dir);
+  EXPECT_TRUE(ValuesEqual(scratch->values(), in_core.values()));
+  // Without a budget it is the in-core FromTable.
+  auto owned = FrequencyMatrix::FromTable(table, EngineOptions());
+  ASSERT_TRUE(owned.ok());
+  EXPECT_FALSE(owned->is_scratch());
+  EXPECT_TRUE(ValuesEqual(owned->values(), in_core.values()));
 }
 
 TEST(FrequencyMatrixTest, UninitializedRecyclesOnlyACoveringOwnedBuffer) {
@@ -91,7 +137,7 @@ TEST(FrequencyMatrixTest, UninitializedRecyclesOnlyACoveringOwnedBuffer) {
   EXPECT_EQ(grown.capacity(), 100u);
   EXPECT_EQ(smaller.size(), 0u);
   // A scratch matrix is never recycled.
-  auto scratch = FrequencyMatrix::CreateScratch({16, 8});
+  auto scratch = FrequencyMatrix::CreateScratch({16, 8}, Budget(4096));
   ASSERT_TRUE(scratch.ok());
   EXPECT_EQ(scratch->capacity(), scratch->size());
   const double* mapped = scratch->values().data();
@@ -338,18 +384,18 @@ TEST(PrefixSumAdoptTest, MovesKeepTheAdoptedStorage) {
 }
 
 TEST(PrefixSumAdoptTest, ScratchBackedReleaseStaysInItsMapping) {
-  auto scratch = FrequencyMatrix::CreateScratch({96, 80});
+  // A 16 KiB budget releases many times per pass.
+  auto scratch = FrequencyMatrix::CreateScratch({96, 80}, Budget(16 * 1024));
   ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
   const FrequencyMatrix values = RandomRealMatrix({96, 80}, 11);
   std::copy(values.values().begin(), values.values().end(),
             scratch->values().begin());
   const PrefixSumTable reference(values);
   const double* storage = scratch->values().data();
-  EngineOptions options;
-  options.max_memory_bytes = 16 * 1024;  // release many times per pass
   common::ThreadPool pool(2);
-  const PrefixSumTable adopted(std::move(*scratch), &pool, options);
+  const PrefixSumTable adopted(std::move(*scratch), &pool);
   EXPECT_TRUE(adopted.is_scratch());
+  EXPECT_EQ(adopted.budget().max_memory_bytes, 16u * 1024);
   EXPECT_FALSE(adopted.is_view());
   EXPECT_EQ(adopted.raw_sums().data(), storage);
   EXPECT_TRUE(ValuesEqual(adopted.raw_sums(), reference.raw_sums()));
@@ -357,6 +403,7 @@ TEST(PrefixSumAdoptTest, ScratchBackedReleaseStaysInItsMapping) {
   EXPECT_TRUE(ValuesEqual(adopted.raw_sums(), reference.raw_sums()));
   const PrefixSumTable copy(adopted);  // lands on the heap
   EXPECT_FALSE(copy.is_scratch());
+  EXPECT_FALSE(copy.budget().out_of_core());
   EXPECT_TRUE(ValuesEqual(copy.raw_sums(), reference.raw_sums()));
 }
 

@@ -25,6 +25,7 @@
 #include "privelet/mechanism/privelet_mechanism.h"
 #include "privelet/query/range_query.h"
 #include "privelet/rng/xoshiro256pp.h"
+#include "scratch_copy.h"
 
 namespace privelet::mechanism {
 namespace {
@@ -144,16 +145,17 @@ TEST(PriveletTest, CensusShapedReleasePinsNoSlack) {
 }
 
 TEST(PriveletTest, OutOfCorePublishMatchesInCore) {
-  // A 4 KiB budget puts every working matrix in a scratch file, which is
-  // never recycled; the release must not depend on that.
+  // A scratch-backed input under a 4 KiB budget puts every working
+  // matrix in a scratch file, which is never recycled; the release must
+  // not depend on that.
   std::vector<data::Attribute> attrs;
   attrs.push_back(data::Attribute::Ordinal("Ord", 200));
   attrs.push_back(data::Attribute::Nominal(
       "Nom", data::Hierarchy::Balanced({4, 4}).value()));
   const data::Schema schema(std::move(attrs));
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 13);
-  matrix::EngineOptions streamed;
-  streamed.max_memory_bytes = std::size_t{1} << 12;
+  const matrix::FrequencyMatrix streamed =
+      testutil::ScratchCopy(m, std::size_t{1} << 12);
   common::ThreadPool four(4);
   for (common::ThreadPool* pool : {static_cast<common::ThreadPool*>(nullptr),
                                    &four}) {
@@ -161,9 +163,9 @@ TEST(PriveletTest, OutOfCorePublishMatchesInCore) {
          {PriveletPlusMechanism(), PriveletPlusMechanism({"Ord"})}) {
       mech.set_thread_pool(pool);
       auto in_core = mech.Publish(schema, m, 0.7, 5);
-      mech.set_engine_options(streamed);
-      auto out_of_core = mech.Publish(schema, m, 0.7, 5);
+      auto out_of_core = mech.Publish(schema, streamed, 0.7, 5);
       ASSERT_TRUE(in_core.ok() && out_of_core.ok()) << mech.name();
+      EXPECT_TRUE(out_of_core->is_scratch()) << mech.name();
       ASSERT_EQ(in_core->dims(), out_of_core->dims());
       EXPECT_EQ(0, std::memcmp(in_core->values().data(),
                                out_of_core->values().data(),

@@ -20,6 +20,7 @@
 #include "privelet/rng/xoshiro256pp.h"
 #include "privelet/storage/session_io.h"
 #include "reference/brute_force.h"
+#include "scratch_copy.h"
 
 namespace privelet::query {
 namespace {
@@ -111,30 +112,41 @@ TEST(PublishingSessionTest, PublishWrapsAMechanismRelease) {
 }
 
 TEST(PublishingSessionTest, StreamedPublishBuildsItsTableInTheScratchRelease) {
-  // Under a memory budget the release is scratch-backed; the session's
-  // table must stay in that mapping (not land on the heap) and still be
-  // the in-core publish's, bit for bit.
+  // From a scratch-backed input the release is scratch-backed under the
+  // input's budget; the session's table must stay in that mapping (not
+  // land on the heap), record the budget, and still be the in-core
+  // publish's, bit for bit — and so must its saved file.
   const data::Schema schema = MixedSchema();
   const matrix::FrequencyMatrix m = RandomMatrix(schema, 12);
-  mechanism::PriveletMechanism in_core;
-  auto expected = PublishingSession::Publish(schema, in_core, m, 1.0, 29);
+  mechanism::PriveletMechanism mech;
+  auto expected = PublishingSession::Publish(schema, mech, m, 1.0, 29);
   ASSERT_TRUE(expected.ok());
   EXPECT_FALSE(expected->prefix_table().is_scratch());
+  EXPECT_FALSE(expected->prefix_table().budget().out_of_core());
 
-  matrix::EngineOptions options;
-  options.max_memory_bytes = 16 * 1024;
-  mechanism::PriveletMechanism streamed;
-  streamed.set_engine_options(options);
+  constexpr std::size_t kBudget = 16 * 1024;
   common::ThreadPool pool(2);
-  auto session = PublishingSession::Publish(schema, streamed, m, 1.0, 29,
-                                            &pool, options);
+  auto session = PublishingSession::Publish(
+      schema, mech, testutil::ScratchCopy(m, kBudget), 1.0, 29, &pool);
   ASSERT_TRUE(session.ok());
   EXPECT_TRUE(session->prefix_table().is_scratch());
-  EXPECT_EQ(session->metadata().publish_mode, PublishMode::kStreamed);
+  EXPECT_EQ(session->prefix_table().budget().max_memory_bytes, kBudget);
   EXPECT_TRUE(matrix::ValuesEqual(session->prefix_table().raw_sums(),
                                   expected->prefix_table().raw_sums()));
   const auto queries = MakeQueries(schema, 60, 31);
   EXPECT_EQ(session->AnswerAll(queries), expected->AnswerAll(queries));
+
+  const std::string in_core_path = testing::TempDir() + "/ps_in_core.pvls";
+  const std::string streamed_path = testing::TempDir() + "/ps_streamed.pvls";
+  ASSERT_TRUE(storage::SaveSession(in_core_path, *expected).ok());
+  ASSERT_TRUE(storage::SaveSession(streamed_path, *session).ok());
+  auto in_core_file = storage::LoadSession(in_core_path);
+  auto streamed_file = storage::LoadSession(streamed_path);
+  ASSERT_TRUE(in_core_file.ok() && streamed_file.ok());
+  EXPECT_TRUE(matrix::ValuesEqual(streamed_file->prefix_table().raw_sums(),
+                                  in_core_file->prefix_table().raw_sums()));
+  std::remove(in_core_path.c_str());
+  std::remove(streamed_path.c_str());
 }
 
 TEST(PublishingSessionTest, CopiesShareOneTableInMemoryAndMapped) {

@@ -30,6 +30,7 @@
 #include "privelet/storage/crc32.h"
 #include "privelet/storage/session_io.h"
 #include "privelet/storage/snapshot.h"
+#include "scratch_copy.h"
 
 namespace privelet {
 namespace {
@@ -184,8 +185,8 @@ TEST(SnapshotTest, LoadSessionPreservesSchema) {
 }
 
 // Whoever holds the noise seed can regenerate the noise and subtract it
-// from the release, so no snapshot may carry it: neither a saved session
-// nor a direct PublishToFile, in core or streamed.
+// from the release, so no snapshot may carry it, whether the publish ran
+// in core or streamed.
 TEST(SnapshotTest, NoiseSeedIsNotPersisted) {
   constexpr std::uint64_t kSeed = 0x0123456789ABCDEFull;
   char seed_bytes[sizeof(kSeed)];
@@ -200,12 +201,14 @@ TEST(SnapshotTest, NoiseSeedIsNotPersisted) {
   EXPECT_EQ(std::string::npos, ReadFileBytes(saved).find(needle));
 
   mechanism::PriveletPlusMechanism mech({"Occ"});
-  const std::string direct = TempPath("seed_direct.pvls");
-  ASSERT_TRUE(storage::PublishToFile(direct, schema, mech,
-                                     RandomMatrix(schema, 3),
-                                     /*epsilon=*/0.9, kSeed)
-                  .ok());
-  EXPECT_EQ(ReadFileBytes(saved), ReadFileBytes(direct));
+  auto streamed = query::PublishingSession::Publish(
+      schema, mech, testutil::ScratchCopy(RandomMatrix(schema, 3), 4096),
+      /*epsilon=*/0.9, kSeed);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ASSERT_TRUE(streamed->prefix_table().is_scratch());
+  const std::string streamed_path = TempPath("seed_streamed.pvls");
+  ASSERT_TRUE(storage::SaveSession(streamed_path, *streamed).ok());
+  EXPECT_EQ(ReadFileBytes(saved), ReadFileBytes(streamed_path));
 }
 
 // ---------------------------------------------------------------------------

@@ -116,10 +116,13 @@ A snapshot (PVLS v4) holds the schema, epsilon, the optional plan and
 the release's prefix-sum table; neither the noisy matrix nor the noise
 seed is written. Files of PVLS v1-v3 are rejected; re-publish them.
 
---max-memory B publishes out of core: panels are staged through unlinked
-mmap scratch files (--scratch-dir, default $TMPDIR) and streamed into the
-snapshot so peak memory is paced by B instead of the release size. The
-snapshot bytes are identical to an in-core publish of the same release.
+--max-memory B publishes out of core: the input cube, every transform
+pass and the release live in unlinked mmap scratch files (--scratch-dir,
+default $TMPDIR) and are streamed into the snapshot, so peak memory is
+paced by B instead of the release size. Only the Privelet mechanisms
+stream their passes; basic and hay release in core (publish prints the
+mode that ran). The snapshot bytes are identical to an in-core publish
+of the same release.
 
 defaults: --tuples 100000, --data-seed 42, --mechanism privelet,
           --epsilon 1.0, --seed 7, --threads <hardware> (0 = serial,
@@ -558,19 +561,23 @@ int RunPublish(const Args& args) {
     *mech = MechanismForCandidate(plan->chosen);
   }
 
-  const matrix::FrequencyMatrix m = matrix::FrequencyMatrix::FromTable(*table);
+  // With --max-memory the input cube is scratch-backed and records the
+  // budget; every later stage (transform passes, prefix build, save)
+  // follows it.
+  auto m = matrix::FrequencyMatrix::FromTable(*table, *options);
+  if (!m.ok()) return Fail(m.status());
+  const std::size_t cells = m->size();
   (*mech)->set_thread_pool(pool->get());
-  (*mech)->set_engine_options(*options);
 
-  // One call in both modes: in core it publishes, builds the prefix table
-  // and writes it; out of core (--max-memory) the stages stream through
-  // scratch files into the snapshot.
   const std::string output = args.Get("output", "");
   Stopwatch publish_watch;
-  auto session = storage::PublishToFile(
-      output, table->schema(), **mech, m, *epsilon, *seed, pool->get(),
-      *options, plan_record.has_value() ? &*plan_record : nullptr);
+  auto session = query::PublishingSession::Publish(
+      table->schema(), **mech, *m, *epsilon, *seed, pool->get());
   if (!session.ok()) return Fail(session.status());
+  *m = matrix::FrequencyMatrix();  // drop the input before the save
+  if (plan_record.has_value()) session->set_plan(std::move(*plan_record));
+  Status saved = storage::SaveSession(output, *session);
+  if (!saved.ok()) return Fail(saved);
   const double publish_seconds = publish_watch.ElapsedSeconds();
 
   std::error_code ec;
@@ -578,12 +585,15 @@ int RunPublish(const Args& args) {
   std::printf(
       "published %s: n=%zu tuples, m=%zu cells, epsilon=%g\n"
       "snapshot %s: %ju bytes (publish and save %.3fs)\n",
-      std::string((*mech)->name()).c_str(), table->num_rows(), m.size(),
+      std::string((*mech)->name()).c_str(), table->num_rows(), cells,
       *epsilon, output.c_str(), ec ? static_cast<std::uintmax_t>(0) : bytes,
       publish_seconds);
-  if (options->out_of_core()) {
+  // The mode that ran, not the one asked for: Basic and Hay release an
+  // owned matrix even from a scratch-backed input.
+  const matrix::PrefixSumTable& released = session->prefix_table();
+  if (released.is_scratch()) {
     std::printf("publish mode: streamed (max-memory %zu bytes)\n",
-                options->max_memory_bytes);
+                released.budget().max_memory_bytes);
   } else {
     std::printf("publish mode: in-core\n");
   }
