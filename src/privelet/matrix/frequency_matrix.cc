@@ -4,6 +4,8 @@
 #include <limits>
 #include <utility>
 
+#include <sys/mman.h>
+
 #include "privelet/common/math_util.h"
 #include "privelet/common/residency.h"
 
@@ -20,6 +22,11 @@ std::size_t CheckedMul(std::size_t a, std::size_t b) {
 }
 
 }  // namespace
+
+void detail::AdviseHugePages(void* p, std::size_t bytes) noexcept {
+  // Advice only: where it fails or THP is off, the pages are 4 KiB ones.
+  (void)::madvise(p, bytes, MADV_HUGEPAGE);
+}
 
 void FrequencyMatrix::InitStrides() {
   PRIVELET_CHECK(!dims_.empty(), "matrix needs >= 1 dimension");

@@ -4,16 +4,17 @@
 // the imposed leaf order, Sec. V-A), so after O(m) preprocessing any query
 // is answered with 2^d table lookups.
 //
-// Storage comes in three modes sharing one query path:
-//   owned   — the const-source build and the parts constructor
-//     materialize the entries in a private heap array (the classic mode);
-//   adopted — the rvalue build takes over a release matrix's storage and
-//     running-sums it in place, so a publish needs no buffer beyond the
-//     release. A vector-backed release stays on the heap; a scratch-backed
-//     (out-of-core) one stays in its unlinked mmap scratch file, and the
-//     build releases residency as it streams, paced by the budget the
-//     release records, so the table can be many times larger than that
-//     budget. Same arithmetic in both, hence bit-identical entries;
+// Storage comes in two modes sharing one query path:
+//   owned   — the entries live in a FrequencyMatrix the table holds, so
+//     every table buffer comes from the matrix allocator. The const-source
+//     build fills a fresh one, FromSums takes a filled one, and the rvalue
+//     build adopts a release matrix and running-sums it in place, so a
+//     publish needs no buffer beyond the release. A vector-backed release
+//     stays on the heap; a scratch-backed (out-of-core) one stays in its
+//     unlinked mmap scratch file, and the build releases residency as it
+//     streams, paced by the budget the release records, so the table can
+//     be many times larger than that budget. Same arithmetic in every
+//     build, hence bit-identical entries;
 //   view    — the View factory serves lookups straight out of caller-
 //     managed memory (the binary64 table section of a memory-mapped PVLS
 //     snapshot), so adopting a multi-GB table costs no copy at all.
@@ -26,7 +27,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -65,9 +65,9 @@ class PrefixSumTable {
     InitStrides();
     PRIVELET_CHECK(!dims_.empty(), "cannot build a table over an empty matrix");
     // Left uninitialized: the fused first pass writes every entry.
-    owned_ = std::make_unique_for_overwrite<double[]>(source.size());
-    data_ = {owned_.get(), source.size()};
-    BuildFrom(owned_.get(), source.values().data(), pool);
+    storage_ = FrequencyMatrix::Uninitialized(dims_);
+    data_ = storage_.values();
+    BuildFrom(storage_.values().data(), source.values().data(), pool);
   }
 
   /// The same build in place over `release`'s own storage, which the
@@ -78,33 +78,33 @@ class PrefixSumTable {
   /// peak RSS by the release's budget().
   explicit PrefixSumTable(FrequencyMatrix&& release,
                           common::ThreadPool* pool = nullptr)
-      : dims_(release.dims()), adopted_(std::move(release)) {
+      : dims_(release.dims()), storage_(std::move(release)) {
     InitStrides();
     PRIVELET_CHECK(!dims_.empty(), "cannot adopt an empty matrix");
-    double* slots = adopted_.values().data();
-    data_ = {slots, adopted_.size()};
+    double* slots = storage_.values().data();
+    data_ = {slots, storage_.size()};
     BuildFrom(slots, slots, pool);
   }
 
-  /// Reassembles a table from its serialized parts: `sums` must hold the
-  /// product(dims) flat (row-major) entries of a previously built table
-  /// over a matrix with the given dims, in the layout raw_sums() exposes
-  /// (the caller has already validated the product against overflow).
-  /// Used by storage::LoadSession to own a copy of a snapshot's table;
-  /// the entries themselves are trusted — integrity is the snapshot
-  /// CRC's job.
-  PrefixSumTable(std::vector<std::size_t> dims, std::unique_ptr<double[]> sums)
-      : dims_(std::move(dims)), owned_(std::move(sums)) {
-    InitStrides();
-    PRIVELET_CHECK(!dims_.empty() && owned_ != nullptr,
-                   "prefix-sum parts do not form a table");
-    data_ = {owned_.get(), NumCells()};
+  /// Reassembles a table from its serialized parts: `sums` holds the flat
+  /// (row-major) entries of a previously built table over a matrix of
+  /// sums.dims(), in the layout raw_sums() exposes. Used by
+  /// storage::LoadSession to own a copy of a snapshot's table; the
+  /// entries themselves are trusted — integrity is the snapshot CRC's job.
+  static PrefixSumTable FromSums(FrequencyMatrix sums) {
+    PRIVELET_CHECK(sums.size() > 0, "prefix-sum parts do not form a table");
+    PrefixSumTable table;
+    table.dims_ = sums.dims();
+    table.InitStrides();
+    table.storage_ = std::move(sums);
+    table.data_ = table.storage_.values();
+    return table;
   }
 
   /// Non-owning view over externally stored entries (the binary64 table
   /// section of a mapped PVLS snapshot): lookups read `view` directly,
-  /// so adoption is O(1) with no copy. Entries are trusted like the parts
-  /// constructor's; the backing storage must outlive this table and every
+  /// so adoption is O(1) with no copy. Entries are trusted like
+  /// FromSums'; the backing storage must outlive this table and every
   /// table copied from it.
   static PrefixSumTable View(std::vector<std::size_t> dims,
                              std::span<const double> view) {
@@ -117,24 +117,21 @@ class PrefixSumTable {
     return table;
   }
 
-  // A copied owned/adopted table owns a heap copy of the entries, while a
-  // copied view table keeps aliasing the external storage (scratch-ness is
-  // not copied). Moves hand the backing over unchanged — neither a heap
-  // array, a matrix's vector nor a mapping moves in memory — so `data_`
-  // carries over as is.
+  // A copied owned table owns a vector-backed copy of the entries (the
+  // matrix copy; scratch-ness is not copied), while a copied view table
+  // keeps aliasing the external storage. Moves hand the backing over
+  // unchanged — neither a matrix's vector nor a mapping moves in memory —
+  // so `data_` carries over as is.
   PrefixSumTable(const PrefixSumTable& other)
-      : dims_(other.dims_), strides_(other.strides_), data_(other.data_) {
-    if (other.is_view()) return;
-    owned_ = std::make_unique_for_overwrite<double[]>(data_.size());
-    std::copy(data_.begin(), data_.end(), owned_.get());
-    data_ = {owned_.get(), data_.size()};
+      : dims_(other.dims_), strides_(other.strides_), data_(other.data_),
+        storage_(other.storage_) {
+    if (!other.is_view()) data_ = storage_.values();
   }
   PrefixSumTable(PrefixSumTable&& other) noexcept
       : dims_(std::move(other.dims_)),
         strides_(std::move(other.strides_)),
-        owned_(std::move(other.owned_)),
         data_(std::exchange(other.data_, {})),
-        adopted_(std::move(other.adopted_)) {}
+        storage_(std::move(other.storage_)) {}
   PrefixSumTable& operator=(const PrefixSumTable& other) {
     if (this != &other) *this = PrefixSumTable(other);
     return *this;
@@ -143,9 +140,8 @@ class PrefixSumTable {
     if (this != &other) {
       dims_ = std::move(other.dims_);
       strides_ = std::move(other.strides_);
-      owned_ = std::move(other.owned_);
       data_ = std::exchange(other.data_, {});
-      adopted_ = std::move(other.adopted_);
+      storage_ = std::move(other.storage_);
     }
     return *this;
   }
@@ -190,25 +186,25 @@ class PrefixSumTable {
   /// True when the entries live in caller-managed storage (View) rather
   /// than in this table.
   bool is_view() const {
-    return owned_ == nullptr && adopted_.size() == 0 && !data_.empty();
+    return storage_.size() == 0 && !data_.empty();
   }
 
   /// True when the entries live in an mmap scratch file (an adopted
   /// scratch-backed release).
-  bool is_scratch() const { return adopted_.is_scratch(); }
+  bool is_scratch() const { return storage_.is_scratch(); }
 
   /// The memory budget of an adopted scratch-backed release, which
   /// readers streaming the table pace themselves by; the default (no
   /// budget) otherwise.
-  const EngineOptions& budget() const { return adopted_.budget(); }
+  const EngineOptions& budget() const { return storage_.budget(); }
 
   /// Drops resident pages of a scratch-backed table (data preserved);
   /// no-op otherwise. See common::MappedFile::ReleaseResidency.
-  void ReleaseResidency() const { adopted_.ReleaseResidency(); }
+  void ReleaseResidency() const { storage_.ReleaseResidency(); }
 
   /// The flat (row-major) table entries — entry at a coordinate is the
   /// inclusive prefix sum up to it. The serialization surface consumed by
-  /// storage/snapshot.cc and accepted back by the parts constructor.
+  /// storage/snapshot.cc and accepted back by FromSums.
   std::span<const double> raw_sums() const { return data_; }
 
  private:
@@ -330,10 +326,9 @@ class PrefixSumTable {
 
   std::vector<std::size_t> dims_;
   std::vector<std::size_t> strides_;
-  std::unique_ptr<double[]> owned_;  ///< owned entries; null otherwise
   std::span<const double> data_;  ///< what RangeSum reads: backing or the view
   // Last, so the members every lookup reads share the first cache lines.
-  FrequencyMatrix adopted_;  ///< adopted release; empty otherwise
+  FrequencyMatrix storage_;  ///< owned entries; empty for a view
 };
 
 }  // namespace privelet::matrix

@@ -62,11 +62,10 @@ Result<query::PublishingSession> LoadSession(const std::string& path,
   PRIVELET_ASSIGN_OR_RETURN(MappedSnapshot mapped, MappedSnapshot::Open(path));
   // Copied out, not viewed: the session owns its table past the mapping.
   const std::span<const double> entries = mapped.prefix_table();
-  auto sums = std::make_unique_for_overwrite<double[]>(entries.size());
-  std::copy(entries.begin(), entries.end(), sums.get());
+  auto sums = matrix::FrequencyMatrix::Uninitialized(mapped.dims());
+  std::copy(entries.begin(), entries.end(), sums.values().begin());
   return query::PublishingSession::FromParts(
-      mapped.schema(),
-      matrix::PrefixSumTable(mapped.dims(), std::move(sums)),
+      mapped.schema(), matrix::PrefixSumTable::FromSums(std::move(sums)),
       {mapped.mechanism(), mapped.epsilon(), mapped.plan()},
       pool);
 }

@@ -12,11 +12,15 @@
 #include <utility>
 #include <vector>
 
+#include <sys/prctl.h>
+
 #include "privelet/common/thread_pool.h"
 #include "privelet/data/attribute.h"
+#include "privelet/data/schema.h"
 #include "privelet/data/table.h"
 #include "privelet/matrix/frequency_matrix.h"
 #include "privelet/matrix/prefix_sum.h"
+#include "privelet/mechanism/privelet_mechanism.h"
 #include "privelet/rng/xoshiro256pp.h"
 
 namespace privelet::matrix {
@@ -146,6 +150,89 @@ TEST(FrequencyMatrixTest, UninitializedRecyclesOnlyACoveringOwnedBuffer) {
   EXPECT_NE(owned.values().data(), mapped);
   EXPECT_FALSE(owned.is_scratch());
   EXPECT_EQ(owned.capacity(), 16u);
+  // A huge-page buffer (>= detail::kHugeMatrixBytes) is recycled alike,
+  // for equal or fewer cells.
+  FrequencyMatrix huge = FrequencyMatrix::Uninitialized({2048, 2048});
+  const double* huge_storage = huge.values().data();
+  FrequencyMatrix same =
+      FrequencyMatrix::Uninitialized({4096, 1024}, std::move(huge));
+  EXPECT_EQ(same.values().data(), huge_storage);
+  FrequencyMatrix fewer =
+      FrequencyMatrix::Uninitialized({1000, 3}, std::move(same));
+  EXPECT_EQ(fewer.values().data(), huge_storage);
+  EXPECT_EQ(fewer.capacity(), std::size_t{1} << 22);
+}
+
+std::uintptr_t Address(const FrequencyMatrix& m) {
+  return reinterpret_cast<std::uintptr_t>(m.values().data());
+}
+
+TEST(FrequencyMatrixTest, HugeBuffersAreHugePageAligned) {
+  const FrequencyMatrix huge = FrequencyMatrix::Uninitialized({2048, 2048});
+  EXPECT_EQ(huge.size() * sizeof(double), detail::kHugeMatrixBytes);
+  EXPECT_EQ(Address(huge) % detail::kHugePage, 0u);
+  // Under the cut-off, 64-byte aligned like every other matrix.
+  const FrequencyMatrix mid = FrequencyMatrix::Uninitialized({1024, 1024});
+  EXPECT_EQ(Address(mid) % 64, 0u);
+  const FrequencyMatrix small = FrequencyMatrix::Uninitialized({16, 16});
+  EXPECT_EQ(Address(small) % 64, 0u);
+}
+
+TEST(FrequencyMatrixTest, CopiesAndMovesOfAHugeMatrixStayBitEqual) {
+  FrequencyMatrix m = FrequencyMatrix::Uninitialized({2048, 2049});
+  ASSERT_GE(m.size() * sizeof(double), detail::kHugeMatrixBytes);
+  rng::Xoshiro256pp gen(21);
+  for (double& v : m.values()) v = gen.NextDouble() * 9 - 4;
+  const FrequencyMatrix copy(m);
+  EXPECT_EQ(Address(copy) % detail::kHugePage, 0u);
+  EXPECT_TRUE(ValuesEqual(copy.values(), m.values()));
+  {
+    FrequencyMatrix assigned({2, 2});
+    assigned = m;
+    EXPECT_TRUE(ValuesEqual(assigned.values(), m.values()));
+  }
+  const double* storage = m.values().data();
+  FrequencyMatrix moved(std::move(m));
+  EXPECT_EQ(moved.values().data(), storage);
+  EXPECT_TRUE(ValuesEqual(moved.values(), copy.values()));
+  FrequencyMatrix move_assigned({2, 2});
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.values().data(), storage);
+  EXPECT_TRUE(ValuesEqual(move_assigned.values(), copy.values()));
+}
+
+// Turns transparent huge pages off for this process while in scope
+// (prctl(PR_SET_THP_DISABLE) is per-process state, not a host setting).
+class ScopedThpDisable {
+ public:
+  ScopedThpDisable() : ok_(::prctl(PR_SET_THP_DISABLE, 1, 0, 0, 0) == 0) {}
+  ~ScopedThpDisable() { ::prctl(PR_SET_THP_DISABLE, 0, 0, 0, 0); }
+  bool ok() const { return ok_; }
+
+ private:
+  bool ok_;
+};
+
+TEST(FrequencyMatrixTest, ReleaseBitsDoNotDependOnHugePages) {
+  // 2048²: every working matrix and the release reach the huge-page path.
+  const data::Schema schema({data::Attribute::Ordinal("x", 2048),
+                             data::Attribute::Ordinal("y", 2048)});
+  FrequencyMatrix counts({2048, 2048});
+  rng::Xoshiro256pp gen(5);
+  for (double& v : counts.values()) v = static_cast<double>(gen.Next() % 4);
+  const mechanism::PriveletMechanism privelet;
+  const auto with_thp = privelet.Publish(schema, counts, 1.0, 17);
+  ASSERT_TRUE(with_thp.ok()) << with_thp.status().ToString();
+  std::optional<Result<FrequencyMatrix>> without_thp;
+  {
+    const ScopedThpDisable no_thp;
+    if (!no_thp.ok()) GTEST_SKIP() << "prctl(PR_SET_THP_DISABLE) rejected";
+    ASSERT_EQ(::prctl(PR_GET_THP_DISABLE, 0, 0, 0, 0), 1);
+    without_thp.emplace(privelet.Publish(schema, counts, 1.0, 17));
+  }
+  EXPECT_EQ(::prctl(PR_GET_THP_DISABLE, 0, 0, 0, 0), 0);
+  ASSERT_TRUE(without_thp->ok()) << without_thp->status().ToString();
+  EXPECT_TRUE(ValuesEqual((*without_thp)->values(), with_thp->values()));
 }
 
 TEST(FrequencyMatrixTest, FlatIndexIsRowMajor) {
